@@ -282,8 +282,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
     span = d[-1] - d[0]
     pad = 0.25 * span + 2.0
     grid = np.linspace(d[0] - pad, d[-1] + pad, max(4 * d.size, 256))
-    rate_fn = _ENGINES[engine]
-    rates = np.array([rate_fn(dt, cfg, settings) for dt in grid])
+    rates = _ENGINES[engine](grid, cfg, settings)
     spline = CubicSpline(grid, rates)
 
     b0, v0, tc0, _ = _initial_dip_guess(d, c)

@@ -1,27 +1,28 @@
 """Hong-Ou-Mandel coincidence-rate engines and dip metrics.
 
-Four engines compute the normalized coincidence rate R(delta_tau):
+With F = Q times the arm filters, the normalized coincidence rate is
+R(dt) = 1 - Re sum F(s,i) F*(i,s) e^{-i(ni-ns)dt} / sum |F(s,i)|^2.  The delay
+enters only through the last factor, so each engine caches its tables per
+configuration and maps a whole array of delays to rates in one call:
 
-* ``rate_general``    -- 2-D spectral integral of |F|^2 [1 - e^{-i(ni-ns)dt}]
-                         with F = Q times the arm filters (any filter shape).
-* ``rate_gaussian_closed`` -- the analytic reduction for Gaussian filters:
-                         a 2-D integral over fiber positions (z1, z2) of
-                         G(z1) G*(z2) I(z1, z2).
-* ``rate_supergaussian`` -- quartic (4th-order super-Gaussian) filters via the
-                         tensorized 4-D Gauss-Legendre rule over (z1, z2, ns, ni);
-                         the z sums are factored out exactly, so the cost per
-                         delay is a 2-D weighted sum.
-* ``rate_asymmetric`` -- different signal/idler filters,
-                         |F(s,i)|^2 - F(s,i) F*(i,s) e^{-i(ni-ns)dt};
-                         collapses to ``rate_general`` for identical filters.
+* ``general``       -- spectral double sum on a Gauss-Legendre (ns, ni) grid,
+                       any filter shape, Q from the factored kernel of
+                       :mod:`homsim.jsa`.  With E = e^{-i nu dt} the delay
+                       factor is E(ni) conj(E(ns)), so all delays together
+                       cost one matrix product.
+* ``asymmetric``    -- the same path with different signal and idler filters.
+* ``supergaussian`` -- the same path for identical quartic filters on both
+                       arms, at ``settings.gl_order`` nodes per axis.
+* ``gaussian``      -- the closed form for identical Gaussian filters: a sum
+                       over fiber positions (z1, z2) of G(z1) G*(z2) I(z1, z2; dt).
 
-Every engine normalizes so the large-delay baseline is 1.  Rates are clamped
-at zero after checking they are nonnegative to within the absolute tolerance.
+Delays run in chunks of bounded size.  Rates are normalized to a large-delay
+baseline of 1; the imaginary part and sign of each are checked against the
+absolute tolerance before clamping at zero.  ``rate_*`` evaluate one delay.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .jsa import phi_closed
+from .jsa import _Z_ORDER, _chunks, _g_function, _q_factored, _write_csv
 from .quadrature import AccuracyError, QuadratureSettings, gauss_legendre
 from .units import ExperimentConfig, FilterShape, FilterSpec
 
@@ -51,8 +52,7 @@ __all__ = [
     "metrics_to_json",
 ]
 
-_DEFAULT_NU_ORDER = 96   # Gauss-Legendre points per frequency axis (2-D engines)
-_DEFAULT_Z_ORDER = 64    # Gauss-Legendre points per fiber-position axis
+_DEFAULT_NU_ORDER = 96   # Gauss-Legendre points per frequency axis (general engine)
 _BASELINE_FRACTION = 0.1
 
 
@@ -77,32 +77,12 @@ def filter_amplitude(spec: FilterSpec, nu, cfg: ExperimentConfig):
 
 def _nu_halfwidth(spec: FilterSpec, cfg: ExperimentConfig, trunc: float) -> float:
     """Truncation half-width covering both the filter and pump supports."""
-    if spec.shape is FilterShape.GAUSSIAN:
-        scale = cfg.sigma_for(spec)
-    elif spec.shape is FilterShape.SUPERGAUSSIAN4:
+    if spec.shape is FilterShape.SUPERGAUSSIAN4:
         # quartic tails die much faster; trunc/2.4 sigma already reaches e^-150
         scale = cfg.sigma_sg_for(spec) / 2.4
-    else:
+    else:  # Gaussian, or the Gaussian stage of a cascade
         scale = cfg.sigma_for(spec)
     return trunc * max(scale, cfg.sigma_p_rad_per_ps / 3.0)
-
-
-def _g_function(z, cfg: ExperimentConfig):
-    """z-dependent factor G(z) of the pair amplitude, SPM phase included."""
-    z = np.asarray(z, dtype=float)
-    sp = cfg.sigma_p_rad_per_ps
-    b2 = cfg.fiber.beta2_ps2_per_m
-    delta = cfg.Delta_rad_per_ps
-    spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
-    den = 1.0 + b2**2 * z**2 * sp**4
-    amp = np.exp(-(b2**2 * z**2 * delta**2 * sp**2) / (4.0 * den)) / den**0.25
-    phase = (
-        0.5 * np.arctan(b2 * z * sp**2)
-        - (b2**3 * z**3 * delta**2 * sp**4) / (4.0 * den)
-        + 0.25 * b2 * delta**2 * z
-        - spm * z
-    )
-    return amp * np.exp(1j * phase)
 
 
 def _check_oscillation_bound(cfg: ExperimentConfig, nu_half: float, order: int) -> int:
@@ -116,50 +96,42 @@ def _check_oscillation_bound(cfg: ExperimentConfig, nu_half: float, order: int) 
     needed = int(math.ceil(8.0 * max(cycles, 1.0)))
     if needed > order:
         if needed > 2048:
-            raise AccuracyError(
-                f"dispersion phase oscillates over {cycles:.1f} cycles; "
-                "fixed-order rule infeasible",
-                best=None,  # type: ignore[arg-type]
-            )
+            raise AccuracyError(f"dispersion phase oscillates over {cycles:.1f} cycles; "
+                                "fixed-order rule infeasible")
         return needed
     return order
 
 
-# ---------------------------------------------------------------------------
-# Cached spectral tables.  For fixed config the delay enters each engine only
-# through the factor [1 - e^{-i(ni-ns) dt}], so the heavy frequency/length
-# integrals are evaluated once and every rate call is a weighted sum.
-# ---------------------------------------------------------------------------
+def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> None:
+    if cfg.filter.shape is not shape or cfg.filter.idler is not None:
+        raise ValueError(f"{label} requires identical {shape.value} filters on both arms")
 
 
 @lru_cache(maxsize=16)
-def _general_tables(cfg: ExperimentConfig, signal_filter: FilterSpec,
-                    idler_filter: FilterSpec, nu_order: int, trunc: float):
+def _spectral_tables(cfg: ExperimentConfig, signal_filter: FilterSpec,
+                     idler_filter: FilterSpec, nu_order: int, trunc: float):
+    """Node vector nu, cross weights C = F(s,i) F*(i,s) w_s w_i, and sum |F|^2 w_s w_i."""
     half = max(_nu_halfwidth(signal_filter, cfg, trunc),
                _nu_halfwidth(idler_filter, cfg, trunc))
     nu_order = _check_oscillation_bound(cfg, half, nu_order)
     nu, w = gauss_legendre(nu_order, -half, half)
-    ns, ni = np.meshgrid(nu, nu, indexing="ij")
-    z, zw = gauss_legendre(_DEFAULT_Z_ORDER, -cfg.fiber.length_m, 0.0)
-    spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
-    q = np.tensordot(
-        phi_closed(ns[..., None], ni[..., None], z, cfg) * np.exp(-1j * spm * z),
-        zw, axes=([2], [0]),
-    )
-    f_mat = q * filter_amplitude(signal_filter, ns, cfg) * filter_amplitude(idler_filter, ni, cfg)
+    f_mat = (_q_factored(nu[:, None] + nu[None, :], (nu[:, None] - nu[None, :]) ** 2, cfg)
+             * np.outer(filter_amplitude(signal_filter, nu, cfg),
+                        filter_amplitude(idler_filter, nu, cfg)))
     w2 = np.outer(w, w)
-    diff = ni - ns
-    abs2 = np.abs(f_mat) ** 2 * w2
-    cross = f_mat * np.conj(f_mat.T) * w2  # F(s,i) F*(i,s)
-    baseline = float(np.sum(abs2))
-    return diff, abs2, cross, baseline
+    cross = f_mat * np.conj(f_mat.T) * w2
+    for part in (cross.real, cross.imag):  # subnormal tails only slow BLAS
+        part[np.abs(part) < 1e-300] = 0.0
+    return nu, cross, float(np.sum(np.abs(f_mat) ** 2 * w2))
 
 
 @lru_cache(maxsize=16)
-def _closed_tables(cfg: ExperimentConfig, z_order: int):
-    z, zw = gauss_legendre(z_order, -cfg.fiber.length_m, 0.0)
+def _closed_tables(cfg: ExperimentConfig):
+    """Weights K = G(z1) G*(z2) I(z1, z2; 0) as (Re, Im) columns, Re a and Im a of the
+    delay factor e^{dt^2 a}, a = (-2 s0^2 + i b2 (z1 - z2) s0^4) / den4, and sum K."""
+    z, zw = gauss_legendre(_Z_ORDER, -cfg.fiber.length_m, 0.0)
     gz = _g_function(z, cfg) * zw
-    zdiff = z[:, None] - z[None, :]
+    zdiff = (z[:, None] - z[None, :]).ravel()
     s0 = cfg.sigma_0_rad_per_ps
     sp = cfg.sigma_p_rad_per_ps
     b2 = cfg.fiber.beta2_ps2_per_m
@@ -169,112 +141,102 @@ def _closed_tables(cfg: ExperimentConfig, z_order: int):
         / (sp * math.sqrt(sp**2 + s0**2))
     )
     i_common = pref * np.exp(0.5j * np.arctan(-0.5 * b2 * zdiff * s0**2)) / den4**0.25
-    outer_g = np.outer(gz, np.conj(gz))
-    baseline = complex(np.sum(outer_g * i_common))
-    return zdiff, den4, i_common, outer_g, baseline
+    k = np.outer(gz, np.conj(gz)).ravel() * i_common
+    baseline = complex(np.sum(k))
+    return (np.stack([k.real, k.imag], axis=1), -2.0 * s0**2 / den4,
+            b2 * zdiff * s0**4 / den4, baseline)
 
 
-@lru_cache(maxsize=16)
-def _supergaussian_tables(cfg: ExperimentConfig, nu_order: int, z_order: int, trunc: float):
-    spec = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4, fwhm_nm=cfg.filter.fwhm_nm)
-    half = _nu_halfwidth(spec, cfg, trunc)
-    nu_order = _check_oscillation_bound(cfg, half, nu_order)
-    nu, w = gauss_legendre(nu_order, -half, half)
-    ns, ni = np.meshgrid(nu, nu, indexing="ij")
-    z, zw = gauss_legendre(z_order, -cfg.fiber.length_m, 0.0)
-    gz = _g_function(z, cfg) * zw
-    b2 = cfg.fiber.beta2_ps2_per_m
-    ssg = cfg.sigma_sg_rad_per_ps
-    sp = cfg.sigma_p_rad_per_ps
-    # z1 and z2 enter only via exp(-i b2 w (z1 - z2)/4) with w = (ns - ni)^2,
-    # so the double z sum factors into |H(w)|^2 with H(w) = sum_z gz e^{-i b2 w z/4}.
-    wvals = (ns - ni) ** 2
-    h = np.tensordot(np.exp(-0.25j * b2 * wvals[..., None] * z), gz, axes=([2], [0]))
-    weight = (
-        np.exp(-((ns + ni) ** 2) / (2.0 * sp**2))
-        * np.exp(-2.0 * (ns**4 + ni**4) / ssg**4)
-        * np.abs(h) ** 2
-        * np.outer(w, w)
-    )
-    diff = ni - ns
-    baseline = float(np.sum(weight))
-    return diff, weight, baseline
+def _finish_rates(num: np.ndarray, baseline: float, abs_tol: float, label: str) -> np.ndarray:
+    bad = np.abs(num.imag) > abs_tol * max(abs(baseline), 1.0)
+    if np.any(bad):
+        worst = num.imag[np.argmax(bad)]
+        raise AccuracyError(f"{label}: imaginary part {worst:.3e} exceeds tolerance")
+    rates = num.real / baseline
+    if np.any(rates < -abs_tol):
+        raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e}")
+    return np.maximum(rates, 0.0)
 
 
-def _finish_rate(num: complex, baseline: float, abs_tol: float, label: str) -> float:
-    if abs(num.imag) > abs_tol * max(abs(baseline), 1.0):
-        raise AccuracyError(
-            f"{label}: imaginary part {num.imag:.3e} exceeds tolerance",
-            best=None,  # type: ignore[arg-type]
-        )
-    rate = num.real / baseline
-    if rate < -abs_tol:
-        raise AccuracyError(f"{label}: negative rate {rate:.3e}", best=None)  # type: ignore[arg-type]
-    return max(rate, 0.0)
+def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, signal_filter: FilterSpec,
+                    idler_filter: FilterSpec, nu_order: int,
+                    settings: QuadratureSettings, label: str) -> np.ndarray:
+    nu, cross, baseline = _spectral_tables(cfg, signal_filter, idler_filter, nu_order,
+                                           settings.trunc_sigmas)
+    num = np.empty(delays.size, dtype=complex)
+    for sl in _chunks(delays.size, nu.size):
+        e = np.exp(-1j * np.multiply.outer(delays[sl], nu))
+        # sum_{s,i} C[s,i] e^{-i ni dt} conj(e^{-i ns dt}), one row per delay
+        num[sl] = baseline - np.sum(np.conj(e) * (e @ cross.T), axis=1)
+    return _finish_rates(num, baseline, settings.abs_tol, label)
+
+
+def _general_rates(delays, cfg, settings=None):
+    signal = FilterSpec(shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm)
+    return _asymmetric_rates(delays, cfg, signal, cfg.filter.idler or signal, settings)
+
+
+def _asymmetric_rates(delays, cfg, signal_filter, idler_filter, settings=None):
+    return _spectral_rates(delays, cfg, signal_filter, idler_filter, _DEFAULT_NU_ORDER,
+                           settings or QuadratureSettings(), "asymmetric/general engine")
+
+
+def _supergaussian_rates(delays, cfg, settings=None):
+    _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
+    settings = settings or QuadratureSettings()
+    quartic = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4, fwhm_nm=cfg.filter.fwhm_nm)
+    return _spectral_rates(delays, cfg, quartic, quartic, settings.gl_order, settings,
+                           "super-gaussian engine")
+
+
+def _closed_rates(delays, cfg, settings=None):
+    _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
+    settings = settings or QuadratureSettings()
+    k, a_re, a_im, baseline = _closed_tables(cfg)
+    num = np.empty(delays.size, dtype=complex)
+    for sl in _chunks(delays.size, a_re.size):
+        t2 = delays[sl, None] ** 2
+        decay = np.exp(t2 * a_re)
+        # sum K (1 - e^{t2 a}) with e^{t2 a} = decay (cos + i sin) of t2 Im a
+        re = (1.0 - decay * np.cos(t2 * a_im)) @ k
+        im = (decay * np.sin(t2 * a_im)) @ k
+        num[sl] = (re[:, 0] + im[:, 1]) + 1j * (re[:, 1] - im[:, 0])
+    return _finish_rates(num, baseline.real, settings.abs_tol, "gaussian closed-form engine")
 
 
 def rate_general(delta_tau: float, cfg: ExperimentConfig,
                  settings: QuadratureSettings | None = None) -> float:
-    """Normalized coincidence rate from the spectral-domain integral.
-
-    Works for any filter shape (Gaussian, quartic, cascade); the two arms use
-    ``cfg.filter`` (and its idler override if present, in which case this is
-    the asymmetric formula).
-    """
-    settings = settings or QuadratureSettings()
-    signal = FilterSpec(shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm)
-    idler = cfg.filter.idler or signal
-    return rate_asymmetric(delta_tau, cfg, signal, idler, settings)
+    """Normalized rate from the spectral integral for any filter shape; the arms
+    use ``cfg.filter`` and its idler override, if any (then it is asymmetric)."""
+    return float(_general_rates(np.array([delta_tau], dtype=float), cfg, settings)[0])
 
 
 def rate_asymmetric(delta_tau: float, cfg: ExperimentConfig,
                     signal_filter: FilterSpec, idler_filter: FilterSpec,
                     settings: QuadratureSettings | None = None) -> float:
     """Normalized rate for (possibly) different signal/idler filters."""
-    settings = settings or QuadratureSettings()
-    diff, abs2, cross, baseline = _general_tables(
-        cfg, signal_filter, idler_filter, _DEFAULT_NU_ORDER, settings.trunc_sigmas
-    )
-    num = complex(np.sum(abs2) - np.sum(cross * np.exp(-1j * diff * delta_tau)))
-    return _finish_rate(num, baseline, settings.abs_tol, "asymmetric/general engine")
+    return float(_asymmetric_rates(np.array([delta_tau], dtype=float), cfg,
+                                   signal_filter, idler_filter, settings)[0])
 
 
 def rate_gaussian_closed(delta_tau: float, cfg: ExperimentConfig,
                          settings: QuadratureSettings | None = None) -> float:
     """Normalized rate from the Gaussian-filter closed form (z1, z2 integral)."""
-    if cfg.filter.shape is not FilterShape.GAUSSIAN or cfg.filter.idler is not None:
-        raise ValueError("closed-form engine requires identical Gaussian filters")
-    settings = settings or QuadratureSettings()
-    zdiff, den4, i_common, outer_g, baseline = _closed_tables(cfg, _DEFAULT_Z_ORDER)
-    s0 = cfg.sigma_0_rad_per_ps
-    b2 = cfg.fiber.beta2_ps2_per_m
-    brace = 1.0 - np.exp(
-        -2.0 * delta_tau**2 * s0**2 / den4
-        + 1j * b2 * zdiff * delta_tau**2 * s0**4 / den4
-    )
-    num = complex(np.sum(outer_g * i_common * brace))
-    return _finish_rate(num, baseline.real, settings.abs_tol, "gaussian closed-form engine")
+    return float(_closed_rates(np.array([delta_tau], dtype=float), cfg, settings)[0])
 
 
 def rate_supergaussian(delta_tau: float, cfg: ExperimentConfig,
                        settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate for two identical quartic super-Gaussian filters.
-
-    Tensorized Gauss-Legendre over (z1, z2, ns, ni); the separable z phase is
-    factored so the full 4-D sum reduces exactly to a cached 2-D weight.
-    """
-    settings = settings or QuadratureSettings()
-    diff, weight, baseline = _supergaussian_tables(
-        cfg, settings.gl_order, _DEFAULT_Z_ORDER, settings.trunc_sigmas
-    )
-    num = complex(np.sum(weight * (1.0 - np.exp(-1j * diff * delta_tau))))
-    return _finish_rate(num, baseline, settings.abs_tol, "super-gaussian engine")
+    """Normalized rate for identical quartic filters on both arms (any other
+    filter configuration is rejected): the spectral path at ``settings.gl_order``."""
+    return float(_supergaussian_rates(np.array([delta_tau], dtype=float), cfg, settings)[0])
 
 
-_ENGINES: dict[str, Callable[[float, ExperimentConfig, Optional[QuadratureSettings]], float]] = {
-    "general": rate_general,
-    "gaussian": rate_gaussian_closed,
-    "supergaussian": rate_supergaussian,
+_ENGINES: dict[str, Callable[[np.ndarray, ExperimentConfig, Optional[QuadratureSettings]],
+                             np.ndarray]] = {
+    "general": _general_rates,
+    "gaussian": _closed_rates,
+    "supergaussian": _supergaussian_rates,
 }
 
 _ENGINE_TAGS = {
@@ -322,15 +284,13 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     if engine == "asymmetric":
         if signal_filter is None or idler_filter is None:
             raise ValueError("asymmetric engine needs explicit signal and idler filters")
-        rates = np.array([
-            rate_asymmetric(dt, cfg, signal_filter, idler_filter, settings) for dt in delays_ps
-        ])
+        rates = _asymmetric_rates(delays_ps, cfg, signal_filter, idler_filter, settings)
     else:
         try:
             fn = _ENGINES[engine]
         except KeyError:
             raise ValueError(f"unknown engine {engine!r}; choose from {sorted(_ENGINES)}")
-        rates = np.array([fn(dt, cfg, settings) for dt in delays_ps])
+        rates = fn(delays_ps, cfg, settings)
     return DipCurve(delays_ps=delays_ps, rates=rates, engine=_ENGINE_TAGS[engine])
 
 
@@ -399,11 +359,7 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
 
 def write_curve_csv(curve: DipCurve, path) -> None:
     """Write the curve as CSV rows delay_ps,rate_normalized."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delay_ps", "rate_normalized"])
-        for d, r in zip(curve.delays_ps, curve.rates):
-            writer.writerow([f"{d:.17g}", f"{r:.17g}"])
+    _write_csv(path, ["delay_ps", "rate_normalized"], [curve.delays_ps, curve.rates])
 
 
 def metrics_to_json(metrics: DipMetrics) -> str:

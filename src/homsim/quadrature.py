@@ -59,9 +59,9 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 
 class AccuracyError(RuntimeError):
-    """Requested tolerance not reached; ``best`` carries the best estimate."""
+    """Requested tolerance not reached; ``best`` carries the best estimate, if any."""
 
-    def __init__(self, message: str, best: "QuadratureResult"):
+    def __init__(self, message: str, best: "QuadratureResult | None" = None):
         super().__init__(message)
         self.best = best
 

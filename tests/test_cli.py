@@ -124,6 +124,12 @@ class TestDipCommand:
                   "supergaussian4", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_supergaussian_engine_with_gaussian_filter_exits_2(self, tmp_path):
+        # the quartic engine must not silently replace the configured filter
+        rc = run(["dip", "--engine", "supergaussian", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestFitCommand:
     def test_gaussian_dip_fit(self, tmp_path, dip_data_file, capsys):

@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from homsim import hom, units
+from homsim import hom, jsa, units
 from homsim.quadrature import QuadratureSettings, gauss_legendre
 from homsim.units import FilterShape, FilterSpec
 
@@ -145,16 +147,17 @@ class TestSuperGaussian:
         assert sg.fwhm_ps > g.fwhm_ps
 
     def test_factored_matches_direct_4d(self, cfg_sg):
-        # the factored z-sum must equal the plain 4-D tensor rule on the
-        # same nodes: rebuild numerator and baseline from the raw integrand
-        from homsim.hom import _g_function
+        # the shared spectral tables (factored kernel, z-sum folded into H)
+        # must equal the plain 4-D tensor rule on the same nodes: rebuild
+        # numerator and baseline from the raw integrand
+        from homsim.jsa import _Z_ORDER, _g_function
 
         order = 24
         trunc = 6.0
         spec = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4, fwhm_nm=cfg_sg.filter.fwhm_nm)
         half = hom._nu_halfwidth(spec, cfg_sg, trunc)
         nu, w = gauss_legendre(order, -half, half)
-        z, zw = gauss_legendre(order, -cfg_sg.fiber.length_m, 0.0)
+        z, zw = gauss_legendre(_Z_ORDER, -cfg_sg.fiber.length_m, 0.0)
         b2 = cfg_sg.fiber.beta2_ps2_per_m
         ssg = cfg_sg.sigma_sg_rad_per_ps
         sp = cfg_sg.sigma_p_rad_per_ps
@@ -176,9 +179,109 @@ class TestSuperGaussian:
             return complex(vals)
 
         direct_rate = direct(3.0, True).real / direct(0.0, False).real
-        diff, weight, baseline = hom._supergaussian_tables(cfg_sg, order, order, trunc)
-        engine_rate = np.sum(weight * (1 - np.exp(-1j * diff * 3.0))).real / baseline
+        nodes, cross, baseline = hom._spectral_tables(cfg_sg, spec, spec, order, trunc)
+        assert np.array_equal(nodes, nu)
+        diff = nodes[None, :] - nodes[:, None]
+        engine_rate = (baseline - np.sum(cross * np.exp(-1j * diff * 3.0))).real / baseline
         assert engine_rate == pytest.approx(direct_rate, rel=1e-10)
+
+
+def per_delay_reference(engine, cfg, delays, signal=None, idler=None):
+    """One double sum per delay over the engine's own cached tables: the
+    formula the scalar engines evaluated before delays were batched."""
+    quad = QuadratureSettings()
+    if engine == "gaussian":
+        k, a_re, a_im, base = hom._closed_tables(cfg)
+        k = k[:, 0] + 1j * k[:, 1]
+        num = [np.sum(k * (1.0 - np.exp(dt**2 * (a_re + 1j * a_im)))) for dt in delays]
+        base = base.real
+    else:
+        if engine != "asymmetric":
+            signal = FilterSpec(shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm)
+            idler = cfg.filter.idler or signal
+        order = quad.gl_order if engine == "supergaussian" else hom._DEFAULT_NU_ORDER
+        nu, cross, base = hom._spectral_tables(cfg, signal, idler, order, quad.trunc_sigmas)
+        diff = nu[None, :] - nu[:, None]  # ni - ns
+        num = [base - np.sum(cross * np.exp(-1j * diff * dt)) for dt in delays]
+    return np.maximum(np.real(num) / base, 0.0)
+
+
+_SIG = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.8)
+_IDL = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.88)
+
+
+class TestBatchedDelays:
+    @pytest.mark.parametrize("engine,shape", [
+        ("gaussian", "gaussian"), ("general", "gaussian"), ("general", "supergaussian4"),
+        ("general", "cascade"), ("supergaussian", "supergaussian4"), ("asymmetric", "gaussian"),
+    ])
+    @pytest.mark.parametrize("axis", ["default", "nonuniform", "single", "multichunk"])
+    def test_matches_per_delay_sum(self, engine, shape, axis):
+        cfg = units.default_config(shape)
+        filters = {"signal_filter": _SIG, "idler_filter": _IDL} if engine == "asymmetric" else {}
+        delays = {
+            "default": None,
+            "nonuniform": np.cumsum(np.random.default_rng(5).uniform(0.01, 1.5, 40)) - 18.0,
+            "single": np.array([2.5]),
+            # every engine's per-delay row has at least 48 elements
+            "multichunk": np.linspace(-20.0, 20.0, jsa._CHUNK_ELEMENTS // 48 + 3),
+        }[axis]
+        curve = hom.dip_curve(cfg, engine, delays_ps=delays, **filters)
+        # the long axis is checked on a subsample spread over every chunk
+        n = curve.delays_ps.size
+        idx = np.unique(np.r_[0:n:37 if axis == "multichunk" else 1, n - 1])
+        ref = per_delay_reference(engine, cfg, curve.delays_ps[idx],
+                                  signal=_SIG, idler=_IDL)
+        assert np.max(np.abs(curve.rates[idx] - ref)) <= 1e-12
+
+    @settings(max_examples=15, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(log_length=st.floats(1.0, math.log10(2.0e4)),
+           log_beta2=st.floats(-2.0, 0.0), sign=st.sampled_from((-1.0, 1.0)),
+           pump_fwhm=st.floats(0.4, 1.6), filter_fwhm=st.floats(0.4, 1.6),
+           shape=st.sampled_from(["gaussian", "supergaussian4", "cascade"]),
+           mismatch=st.floats(0.05, 0.3))
+    def test_property_over_physical_ranges(self, log_length, log_beta2, sign,
+                                           pump_fwhm, filter_fwhm, shape, mismatch):
+        cfg = units.build_config(
+            length_m=10.0**log_length, beta2_ps2_per_km=sign * 10.0**log_beta2,
+            gamma_per_W_m=1.8e-3, lambda_p1_nm=1555.92, lambda_p2_nm=1545.95,
+            pump_fwhm_nm=pump_fwhm, peak_power_W=0.36,
+            filter_shape=shape, filter_fwhm_nm=filter_fwhm)
+        # outside the arctan-branch domain the engines refuse the config
+        assume(abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m
+               * cfg.sigma_p_rad_per_ps**2 < 1.0)
+        half = max(15.0, 6.0 / cfg.sigma_0_rad_per_ps)
+        delays = np.linspace(-half, half, 21)
+        filters = {"signal_filter": FilterSpec(shape=cfg.filter.shape, fwhm_nm=filter_fwhm),
+                   "idler_filter": FilterSpec(shape=cfg.filter.shape,
+                                              fwhm_nm=filter_fwhm * (1.0 + mismatch))}
+        engines = {"gaussian": ("gaussian", "general"),
+                   "supergaussian4": ("general", "supergaussian"),
+                   "cascade": ("general",)}[shape] + ("asymmetric",)
+        for engine in engines:
+            kw = filters if engine == "asymmetric" else {}
+            rates = hom.dip_curve(cfg, engine, delays_ps=delays, **kw).rates
+            ref = per_delay_reference(engine, cfg, delays, signal=filters["signal_filter"],
+                                      idler=filters["idler_filter"])
+            assert np.max(np.abs(rates - ref)) <= 1e-12
+            assert np.max(np.abs(rates - rates[::-1])) <= 1e-12
+
+    def test_raised_order_asymmetric_cascade(self):
+        # the dispersion of 15.8 km raises the order to 149 nodes per axis, at
+        # which numpy lays the cross table out column-major
+        cfg = units.build_config(
+            length_m=15770.75, beta2_ps2_per_km=0.96611, gamma_per_W_m=1.8e-3,
+            lambda_p1_nm=1555.92, lambda_p2_nm=1545.95, pump_fwhm_nm=0.42202,
+            peak_power_W=0.36, filter_shape="cascade", filter_fwhm_nm=0.75659)
+        sig = FilterSpec(shape=FilterShape.CASCADE, fwhm_nm=0.75659)
+        idl = FilterSpec(shape=FilterShape.CASCADE, fwhm_nm=0.75659 * 1.29512)
+        delays = np.linspace(-40.0, 40.0, 41)
+        curve = hom.dip_curve(cfg, "asymmetric", delays_ps=delays,
+                              signal_filter=sig, idler_filter=idl)
+        assert hom._spectral_tables(cfg, sig, idl, 96, 6.0)[0].size == 149
+        ref = per_delay_reference("asymmetric", cfg, delays, signal=sig, idler=idl)
+        assert np.max(np.abs(curve.rates - ref)) <= 1e-12
 
 
 class TestDipMetrics:
@@ -220,6 +323,40 @@ class TestCurveIO:
         assert lines[0] == "delay_ps,rate_normalized"
         assert len(lines) == 12
 
+    def test_csv_bytes_match_per_row_format(self, tmp_path):
+        # whole-array formatting must give the bytes of csv.writer on
+        # per-value f"{x:.17g}" strings, for signed zeros, subnormals and
+        # integral values alike
+        special = [-0.0, 5e-324, 2.5e-310, 1.0, 3.0, 1e16, 0.1, 123456789.0, 1.0 / 3.0]
+        rng = np.random.default_rng(3)
+
+        def per_row(path, header, rows):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([f"{x:.17g}" for x in row])
+
+        delays = np.array([-3.0, -1e-300, -0.0, 5e-324, 0.5, 2.0, 7.0, 1e16, 1.5e16])
+        curve = hom.DipCurve(delays_ps=delays, rates=np.array(special), engine="test")
+        hom.write_curve_csv(curve, tmp_path / "curve.csv")
+        per_row(tmp_path / "curve_ref.csv", ["delay_ps", "rate_normalized"],
+                zip(curve.delays_ps, curve.rates))
+        assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "curve_ref.csv").read_bytes()
+
+        # the special values plus enough generic ones that the last-bit
+        # rounding of |q|^2 is exercised
+        values = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
+        values[0, :9] = np.array(special) + 1j * np.array(special[::-1])
+        grid = jsa.AmplitudeGrid(nu_s_axis=np.linspace(-1.0, 1.0, 60),
+                                 nu_i_axis=np.linspace(-2.0, 1.0, 60), values=values)
+        jsa.write_grid_csv(grid, tmp_path / "grid.csv")
+        per_row(tmp_path / "grid_ref.csv", ["nu_s", "nu_i", "re_q", "im_q", "abs2_q"],
+                ((ns, ni, q.real, q.imag, abs(q) ** 2)
+                 for ns, row in zip(grid.nu_s_axis, grid.values)
+                 for ni, q in zip(grid.nu_i_axis, row)))
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "grid_ref.csv").read_bytes()
+
     def test_metrics_json(self, cfg):
         import json
         metrics = hom.dip_metrics(hom.dip_curve(cfg, "gaussian"))
@@ -231,6 +368,17 @@ class TestValidation:
     def test_closed_engine_rejects_non_gaussian(self, cfg_sg):
         with pytest.raises(ValueError):
             hom.rate_gaussian_closed(1.0, cfg_sg)
+
+    def test_supergaussian_engine_rejects_other_filters(self, cfg):
+        # the quartic engine must not silently replace the configured filter
+        with pytest.raises(ValueError):
+            hom.dip_curve(cfg, "supergaussian")
+        mismatched = units.build_config(
+            length_m=300.0, beta2_ps2_per_km=-0.116, gamma_per_W_m=1.8e-3,
+            lambda_p1_nm=1555.92, lambda_p2_nm=1545.95, pump_fwhm_nm=0.8,
+            peak_power_W=0.36, filter_shape="supergaussian4", idler_filter_fwhm_nm=0.9)
+        with pytest.raises(ValueError):
+            hom.rate_supergaussian(1.0, mismatched)
 
     def test_unknown_engine(self, cfg):
         with pytest.raises(ValueError):

@@ -111,12 +111,11 @@ def _config_doc(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 def _write_manifest(out_path: str, command: str, cfg: ExperimentConfig | None,
-                    extra: dict[str, Any], elapsed_s: float, threads: int) -> str:
+                    extra: dict[str, Any], elapsed_s: float) -> str:
     manifest = {
         "tool": "homsim",
         "version": __version__,
         "command": command,
-        "threads": threads,
         "wall_clock_s": elapsed_s,
         "outputs": [out_path] if out_path else [],
     }
@@ -131,18 +130,6 @@ def _write_manifest(out_path: str, command: str, cfg: ExperimentConfig | None,
     with open(man_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return man_path
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("HOMSIM_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"HOMSIM_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def _cfg_overrides(args) -> dict[str, Any]:
@@ -163,7 +150,7 @@ def cmd_jsa(args) -> int:
         return EXIT_IO
     _write_manifest(args.out, "jsa", cfg,
                     {"grid": {"n_points": args.n, "span_sigma0": args.span}},
-                    time.perf_counter() - t0, _threads(args))
+                    time.perf_counter() - t0)
     print(f"wrote {args.n * args.n} grid samples to {args.out}")
     return EXIT_OK
 
@@ -198,7 +185,7 @@ def cmd_dip(args) -> int:
         "quadrature": {"rel_tol": settings.rel_tol, "abs_tol": settings.abs_tol,
                        "gl_order": settings.gl_order,
                        "trunc_sigmas": settings.trunc_sigmas},
-    }, time.perf_counter() - t0, _threads(args))
+    }, time.perf_counter() - t0)
     print(metrics_to_json(metrics))
     return EXIT_OK
 
@@ -231,7 +218,7 @@ def cmd_fit(args) -> int:
         return EXIT_IO
     _write_manifest(args.out, "fit", cfg, {
         "mode": args.mode, "engine": args.engine, "data": args.data,
-    }, time.perf_counter() - t0, _threads(args))
+    }, time.perf_counter() - t0)
     print(json.dumps({"visibility": result.params.get("visibility", result.params.get("scale")),
                       "fwhm_ps": result.params.get("fwhm_ps",
                                                    result.derived_metrics.fwhm_ps
@@ -264,7 +251,7 @@ def cmd_overlap(args) -> int:
             return EXIT_IO
     _write_manifest(args.out or "", "overlap", None, {"result": out, "d_mm": args.d_mm,
                                                       "lambda_nm": args.lambda_nm},
-                    time.perf_counter() - t0, _threads(args))
+                    time.perf_counter() - t0)
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
@@ -282,9 +269,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--filter-shape", dest="filter_shape",
                    choices=["gaussian", "supergaussian4", "cascade"])
     p.add_argument("--filter-fwhm-nm", dest="filter_fwhm_nm", type=float)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (results are identical for any N; "
-                        "HOMSIM_THREADS is the env fallback)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-mm", type=float, default=5.0)
     p.add_argument("--lambda-nm", type=float, default=1550.0)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_overlap)
 
     return parser

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .hom import DipMetrics, _ENGINES
-from .quadrature import QuadratureSettings
+from .quadrature import QuadratureSettings, _CubicSpline
 from .units import ExperimentConfig
 
 __all__ = [
@@ -283,7 +282,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
     pad = 0.25 * span + 2.0
     grid = np.linspace(d[0] - pad, d[-1] + pad, max(4 * d.size, 256))
     rates = _ENGINES[engine](grid, cfg, settings)
-    spline = CubicSpline(grid, rates)
+    spline = _CubicSpline(grid, rates)
 
     b0, v0, tc0, _ = _initial_dip_guess(d, c)
     defaults = {"baseline": b0, "center": tc0, "scale": min(max(v0, 0.05), 1.0)}
@@ -319,16 +318,20 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
     vis = vals["scale"]  # engine dips to zero, so depth scale is the visibility
     half = 0.5 * (vals["baseline"] + curve[imin])
     below = np.nonzero(curve < half)[0]
-    fwhm = float(dense[below[-1]] - dense[below[0]]) if below.size >= 2 else float("nan")
+    bracketed = below.size >= 2
+    fwhm = float(dense[below[-1]] - dense[below[0]]) if bracketed else float("nan")
     metrics = DipMetrics(
         visibility=float(vis), fwhm_ps=fwhm, center_ps=float(vals["center"]),
         baseline=float(vals["baseline"]), engine=engine,
     )
+    msg = "converged" if converged else "max iterations reached"
+    if not bracketed:
+        msg += "; FWHM not bracketed"
     return FitResult(
         params={k: float(v) for k, v in vals.items()},
         residual_norm=cost, iterations=it, converged=converged,
         derived_metrics=metrics, covariance=cov,
-        message="converged" if converged else "max iterations reached",
+        suspicious=not bracketed, message=msg,
     )
 
 

@@ -30,11 +30,10 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .jsa import _Z_ORDER, _chunks, _g_function, _q_factored, _write_csv
-from .quadrature import AccuracyError, QuadratureSettings, gauss_legendre
+from .quadrature import (AccuracyError, QuadratureSettings, _brentq, _CubicSpline,
+                         gauss_legendre)
 from .units import ExperimentConfig, FilterShape, FilterSpec
 
 __all__ = [
@@ -298,8 +297,8 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
     """Visibility, FWHM and center of a sampled dip.
 
     Baseline is the mean of the outermost 10% of samples on each side; the
-    half-depth crossings are located by bisection on a cubic interpolation of
-    the curve.
+    half-depth crossings are located by Brent's method on a cubic interpolation
+    of the curve.
     """
     n = curve.delays_ps.size
     edge = max(int(round(_BASELINE_FRACTION * n / 2)), 1)
@@ -315,13 +314,12 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
     if imin < edge or imin >= n - edge:
         raise AnalysisError("dip minimum lies inside the baseline margin; widen the delay range")
 
-    spline = CubicSpline(curve.delays_ps, curve.rates)
+    spline = _CubicSpline(curve.delays_ps, curve.rates)
     # refine the center on the spline around the sampled minimum
     lo = curve.delays_ps[max(imin - 1, 0)]
     hi = curve.delays_ps[min(imin + 1, n - 1)]
-    dspline = spline.derivative()
     try:
-        center = float(brentq(dspline, lo, hi))
+        center = _brentq(lambda x: spline(x, 1), lo, hi)
     except ValueError:
         center = float(curve.delays_ps[imin])
     rmin_ref = float(spline(center))
@@ -337,7 +335,7 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
                 xs.append(float(curve.delays_ps[i]))
             elif a * b < 0:
                 left, right = sorted((curve.delays_ps[i], curve.delays_ps[j]))
-                xs.append(float(brentq(lambda x: float(spline(x)) - half_level, left, right)))
+                xs.append(_brentq(lambda x: spline(x) - half_level, left, right))
         return xs
 
     right = crossings(+1)

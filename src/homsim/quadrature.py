@@ -6,6 +6,10 @@ Two rules are provided:
 * fixed-order tensorized Gauss-Legendre for 2-D and 4-D integrals where
   full adaptivity is too expensive and the integrand is smooth and damped.
 
+The module also holds the package's private curve numerics: a not-a-knot
+cubic spline and a Brent root finder, numerically the defaults of scipy's
+``CubicSpline`` and ``brentq`` (so importing the package needs only numpy).
+
 All integrands must accept numpy arrays (vectorized evaluation) and return
 complex values that are finite everywhere inside the declared box.  Results
 are deterministic: identical settings and integrand give bit-identical output.
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
+
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -267,3 +273,156 @@ def integrate_4d(integrand: Integrand4D, settings: QuadratureSettings | None = N
             QuadratureResult(v1, err),
         )
     return QuadratureResult(v1, err)
+
+
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y), as scipy's default ``CubicSpline``.
+
+    The knot slopes solve scipy's tridiagonal system; piece i
+    is c0 t^3 + c1 t^2 + c2 t + c3 with t = x - x[i].  Outside [x[0], x[-1]]
+    the end pieces extrapolate.  ``spline(xq, 1)`` is the first derivative.
+    """
+
+    def __init__(self, x, y):
+        x = np.array(x, dtype=float)
+        y = np.array(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape:
+            raise ValueError("x and y must be 1-D arrays of equal length")
+        if x.size < 2:
+            raise ValueError("x must contain at least 2 elements")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("x and y must contain only finite values")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("x must be strictly increasing")
+        slope = np.diff(y) / dx
+        s = _knot_slopes(x, dx, slope)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self._x = x
+        self._inner = x[1:-1]
+        self._c0 = t / dx
+        self._c1 = (slope - s[:-1]) / dx - t
+        self._c2 = s[:-1]
+        self._c3 = y[:-1]
+
+    def __call__(self, xq, nu: int = 0):
+        """Spline (``nu=0``) or its first derivative (``nu=1``) at a float or array."""
+        i = self._inner.searchsorted(xq, "right")
+        t = xq - self._x[i]
+        if nu == 0:
+            return ((self._c0[i] * t + self._c1[i]) * t + self._c2[i]) * t + self._c3[i]
+        if nu == 1:
+            return (3.0 * self._c0[i] * t + 2.0 * self._c1[i]) * t + self._c2[i]
+        raise ValueError("nu must be 0 or 1")
+
+
+def _knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """First derivatives of the not-a-knot spline at its knots."""
+    n = x.size
+    if n == 2:      # the straight line
+        return np.array([slope[0], slope[0]])
+    if n == 3:      # the one parabola through three points
+        a = (slope[1] - slope[0]) / (x[2] - x[0])
+        return np.array([slope[0] - a * dx[0], slope[0] + a * dx[0], slope[1] + a * dx[1]])
+    # scipy's system: rows 1..n-2 continue the second derivative, rows 0 and
+    # n-1 the third derivative across x[1] and x[-2].  Row 1 minus row 0 and
+    # row n-2 minus row n-1 drop s[0] and s[-1], leaving a strictly diagonally
+    # dominant system for s[1:-1], padded with identity rows to 2^k - 1.
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    first = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    last = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    m = n - 2
+    size = (1 << m.bit_length()) - 1
+    lower, diag, upper, rhs = np.zeros(size), np.ones(size), np.zeros(size), np.zeros(size)
+    lower[1:m] = dx[2:]
+    diag[:m] = 2 * (dx[:-1] + dx[1:])
+    upper[:m - 1] = dx[:m - 1]
+    rhs[:m] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    diag[0] = d0
+    rhs[0] -= first
+    diag[m - 1] = d1
+    rhs[m - 1] -= last
+    s = np.empty(n)
+    s[1:-1] = _cyclic_reduction(lower, diag, upper, rhs)[:m]
+    s[0] = (first - d0 * s[1]) / dx[1]
+    s[-1] = (last - d1 * s[-2]) / dx[-2]
+    return s
+
+
+def _cyclic_reduction(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Solve a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i] for 2^k - 1 rows.
+
+    Each level eliminates the even rows from the odd ones, halving the
+    system; the even unknowns then follow from their odd neighbours.
+    """
+    if b.size == 1:
+        return d / b
+    ae, be, ce, de = a[::2], b[::2], c[::2], d[::2]
+    alpha = -a[1::2] / be[:-1]
+    gamma = -c[1::2] / be[1:]
+    odd = np.zeros(b.size // 2 + 2)
+    odd[1:-1] = _cyclic_reduction(alpha * ae[:-1],
+                                  b[1::2] + alpha * ce[:-1] + gamma * ae[1:],
+                                  gamma * ce[1:],
+                                  d[1::2] + alpha * de[:-1] + gamma * de[1:])
+    x = np.empty(b.size)
+    x[1::2] = odd[1:-1]
+    x[::2] = (de - ae * odd[:-1] - ce * odd[1:]) / be
+    return x
+
+
+_BRENTQ_XTOL = 2e-12
+_BRENTQ_RTOL = 4 * np.finfo(float).eps
+_BRENTQ_MAXITER = 100
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
+    """Root of f in [a, b] by Brent's method, as scipy's ``brentq`` defaults.
+
+    Raises ``ValueError`` if f(a) and f(b) have the same sign or f returns
+    NaN, and ``RuntimeError`` if 100 iterations do not converge.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENTQ_XTOL + _BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq did not converge after {_BRENTQ_MAXITER} iterations")

@@ -201,6 +201,15 @@ class TestModelFit:
                                            "supergaussian")).fwhm_ps
         assert g < res.params["fwhm_ps"] < sg
 
+    def test_unbracketed_fwhm_is_flagged(self, cfg):
+        # flat data: the fit drives the depth scale to ~0, so the fitted
+        # curve has no points below its half level
+        delays = np.round(np.arange(-120, 121) * 0.125, 10)
+        res = fit_model(CoincidenceDataset(delays, np.full(delays.size, 100.0)), cfg)
+        assert math.isnan(res.derived_metrics.fwhm_ps)
+        assert res.suspicious
+        assert res.message.endswith("FWHM not bracketed")
+
     def test_rejects_unknown_engine_and_params(self, cfg):
         delays = np.arange(10.0)
         data = CoincidenceDataset(delays, np.ones(10))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homsim import hom, units
 from homsim.quadrature import (
     AccuracyError,
     Integrand1D,
@@ -12,6 +13,8 @@ from homsim.quadrature import (
     integrate_1d,
     integrate_2d,
     integrate_4d,
+    _brentq,
+    _CubicSpline,
 )
 
 
@@ -149,3 +152,72 @@ def test_settings_validation():
         QuadratureSettings(max_subdivisions=0)
     with pytest.raises(ValueError):
         QuadratureSettings(rule="monte-carlo")
+
+
+def _knots(n, kind, rng):
+    """n knots over [-15, 15] ps: uniform, or spacings drawn from U(0.5, 1.5) h."""
+    if kind == "uniform":
+        return np.linspace(-15.0, 15.0, n)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
+    return -15.0 + 30.0 * x / x[-1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10, 301, 1204])
+@pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+@pytest.mark.parametrize("data", ["gaussian", "random"])
+def test_cubic_spline_matches_scipy(n, kind, data):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(n)
+    x = _knots(n, kind, rng)
+    y = np.exp(-x**2 / 8.0) if data == "gaussian" else rng.normal(size=n)
+    ours, ref = _CubicSpline(x, y), interpolate.CubicSpline(x, y)
+    xq = np.concatenate([x, np.linspace(x[0], x[-1], 997), rng.uniform(x[0], x[-1], 200)])
+    scale = np.max(np.abs(y))
+    h = (x[-1] - x[0]) / (n - 1)
+    # a derivative carries units of y per unit x: the bound is per mean spacing
+    assert np.max(np.abs(ours(xq) - ref(xq))) <= 1e-14 * scale
+    assert np.max(np.abs(ours(xq, 1) - ref(xq, 1))) <= 1e-14 * scale / h
+    assert np.max(np.abs(ours(x) - y)) <= 1e-14 * scale
+    # the end pieces extrapolate, as scipy's do
+    out = np.array([x[0] - 0.5 * h, x[-1] + 0.5 * h])
+    assert np.max(np.abs(ours(out) - ref(out))) <= 1e-13 * scale
+
+
+def test_cubic_spline_scalar_and_validation():
+    x = np.linspace(0.0, 1.0, 6)
+    s = _CubicSpline(x, x**3)
+    assert float(s(0.5)) == pytest.approx(0.125, abs=1e-15)   # a cubic is reproduced
+    assert float(s(0.5, 1)) == pytest.approx(0.75, abs=1e-14)
+    for bad_x, bad_y in [(np.array([0.0]), np.array([1.0])),
+                         (np.array([0.0, 1.0, 1.0]), np.zeros(3)),
+                         (np.array([0.0, np.nan, 2.0]), np.zeros(3)),
+                         (x, np.full(6, np.inf)),
+                         (x, np.zeros(5))]:
+        with pytest.raises(ValueError):
+            _CubicSpline(bad_x, bad_y)
+    with pytest.raises(ValueError):
+        s(0.5, 2)
+
+
+def test_brentq_matches_scipy_on_general_dip():
+    optimize = pytest.importorskip("scipy.optimize")
+    curve = hom.dip_curve(units.default_config(), "general")
+    d, r = curve.delays_ps, curve.rates
+    spline = _CubicSpline(d, r)
+    imin = int(np.argmin(r))
+    roots = [(lambda x: float(spline(x, 1)), d[imin - 1], d[imin + 1])]
+    half = 0.5 * (1.0 + r[imin])
+    flips = np.nonzero(np.diff(np.sign(r - half)))[0]
+    assert flips.size == 2
+    roots += [(lambda x: float(spline(x)) - half, d[i], d[i + 1]) for i in flips]
+    for f, a, b in roots:
+        assert abs(_brentq(f, a, b) - optimize.brentq(f, a, b)) <= 2e-12
+
+
+def test_brentq_rejects_unbracketed_and_nan():
+    assert _brentq(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0), abs=2e-12)
+    assert _brentq(lambda x: x, 0.0, 1.0) == 0.0
+    with pytest.raises(ValueError):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        _brentq(lambda x: float("nan"), 0.0, 1.0)

@@ -23,13 +23,9 @@ from .units import (  # noqa: F401
 from .quadrature import (  # noqa: F401
     AccuracyError,
     Integrand1D,
-    Integrand2D,
-    Integrand4D,
     QuadratureResult,
     QuadratureSettings,
     integrate_1d,
-    integrate_2d,
-    integrate_4d,
 )
 from .jsa import (  # noqa: F401
     AmplitudeGrid,

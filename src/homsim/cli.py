@@ -36,19 +36,16 @@ from .imperfections import (SpatialGeometry, solve_angle_for_overlap,
                             spatial_overlap)
 from .jsa import jsa_grid, write_grid_csv
 from .quadrature import AccuracyError, QuadratureSettings
-from .units import ExperimentConfig, FilterSpec, build_config, default_config
+from .units import REFERENCE_PARAMS, ExperimentConfig, FilterSpec, build_config
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_FIELDS = {
-    "length_m", "beta2_ps2_per_km", "gamma_per_W_m",
-    "lambda_p1_nm", "lambda_p2_nm", "pump_fwhm_nm", "peak_power_W",
-    "filter_shape", "filter_fwhm_nm",
-    "idler_filter_fwhm_nm", "idler_filter_shape", "fwhm_convention",
-}
+# the reference parameters have command-line flags; the rest are config-only
+_CONFIG_FIELDS = set(REFERENCE_PARAMS) | {
+    "idler_filter_fwhm_nm", "idler_filter_shape", "fwhm_convention"}
 
 
 class ConfigError(ValueError):
@@ -69,17 +66,8 @@ def _load_config(path: str | None, overrides: dict[str, Any]) -> ExperimentConfi
         if unknown:
             raise ConfigError(f"unknown config fields in {path}: {sorted(unknown)}")
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    if not doc:
-        return default_config()
-    base = {
-        "length_m": 300.0, "beta2_ps2_per_km": -0.116, "gamma_per_W_m": 1.8e-3,
-        "lambda_p1_nm": 1555.92, "lambda_p2_nm": 1545.95,
-        "pump_fwhm_nm": 0.8, "peak_power_W": 0.36,
-        "filter_shape": "gaussian", "filter_fwhm_nm": 0.8,
-    }
-    base.update(doc)
     try:
-        return build_config(**base)
+        return build_config(**{**REFERENCE_PARAMS, **doc})
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
 
@@ -125,18 +113,14 @@ def _write_manifest(out_path: str, command: str, cfg: ExperimentConfig | None,
         # exp(-2 nu^4 / sigma^4) reaches 1/2 at half the configured power FWHM
         manifest["supergaussian_calibration"] = "half-power-at-configured-fwhm"
     manifest.update(extra)
-    base = out_path if out_path else command
-    man_path = os.path.splitext(base)[0] + ".manifest.json" if out_path else f"{command}.manifest.json"
+    man_path = os.path.splitext(out_path)[0] + ".manifest.json" if out_path else f"{command}.manifest.json"
     with open(man_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return man_path
 
 
 def _cfg_overrides(args) -> dict[str, Any]:
-    keys = ("length_m", "beta2_ps2_per_km", "gamma_per_W_m", "lambda_p1_nm",
-            "lambda_p2_nm", "pump_fwhm_nm", "peak_power_W", "filter_shape",
-            "filter_fwhm_nm")
-    return {k: getattr(args, k, None) for k in keys}
+    return {k: getattr(args, k, None) for k in REFERENCE_PARAMS}
 
 
 def cmd_jsa(args) -> int:
@@ -163,8 +147,8 @@ def cmd_dip(args) -> int:
     ) * args.delay_step + args.delay_min, 12)
     settings = QuadratureSettings()
     if args.filter_mismatch:
-        if args.engine not in ("general", "asymmetric"):
-            raise ConfigError("--filter-mismatch requires --engine general or asymmetric")
+        if args.engine != "general":
+            raise ConfigError("--filter-mismatch requires --engine general")
         signal = FilterSpec(shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm)
         idler = FilterSpec(shape=cfg.filter.shape,
                            fwhm_nm=cfg.filter.fwhm_nm * (1.0 + args.filter_mismatch))
@@ -290,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dip", help="compute a coincidence-dip curve and its metrics")
     _add_config_flags(p)
     p.add_argument("--engine", default="gaussian",
-                   choices=["gaussian", "supergaussian", "general", "asymmetric"])
+                   choices=["gaussian", "supergaussian", "general"])
     p.add_argument("--filter-mismatch", type=float, default=0.0,
-                   help="fractional idler-filter FWHM mismatch (asymmetric engine)")
+                   help="fractional idler-filter FWHM mismatch (general engine)")
     p.add_argument("--delay-min", type=float, default=-15.0)
     p.add_argument("--delay-max", type=float, default=15.0)
     p.add_argument("--delay-step", type=float, default=0.1)

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hom import DipMetrics, _ENGINES
+from .hom import DipMetrics, dip_curve
 from .quadrature import QuadratureSettings, _CubicSpline
 from .units import ExperimentConfig
 
@@ -266,11 +266,11 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
 
     Physics parameters are fixed by ``cfg``; only the named nuisance
     parameters vary.  The engine rate R is evaluated once on a dense grid
-    spanning the data and spline-interpolated for every candidate step;
-    Jacobian by forward finite differences (step 1e-6 * parameter scale).
+    spanning the data relative to the initial center guess and
+    spline-interpolated for every candidate step; Jacobian by forward finite
+    differences (step 1e-6 * parameter scale).  A grid too coarse for the
+    engine dip (fewer than 8 knots with R < 0.5) marks the fit suspicious.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {sorted(_ENGINES)}")
     unknown = set(free) - {"baseline", "center", "scale"}
     if unknown:
         raise ValueError(f"unknown nuisance parameters: {sorted(unknown)}")
@@ -278,13 +278,14 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
     d, c = data.delays_ps, data.counts
     wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
 
+    b0, v0, tc0, _ = _initial_dip_guess(d, c)
     span = d[-1] - d[0]
     pad = 0.25 * span + 2.0
-    grid = np.linspace(d[0] - pad, d[-1] + pad, max(4 * d.size, 256))
-    rates = _ENGINES[engine](grid, cfg, settings)
+    grid = np.linspace(d[0] - tc0 - pad, d[-1] - tc0 + pad, max(4 * d.size, 256))
+    rates = dip_curve(cfg, engine, grid, settings).rates
     spline = _CubicSpline(grid, rates)
+    resolved = np.count_nonzero(rates < 0.5) >= 8
 
-    b0, v0, tc0, _ = _initial_dip_guess(d, c)
     defaults = {"baseline": b0, "center": tc0, "scale": min(max(v0, 0.05), 1.0)}
     names = [n for n in ("baseline", "center", "scale") if n in free]
     p0 = np.array([defaults[n] for n in names])
@@ -327,15 +328,17 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
     msg = "converged" if converged else "max iterations reached"
     if not bracketed:
         msg += "; FWHM not bracketed"
+    if not resolved:
+        msg += "; engine dip not resolved by the fit grid"
     return FitResult(
         params={k: float(v) for k, v in vals.items()},
         residual_norm=cost, iterations=it, converged=converged,
         derived_metrics=metrics, covariance=cov,
-        suspicious=not bracketed, message=msg,
+        suspicious=not (bracketed and resolved), message=msg,
     )
 
 
-def fit_result_to_json(result: FitResult, data: CoincidenceDataset | None = None,
+def fit_result_to_json(result: FitResult,
                        dense_curve: tuple[np.ndarray, np.ndarray] | None = None) -> str:
     """Serialize a fit result (optionally with a dense fitted curve) to JSON."""
     out: dict = {

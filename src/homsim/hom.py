@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -170,27 +169,8 @@ def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, signal_filter: Fi
     return _finish_rates(num, baseline, settings.abs_tol, label)
 
 
-def _general_rates(delays, cfg, settings=None):
-    signal = FilterSpec(shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm)
-    return _asymmetric_rates(delays, cfg, signal, cfg.filter.idler or signal, settings)
-
-
-def _asymmetric_rates(delays, cfg, signal_filter, idler_filter, settings=None):
-    return _spectral_rates(delays, cfg, signal_filter, idler_filter, _DEFAULT_NU_ORDER,
-                           settings or QuadratureSettings(), "asymmetric/general engine")
-
-
-def _supergaussian_rates(delays, cfg, settings=None):
-    _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
-    settings = settings or QuadratureSettings()
-    quartic = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4, fwhm_nm=cfg.filter.fwhm_nm)
-    return _spectral_rates(delays, cfg, quartic, quartic, settings.gl_order, settings,
-                           "super-gaussian engine")
-
-
-def _closed_rates(delays, cfg, settings=None):
-    _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
-    settings = settings or QuadratureSettings()
+def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
+                  settings: QuadratureSettings) -> np.ndarray:
     k, a_re, a_im, baseline = _closed_tables(cfg)
     num = np.empty(delays.size, dtype=complex)
     for sl in _chunks(delays.size, a_re.size):
@@ -203,47 +183,72 @@ def _closed_rates(delays, cfg, settings=None):
     return _finish_rates(num, baseline.real, settings.abs_tol, "gaussian closed-form engine")
 
 
-def rate_general(delta_tau: float, cfg: ExperimentConfig,
-                 settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate from the spectral integral for any filter shape; the arms
-    use ``cfg.filter`` and its idler override, if any (then it is asymmetric)."""
-    return float(_general_rates(np.array([delta_tau], dtype=float), cfg, settings)[0])
-
-
-def rate_asymmetric(delta_tau: float, cfg: ExperimentConfig,
-                    signal_filter: FilterSpec, idler_filter: FilterSpec,
-                    settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate for (possibly) different signal/idler filters."""
-    return float(_asymmetric_rates(np.array([delta_tau], dtype=float), cfg,
-                                   signal_filter, idler_filter, settings)[0])
-
-
-def rate_gaussian_closed(delta_tau: float, cfg: ExperimentConfig,
-                         settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate from the Gaussian-filter closed form (z1, z2 integral)."""
-    return float(_closed_rates(np.array([delta_tau], dtype=float), cfg, settings)[0])
-
-
-def rate_supergaussian(delta_tau: float, cfg: ExperimentConfig,
-                       settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate for identical quartic filters on both arms (any other
-    filter configuration is rejected): the spectral path at ``settings.gl_order``."""
-    return float(_supergaussian_rates(np.array([delta_tau], dtype=float), cfg, settings)[0])
-
-
-_ENGINES: dict[str, Callable[[np.ndarray, ExperimentConfig, Optional[QuadratureSettings]],
-                             np.ndarray]] = {
-    "general": _general_rates,
-    "gaussian": _closed_rates,
-    "supergaussian": _supergaussian_rates,
-}
-
 _ENGINE_TAGS = {
     "general": "GeneralSpectral",
     "gaussian": "GaussianClosed",
     "supergaussian": "SuperGaussian",
     "asymmetric": "Asymmetric",
 }
+
+
+def _rates(cfg: ExperimentConfig, engine: str, delays: np.ndarray,
+           settings: QuadratureSettings | None = None,
+           signal_filter: FilterSpec | None = None,
+           idler_filter: FilterSpec | None = None) -> np.ndarray:
+    """Rates of ``engine`` at every delay: the one entry point of the engines.
+
+    Only ``asymmetric`` reads the two filters; the other engines take theirs
+    from ``cfg``, and ``gaussian`` and ``supergaussian`` reject any filter
+    configuration other than identical Gaussian or quartic arms.
+    """
+    settings = settings or QuadratureSettings()
+    nu_order, label = _DEFAULT_NU_ORDER, "asymmetric/general engine"
+    if engine == "gaussian":
+        _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
+        return _closed_rates(delays, cfg, settings)
+    if engine == "general":
+        signal_filter = FilterSpec(shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm)
+        idler_filter = cfg.filter.idler or signal_filter
+    elif engine == "supergaussian":
+        _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
+        signal_filter = idler_filter = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4,
+                                                  fwhm_nm=cfg.filter.fwhm_nm)
+        nu_order, label = settings.gl_order, "super-gaussian engine"
+    elif engine == "asymmetric":
+        if signal_filter is None or idler_filter is None:
+            raise ValueError("asymmetric engine needs explicit signal and idler filters")
+    else:
+        raise ValueError(f"unknown engine {engine!r}; choose from {sorted(_ENGINE_TAGS)}")
+    return _spectral_rates(delays, cfg, signal_filter, idler_filter, nu_order, settings, label)
+
+
+def rate_general(delta_tau: float, cfg: ExperimentConfig,
+                 settings: QuadratureSettings | None = None) -> float:
+    """Normalized rate from the spectral integral for any filter shape; the arms
+    use ``cfg.filter`` and its idler override, if any (then it is asymmetric)."""
+    return float(_rates(cfg, "general", np.array([delta_tau], dtype=float), settings)[0])
+
+
+def rate_asymmetric(delta_tau: float, cfg: ExperimentConfig,
+                    signal_filter: FilterSpec, idler_filter: FilterSpec,
+                    settings: QuadratureSettings | None = None) -> float:
+    """Normalized rate for (possibly) different signal/idler filters."""
+    return float(_rates(cfg, "asymmetric", np.array([delta_tau], dtype=float), settings,
+                        signal_filter, idler_filter)[0])
+
+
+def rate_gaussian_closed(delta_tau: float, cfg: ExperimentConfig,
+                         settings: QuadratureSettings | None = None) -> float:
+    """Normalized rate from the Gaussian-filter closed form (z1, z2 integral)."""
+    return float(_rates(cfg, "gaussian", np.array([delta_tau], dtype=float), settings)[0])
+
+
+def rate_supergaussian(delta_tau: float, cfg: ExperimentConfig,
+                       settings: QuadratureSettings | None = None) -> float:
+    """Normalized rate for identical quartic filters on both arms (any other
+    filter configuration is rejected): the spectral path at ``settings.gl_order``."""
+    return float(_rates(cfg, "supergaussian", np.array([delta_tau], dtype=float),
+                        settings)[0])
 
 
 @dataclass(frozen=True)
@@ -280,16 +285,7 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     if delays_ps is None:
         delays_ps = np.round(np.arange(-150, 151) * 0.1, 10)
     delays_ps = np.asarray(delays_ps, dtype=float)
-    if engine == "asymmetric":
-        if signal_filter is None or idler_filter is None:
-            raise ValueError("asymmetric engine needs explicit signal and idler filters")
-        rates = _asymmetric_rates(delays_ps, cfg, signal_filter, idler_filter, settings)
-    else:
-        try:
-            fn = _ENGINES[engine]
-        except KeyError:
-            raise ValueError(f"unknown engine {engine!r}; choose from {sorted(_ENGINES)}")
-        rates = fn(delays_ps, cfg, settings)
+    rates = _rates(cfg, engine, delays_ps, settings, signal_filter, idler_filter)
     return DipCurve(delays_ps=delays_ps, rates=rates, engine=_ENGINE_TAGS[engine])
 
 

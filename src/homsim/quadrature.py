@@ -1,24 +1,24 @@
-"""Error-controlled integration of complex-valued integrands in 1 to 4 dimensions.
+"""Error-controlled 1-D integration and the package's private curve numerics.
 
-Two rules are provided:
+* :func:`integrate_1d` -- an adaptive Gauss-Kronrod 7/15 scheme for complex
+  integrands over a finite interval.  It is the oracle of the closed forms:
+  the pump-frequency integral of ``jsa.phi_oracle`` and the fiber-length
+  integral of a scalar ``jsa.q_amplitude``.
+* :func:`gauss_legendre` -- fixed Gauss-Legendre nodes and weights, the rule
+  of the dip engines' frequency and fiber-position axes.
+* a not-a-knot cubic spline and a Brent root finder, numerically the defaults
+  of scipy's ``CubicSpline`` and ``brentq`` (so importing the package needs
+  only numpy).
 
-* an adaptive Gauss-Kronrod 7/15 scheme for 1-D and (nested) 2-D integrals,
-* fixed-order tensorized Gauss-Legendre for 2-D and 4-D integrals where
-  full adaptivity is too expensive and the integrand is smooth and damped.
-
-The module also holds the package's private curve numerics: a not-a-knot
-cubic spline and a Brent root finder, numerically the defaults of scipy's
-``CubicSpline`` and ``brentq`` (so importing the package needs only numpy).
-
-All integrands must accept numpy arrays (vectorized evaluation) and return
-complex values that are finite everywhere inside the declared box.  Results
-are deterministic: identical settings and integrand give bit-identical output.
+Integrands must accept numpy arrays (vectorized evaluation) and return
+complex values that are finite everywhere inside the interval.  Results are
+deterministic: identical settings and integrand give bit-identical output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import math
 
@@ -30,11 +30,7 @@ __all__ = [
     "QuadratureSettings",
     "QuadratureResult",
     "Integrand1D",
-    "Integrand2D",
-    "Integrand4D",
     "integrate_1d",
-    "integrate_2d",
-    "integrate_4d",
     "gauss_legendre",
 ]
 
@@ -77,8 +73,7 @@ class QuadratureSettings:
     rel_tol: float = 1e-7
     abs_tol: float = 1e-12
     max_subdivisions: int = 1000
-    rule: str = "adaptive"          # "adaptive" or "fixed"
-    gl_order: int = 48              # points per axis for fixed tensor rules
+    gl_order: int = 48              # nu-nodes per axis of the supergaussian engine
     trunc_sigmas: float = 6.0       # Gaussian-tail truncation multiplier (used upstream)
 
     def __post_init__(self) -> None:
@@ -86,8 +81,6 @@ class QuadratureSettings:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.rule not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown rule {self.rule!r}")
         if self.gl_order < 2:
             raise ValueError("gl_order must be >= 2")
 
@@ -104,22 +97,6 @@ class Integrand1D:
     f: Callable[[np.ndarray], np.ndarray]
     a: float
     b: float
-
-
-@dataclass(frozen=True)
-class Integrand2D:
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    box: Tuple[Tuple[float, float], Tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class Integrand4D:
-    f: Callable[..., np.ndarray]
-    box: Tuple[Tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.box) != 4:
-            raise ValueError("Integrand4D requires a 4-axis box")
 
 
 def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -188,91 +165,6 @@ def integrate_1d(integrand: Integrand1D, settings: QuadratureSettings | None = N
         keep.extend(zip(new_a, new_b, vals, errs))
         panels = keep
         nsub += len(to_split)
-
-
-def _fixed_2d(integrand: Integrand2D, order: int) -> complex:
-    (ax, bx), (ay, by) = integrand.box
-    x, wx = gauss_legendre(order, ax, bx)
-    y, wy = gauss_legendre(order, ay, by)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    vals = np.asarray(integrand.f(X, Y), dtype=complex)
-    return complex(np.einsum("i,j,ij->", wx, wy, vals))
-
-
-def integrate_2d(integrand: Integrand2D, settings: QuadratureSettings | None = None) -> QuadratureResult:
-    """2-D integral, adaptive-nested by default, fixed tensor rule on request."""
-    settings = settings or QuadratureSettings()
-    if settings.rule == "fixed":
-        v1 = _fixed_2d(integrand, settings.gl_order)
-        v2 = _fixed_2d(integrand, max(settings.gl_order - 8, 4))
-        err = abs(v1 - v2)
-        tol = max(settings.abs_tol, settings.rel_tol * abs(v1))
-        if err > tol:
-            raise AccuracyError(
-                f"fixed 2-D rule of order {settings.gl_order} missed tolerance "
-                f"(error {err:.3e} > {tol:.3e}); raise gl_order",
-                QuadratureResult(v1, err),
-            )
-        return QuadratureResult(v1, err)
-
-    (ax, bx), (ay, by) = integrand.box
-    inner = QuadratureSettings(
-        rel_tol=settings.rel_tol * 0.1,
-        abs_tol=settings.abs_tol * 0.1,
-        max_subdivisions=settings.max_subdivisions,
-    )
-    inner_err = 0.0
-    inner_sub = 0
-
-    def outer(xs: np.ndarray) -> np.ndarray:
-        nonlocal inner_err, inner_sub
-        out = np.empty(xs.shape, dtype=complex)
-        for i, xv in enumerate(xs.ravel()):
-            res = integrate_1d(
-                Integrand1D(lambda ys, xv=xv: integrand.f(np.full_like(ys, xv), ys), ay, by),
-                inner,
-            )
-            out.ravel()[i] = res.value
-            inner_err = max(inner_err, res.error)
-            inner_sub = max(inner_sub, res.subdivisions)
-        return out
-
-    res = integrate_1d(Integrand1D(outer, ax, bx), settings)
-    return QuadratureResult(
-        res.value,
-        res.error + inner_err * abs(bx - ax),
-        res.subdivisions + inner_sub,
-    )
-
-
-def integrate_4d(integrand: Integrand4D, settings: QuadratureSettings | None = None) -> QuadratureResult:
-    """Fixed-order tensorized Gauss-Legendre over a 4-axis box.
-
-    The rule is non-adaptive; the error estimate compares against a rule
-    eight points smaller per axis.  Intended for smooth, Gaussian-damped
-    integrands where high-order fixed rules converge spectrally.
-    """
-    settings = settings or QuadratureSettings()
-
-    def tensor(order: int) -> complex:
-        axes = [gauss_legendre(order, a, b) for (a, b) in integrand.box]
-        grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij", sparse=True)
-        vals = np.asarray(integrand.f(*grids), dtype=complex)
-        for d in range(3, -1, -1):
-            vals = np.tensordot(vals, axes[d][1], axes=([d], [0]))
-        return complex(vals)
-
-    v1 = tensor(settings.gl_order)
-    v2 = tensor(max(settings.gl_order - 8, 4))
-    err = abs(v1 - v2)
-    tol = max(settings.abs_tol, settings.rel_tol * abs(v1))
-    if err > tol:
-        raise AccuracyError(
-            f"fixed 4-D rule of order {settings.gl_order} missed tolerance "
-            f"(error {err:.3e} > {tol:.3e}); raise gl_order",
-            QuadratureResult(v1, err),
-        )
-    return QuadratureResult(v1, err)
 
 
 class _CubicSpline:

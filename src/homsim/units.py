@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Optional
 
 # Speed of light, fixed to 3e8 m/s (= 3e5 nm/ps) so that derived frequencies
@@ -241,20 +242,20 @@ def build_config(
     )
 
 
+# Reference parameter set of the dual-pump fiber source experiment, in the
+# laboratory units that build_config takes.
+REFERENCE_PARAMS = MappingProxyType({
+    "length_m": 300.0, "beta2_ps2_per_km": -0.116, "gamma_per_W_m": 1.8e-3,
+    "lambda_p1_nm": 1555.92, "lambda_p2_nm": 1545.95,
+    "pump_fwhm_nm": 0.8, "peak_power_W": 0.36,
+    "filter_shape": "gaussian", "filter_fwhm_nm": 0.8,
+})
+
+
 def default_config(filter_shape: str | FilterShape = FilterShape.GAUSSIAN) -> ExperimentConfig:
     """Reference parameter set of the dual-pump fiber source experiment.
 
     L = 300 m, beta2 = -0.116 ps^2/km, gamma = 1.8e-3 /W/m, Pp = 0.36 W,
     pumps at 1555.92 nm and 1545.95 nm, pump and filter FWHM 0.8 nm.
     """
-    return build_config(
-        length_m=300.0,
-        beta2_ps2_per_km=-0.116,
-        gamma_per_W_m=1.8e-3,
-        lambda_p1_nm=1555.92,
-        lambda_p2_nm=1545.95,
-        pump_fwhm_nm=0.8,
-        peak_power_W=0.36,
-        filter_shape=filter_shape,
-        filter_fwhm_nm=0.8,
-    )
+    return build_config(**{**REFERENCE_PARAMS, "filter_shape": filter_shape})

@@ -101,7 +101,7 @@ class TestDipCommand:
 
     def test_filter_mismatch_degrades_visibility(self, tmp_path, capsys):
         out = tmp_path / "mis.csv"
-        assert run(["dip", "--engine", "asymmetric", "--filter-mismatch", "0.2",
+        assert run(["dip", "--engine", "general", "--filter-mismatch", "0.2",
                     "--delay-step", "0.5", "--out", str(out)]) == 0
         metrics = json.loads(capsys.readouterr().out)
         assert metrics["visibility"] < 0.999
@@ -109,6 +109,13 @@ class TestDipCommand:
     def test_mismatch_requires_compatible_engine(self, tmp_path):
         assert run(["dip", "--engine", "gaussian", "--filter-mismatch", "0.2",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_asymmetric_is_not_an_engine_choice(self, tmp_path):
+        # the mismatched case is `--engine general --filter-mismatch`
+        with pytest.raises(SystemExit) as exc:
+            run(["dip", "--engine", "asymmetric", "--filter-mismatch", "0.2",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
 
     def test_supergaussian_engine(self, tmp_path, capsys):
         out = tmp_path / "sg.csv"

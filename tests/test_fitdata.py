@@ -152,18 +152,28 @@ def cfg():
 
 class TestModelFit:
 
-    def test_self_consistency(self, cfg):
-        delays = np.round(np.arange(-120, 121) * 0.125, 10)
-        rates = np.array([hom.rate_gaussian_closed(dt, cfg) for dt in delays])
-        baseline, scale, center = 420.0, 0.96, 0.4
+    @staticmethod
+    def _check_self_consistency(cfg, stage_ps):
+        # noise-free engine data on a scan centred on the stage position
+        delays = np.round(np.arange(-120, 121) * 0.125, 10) + stage_ps
+        baseline, scale, center = 420.0, 0.96, stage_ps + 0.4
         shifted = np.array([hom.rate_gaussian_closed(dt - center, cfg) for dt in delays])
         counts = baseline * (1 - scale * (1 - shifted))
         res = fit_model(CoincidenceDataset(delays, counts), cfg, engine="gaussian")
         assert res.converged
+        assert not res.suspicious
         assert res.params["baseline"] == pytest.approx(baseline, rel=1e-5)
         assert res.params["scale"] == pytest.approx(scale, abs=1e-4)
         assert res.params["center"] == pytest.approx(center, abs=1e-3)
         assert res.residual_norm < 1e-4 * baseline
+
+    def test_self_consistency(self, cfg):
+        self._check_self_consistency(cfg, 0.0)
+
+    def test_self_consistency_off_center_stage(self, cfg):
+        # a dip far from zero delay must still be fitted on sampled engine
+        # values, not on the spline's extrapolation beyond its grid
+        self._check_self_consistency(cfg, 35.0)
 
     def test_engine_width_separation(self, cfg):
         # same synthetic dataset fitted by both engine families gives the
@@ -209,6 +219,16 @@ class TestModelFit:
         assert math.isnan(res.derived_metrics.fwhm_ps)
         assert res.suspicious
         assert res.message.endswith("FWHM not bracketed")
+
+    def test_unresolved_engine_dip_is_flagged(self, cfg):
+        # 21 points over +-10 ns: the fit grid spacing (~118 ps) is far
+        # wider than the ~6 ps engine dip, so the fitted curve means nothing
+        delays = np.linspace(-1e4, 1e4, 21)
+        counts = np.full(delays.size, 100.0)
+        counts[10] = 0.0
+        res = fit_model(CoincidenceDataset(delays, counts), cfg)
+        assert res.suspicious
+        assert res.message.endswith("engine dip not resolved by the fit grid")
 
     def test_rejects_unknown_engine_and_params(self, cfg):
         delays = np.arange(10.0)

@@ -7,12 +7,8 @@ from homsim import hom, units
 from homsim.quadrature import (
     AccuracyError,
     Integrand1D,
-    Integrand2D,
-    Integrand4D,
     QuadratureSettings,
     integrate_1d,
-    integrate_2d,
-    integrate_4d,
     _brentq,
     _CubicSpline,
 )
@@ -94,64 +90,13 @@ def test_rejects_nonfinite_integrand():
         integrate_1d(Integrand1D(lambda x: np.full_like(x, np.nan), -1.0, 1.0))
 
 
-class Test2D:
-    def test_separable_product(self):
-        g = lambda x: np.exp(-(x**2)) * (1 + 0j)
-        h = lambda y: np.cos(y) + 0j
-        s = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-13)
-        full = integrate_2d(Integrand2D(lambda x, y: g(x) * h(y), ((-2, 2), (-1, 1))), s)
-        gx = integrate_1d(Integrand1D(g, -2, 2), s).value
-        hy = integrate_1d(Integrand1D(h, -1, 1), s).value
-        assert abs(full.value - gx * hy) <= 1e-10 * abs(gx * hy)
-
-    def test_odd_integrand_vanishes(self):
-        res = integrate_2d(Integrand2D(lambda x, y: x * np.exp(-(x**2) - y**2), ((-3, 3), (-3, 3))))
-        assert abs(res.value) < 1e-10
-
-    def test_fixed_rule_matches_adaptive(self):
-        f = lambda x, y: np.exp(-(x**2 + y**2) + 1j * x * y)
-        adaptive = integrate_2d(Integrand2D(f, ((-4, 4), (-4, 4))),
-                                QuadratureSettings(rel_tol=1e-9, abs_tol=1e-12))
-        fixed = integrate_2d(Integrand2D(f, ((-4, 4), (-4, 4))),
-                             QuadratureSettings(rule="fixed", gl_order=48))
-        assert abs(adaptive.value - fixed.value) < 1e-8
-
-
-class Test4D:
-    def test_separable_gaussian(self):
-        f = lambda a, b, c, d: np.exp(-(a**2 + b**2 + c**2 + d**2))
-        res = integrate_4d(Integrand4D(f, (((-5, 5),) * 4)),
-                           QuadratureSettings(gl_order=32))
-        assert abs(res.value - math.pi**2) < 1e-8 * math.pi**2
-
-    def test_odd_in_one_axis(self):
-        f = lambda a, b, c, d: a * np.exp(-(a**2 + b**2 + c**2 + d**2))
-        res = integrate_4d(Integrand4D(f, (((-4, 4),) * 4)),
-                           QuadratureSettings(gl_order=24))
-        assert abs(res.value) < 1e-10
-
-    def test_complex_phase_factor(self):
-        # separable complex case with closed form per axis
-        f = lambda a, b, c, d: np.exp(-(a**2 + b**2 + c**2 + d**2) + 1j * (a + b))
-        one_real = integrate_1d(Integrand1D(lambda x: np.exp(-x**2), -5, 5),
-                                QuadratureSettings(rel_tol=1e-12, abs_tol=1e-15)).value
-        one_cplx = integrate_1d(Integrand1D(lambda x: np.exp(-x**2 + 1j * x), -5, 5),
-                                QuadratureSettings(rel_tol=1e-12, abs_tol=1e-15)).value
-        res = integrate_4d(Integrand4D(f, (((-5, 5),) * 4)), QuadratureSettings(gl_order=48))
-        assert abs(res.value - one_cplx**2 * one_real**2) < 1e-8
-
-    def test_box_must_have_four_axes(self):
-        with pytest.raises(ValueError):
-            Integrand4D(lambda *a: 0.0, ((-1, 1), (-1, 1)))
-
-
 def test_settings_validation():
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSettings(max_subdivisions=0)
     with pytest.raises(ValueError):
-        QuadratureSettings(rule="monte-carlo")
+        QuadratureSettings(gl_order=1)
 
 
 def _knots(n, kind, rng):

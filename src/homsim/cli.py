@@ -9,8 +9,10 @@ Subcommands::
 
 Configuration comes from a single JSON document with laboratory-unit field
 names; command-line flags override config fields.  Every command writes a
-manifest JSON next to its outputs recording the resolved configuration,
-engine and settings, so identical manifests reproduce byte-identical output.
+manifest JSON next to its outputs recording engine, settings and, under
+``config``, the laboratory-unit parameters exactly as the run passed them to
+``build_config`` (plus a ``derived`` block in internal units), so feeding
+that record back through ``--config`` reproduces byte-identical output.
 
 Exit codes: 0 success, 1 I/O error, 2 configuration error, 3 numerical error.
 """
@@ -28,15 +30,14 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .fitdata import (InsufficientDataError, ParseError, fit_gaussian_dip,
-                      fit_model, fit_result_to_json, ingest_csv)
+from .fitdata import fit_gaussian_dip, fit_model, fit_result_to_json, ingest_csv
 from .hom import (AnalysisError, dip_curve, dip_metrics, metrics_to_json,
                   write_curve_csv)
 from .imperfections import (SpatialGeometry, solve_angle_for_overlap,
                             spatial_overlap)
 from .jsa import jsa_grid, write_grid_csv
 from .quadrature import AccuracyError, QuadratureSettings
-from .units import REFERENCE_PARAMS, ExperimentConfig, FilterSpec, build_config
+from .units import REFERENCE_PARAMS, ExperimentConfig, FilterShape, build_config
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -52,53 +53,42 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str | None, overrides: dict[str, Any]) -> ExperimentConfig:
-    doc: dict[str, Any] = {}
-    if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
+def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, dict[str, Any]]:
+    """The run's configuration and its manifest record: the laboratory-unit
+    parameters exactly as passed to ``build_config``, plus a ``derived`` block."""
+    params: dict[str, Any] = dict(REFERENCE_PARAMS)
+    if args.config is not None:
+        if not os.path.exists(args.config):
+            raise ConfigError(f"config file not found: {args.config}")
         try:
-            with open(path) as fh:
+            with open(args.config) as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
         unknown = set(doc) - _CONFIG_FIELDS
         if unknown:
-            raise ConfigError(f"unknown config fields in {path}: {sorted(unknown)}")
-    doc.update({k: v for k, v in overrides.items() if v is not None})
+            raise ConfigError(f"unknown config fields in {args.config}: {sorted(unknown)}")
+        params.update(doc)
+    params.update({k: v for k in REFERENCE_PARAMS if (v := getattr(args, k)) is not None})
     try:
-        return build_config(**{**REFERENCE_PARAMS, **doc})
+        if filter_mismatch:
+            idler = (params.get("idler_filter_fwhm_nm"), params.get("idler_filter_shape"))
+            if idler != (None, None):
+                raise ValueError("--filter-mismatch conflicts with the idler filter of the config")
+            params["idler_filter_fwhm_nm"] = params["filter_fwhm_nm"] * (1.0 + filter_mismatch)
+        cfg = build_config(**params)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
+    return cfg, {**params, "derived": {
+        "Omega_rad_per_ps": cfg.Omega_rad_per_ps,
+        "Delta_rad_per_ps": cfg.Delta_rad_per_ps,
+        "sigma_p_rad_per_ps": cfg.sigma_p_rad_per_ps,
+        "sigma_0_rad_per_ps": cfg.sigma_0_rad_per_ps,
+        "sigma_supergaussian_rad_per_ps": cfg.sigma_sg_rad_per_ps,
+    }}
 
 
-def _config_doc(cfg: ExperimentConfig) -> dict[str, Any]:
-    doc = {
-        "length_m": cfg.fiber.length_m,
-        "beta2_ps2_per_km": cfg.fiber.beta2_ps2_per_m * 1e3,
-        "gamma_per_W_m": cfg.fiber.gamma_per_W_m,
-        "lambda_p1_nm": cfg.pumps.lambda_p1_nm,
-        "lambda_p2_nm": cfg.pumps.lambda_p2_nm,
-        "pump_fwhm_nm": cfg.pumps.fwhm_nm,
-        "peak_power_W": cfg.pumps.peak_power_W,
-        "filter_shape": cfg.filter.shape.value,
-        "filter_fwhm_nm": cfg.filter.fwhm_nm,
-        "fwhm_convention": cfg.fwhm_convention.value,
-        "derived": {
-            "Omega_rad_per_ps": cfg.Omega_rad_per_ps,
-            "Delta_rad_per_ps": cfg.Delta_rad_per_ps,
-            "sigma_p_rad_per_ps": cfg.sigma_p_rad_per_ps,
-            "sigma_0_rad_per_ps": cfg.sigma_0_rad_per_ps,
-            "sigma_supergaussian_rad_per_ps": cfg.sigma_sg_rad_per_ps,
-        },
-    }
-    if cfg.filter.idler is not None:
-        doc["idler_filter_shape"] = cfg.filter.idler.shape.value
-        doc["idler_filter_fwhm_nm"] = cfg.filter.idler.fwhm_nm
-    return doc
-
-
-def _write_manifest(out_path: str, command: str, cfg: ExperimentConfig | None,
+def _write_manifest(out_path: str, command: str, config: dict[str, Any] | None,
                     extra: dict[str, Any], elapsed_s: float) -> str:
     manifest = {
         "tool": "homsim",
@@ -107,8 +97,8 @@ def _write_manifest(out_path: str, command: str, cfg: ExperimentConfig | None,
         "wall_clock_s": elapsed_s,
         "outputs": [out_path] if out_path else [],
     }
-    if cfg is not None:
-        manifest["config"] = _config_doc(cfg)
+    if config is not None:
+        manifest["config"] = config
         # super-Gaussian width calibration: the quartic power transmission
         # exp(-2 nu^4 / sigma^4) reaches 1/2 at half the configured power FWHM
         manifest["supergaussian_calibration"] = "half-power-at-configured-fwhm"
@@ -119,20 +109,12 @@ def _write_manifest(out_path: str, command: str, cfg: ExperimentConfig | None,
     return man_path
 
 
-def _cfg_overrides(args) -> dict[str, Any]:
-    return {k: getattr(args, k, None) for k in REFERENCE_PARAMS}
-
-
 def cmd_jsa(args) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args.config, _cfg_overrides(args))
+    cfg, record = _load_config(args)
     grid = jsa_grid(cfg, n_points=args.n, span=args.span)
-    try:
-        write_grid_csv(grid, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _write_manifest(args.out, "jsa", cfg,
+    write_grid_csv(grid, args.out)
+    _write_manifest(args.out, "jsa", record,
                     {"grid": {"n_points": args.n, "span_sigma0": args.span}},
                     time.perf_counter() - t0)
     print(f"wrote {args.n * args.n} grid samples to {args.out}")
@@ -141,28 +123,15 @@ def cmd_jsa(args) -> int:
 
 def cmd_dip(args) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args.config, _cfg_overrides(args))
+    cfg, record = _load_config(args, args.filter_mismatch)
     delays = np.round(np.arange(
         0, int(round((args.delay_max - args.delay_min) / args.delay_step)) + 1
     ) * args.delay_step + args.delay_min, 12)
     settings = QuadratureSettings()
-    if args.filter_mismatch:
-        if args.engine != "general":
-            raise ConfigError("--filter-mismatch requires --engine general")
-        signal = FilterSpec(shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm)
-        idler = FilterSpec(shape=cfg.filter.shape,
-                           fwhm_nm=cfg.filter.fwhm_nm * (1.0 + args.filter_mismatch))
-        curve = dip_curve(cfg, engine="asymmetric", delays_ps=delays, settings=settings,
-                          signal_filter=signal, idler_filter=idler)
-    else:
-        curve = dip_curve(cfg, engine=args.engine, delays_ps=delays, settings=settings)
+    curve = dip_curve(cfg, engine=args.engine, delays_ps=delays, settings=settings)
     metrics = dip_metrics(curve)
-    try:
-        write_curve_csv(curve, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _write_manifest(args.out, "dip", cfg, {
+    write_curve_csv(curve, args.out)
+    _write_manifest(args.out, "dip", record, {
         "engine": args.engine,
         "filter_mismatch": args.filter_mismatch,
         "delay_range_ps": [args.delay_min, args.delay_max, args.delay_step],
@@ -176,15 +145,12 @@ def cmd_dip(args) -> int:
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    if not os.path.exists(args.data):
-        print(f"error: data file not found: {args.data}", file=sys.stderr)
-        return EXIT_IO
     data = ingest_csv(args.data)
-    cfg = None
+    record = None
     if args.mode == "gaussian-dip":
         result = fit_gaussian_dip(data)
     else:
-        cfg = _load_config(args.config, _cfg_overrides(args))
+        cfg, record = _load_config(args)
         result = fit_model(data, cfg, engine=args.engine)
     dense = np.linspace(data.delays_ps[0], data.delays_ps[-1], 501)
     if args.mode == "gaussian-dip":
@@ -194,19 +160,13 @@ def cmd_fit(args) -> int:
     else:
         fitted = None
     payload = fit_result_to_json(result, dense_curve=(dense, fitted) if fitted is not None else None)
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _write_manifest(args.out, "fit", cfg, {
+    with open(args.out, "w") as fh:
+        fh.write(payload)
+    _write_manifest(args.out, "fit", record, {
         "mode": args.mode, "engine": args.engine, "data": args.data,
     }, time.perf_counter() - t0)
-    print(json.dumps({"visibility": result.params.get("visibility", result.params.get("scale")),
-                      "fwhm_ps": result.params.get("fwhm_ps",
-                                                   result.derived_metrics.fwhm_ps
-                                                   if result.derived_metrics else None),
+    m = result.derived_metrics
+    print(json.dumps({"visibility": m.visibility, "fwhm_ps": m.fwhm_ps,
                       "converged": result.converged}, indent=2))
     return EXIT_OK
 
@@ -227,12 +187,8 @@ def cmd_overlap(args) -> int:
     else:
         raise ConfigError("overlap: provide either --target or --theta-urad")
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(out, fh, indent=2)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w") as fh:
+            json.dump(out, fh, indent=2)
     _write_manifest(args.out or "", "overlap", None, {"result": out, "d_mm": args.d_mm,
                                                       "lambda_nm": args.lambda_nm},
                     time.perf_counter() - t0)
@@ -243,16 +199,12 @@ def cmd_overlap(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config with laboratory-unit fields "
                                     "(flags override config fields)")
-    p.add_argument("--length-m", dest="length_m", type=float)
-    p.add_argument("--beta2-ps2-per-km", dest="beta2_ps2_per_km", type=float)
-    p.add_argument("--gamma-per-w-m", dest="gamma_per_W_m", type=float)
-    p.add_argument("--lambda-p1-nm", dest="lambda_p1_nm", type=float)
-    p.add_argument("--lambda-p2-nm", dest="lambda_p2_nm", type=float)
-    p.add_argument("--pump-fwhm-nm", dest="pump_fwhm_nm", type=float)
-    p.add_argument("--peak-power-w", dest="peak_power_W", type=float)
-    p.add_argument("--filter-shape", dest="filter_shape",
-                   choices=["gaussian", "supergaussian4", "cascade"])
-    p.add_argument("--filter-fwhm-nm", dest="filter_fwhm_nm", type=float)
+    for name in REFERENCE_PARAMS:
+        flag = "--" + name.lower().replace("_", "-")
+        if name == "filter_shape":
+            p.add_argument(flag, dest=name, choices=[shape.value for shape in FilterShape])
+        else:
+            p.add_argument(flag, dest=name, type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="gaussian",
                    choices=["gaussian", "supergaussian", "general"])
     p.add_argument("--filter-mismatch", type=float, default=0.0,
-                   help="fractional idler-filter FWHM mismatch (general engine)")
+                   help="fractional idler-filter FWHM mismatch m: the idler filter "
+                        "gets FWHM filter_fwhm_nm * (1 + m)")
     p.add_argument("--delay-min", type=float, default=-15.0)
     p.add_argument("--delay-max", type=float, default=15.0)
     p.add_argument("--delay-step", type=float, default=0.1)
@@ -308,12 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (AccuracyError, AnalysisError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

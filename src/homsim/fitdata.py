@@ -18,7 +18,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -259,22 +259,19 @@ def fit_gaussian_dip(data: CoincidenceDataset, max_iter: int = 200) -> FitResult
 
 
 def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "gaussian",
-              free: Sequence[str] = ("baseline", "center", "scale"),
               settings: QuadratureSettings | None = None,
               max_iter: int = 100) -> FitResult:
     """Fit an engine-backed curve c(dt) = B [1 - s (1 - R(dt - tc))].
 
-    Physics parameters are fixed by ``cfg``; only the named nuisance
-    parameters vary.  The engine rate R is evaluated once on a dense grid
+    Physics parameters are fixed by ``cfg``; the baseline B, center tc and
+    depth scale s vary.  The engine rate R is evaluated once on a dense grid
     spanning the data relative to the initial center guess and
     spline-interpolated for every candidate step; Jacobian by forward finite
-    differences (step 1e-6 * parameter scale).  A grid too coarse for the
-    engine dip (fewer than 8 knots with R < 0.5) marks the fit suspicious.
+    differences (step 1e-6 * parameter scale).  The fit is marked suspicious
+    when it leaves the model: the center moves off the grid (R would be
+    extrapolated), s leaves [0, 1.05], the FWHM is not bracketed, or the grid
+    is too coarse for the engine dip (fewer than 8 knots with R < 0.5).
     """
-    unknown = set(free) - {"baseline", "center", "scale"}
-    if unknown:
-        raise ValueError(f"unknown nuisance parameters: {sorted(unknown)}")
-
     d, c = data.delays_ps, data.counts
     wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
 
@@ -286,15 +283,11 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
     spline = _CubicSpline(grid, rates)
     resolved = np.count_nonzero(rates < 0.5) >= 8
 
-    defaults = {"baseline": b0, "center": tc0, "scale": min(max(v0, 0.05), 1.0)}
-    names = [n for n in ("baseline", "center", "scale") if n in free]
-    p0 = np.array([defaults[n] for n in names])
+    p0 = np.array([b0, tc0, min(max(v0, 0.05), 1.0)])
 
     def model(p: np.ndarray) -> np.ndarray:
-        vals = dict(defaults)
-        vals.update(zip(names, p))
-        r = np.clip(spline(d - vals["center"]), 0.0, None)
-        return vals["baseline"] * (1.0 - vals["scale"] * (1.0 - r))
+        b, tc, s = p
+        return b * (1.0 - s * (1.0 - np.clip(spline(d - tc), 0.0, None)))
 
     def residual(p: np.ndarray) -> np.ndarray:
         return (model(p) - c) * wgt
@@ -310,31 +303,31 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
         return j
 
     p, cost, it, converged, cov = _levenberg(residual, jacobian, p0, max_iter=max_iter)
-    vals = dict(defaults)
-    vals.update(zip(names, p))
+    b, tc, s = p
 
     dense = np.linspace(d[0], d[-1], 2001)
-    curve = vals["baseline"] * (1.0 - vals["scale"] * (1.0 - np.clip(spline(dense - vals["center"]), 0.0, None)))
+    curve = b * (1.0 - s * (1.0 - np.clip(spline(dense - tc), 0.0, None)))
     imin = int(np.argmin(curve))
-    vis = vals["scale"]  # engine dips to zero, so depth scale is the visibility
-    half = 0.5 * (vals["baseline"] + curve[imin])
+    half = 0.5 * (b + curve[imin])
     below = np.nonzero(curve < half)[0]
     bracketed = below.size >= 2
     fwhm = float(dense[below[-1]] - dense[below[0]]) if bracketed else float("nan")
+    # engine dips to zero, so the depth scale is the visibility
     metrics = DipMetrics(
-        visibility=float(vis), fwhm_ps=fwhm, center_ps=float(vals["center"]),
-        baseline=float(vals["baseline"]), engine=engine,
+        visibility=float(s), fwhm_ps=fwhm, center_ps=float(tc),
+        baseline=float(b), engine=engine,
     )
-    msg = "converged" if converged else "max iterations reached"
-    if not bracketed:
-        msg += "; FWHM not bracketed"
-    if not resolved:
-        msg += "; engine dip not resolved by the fit grid"
+    notes = [("center left the engine grid", abs(tc - tc0) > pad),
+             ("depth scale outside [0, 1.05]", not 0.0 <= s <= 1.05),
+             ("FWHM not bracketed", not bracketed),
+             ("engine dip not resolved by the fit grid", not resolved)]
+    msg = "; ".join(["converged" if converged else "max iterations reached"]
+                    + [note for note, hit in notes if hit])
     return FitResult(
-        params={k: float(v) for k, v in vals.items()},
+        params={"baseline": float(b), "center": float(tc), "scale": float(s)},
         residual_norm=cost, iterations=it, converged=converged,
         derived_metrics=metrics, covariance=cov,
-        suspicious=not (bracketed and resolved), message=msg,
+        suspicious=any(hit for _, hit in notes), message=msg,
     )
 
 

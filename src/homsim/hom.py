@@ -10,22 +10,26 @@ configuration and maps a whole array of delays to rates in one call:
                        :mod:`homsim.jsa`.  With E = e^{-i nu dt} the delay
                        factor is E(ni) conj(E(ns)), so all delays together
                        cost one matrix product.
-* ``asymmetric``    -- the same path with different signal and idler filters.
+* ``asymmetric``    -- ``general`` with the signal and idler filters given
+                       explicitly (required here, accepted by every engine).
 * ``supergaussian`` -- the same path for identical quartic filters on both
                        arms, at ``settings.gl_order`` nodes per axis.
 * ``gaussian``      -- the closed form for identical Gaussian filters: a sum
                        over fiber positions (z1, z2) of G(z1) G*(z2) I(z1, z2; dt).
 
-Delays run in chunks of bounded size.  Rates are normalized to a large-delay
-baseline of 1; the imaginary part and sign of each are checked against the
-absolute tolerance before clamping at zero.  ``rate_*`` evaluate one delay.
+Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
+a filter pair passed to :func:`dip_curve` or :func:`rate_asymmetric` is
+folded into the configuration first.  Delays run in chunks of bounded size.
+Rates are normalized to a large-delay baseline of 1; the imaginary part and
+sign of each are checked against the absolute tolerance before clamping at
+zero.  ``rate_*`` evaluate one delay.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -106,16 +110,15 @@ def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> N
 
 
 @lru_cache(maxsize=16)
-def _spectral_tables(cfg: ExperimentConfig, signal_filter: FilterSpec,
-                     idler_filter: FilterSpec, nu_order: int, trunc: float):
-    """Node vector nu, cross weights C = F(s,i) F*(i,s) w_s w_i, and sum |F|^2 w_s w_i."""
-    half = max(_nu_halfwidth(signal_filter, cfg, trunc),
-               _nu_halfwidth(idler_filter, cfg, trunc))
+def _spectral_tables(cfg: ExperimentConfig, nu_order: int, trunc: float):
+    """Node vector nu, cross weights C = F(s,i) F*(i,s) w_s w_i, and sum |F|^2 w_s w_i,
+    with the signal arm filtered by ``cfg.filter`` and the idler by its override."""
+    signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
+    half = max(_nu_halfwidth(signal, cfg, trunc), _nu_halfwidth(idler, cfg, trunc))
     nu_order = _check_oscillation_bound(cfg, half, nu_order)
     nu, w = gauss_legendre(nu_order, -half, half)
     f_mat = (_q_factored(nu[:, None] + nu[None, :], (nu[:, None] - nu[None, :]) ** 2, cfg)
-             * np.outer(filter_amplitude(signal_filter, nu, cfg),
-                        filter_amplitude(idler_filter, nu, cfg)))
+             * np.outer(filter_amplitude(signal, nu, cfg), filter_amplitude(idler, nu, cfg)))
     w2 = np.outer(w, w)
     cross = f_mat * np.conj(f_mat.T) * w2
     for part in (cross.real, cross.imag):  # subnormal tails only slow BLAS
@@ -156,11 +159,9 @@ def _finish_rates(num: np.ndarray, baseline: float, abs_tol: float, label: str) 
     return np.maximum(rates, 0.0)
 
 
-def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, signal_filter: FilterSpec,
-                    idler_filter: FilterSpec, nu_order: int,
+def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, nu_order: int,
                     settings: QuadratureSettings, label: str) -> np.ndarray:
-    nu, cross, baseline = _spectral_tables(cfg, signal_filter, idler_filter, nu_order,
-                                           settings.trunc_sigmas)
+    nu, cross, baseline = _spectral_tables(cfg, nu_order, settings.trunc_sigmas)
     num = np.empty(delays.size, dtype=complex)
     for sl in _chunks(delays.size, nu.size):
         e = np.exp(-1j * np.multiply.outer(delays[sl], nu))
@@ -183,43 +184,34 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
     return _finish_rates(num, baseline.real, settings.abs_tol, "gaussian closed-form engine")
 
 
-_ENGINE_TAGS = {
-    "general": "GeneralSpectral",
-    "gaussian": "GaussianClosed",
-    "supergaussian": "SuperGaussian",
-    "asymmetric": "Asymmetric",
-}
-
-
 def _rates(cfg: ExperimentConfig, engine: str, delays: np.ndarray,
            settings: QuadratureSettings | None = None,
            signal_filter: FilterSpec | None = None,
            idler_filter: FilterSpec | None = None) -> np.ndarray:
     """Rates of ``engine`` at every delay: the one entry point of the engines.
 
-    Only ``asymmetric`` reads the two filters; the other engines take theirs
-    from ``cfg``, and ``gaussian`` and ``supergaussian`` reject any filter
-    configuration other than identical Gaussian or quartic arms.
+    Explicit filters, given as a pair, replace the arms of ``cfg`` for every
+    engine; ``asymmetric`` is ``general`` with the pair required.  The
+    ``gaussian`` and ``supergaussian`` engines reject any arms other than
+    identical Gaussian or quartic filters.
     """
     settings = settings or QuadratureSettings()
-    nu_order, label = _DEFAULT_NU_ORDER, "asymmetric/general engine"
+    if signal_filter is not None or idler_filter is not None or engine == "asymmetric":
+        if signal_filter is None or idler_filter is None:
+            raise ValueError(f"{engine} engine needs both explicit signal and idler filters")
+        signal = replace(signal_filter, idler=None)
+        cfg = replace(cfg, filter=replace(signal, idler=None if idler_filter == signal
+                                          else idler_filter))
     if engine == "gaussian":
         _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
         return _closed_rates(delays, cfg, settings)
-    if engine == "general":
-        signal_filter = FilterSpec(shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm)
-        idler_filter = cfg.filter.idler or signal_filter
-    elif engine == "supergaussian":
+    if engine == "supergaussian":
         _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
-        signal_filter = idler_filter = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4,
-                                                  fwhm_nm=cfg.filter.fwhm_nm)
-        nu_order, label = settings.gl_order, "super-gaussian engine"
-    elif engine == "asymmetric":
-        if signal_filter is None or idler_filter is None:
-            raise ValueError("asymmetric engine needs explicit signal and idler filters")
-    else:
-        raise ValueError(f"unknown engine {engine!r}; choose from {sorted(_ENGINE_TAGS)}")
-    return _spectral_rates(delays, cfg, signal_filter, idler_filter, nu_order, settings, label)
+        return _spectral_rates(delays, cfg, settings.gl_order, settings, "super-gaussian engine")
+    if engine not in ("general", "asymmetric"):
+        raise ValueError(f"unknown engine {engine!r}; choose from "
+                         "['asymmetric', 'gaussian', 'general', 'supergaussian']")
+    return _spectral_rates(delays, cfg, _DEFAULT_NU_ORDER, settings, "asymmetric/general engine")
 
 
 def rate_general(delta_tau: float, cfg: ExperimentConfig,
@@ -232,7 +224,8 @@ def rate_general(delta_tau: float, cfg: ExperimentConfig,
 def rate_asymmetric(delta_tau: float, cfg: ExperimentConfig,
                     signal_filter: FilterSpec, idler_filter: FilterSpec,
                     settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate for (possibly) different signal/idler filters."""
+    """Normalized rate of the ``general`` engine with the arms of ``cfg`` replaced
+    by ``signal_filter`` and ``idler_filter`` (identical or not)."""
     return float(_rates(cfg, "asymmetric", np.array([delta_tau], dtype=float), settings,
                         signal_filter, idler_filter)[0])
 
@@ -286,7 +279,7 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
         delays_ps = np.round(np.arange(-150, 151) * 0.1, 10)
     delays_ps = np.asarray(delays_ps, dtype=float)
     rates = _rates(cfg, engine, delays_ps, settings, signal_filter, idler_filter)
-    return DipCurve(delays_ps=delays_ps, rates=rates, engine=_ENGINE_TAGS[engine])
+    return DipCurve(delays_ps=delays_ps, rates=rates, engine=engine)
 
 
 def dip_metrics(curve: DipCurve) -> DipMetrics:

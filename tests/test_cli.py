@@ -131,11 +131,41 @@ class TestDipCommand:
                   "supergaussian4", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_mismatch_with_config_idler_filter_exits_2(self, tmp_path):
+        # the flag would otherwise replace the idler filter the config sets
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"idler_filter_fwhm_nm": 0.9}))
+        assert run(["dip", "--config", str(cfgfile), "--engine", "general",
+                    "--filter-mismatch", "0.2", "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unwritable_output_exits_1(self, tmp_path):
+        assert run(["dip", "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+
     def test_supergaussian_engine_with_gaussian_filter_exits_2(self, tmp_path):
         # the quartic engine must not silently replace the configured filter
         rc = run(["dip", "--engine", "supergaussian", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestManifestRoundTrip:
+    @pytest.mark.parametrize("options,config_flags", [
+        (["dip", "--engine", "gaussian"], []),
+        (["dip", "--engine", "general"], []),
+        (["dip", "--engine", "general"], ["--filter-mismatch", "0.2"]),
+        (["dip", "--engine", "supergaussian"], ["--filter-shape", "supergaussian4"]),
+        (["jsa", "--n", "17"], []),
+    ])
+    def test_manifest_config_reproduces_output(self, tmp_path, options, config_flags):
+        first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
+        assert run(options + config_flags + ["--out", str(first)]) == 0
+        config = json.loads((tmp_path / "first.manifest.json").read_text())["config"]
+        del config["derived"]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        assert run(options + ["--config", str(cfgfile), "--out", str(replay)]) == 0
+        assert first.read_bytes() == replay.read_bytes()
 
 
 class TestFitCommand:

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,6 +140,19 @@ class TestAsymmetric:
         # the residual coincidence floor is strictly positive
         assert min_engine > 1e-5
 
+    def test_explicit_filters_replace_config_arms(self, cfg):
+        # every engine runs on an explicit filter pair, not only asymmetric
+        wide = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=1.0)
+        cfg_wide = units.build_config(**{**units.REFERENCE_PARAMS, "filter_fwhm_nm": 1.0})
+        curve = hom.dip_curve(cfg, "gaussian", signal_filter=wide, idler_filter=wide)
+        assert np.array_equal(curve.rates, hom.dip_curve(cfg_wide, "gaussian").rates)
+        sig = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.8)
+        idl = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.88)
+        with pytest.raises(ValueError, match="identical gaussian filters"):
+            hom.dip_curve(cfg, "gaussian", signal_filter=sig, idler_filter=idl)
+        with pytest.raises(ValueError, match="both explicit"):
+            hom.dip_curve(cfg, "general", signal_filter=wide)
+
 
 class TestSuperGaussian:
     def test_wider_than_gaussian(self, cfg, cfg_sg):
@@ -179,7 +193,7 @@ class TestSuperGaussian:
             return complex(vals)
 
         direct_rate = direct(3.0, True).real / direct(0.0, False).real
-        nodes, cross, baseline = hom._spectral_tables(cfg_sg, spec, spec, order, trunc)
+        nodes, cross, baseline = hom._spectral_tables(cfg_sg, order, trunc)
         assert np.array_equal(nodes, nu)
         diff = nodes[None, :] - nodes[:, None]
         engine_rate = (baseline - np.sum(cross * np.exp(-1j * diff * 3.0))).real / baseline
@@ -196,11 +210,10 @@ def per_delay_reference(engine, cfg, delays, signal=None, idler=None):
         num = [np.sum(k * (1.0 - np.exp(dt**2 * (a_re + 1j * a_im)))) for dt in delays]
         base = base.real
     else:
-        if engine != "asymmetric":
-            signal = FilterSpec(shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm)
-            idler = cfg.filter.idler or signal
+        if engine == "asymmetric":
+            cfg = replace(cfg, filter=replace(signal, idler=idler))
         order = quad.gl_order if engine == "supergaussian" else hom._DEFAULT_NU_ORDER
-        nu, cross, base = hom._spectral_tables(cfg, signal, idler, order, quad.trunc_sigmas)
+        nu, cross, base = hom._spectral_tables(cfg, order, quad.trunc_sigmas)
         diff = nu[None, :] - nu[:, None]  # ni - ns
         num = [base - np.sum(cross * np.exp(-1j * diff * dt)) for dt in delays]
     return np.maximum(np.real(num) / base, 0.0)
@@ -279,7 +292,8 @@ class TestBatchedDelays:
         delays = np.linspace(-40.0, 40.0, 41)
         curve = hom.dip_curve(cfg, "asymmetric", delays_ps=delays,
                               signal_filter=sig, idler_filter=idl)
-        assert hom._spectral_tables(cfg, sig, idl, 96, 6.0)[0].size == 149
+        cfg_pair = replace(cfg, filter=replace(sig, idler=idl))
+        assert hom._spectral_tables(cfg_pair, 96, 6.0)[0].size == 149
         ref = per_delay_reference("asymmetric", cfg, delays, signal=sig, idler=idl)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
 

@@ -65,6 +65,8 @@ def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, 
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = set(doc) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config fields in {args.config}: {sorted(unknown)}")
@@ -123,6 +125,8 @@ def cmd_jsa(args) -> int:
 
 def cmd_dip(args) -> int:
     t0 = time.perf_counter()
+    if not (args.delay_step > 0 and args.delay_max > args.delay_min):
+        raise ConfigError("need --delay-step > 0 and --delay-max > --delay-min")
     cfg, record = _load_config(args, args.filter_mismatch)
     delays = np.round(np.arange(
         0, int(round((args.delay_max - args.delay_min) / args.delay_step)) + 1

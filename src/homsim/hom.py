@@ -14,15 +14,17 @@ configuration and maps a whole array of delays to rates in one call:
                        explicitly (required here, accepted by every engine).
 * ``supergaussian`` -- the same path for identical quartic filters on both
                        arms, at ``settings.gl_order`` nodes per axis.
-* ``gaussian``      -- the closed form for identical Gaussian filters: a sum
-                       over fiber positions (z1, z2) of G(z1) G*(z2) I(z1, z2; dt).
+* ``gaussian``      -- the closed form for identical Gaussian filters, as a 1-D
+                       integral over the lag D = z1 - z2 of I(D; dt) A(D), with
+                       A the autocorrelation of G(z) over the fiber.
 
 Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` or :func:`rate_asymmetric` is
 folded into the configuration first.  Delays run in chunks of bounded size.
-Rates are normalized to a large-delay baseline of 1; the imaginary part and
-sign of each are checked against the absolute tolerance before clamping at
-zero.  ``rate_*`` evaluate one delay.
+Rates are normalized to a large-delay baseline of 1; the sign of each, the
+imaginary part of spectral ones and the closed form's embedded error estimate
+are checked against the absolute tolerance before clamping at zero.  ``rate_*``
+evaluate one delay.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
 
 _DEFAULT_NU_ORDER = 96   # Gauss-Legendre points per frequency axis (general engine)
 _BASELINE_FRACTION = 0.1
+_ROUNDING_FACTOR = 10.0  # c of the closed engine's tolerance abs_tol + c kappa eps
 
 
 class AnalysisError(RuntimeError):
@@ -126,26 +129,33 @@ def _spectral_tables(cfg: ExperimentConfig, nu_order: int, trunc: float):
     return nu, cross, float(np.sum(np.abs(f_mat) ** 2 * w2))
 
 
-@lru_cache(maxsize=16)
-def _closed_tables(cfg: ExperimentConfig):
-    """Weights K = G(z1) G*(z2) I(z1, z2; 0) as (Re, Im) columns, Re a and Im a of the
-    delay factor e^{dt^2 a}, a = (-2 s0^2 + i b2 (z1 - z2) s0^4) / den4, and sum K."""
-    z, zw = gauss_legendre(_Z_ORDER, -cfg.fiber.length_m, 0.0)
-    gz = _g_function(z, cfg) * zw
-    zdiff = (z[:, None] - z[None, :]).ravel()
-    s0 = cfg.sigma_0_rad_per_ps
-    sp = cfg.sigma_p_rad_per_ps
-    b2 = cfg.fiber.beta2_ps2_per_m
-    den4 = 4.0 + b2**2 * zdiff**2 * s0**4
-    pref = (
-        math.sqrt(2.0) * math.pi**2 * cfg.pumps.peak_power_W**2 * s0**2
-        / (sp * math.sqrt(sp**2 + s0**2))
-    )
-    i_common = pref * np.exp(0.5j * np.arctan(-0.5 * b2 * zdiff * s0**2)) / den4**0.25
-    k = np.outer(gz, np.conj(gz)).ravel() * i_common
-    baseline = complex(np.sum(k))
-    return (np.stack([k.real, k.imag], axis=1), -2.0 * s0**2 / den4,
-            b2 * zdiff * s0**4 / den4, baseline)
+def _closed_orders(cfg: ExperimentConfig) -> tuple[int, int]:
+    """Orders of the closed rule and its embedded coarser rule: 4 and 3 nodes per cycle
+    of G's phase (2 gamma Pp - beta2 Delta^2 / 4) z, at least _Z_ORDER and 3/4 of it."""
+    b2_term = 0.25 * cfg.fiber.beta2_ps2_per_m * cfg.Delta_rad_per_ps**2
+    cycles = abs(2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W - b2_term) \
+        * cfg.fiber.length_m / (2.0 * math.pi)
+    if cycles > 256:
+        raise AccuracyError(f"G(z) turns {cycles:.0f} cycles over the fiber: too many to resolve")
+    n = max(_Z_ORDER // 4, math.ceil(cycles))
+    return 4 * n, 3 * n
+
+
+@lru_cache(maxsize=32)
+def _lag_tables(cfg: ExperimentConfig, order: int):
+    """Weights k = w I(D; 0) A(D), A(D) = int_{-L}^{-D} G(z + D) G*(z) dz, and delay
+    exponents a(D) at ``order`` lags D in [0, L] (and as many inner nodes), and
+    the baseline 2 Re sum k.  I's constant prefactor cancels in the rates."""
+    length = cfg.fiber.length_m
+    lag, lw = gauss_legendre(order, 0.0, length)
+    t, tw = gauss_legendre(order, 0.0, 1.0)
+    span = length - lag
+    z = np.outer(span, t) - length
+    area = (_g_function(z + lag[:, None], cfg) * np.conj(_g_function(z, cfg))) @ tw * span
+    s0, b2 = cfg.sigma_0_rad_per_ps, cfg.fiber.beta2_ps2_per_m
+    den4 = 4.0 + b2**2 * lag**2 * s0**4
+    k = lw * area * np.exp(0.5j * np.arctan(-0.5 * b2 * lag * s0**2)) / den4**0.25
+    return k, (-2.0 * s0**2 + 1j * b2 * lag * s0**4) / den4, 2.0 * float(np.sum(k.real))
 
 
 def _finish_rates(num: np.ndarray, baseline: float, abs_tol: float, label: str) -> np.ndarray:
@@ -172,16 +182,27 @@ def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, nu_order: int,
 
 def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
                   settings: QuadratureSettings) -> np.ndarray:
-    k, a_re, a_im, baseline = _closed_tables(cfg)
-    num = np.empty(delays.size, dtype=complex)
-    for sl in _chunks(delays.size, a_re.size):
+    label = "gaussian closed-form engine"
+    tables = [_lag_tables(cfg, order) for order in _closed_orders(cfg)]
+    rates = np.empty((2, delays.size))
+    for sl in _chunks(delays.size, tables[0][0].size):
         t2 = delays[sl, None] ** 2
-        decay = np.exp(t2 * a_re)
-        # sum K (1 - e^{t2 a}) with e^{t2 a} = decay (cos + i sin) of t2 Im a
-        re = (1.0 - decay * np.cos(t2 * a_im)) @ k
-        im = (decay * np.sin(t2 * a_im)) @ k
-        num[sl] = (re[:, 0] + im[:, 1]) + 1j * (re[:, 1] - im[:, 0])
-    return _finish_rates(num, baseline.real, settings.abs_tol, "gaussian closed-form engine")
+        for row, (k, a, baseline) in zip(rates, tables):
+            # 2 Re sum k (1 - e^{t2 a}): the lags -D add the complex conjugate
+            decay, phase = np.exp(t2 * a.real), t2 * a.imag
+            row[sl] = 2.0 * ((1.0 - decay * np.cos(phase)) @ k.real
+                             + (decay * np.sin(phase)) @ k.imag) / baseline
+    # the coarse rule's deviation, against abs_tol plus the rounding floor of a
+    # sum whose terms cancel by kappa = sum |terms| / |baseline|
+    k, _, baseline = tables[0]
+    kappa = 2.0 * float(np.sum(np.abs(k))) / abs(baseline)
+    estimate = float(np.max(np.abs(rates[0] - rates[1]), initial=0.0))
+    if estimate > settings.abs_tol + _ROUNDING_FACTOR * kappa * np.finfo(float).eps:
+        raise AccuracyError(f"{label}: error estimate {estimate:.3e} exceeds tolerance "
+                            f"(kappa = {kappa:.3e})")
+    if np.any(rates[0] < -settings.abs_tol):
+        raise AccuracyError(f"{label}: negative rate {np.min(rates[0]):.3e}")
+    return np.maximum(rates[0], 0.0)
 
 
 def _rates(cfg: ExperimentConfig, engine: str, delays: np.ndarray,
@@ -232,7 +253,7 @@ def rate_asymmetric(delta_tau: float, cfg: ExperimentConfig,
 
 def rate_gaussian_closed(delta_tau: float, cfg: ExperimentConfig,
                          settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate from the Gaussian-filter closed form (z1, z2 integral)."""
+    """Normalized rate from the Gaussian-filter closed form (lag integral)."""
     return float(_rates(cfg, "gaussian", np.array([delta_tau], dtype=float), settings)[0])
 
 
@@ -266,7 +287,6 @@ class DipMetrics:
     center_ps: float
     baseline: float
     engine: str = ""
-    ambiguous_flanks: bool = False
 
 
 def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
@@ -331,7 +351,6 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
     left = crossings(-1)
     if not right or not left:
         raise AnalysisError("half-depth level not bracketed on both flanks")
-    ambiguous = len(right) > 1 or len(left) > 1
     # with non-monotone flanks report the widest crossing pair
     fwhm = max(right) - min(left)
     return DipMetrics(
@@ -340,7 +359,6 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
         center_ps=center,
         baseline=baseline,
         engine=curve.engine,
-        ambiguous_flanks=ambiguous,
     )
 
 

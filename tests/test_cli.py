@@ -69,6 +69,14 @@ class TestJsaCommand:
         assert run(["jsa", "--config", str(cfgfile),
                     "--out", str(tmp_path / "g.csv")]) == 2
 
+    @pytest.mark.parametrize("doc", ["5", "[1]"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, doc):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(doc)
+        assert run(["jsa", "--config", str(cfgfile),
+                    "--out", str(tmp_path / "g.csv")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
 
 class TestDipCommand:
     def test_default_engine_curve(self, tmp_path, capsys):
@@ -147,6 +155,20 @@ class TestDipCommand:
         rc = run(["dip", "--engine", "supergaussian", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert not (tmp_path / "x.csv").exists()
+
+    def _bad_delay_axis(self, tmp_path, capsys, flags):
+        assert run(["dip", *flags, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--delay" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_zero_delay_step_exits_2(self, tmp_path, capsys):
+        self._bad_delay_axis(tmp_path, capsys, ["--delay-step", "0"])
+
+    def test_negative_delay_step_exits_2(self, tmp_path, capsys):
+        self._bad_delay_axis(tmp_path, capsys, ["--delay-step", "-0.1"])
+
+    def test_reversed_delay_range_exits_2(self, tmp_path, capsys):
+        self._bad_delay_axis(tmp_path, capsys, ["--delay-min", "5", "--delay-max", "-5"])
 
 
 class TestManifestRoundTrip:

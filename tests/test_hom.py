@@ -200,22 +200,44 @@ class TestSuperGaussian:
         assert engine_rate == pytest.approx(direct_rate, rel=1e-10)
 
 
+def g_phase_cycles(cfg):
+    """Cycles of G's linear phase (2 gamma Pp - beta2 Delta^2 / 4) z over the fiber."""
+    rate = (2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
+            - 0.25 * cfg.fiber.beta2_ps2_per_m * cfg.Delta_rad_per_ps**2)
+    return abs(rate) * cfg.fiber.length_m / (2.0 * math.pi)
+
+
+def closed_double_sum(cfg, delays):
+    """The closed form as a double sum over fiber positions (z1, z2) of
+    G(z1) G*(z2) I(z1 - z2; dt), one delay at a time, built only from G and the
+    closed-form kernel I.  Its order is 64, or 3 nodes per cycle of G's phase
+    when that is more: at 34 cycles the 64 x 64 sum is 1.4e-8 off."""
+    order = max(jsa._Z_ORDER, 3 * math.ceil(g_phase_cycles(cfg)))
+    z, zw = gauss_legendre(order, -cfg.fiber.length_m, 0.0)
+    gz = jsa._g_function(z, cfg) * zw
+    zdiff = (z[:, None] - z[None, :]).ravel()
+    s0, b2 = cfg.sigma_0_rad_per_ps, cfg.fiber.beta2_ps2_per_m
+    den4 = 4.0 + b2**2 * zdiff**2 * s0**4
+    k = (np.outer(gz, np.conj(gz)).ravel()
+         * np.exp(0.5j * np.arctan(-0.5 * b2 * zdiff * s0**2)) / den4**0.25)
+    a = (-2.0 * s0**2 + 1j * b2 * zdiff * s0**4) / den4
+    num = [np.sum(k * (1.0 - np.exp(dt**2 * a))) for dt in delays]
+    return np.maximum(np.real(num) / np.sum(k).real, 0.0)
+
+
 def per_delay_reference(engine, cfg, delays, signal=None, idler=None):
-    """One double sum per delay over the engine's own cached tables: the
-    formula the scalar engines evaluated before delays were batched."""
-    quad = QuadratureSettings()
+    """One sum per delay: the closed engine's (z1, z2) double sum, or the spectral
+    double sum over the engine's own cached tables, the formula the scalar
+    engines evaluated before delays were batched."""
     if engine == "gaussian":
-        k, a_re, a_im, base = hom._closed_tables(cfg)
-        k = k[:, 0] + 1j * k[:, 1]
-        num = [np.sum(k * (1.0 - np.exp(dt**2 * (a_re + 1j * a_im)))) for dt in delays]
-        base = base.real
-    else:
-        if engine == "asymmetric":
-            cfg = replace(cfg, filter=replace(signal, idler=idler))
-        order = quad.gl_order if engine == "supergaussian" else hom._DEFAULT_NU_ORDER
-        nu, cross, base = hom._spectral_tables(cfg, order, quad.trunc_sigmas)
-        diff = nu[None, :] - nu[:, None]  # ni - ns
-        num = [base - np.sum(cross * np.exp(-1j * diff * dt)) for dt in delays]
+        return closed_double_sum(cfg, delays)
+    quad = QuadratureSettings()
+    if engine == "asymmetric":
+        cfg = replace(cfg, filter=replace(signal, idler=idler))
+    order = quad.gl_order if engine == "supergaussian" else hom._DEFAULT_NU_ORDER
+    nu, cross, base = hom._spectral_tables(cfg, order, quad.trunc_sigmas)
+    diff = nu[None, :] - nu[:, None]  # ni - ns
+    num = [base - np.sum(cross * np.exp(-1j * diff * dt)) for dt in delays]
     return np.maximum(np.real(num) / base, 0.0)
 
 
@@ -296,6 +318,58 @@ class TestBatchedDelays:
         assert hom._spectral_tables(cfg_pair, 96, 6.0)[0].size == 149
         ref = per_delay_reference("asymmetric", cfg, delays, signal=sig, idler=idl)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
+
+
+# the config of test_raised_order_asymmetric_cascade, with a Gaussian filter
+_LONG_FIBER = dict(length_m=15770.75, beta2_ps2_per_km=0.96611, gamma_per_W_m=1.8e-3,
+                   lambda_p1_nm=1555.92, lambda_p2_nm=1545.95, pump_fwhm_nm=0.42202,
+                   peak_power_W=0.36, filter_shape="gaussian", filter_fwhm_nm=0.75659)
+
+
+class TestClosedEngine:
+    @pytest.mark.parametrize("params", [
+        units.REFERENCE_PARAMS,
+        # G's phase turns 34 and 19 cycles over these fibers
+        _LONG_FIBER,
+        {**units.REFERENCE_PARAMS, "length_m": 20000.0, "beta2_ps2_per_km": -0.3},
+    ], ids=["default", "15.77km", "20km"])
+    def test_matches_fiber_position_double_sum(self, params):
+        cfg = units.build_config(**params)
+        delays = np.linspace(-20.0, 20.0, 1204)
+        rates = hom.dip_curve(cfg, "gaussian", delays_ps=delays).rates
+        assert np.max(np.abs(rates - closed_double_sum(cfg, delays))) <= 1e-12
+
+    def test_ill_conditioned_config_agrees_or_reports_kappa(self):
+        # G's phase turns one cycle over 5.9 km and the lag sum cancels by a
+        # factor kappa ~ 3e5, so rounding alone is about kappa * eps per rate
+        cfg = units.build_config(**{
+            **units.REFERENCE_PARAMS, "length_m": 5894.336338976331,
+            "beta2_ps2_per_km": 0.015058606919842203, "pump_fwhm_nm": 0.49604523708036974,
+            "filter_fwhm_nm": 1.0772727591213105})
+        delays = np.linspace(-15.0, 15.0, 301)
+        general = hom.dip_curve(cfg, "general", delays_ps=delays).rates
+        try:
+            closed = hom.dip_curve(cfg, "gaussian", delays_ps=delays).rates
+        except hom.AccuracyError as exc:
+            assert "kappa" in str(exc) and "imaginary" not in str(exc)
+        else:
+            k, _, baseline = hom._lag_tables(cfg, hom._closed_orders(cfg)[0])
+            kappa = 2.0 * np.sum(np.abs(k)) / abs(baseline)
+            bound = 1e-12 + hom._ROUNDING_FACTOR * kappa * np.finfo(float).eps
+            assert np.max(np.abs(closed - general)) <= bound
+
+    def test_too_many_phase_cycles_raise(self):
+        # 100 W over 20 km: the SPM phase alone turns about 1,150 cycles
+        cfg = units.build_config(**{**units.REFERENCE_PARAMS, "length_m": 20000.0,
+                                    "peak_power_W": 100.0})
+        with pytest.raises(hom.AccuracyError, match="cycles over the fiber"):
+            hom.dip_curve(cfg, "gaussian")
+
+    def test_under_resolved_rule_raises(self, monkeypatch):
+        # 64 lags at 34 cycles of G's phase: the 48-lag embedded rule is 6e-3 off
+        monkeypatch.setattr(hom, "_closed_orders", lambda cfg: (64, 48))
+        with pytest.raises(hom.AccuracyError, match="error estimate .*kappa"):
+            hom.dip_curve(units.build_config(**_LONG_FIBER), "gaussian")
 
 
 class TestDipMetrics:

@@ -150,22 +150,18 @@ def cmd_dip(args) -> int:
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     data = ingest_csv(args.data)
-    record = None
+    record = dense_curve = None
     if args.mode == "gaussian-dip":
         result = fit_gaussian_dip(data)
+        p = result.params
+        dense = np.linspace(data.delays_ps[0], data.delays_ps[-1], 501)
+        dense_curve = (dense, p["baseline"] * (1.0 - p["visibility"] * np.exp(
+            -((dense - p["center_ps"]) ** 2) / (2.0 * p["width_ps"] ** 2))))
     else:
         cfg, record = _load_config(args)
         result = fit_model(data, cfg, engine=args.engine)
-    dense = np.linspace(data.delays_ps[0], data.delays_ps[-1], 501)
-    if args.mode == "gaussian-dip":
-        p = result.params
-        fitted = p["baseline"] * (1.0 - p["visibility"]
-                                  * np.exp(-((dense - p["center_ps"]) ** 2) / (2.0 * p["width_ps"] ** 2)))
-    else:
-        fitted = None
-    payload = fit_result_to_json(result, dense_curve=(dense, fitted) if fitted is not None else None)
     with open(args.out, "w") as fh:
-        fh.write(payload)
+        fh.write(fit_result_to_json(result, dense_curve=dense_curve))
     _write_manifest(args.out, "fit", record, {
         "mode": args.mode, "engine": args.engine, "data": args.data,
     }, time.perf_counter() - t0)

@@ -221,12 +221,9 @@ def fit_gaussian_dip(data: CoincidenceDataset, max_iter: int = 200) -> FitResult
     wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
     p0 = np.array(_initial_dip_guess(d, c))
 
-    def model(p: np.ndarray) -> np.ndarray:
-        b, v, tc, w = p
-        return b * (1.0 - v * np.exp(-((d - tc) ** 2) / (2.0 * w**2)))
-
     def residual(p: np.ndarray) -> np.ndarray:
-        return (model(p) - c) * wgt
+        b, v, tc, w = p
+        return (b * (1.0 - v * np.exp(-((d - tc) ** 2) / (2.0 * w**2))) - c) * wgt
 
     def jacobian(p: np.ndarray) -> np.ndarray:
         b, v, tc, w = p
@@ -285,12 +282,12 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
 
     p0 = np.array([b0, tc0, min(max(v0, 0.05), 1.0)])
 
-    def model(p: np.ndarray) -> np.ndarray:
+    def model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
         b, tc, s = p
-        return b * (1.0 - s * (1.0 - np.clip(spline(d - tc), 0.0, None)))
+        return b * (1.0 - s * (1.0 - np.clip(spline(x - tc), 0.0, None)))
 
     def residual(p: np.ndarray) -> np.ndarray:
-        return (model(p) - c) * wgt
+        return (model(p, d) - c) * wgt
 
     def jacobian(p: np.ndarray) -> np.ndarray:
         j = np.empty((d.size, p.size))
@@ -306,7 +303,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
     b, tc, s = p
 
     dense = np.linspace(d[0], d[-1], 2001)
-    curve = b * (1.0 - s * (1.0 - np.clip(spline(dense - tc), 0.0, None)))
+    curve = model(p, dense)
     imin = int(np.argmin(curve))
     half = 0.5 * (b + curve[imin])
     below = np.nonzero(curve < half)[0]

@@ -7,9 +7,9 @@ configuration and maps a whole array of delays to rates in one call:
 
 * ``general``       -- spectral double sum on a Gauss-Legendre (ns, ni) grid,
                        any filter shape, Q from the factored kernel of
-                       :mod:`homsim.jsa`.  With E = e^{-i nu dt} the delay
-                       factor is E(ni) conj(E(ns)), so all delays together
-                       cost one matrix product.
+                       :mod:`homsim.jsa`.  The nodes are symmetric about 0,
+                       so each delay costs n sines and cosines and a real
+                       form of about n^2 multiply-adds on the half grid.
 * ``asymmetric``    -- ``general`` with the signal and idler filters given
                        explicitly (required here, accepted by every engine).
 * ``supergaussian`` -- the same path for identical quartic filters on both
@@ -22,9 +22,8 @@ Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` or :func:`rate_asymmetric` is
 folded into the configuration first.  Delays run in chunks of bounded size.
 Rates are normalized to a large-delay baseline of 1; the sign of each, the
-imaginary part of spectral ones and the closed form's embedded error estimate
-are checked against the absolute tolerance before clamping at zero.  ``rate_*``
-evaluate one delay.
+spectral tables' bound on any delay's imaginary part and the closed form's error
+estimate are checked against the absolute tolerance before clamping at zero.
 """
 
 from __future__ import annotations
@@ -68,16 +67,13 @@ class AnalysisError(RuntimeError):
 def filter_amplitude(spec: FilterSpec, nu, cfg: ExperimentConfig):
     """Amplitude transmission of a filter at detuning nu (rad/ps)."""
     nu = np.asarray(nu, dtype=float)
-    if spec.shape is FilterShape.GAUSSIAN:
-        s0 = cfg.sigma_for(spec)
-        return np.exp(-(nu**2) / (2.0 * s0**2))
     if spec.shape is FilterShape.SUPERGAUSSIAN4:
-        s0 = cfg.sigma_sg_for(spec)
-        return np.exp(-(nu**4) / s0**4)
+        return np.exp(-(nu**4) / cfg.sigma_sg_for(spec)**4)
+    gauss = np.exp(-(nu**2) / (2.0 * cfg.sigma_for(spec)**2))
+    if spec.shape is FilterShape.GAUSSIAN:
+        return gauss
     # cascade: Gaussian stage times quartic stage, each at its own FWHM
-    s0 = cfg.sigma_for(spec)
-    ssg = cfg.sigma_sg_for(spec)
-    return np.exp(-(nu**2) / (2.0 * s0**2)) * np.exp(-(nu**4) / ssg**4)
+    return gauss * np.exp(-(nu**4) / cfg.sigma_sg_for(spec)**4)
 
 
 def _nu_halfwidth(spec: FilterSpec, cfg: ExperimentConfig, trunc: float) -> float:
@@ -99,12 +95,10 @@ def _check_oscillation_bound(cfg: ExperimentConfig, nu_half: float, order: int) 
     """
     cycles = abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m * (2.0 * nu_half) ** 2 / 4.0 / (2.0 * math.pi)
     needed = int(math.ceil(8.0 * max(cycles, 1.0)))
-    if needed > order:
-        if needed > 2048:
-            raise AccuracyError(f"dispersion phase oscillates over {cycles:.1f} cycles; "
-                                "fixed-order rule infeasible")
-        return needed
-    return order
+    if needed > max(order, 2048):
+        raise AccuracyError(f"dispersion phase oscillates over {cycles:.1f} cycles; "
+                            "fixed-order rule infeasible")
+    return max(order, needed)
 
 
 def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> None:
@@ -112,8 +106,7 @@ def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> N
         raise ValueError(f"{label} requires identical {shape.value} filters on both arms")
 
 
-@lru_cache(maxsize=16)
-def _spectral_tables(cfg: ExperimentConfig, nu_order: int, trunc: float):
+def _cross_weights(cfg: ExperimentConfig, nu_order: int, trunc: float):
     """Node vector nu, cross weights C = F(s,i) F*(i,s) w_s w_i, and sum |F|^2 w_s w_i,
     with the signal arm filtered by ``cfg.filter`` and the idler by its override."""
     signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
@@ -123,10 +116,28 @@ def _spectral_tables(cfg: ExperimentConfig, nu_order: int, trunc: float):
     f_mat = (_q_factored(nu[:, None] + nu[None, :], (nu[:, None] - nu[None, :]) ** 2, cfg)
              * np.outer(filter_amplitude(signal, nu, cfg), filter_amplitude(idler, nu, cfg)))
     w2 = np.outer(w, w)
-    cross = f_mat * np.conj(f_mat.T) * w2
-    for part in (cross.real, cross.imag):  # subnormal tails only slow BLAS
-        part[np.abs(part) < 1e-300] = 0.0
-    return nu, cross, float(np.sum(np.abs(f_mat) ** 2 * w2))
+    return nu, f_mat * np.conj(f_mat.T) * w2, float(np.sum(np.abs(f_mat) ** 2 * w2))
+
+
+@lru_cache(maxsize=16)
+def _spectral_tables(cfg: ExperimentConfig, nu_order: int, trunc: float):
+    """Nodes nu <= 0, real symmetric form M, baseline and skew = 1/2 sum |C - C^H|: as
+    nu[n-1-k] = -nu[k], Re sum C[s,i] e^{-i(ni-ns)dt} = x M x^T with x = [cos nu dt,
+    sin nu dt] on the nodes nu <= 0 and M the Hermitian part of C folded onto them,
+    and the imaginary part is at most skew at every delay, as |e^{i nu dt}| = 1."""
+    nu, cross, baseline = _cross_weights(cfg, nu_order, trunc)
+    h = (nu.size + 1) // 2
+
+    def fold(a, row, col):  # node n-1-k added to (1) or taken from (-1) node k < h
+        a = a[:h] + row * a[::-1][:h]
+        return a[:, :h] + col * a[:, ::-1][:, :h]
+    half = np.where(nu == 0.0, 0.5, 1.0)  # the middle node of odd n is its own mirror
+    herm = 0.5 * (cross + np.conj(cross.T)) * np.outer(half, half)
+    cs = fold(herm.imag, 1, -1)
+    form = np.block([[fold(herm.real, 1, 1), cs], [cs.T, fold(herm.real, -1, -1)]])
+    form[np.abs(form) < 1e-300] = 0.0  # subnormal tails only slow BLAS
+    skew = 0.5 * float(np.sum(np.abs(cross - np.conj(cross.T))))
+    return nu[:h], form, baseline, skew
 
 
 def _closed_orders(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -158,12 +169,7 @@ def _lag_tables(cfg: ExperimentConfig, order: int):
     return k, (-2.0 * s0**2 + 1j * b2 * lag * s0**4) / den4, 2.0 * float(np.sum(k.real))
 
 
-def _finish_rates(num: np.ndarray, baseline: float, abs_tol: float, label: str) -> np.ndarray:
-    bad = np.abs(num.imag) > abs_tol * max(abs(baseline), 1.0)
-    if np.any(bad):
-        worst = num.imag[np.argmax(bad)]
-        raise AccuracyError(f"{label}: imaginary part {worst:.3e} exceeds tolerance")
-    rates = num.real / baseline
+def _clamped(rates: np.ndarray, abs_tol: float, label: str) -> np.ndarray:
     if np.any(rates < -abs_tol):
         raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e}")
     return np.maximum(rates, 0.0)
@@ -171,13 +177,15 @@ def _finish_rates(num: np.ndarray, baseline: float, abs_tol: float, label: str) 
 
 def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, nu_order: int,
                     settings: QuadratureSettings, label: str) -> np.ndarray:
-    nu, cross, baseline = _spectral_tables(cfg, nu_order, settings.trunc_sigmas)
-    num = np.empty(delays.size, dtype=complex)
-    for sl in _chunks(delays.size, nu.size):
-        e = np.exp(-1j * np.multiply.outer(delays[sl], nu))
-        # sum_{s,i} C[s,i] e^{-i ni dt} conj(e^{-i ns dt}), one row per delay
-        num[sl] = baseline - np.sum(np.conj(e) * (e @ cross.T), axis=1)
-    return _finish_rates(num, baseline, settings.abs_tol, label)
+    nu, form, baseline, skew = _spectral_tables(cfg, nu_order, settings.trunc_sigmas)
+    if skew > settings.abs_tol * max(abs(baseline), 1.0):
+        raise AccuracyError(f"{label}: imaginary-part bound {skew:.3e} exceeds tolerance")
+    num = np.empty(delays.size)
+    for sl in _chunks(delays.size, form.shape[0]):
+        phase = np.multiply.outer(delays[sl], nu)
+        x = np.hstack((np.cos(phase), np.sin(phase)))
+        num[sl] = baseline - np.sum(x * (x @ form), axis=1)
+    return _clamped(num / baseline, settings.abs_tol, label)
 
 
 def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
@@ -200,9 +208,7 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
     if estimate > settings.abs_tol + _ROUNDING_FACTOR * kappa * np.finfo(float).eps:
         raise AccuracyError(f"{label}: error estimate {estimate:.3e} exceeds tolerance "
                             f"(kappa = {kappa:.3e})")
-    if np.any(rates[0] < -settings.abs_tol):
-        raise AccuracyError(f"{label}: negative rate {np.min(rates[0]):.3e}")
-    return np.maximum(rates[0], 0.0)
+    return _clamped(rates[0], settings.abs_tol, label)
 
 
 def _rates(cfg: ExperimentConfig, engine: str, delays: np.ndarray,

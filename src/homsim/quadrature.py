@@ -18,6 +18,7 @@ deterministic: identical settings and integrand give bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Tuple
 
 import math
@@ -99,9 +100,17 @@ class Integrand1D:
     b: float
 
 
-def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
+@lru_cache(maxsize=128)
+def _unit_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``leggauss(order)`` as read-only arrays: it costs about a millisecond per call."""
     x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to [a, b] (new arrays on every call)."""
+    x, w = _unit_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

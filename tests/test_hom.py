@@ -193,7 +193,7 @@ class TestSuperGaussian:
             return complex(vals)
 
         direct_rate = direct(3.0, True).real / direct(0.0, False).real
-        nodes, cross, baseline = hom._spectral_tables(cfg_sg, order, trunc)
+        nodes, cross, baseline = hom._cross_weights(cfg_sg, order, trunc)
         assert np.array_equal(nodes, nu)
         diff = nodes[None, :] - nodes[:, None]
         engine_rate = (baseline - np.sum(cross * np.exp(-1j * diff * 3.0))).real / baseline
@@ -225,17 +225,17 @@ def closed_double_sum(cfg, delays):
     return np.maximum(np.real(num) / np.sum(k).real, 0.0)
 
 
-def per_delay_reference(engine, cfg, delays, signal=None, idler=None):
-    """One sum per delay: the closed engine's (z1, z2) double sum, or the spectral
-    double sum over the engine's own cached tables, the formula the scalar
-    engines evaluated before delays were batched."""
+def per_delay_reference(engine, cfg, delays, signal=None, idler=None, gl_order=48):
+    """One sum per delay: the closed engine's (z1, z2) double sum, or the complex
+    spectral double sum over the engine's unfolded cross weights, the formula the
+    scalar engines evaluated before delays were batched."""
     if engine == "gaussian":
         return closed_double_sum(cfg, delays)
     quad = QuadratureSettings()
     if engine == "asymmetric":
         cfg = replace(cfg, filter=replace(signal, idler=idler))
-    order = quad.gl_order if engine == "supergaussian" else hom._DEFAULT_NU_ORDER
-    nu, cross, base = hom._spectral_tables(cfg, order, quad.trunc_sigmas)
+    order = gl_order if engine == "supergaussian" else hom._DEFAULT_NU_ORDER
+    nu, cross, base = hom._cross_weights(cfg, order, quad.trunc_sigmas)
     diff = nu[None, :] - nu[:, None]  # ni - ns
     num = [base - np.sum(cross * np.exp(-1j * diff * dt)) for dt in delays]
     return np.maximum(np.real(num) / base, 0.0)
@@ -243,6 +243,14 @@ def per_delay_reference(engine, cfg, delays, signal=None, idler=None):
 
 _SIG = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.8)
 _IDL = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.88)
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty spectral-table cache, before and after a test that patches its input."""
+    hom._spectral_tables.cache_clear()
+    yield
+    hom._spectral_tables.cache_clear()
 
 
 class TestBatchedDelays:
@@ -268,6 +276,19 @@ class TestBatchedDelays:
         ref = per_delay_reference(engine, cfg, curve.delays_ps[idx],
                                   signal=_SIG, idler=_IDL)
         assert np.max(np.abs(curve.rates[idx] - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("axis", ["default", "multichunk"])
+    def test_odd_order_matches_per_delay_sum(self, axis):
+        # 47 nodes per axis: the fold keeps the nu = 0 middle node once
+        cfg = units.default_config("supergaussian4")
+        delays = None if axis == "default" else np.linspace(-20.0, 20.0,
+                                                            jsa._CHUNK_ELEMENTS // 48 + 3)
+        curve = hom.dip_curve(cfg, "supergaussian", delays_ps=delays,
+                              settings=QuadratureSettings(gl_order=47))
+        idx = np.unique(np.r_[0:curve.delays_ps.size:37 if delays is not None else 1,
+                              curve.delays_ps.size - 1])
+        ref = per_delay_reference("supergaussian", cfg, curve.delays_ps[idx], gl_order=47)
+        assert np.max(np.abs(curve.rates[idx] - ref)) <= 1e-14
 
     @settings(max_examples=15, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -302,6 +323,22 @@ class TestBatchedDelays:
             assert np.max(np.abs(rates - ref)) <= 1e-12
             assert np.max(np.abs(rates - rates[::-1])) <= 1e-12
 
+    @pytest.mark.parametrize("order", [47, 48])
+    def test_fold_of_complex_hermitian_weights(self, order, monkeypatch, fresh_tables):
+        # physical cross weights are real up to rounding (Q is exchange symmetric
+        # and the filters are real), so random complex ones check the cos-sin block
+        rng = np.random.default_rng(order)
+        nu = gauss_legendre(order, -2.0, 2.0)[0]
+        a = rng.normal(size=(order, order)) + 1j * rng.normal(size=(order, order))
+        cross = a + np.conj(a.T)
+        baseline = 2.0 * np.sum(np.abs(cross))  # keeps every rate in [0.5, 1.5]
+        monkeypatch.setattr(hom, "_cross_weights", lambda cfg, n, trunc: (nu, cross, baseline))
+        delays = np.linspace(-20.0, 20.0, 101)
+        rates = hom.dip_curve(units.default_config(), "general", delays_ps=delays).rates
+        diff = nu[None, :] - nu[:, None]  # ni - ns
+        ref = [1.0 - np.sum(cross * np.exp(-1j * diff * dt)).real / baseline for dt in delays]
+        assert np.max(np.abs(rates - ref)) <= 1e-14
+
     def test_raised_order_asymmetric_cascade(self):
         # the dispersion of 15.8 km raises the order to 149 nodes per axis, at
         # which numpy lays the cross table out column-major
@@ -315,9 +352,43 @@ class TestBatchedDelays:
         curve = hom.dip_curve(cfg, "asymmetric", delays_ps=delays,
                               signal_filter=sig, idler_filter=idl)
         cfg_pair = replace(cfg, filter=replace(sig, idler=idl))
-        assert hom._spectral_tables(cfg_pair, 96, 6.0)[0].size == 149
+        assert hom._cross_weights(cfg_pair, 96, 6.0)[0].size == 149
         ref = per_delay_reference("asymmetric", cfg, delays, signal=sig, idler=idl)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
+
+
+class TestSkewBound:
+    @pytest.mark.parametrize("shape,order", [
+        ("gaussian", 96), ("supergaussian4", 48), ("cascade", 96)])
+    def test_bounds_per_delay_imaginary_part(self, shape, order):
+        # the complex per-delay sum in extended precision, whose rounding is
+        # about eps * sum |C| (1e-15 on x86-64) against a skew of about 1e-13
+        cfg = units.default_config(shape)
+        nu, cross, baseline = hom._cross_weights(cfg, order, 6.0)
+        skew = hom._spectral_tables(cfg, order, 6.0)[3]
+        wide_nu, wide_cross = nu.astype(np.longdouble), cross.astype(np.clongdouble)
+        imag = []
+        for dt in np.linspace(-20.0, 20.0, 1204).astype(np.longdouble):
+            e = np.exp(-1j * wide_nu * dt)
+            imag.append(abs(np.sum(np.conj(e) * (e @ wide_cross.T)).imag))
+        rounding = np.finfo(np.longdouble).eps * np.sum(np.abs(cross))
+        assert 0.0 < max(imag) <= skew + rounding
+        assert skew <= QuadratureSettings().abs_tol * baseline
+
+    def test_non_hermitian_weights_raise(self, monkeypatch, fresh_tables):
+        cross_weights = hom._cross_weights
+
+        def perturbed(cfg, order, trunc):
+            # 1/2 sum |P - P^H| = 1e-9 baseline, a million times the tolerance
+            nu, cross, baseline = cross_weights(cfg, order, trunc)
+            cross = cross.copy()
+            cross[0, 1] += 0.5e-9 * baseline
+            cross[1, 0] -= 0.5e-9 * baseline
+            return nu, cross, baseline
+
+        monkeypatch.setattr(hom, "_cross_weights", perturbed)
+        with pytest.raises(hom.AccuracyError, match="imaginary-part bound"):
+            hom.dip_curve(units.default_config(), "general")
 
 
 # the config of test_raised_order_asymmetric_cascade, with a Gaussian filter

@@ -2,16 +2,40 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from homsim import hom, units
+from homsim import hom, quadrature, units
 from homsim.quadrature import (
     AccuracyError,
     Integrand1D,
     QuadratureSettings,
+    gauss_legendre,
     integrate_1d,
     _brentq,
     _CubicSpline,
 )
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x, w = gauss_legendre(37, -2.0, 3.0)
+    again = gauss_legendre(37, -2.0, 3.0)
+    assert np.array_equal(x, again[0]) and np.array_equal(w, again[1])
+    x[:] = 0.0
+    w[:] = 0.0
+    assert np.array_equal(gauss_legendre(37, -2.0, 3.0)[0], again[0])
+    assert np.array_equal(gauss_legendre(37, -2.0, 3.0)[1], again[1])
+    unit = quadrature._unit_rule(37)
+    assert all(np.array_equal(a, b) for a, b in zip(unit, leggauss(37)))
+    assert not unit[0].flags.writeable and not unit[1].flags.writeable
+    with pytest.raises(ValueError):
+        unit[0][0] = 0.0
+
+
+@pytest.mark.parametrize("order", [47, 48, 96, 149])
+def test_symmetric_interval_nodes_are_exactly_antisymmetric(order):
+    # the spectral engines fold node k onto node n - 1 - k
+    nu, w = gauss_legendre(order, -3.7, 3.7)
+    assert np.array_equal(nu, -nu[::-1]) and np.array_equal(w, w[::-1])
 
 
 def test_complex_exponential():

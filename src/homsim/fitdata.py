@@ -5,8 +5,8 @@ Two fit families:
 * :func:`fit_gaussian_dip` -- the phenomenological model
   c(dt) = B [1 - V exp(-(dt - tc)^2 / (2 w^2))] with an analytic Jacobian.
 * :func:`fit_model` -- a physics engine curve with nuisance parameters
-  (baseline, center, depth scale); the engine curve is computed once on a
-  dense grid and spline-cached, physics parameters stay fixed.
+  (baseline, center, depth scale); the engine curve is computed once on a dense
+  grid and spline-cached, the spline's derivative gives an analytic Jacobian.
 
 The optimizer is damped Gauss-Newton with a Levenberg-style schedule:
 damping x10 on a rejected step, /10 on an accepted one, starting at 1e-3.
@@ -263,11 +263,11 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
     Physics parameters are fixed by ``cfg``; the baseline B, center tc and
     depth scale s vary.  The engine rate R is evaluated once on a dense grid
     spanning the data relative to the initial center guess and
-    spline-interpolated for every candidate step; Jacobian by forward finite
-    differences (step 1e-6 * parameter scale).  The fit is marked suspicious
-    when it leaves the model: the center moves off the grid (R would be
-    extrapolated), s leaves [0, 1.05], the FWHM is not bracketed, or the grid
-    is too coarse for the engine dip (fewer than 8 knots with R < 0.5).
+    spline-interpolated, with its derivative for an analytic Jacobian, for
+    every candidate step.  The fit is marked suspicious when it leaves the
+    model: the center moves off the grid (R would be extrapolated), s leaves
+    [0, 1.05], the FWHM is not bracketed, or the grid is too coarse for the
+    engine dip (fewer than 8 knots with R < 0.5).
     """
     d, c = data.delays_ps, data.counts
     wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
@@ -290,14 +290,12 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
         return (model(p, d) - c) * wgt
 
     def jacobian(p: np.ndarray) -> np.ndarray:
-        j = np.empty((d.size, p.size))
-        r0 = residual(p)
-        for k in range(p.size):
-            h = 1e-6 * max(abs(p[k]), 1.0)
-            pk = p.copy()
-            pk[k] += h
-            j[:, k] = (residual(pk) - r0) / h
-        return j
+        b, tc, s = p
+        rate = spline(d - tc)
+        slope = np.where(rate < 0.0, 0.0, spline(d - tc, 1))  # the clip is flat
+        rate = np.clip(rate, 0.0, None)
+        return np.column_stack((1.0 - s * (1.0 - rate), -b * s * slope,
+                                -b * (1.0 - rate))) * wgt[:, None]
 
     p, cost, it, converged, cov = _levenberg(residual, jacobian, p0, max_iter=max_iter)
     b, tc, s = p

@@ -7,9 +7,9 @@ configuration and maps a whole array of delays to rates in one call:
 
 * ``general``       -- spectral double sum on a Gauss-Legendre (ns, ni) grid,
                        any filter shape, Q from the factored kernel of
-                       :mod:`homsim.jsa`.  The nodes are symmetric about 0,
-                       so each delay costs n sines and cosines and a real
-                       form of about n^2 multiply-adds on the half grid.
+                       :mod:`homsim.jsa`.  Symmetric nodes and real cross
+                       weights leave two real half-grid forms per delay, and
+                       n/2 phasors, by angle addition on a uniform axis.
 * ``asymmetric``    -- ``general`` with the signal and idler filters given
                        explicitly (required here, accepted by every engine).
 * ``supergaussian`` -- the same path for identical quartic filters on both
@@ -22,8 +22,8 @@ Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` or :func:`rate_asymmetric` is
 folded into the configuration first.  Delays run in chunks of bounded size.
 Rates are normalized to a large-delay baseline of 1; the sign of each, the
-spectral tables' bound on any delay's imaginary part and the closed form's error
-estimate are checked against the absolute tolerance before clamping at zero.
+spectral tables' rounding bound and the closed form's error estimate are
+checked against the absolute tolerance before clamping at zero.
 """
 
 from __future__ import annotations
@@ -121,10 +121,11 @@ def _cross_weights(cfg: ExperimentConfig, nu_order: int, trunc: float):
 
 @lru_cache(maxsize=16)
 def _spectral_tables(cfg: ExperimentConfig, nu_order: int, trunc: float):
-    """Nodes nu <= 0, real symmetric form M, baseline and skew = 1/2 sum |C - C^H|: as
-    nu[n-1-k] = -nu[k], Re sum C[s,i] e^{-i(ni-ns)dt} = x M x^T with x = [cos nu dt,
-    sin nu dt] on the nodes nu <= 0 and M the Hermitian part of C folded onto them,
-    and the imaginary part is at most skew at every delay, as |e^{i nu dt}| = 1."""
+    """Nodes nu <= 0, real symmetric forms rc, rs, baseline and a rounding bound.  As
+    nu[n-1-k] = -nu[k], Re sum C[s,i] e^{-i(ni-ns)dt} = c rc c^T + s rs s^T + 2 c X s^T,
+    c, s = cos, sin nu dt on nu <= 0 and rc, rs, X the Hermitian part of C folded there.
+    C is real in exact arithmetic (Q is exchange symmetric, the filters real), so X is
+    dropped, and bound = 1/2 sum |C - C^H| + 2 sum |X| covers Im and X at every delay."""
     nu, cross, baseline = _cross_weights(cfg, nu_order, trunc)
     h = (nu.size + 1) // 2
 
@@ -133,11 +134,30 @@ def _spectral_tables(cfg: ExperimentConfig, nu_order: int, trunc: float):
         return a[:, :h] + col * a[:, ::-1][:, :h]
     half = np.where(nu == 0.0, 0.5, 1.0)  # the middle node of odd n is its own mirror
     herm = 0.5 * (cross + np.conj(cross.T)) * np.outer(half, half)
-    cs = fold(herm.imag, 1, -1)
-    form = np.block([[fold(herm.real, 1, 1), cs], [cs.T, fold(herm.real, -1, -1)]])
-    form[np.abs(form) < 1e-300] = 0.0  # subnormal tails only slow BLAS
-    skew = 0.5 * float(np.sum(np.abs(cross - np.conj(cross.T))))
-    return nu[:h], form, baseline, skew
+    rc, rs = (np.where(np.abs(f) < 1e-300, 0.0, f)  # subnormal tails only slow BLAS
+              for f in (fold(herm.real, 1, 1), fold(herm.real, -1, -1)))
+    bound = (0.5 * float(np.sum(np.abs(cross - np.conj(cross.T))))
+             + 2.0 * float(np.sum(np.abs(fold(herm.imag, 1, -1)))))
+    return nu[:h], rc, rs, baseline, bound
+
+
+def _phasors(delays: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """e^{i nu dt} for every delay (rows) and node.  Within 1e-5 rad of an axis dt_0 +
+    k step, entry k = b B + j (B = ceil(sqrt n)) is the direct e^{i nu (dt_0 + b B step)}
+    times e^{i nu j step}, 2 sqrt(n) exponentials in place of n with an error flat in k,
+    times 1 - (nu r)^2 / 2 + i nu r (error < 2e-16) for r = dt - (dt_0 + k step)."""
+    n = delays.size
+    step = (delays[-1] - delays[0]) / max(n - 1, 1)
+    resid = delays - (delays[0] + np.arange(n) * step)
+    if not np.max(np.abs(resid)) * np.max(np.abs(nu)) <= 1e-5:  # also NaN: direct
+        return np.exp(1j * np.multiply.outer(delays, nu))
+    b = math.ceil(math.sqrt(n))
+    coarse = np.exp(1j * np.multiply.outer(delays[0] + np.arange(0, n, b) * step, nu))
+    fine = np.exp(1j * np.multiply.outer(np.arange(b) * step, nu))
+    out = (coarse[:, None, :] * fine).reshape(-1, nu.size)[:n]
+    x = np.multiply.outer(resid[resid != 0.0], nu)
+    out[resid != 0.0] *= 1.0 - 0.5 * x**2 + 1j * x
+    return out
 
 
 def _closed_orders(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -177,14 +197,14 @@ def _clamped(rates: np.ndarray, abs_tol: float, label: str) -> np.ndarray:
 
 def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, nu_order: int,
                     settings: QuadratureSettings, label: str) -> np.ndarray:
-    nu, form, baseline, skew = _spectral_tables(cfg, nu_order, settings.trunc_sigmas)
-    if skew > settings.abs_tol * max(abs(baseline), 1.0):
-        raise AccuracyError(f"{label}: imaginary-part bound {skew:.3e} exceeds tolerance")
+    nu, rc, rs, baseline, bound = _spectral_tables(cfg, nu_order, settings.trunc_sigmas)
+    if bound > settings.abs_tol * max(abs(baseline), 1.0):
+        raise AccuracyError(f"{label}: imaginary-part bound {bound:.3e} exceeds tolerance")
     num = np.empty(delays.size)
-    for sl in _chunks(delays.size, form.shape[0]):
-        phase = np.multiply.outer(delays[sl], nu)
-        x = np.hstack((np.cos(phase), np.sin(phase)))
-        num[sl] = baseline - np.sum(x * (x @ form), axis=1)
+    for sl in _chunks(delays.size, 2 * nu.size):
+        e = _phasors(delays[sl], nu)
+        num[sl] = (baseline - np.einsum("ij,ij->i", e.real, e.real @ rc)
+                   - np.einsum("ij,ij->i", e.imag, e.imag @ rs))
     return _clamped(num / baseline, settings.abs_tol, label)
 
 
@@ -280,10 +300,10 @@ class DipCurve:
     engine: str
 
     def __post_init__(self) -> None:
-        if not np.all(np.diff(self.delays_ps) > 0):
-            raise ValueError("delays must be strictly increasing")
-        if np.any(self.rates < 0):
-            raise ValueError("rates must be nonnegative")
+        if not (np.all(np.isfinite(self.delays_ps)) and np.all(np.diff(self.delays_ps) > 0)):
+            raise ValueError("delays must be finite and strictly increasing")
+        if not np.all(np.isfinite(self.rates) & (self.rates >= 0)):
+            raise ValueError("rates must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -308,7 +308,9 @@ class TestBatchedDelays:
         assume(abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m
                * cfg.sigma_p_rad_per_ps**2 < 1.0)
         half = max(15.0, 6.0 / cfg.sigma_0_rad_per_ps)
-        delays = np.linspace(-half, half, 21)
+        # a plain axis, and one rounded like the benchmark's parameter sweep,
+        # which the phasors take by angle addition with a residue correction
+        axes = (np.linspace(-half, half, 21), np.round(np.arange(-30, 31) * (half / 30.0), 12))
         filters = {"signal_filter": FilterSpec(shape=cfg.filter.shape, fwhm_nm=filter_fwhm),
                    "idler_filter": FilterSpec(shape=cfg.filter.shape,
                                               fwhm_nm=filter_fwhm * (1.0 + mismatch))}
@@ -317,27 +319,40 @@ class TestBatchedDelays:
                    "cascade": ("general",)}[shape] + ("asymmetric",)
         for engine in engines:
             kw = filters if engine == "asymmetric" else {}
-            rates = hom.dip_curve(cfg, engine, delays_ps=delays, **kw).rates
-            ref = per_delay_reference(engine, cfg, delays, signal=filters["signal_filter"],
-                                      idler=filters["idler_filter"])
-            assert np.max(np.abs(rates - ref)) <= 1e-12
-            assert np.max(np.abs(rates - rates[::-1])) <= 1e-12
+            for delays in axes:
+                rates = hom.dip_curve(cfg, engine, delays_ps=delays, **kw).rates
+                ref = per_delay_reference(engine, cfg, delays, signal=filters["signal_filter"],
+                                          idler=filters["idler_filter"])
+                assert np.max(np.abs(rates - ref)) <= 1e-12
+                assert np.max(np.abs(rates - rates[::-1])) <= 1e-12
 
     @pytest.mark.parametrize("order", [47, 48])
     def test_fold_of_complex_hermitian_weights(self, order, monkeypatch, fresh_tables):
         # physical cross weights are real up to rounding (Q is exchange symmetric
-        # and the filters are real), so random complex ones check the cos-sin block
+        # and the filters are real), so random weights check the fold of the real
+        # part, and an imaginary part the engine drops is covered by its bound
         rng = np.random.default_rng(order)
         nu = gauss_legendre(order, -2.0, 2.0)[0]
-        a = rng.normal(size=(order, order)) + 1j * rng.normal(size=(order, order))
-        cross = a + np.conj(a.T)
-        baseline = 2.0 * np.sum(np.abs(cross))  # keeps every rate in [0.5, 1.5]
-        monkeypatch.setattr(hom, "_cross_weights", lambda cfg, n, trunc: (nu, cross, baseline))
+        a = rng.normal(size=(order, order))
+        real, imag = a + a.T, rng.normal(size=(order, order))
+        baseline = 2.0 * np.sum(np.abs(real))  # keeps every rate in [0.5, 1.5]
         delays = np.linspace(-20.0, 20.0, 101)
-        rates = hom.dip_curve(units.default_config(), "general", delays_ps=delays).rates
         diff = nu[None, :] - nu[:, None]  # ni - ns
-        ref = [1.0 - np.sum(cross * np.exp(-1j * diff * dt)).real / baseline for dt in delays]
-        assert np.max(np.abs(rates - ref)) <= 1e-14
+        for scale in (0.0, 1e-13, 1e-9):
+            # Hermitian: the imaginary part is antisymmetric, sum |Im C| = scale * baseline
+            cross = real + 1j * scale * baseline * (imag - imag.T) / np.sum(np.abs(imag - imag.T))
+            monkeypatch.setattr(hom, "_cross_weights",
+                                lambda cfg, n, trunc, cross=cross: (nu, cross, baseline))
+            hom._spectral_tables.cache_clear()
+            if scale > QuadratureSettings().abs_tol:
+                with pytest.raises(hom.AccuracyError, match="imaginary-part bound"):
+                    hom.dip_curve(units.default_config(), "general", delays_ps=delays)
+                continue
+            rates = hom.dip_curve(units.default_config(), "general", delays_ps=delays).rates
+            bound = hom._spectral_tables(units.default_config(), hom._DEFAULT_NU_ORDER, 6.0)[4]
+            assert (bound > 0.0) == (scale > 0.0)
+            ref = [1.0 - np.sum(cross * np.exp(-1j * diff * dt)).real / baseline for dt in delays]
+            assert np.max(np.abs(rates - ref)) <= 1e-14 + bound / baseline
 
     def test_raised_order_asymmetric_cascade(self):
         # the dispersion of 15.8 km raises the order to 149 nodes per axis, at
@@ -357,23 +372,59 @@ class TestBatchedDelays:
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
 
 
+class TestPhasors:
+    @pytest.mark.parametrize("axis", ["default", "cli", "fit", "wide", "jittered", "one", "two"])
+    def test_match_extended_precision(self, axis):
+        # within a few roundings of the angle nu dt, however far along the axis
+        nu = hom._spectral_tables(units.default_config(), hom._DEFAULT_NU_ORDER, 6.0)[0]
+        delays = {
+            "default": hom.dip_curve(units.default_config(), "general").delays_ps,
+            "cli": np.round(np.arange(0, 201) * 0.15 - 15.0, 12),
+            # fit_model's grid around an initial center guess of 0.7 ps
+            "fit": np.linspace(-15.0 - 0.7 - 9.5, 15.0 - 0.7 + 9.5, 1204),
+            "wide": np.linspace(-500.0, 500.0, 5001),
+            # residues up to 1e-6 ps, where the second-order correction counts
+            "jittered": np.linspace(-20.0, 20.0, 401)
+            + np.random.default_rng(3).uniform(-1e-6, 1e-6, 401),
+            "one": np.array([3.3]),
+            "two": np.array([-1.7, 4.1]),
+        }[axis]
+        exact = np.exp(1j * np.multiply.outer(delays.astype(np.longdouble),
+                                              nu.astype(np.longdouble)))
+        bound = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.multiply.outer(delays, nu))))
+        assert np.max(np.abs(hom._phasors(delays, nu) - exact)) <= bound
+
+    @pytest.mark.parametrize("jitter", [20.0, 1e-4])
+    def test_nonuniform_axis_is_direct(self, jitter):
+        # residues of 1e-4 ps put nu r above the 1e-5 rad the correction allows
+        nu = hom._spectral_tables(units.default_config(), hom._DEFAULT_NU_ORDER, 6.0)[0]
+        delays = np.sort(np.linspace(-20.0, 20.0, 300)
+                         + np.random.default_rng(11).uniform(-jitter, jitter, 300))
+        assert np.array_equal(hom._phasors(delays, nu), np.exp(1j * np.multiply.outer(delays, nu)))
+
+
 class TestSkewBound:
     @pytest.mark.parametrize("shape,order", [
         ("gaussian", 96), ("supergaussian4", 48), ("cascade", 96)])
     def test_bounds_per_delay_imaginary_part(self, shape, order):
         # the complex per-delay sum in extended precision, whose rounding is
-        # about eps * sum |C| (1e-15 on x86-64) against a skew of about 1e-13
+        # about eps * sum |C| (1e-15 on x86-64) against a bound of about 1e-13:
+        # the bound covers its imaginary part plus the real part the dropped
+        # cos-sin block carries, sum Im(H) sin((ni - ns) dt) with H = (C + C^H) / 2
         cfg = units.default_config(shape)
         nu, cross, baseline = hom._cross_weights(cfg, order, 6.0)
-        skew = hom._spectral_tables(cfg, order, 6.0)[3]
+        bound = hom._spectral_tables(cfg, order, 6.0)[4]
         wide_nu, wide_cross = nu.astype(np.longdouble), cross.astype(np.clongdouble)
-        imag = []
+        herm_imag = (0.5 * (cross.imag - cross.imag.T)).astype(np.longdouble)
+        imag, dropped = [], []
         for dt in np.linspace(-20.0, 20.0, 1204).astype(np.longdouble):
             e = np.exp(-1j * wide_nu * dt)
             imag.append(abs(np.sum(np.conj(e) * (e @ wide_cross.T)).imag))
+            dropped.append(abs(np.sum(np.conj(e) * (e @ herm_imag.T)).imag))
         rounding = np.finfo(np.longdouble).eps * np.sum(np.abs(cross))
-        assert 0.0 < max(imag) <= skew + rounding
-        assert skew <= QuadratureSettings().abs_tol * baseline
+        assert 0.0 < max(imag) <= bound + rounding
+        assert np.max(np.add(imag, dropped)) <= bound + rounding
+        assert bound <= QuadratureSettings().abs_tol * baseline
 
     def test_non_hermitian_weights_raise(self, monkeypatch, fresh_tables):
         cross_weights = hom._cross_weights
@@ -464,6 +515,21 @@ class TestDipMetrics:
         metrics = hom.dip_metrics(curve)
         assert metrics.visibility == pytest.approx(0.9, rel=1e-6)
         assert metrics.fwhm_ps == pytest.approx(2 * tau0 * math.sqrt(2 * math.log(2)), rel=1e-6)
+
+    @pytest.mark.parametrize("where", ["edge_rate", "inner_rate", "delay"])
+    def test_non_finite_curve_rejected(self, where):
+        # a NaN edge rate once surfaced as "dip minimum lies inside the baseline
+        # margin", and a non-finite value inside as the spline's complaint
+        delays = np.linspace(-10.0, 10.0, 101)
+        rates = 1.0 - 0.9 * np.exp(-(delays**2) / 8.0)
+        if where == "edge_rate":
+            rates[0] = np.nan
+        elif where == "inner_rate":
+            rates[40] = np.inf
+        else:
+            delays[-1] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            hom.DipCurve(delays_ps=delays, rates=rates, engine="test")
 
     def test_unbracketed_dip_raises(self):
         delays = np.linspace(0, 5, 51)

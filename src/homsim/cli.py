@@ -9,7 +9,7 @@ Subcommands::
 
 Configuration comes from a single JSON document with laboratory-unit field
 names; command-line flags override config fields.  Every command writes a
-manifest JSON next to its outputs recording engine, settings and, under
+manifest JSON next to its outputs recording engine, the quadrature that ran and, under
 ``config``, the laboratory-unit parameters exactly as the run passed them to
 ``build_config`` (plus a ``derived`` block in internal units), so feeding
 that record back through ``--config`` reproduces byte-identical output.
@@ -36,7 +36,7 @@ from .hom import (AnalysisError, dip_curve, dip_metrics, metrics_to_json,
 from .imperfections import (SpatialGeometry, solve_angle_for_overlap,
                             spatial_overlap)
 from .jsa import jsa_grid, write_grid_csv
-from .quadrature import AccuracyError, QuadratureSettings
+from .quadrature import AccuracyError
 from .units import REFERENCE_PARAMS, ExperimentConfig, FilterShape, build_config
 
 EXIT_OK = 0
@@ -131,17 +131,14 @@ def cmd_dip(args) -> int:
     delays = np.round(np.arange(
         0, int(round((args.delay_max - args.delay_min) / args.delay_step)) + 1
     ) * args.delay_step + args.delay_min, 12)
-    settings = QuadratureSettings()
-    curve = dip_curve(cfg, engine=args.engine, delays_ps=delays, settings=settings)
+    curve = dip_curve(cfg, engine=args.engine, delays_ps=delays)
     metrics = dip_metrics(curve)
     write_curve_csv(curve, args.out)
     _write_manifest(args.out, "dip", record, {
         "engine": args.engine,
         "filter_mismatch": args.filter_mismatch,
         "delay_range_ps": [args.delay_min, args.delay_max, args.delay_step],
-        "quadrature": {"rel_tol": settings.rel_tol, "abs_tol": settings.abs_tol,
-                       "gl_order": settings.gl_order,
-                       "trunc_sigmas": settings.trunc_sigmas},
+        "quadrature": curve.quadrature,
     }, time.perf_counter() - t0)
     print(metrics_to_json(metrics))
     return EXIT_OK

@@ -5,15 +5,14 @@ R(dt) = 1 - Re sum F(s,i) F*(i,s) e^{-i(ni-ns)dt} / sum |F(s,i)|^2.  The delay
 enters only through the last factor, so each engine caches its tables per
 configuration and maps a whole array of delays to rates in one call:
 
-* ``general``       -- spectral double sum on a Gauss-Legendre (ns, ni) grid,
-                       any filter shape, Q from the factored kernel of
-                       :mod:`homsim.jsa`.  Symmetric nodes and real cross
-                       weights leave two real half-grid forms per delay, and
-                       n/2 phasors, by angle addition on a uniform axis.
+* ``general``       -- spectral double sum on a uniform (ns, ni) trapezoid grid,
+                       any filter shape, Q from the kernel of :mod:`homsim.jsa`:
+                       one cosine series in (ni - ns) dt, its order doubled from
+                       96 until the nested rule on the even nodes agrees.
 * ``asymmetric``    -- ``general`` with the signal and idler filters given
                        explicitly (required here, accepted by every engine).
 * ``supergaussian`` -- the same path for identical quartic filters on both
-                       arms, at ``settings.gl_order`` nodes per axis.
+                       arms, its search starting at ``settings.gl_order``.
 * ``gaussian``      -- the closed form for identical Gaussian filters, as a 1-D
                        integral over the lag D = z1 - z2 of I(D; dt) A(D), with
                        A the autocorrelation of G(z) over the fiber.
@@ -21,21 +20,21 @@ configuration and maps a whole array of delays to rates in one call:
 Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` or :func:`rate_asymmetric` is
 folded into the configuration first.  Delays run in chunks of bounded size.
-Rates are normalized to a large-delay baseline of 1; the sign of each, the
-spectral tables' rounding bound and the closed form's error estimate are
-checked against the absolute tolerance before clamping at zero.
+Rates are normalized to a large-delay baseline of 1.  Every engine checks an
+embedded error estimate against abs_tol + 10 kappa eps (kappa: the cancellation
+of its sum), and each rate's sign against abs_tol before clamping at zero.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .jsa import _Z_ORDER, _chunks, _g_function, _q_factored, _write_csv
+from .jsa import _Z_ORDER, _chunks, _g_function, _h_values, _write_csv
 from .quadrature import (AccuracyError, QuadratureSettings, _brentq, _CubicSpline,
                          gauss_legendre)
 from .units import ExperimentConfig, FilterShape, FilterSpec
@@ -55,9 +54,10 @@ __all__ = [
     "metrics_to_json",
 ]
 
-_DEFAULT_NU_ORDER = 96   # Gauss-Legendre points per frequency axis (general engine)
+_DEFAULT_NU_ORDER = 96   # first trapezoid order n per frequency axis (general engine)
+_MAX_NU_ORDER = 2048     # largest order the spectral engines' search tries
 _BASELINE_FRACTION = 0.1
-_ROUNDING_FACTOR = 10.0  # c of the closed engine's tolerance abs_tol + c kappa eps
+_ROUNDING_FACTOR = 10.0  # c of the engines' error tolerance abs_tol + c kappa eps
 
 
 class AnalysisError(RuntimeError):
@@ -86,59 +86,60 @@ def _nu_halfwidth(spec: FilterSpec, cfg: ExperimentConfig, trunc: float) -> floa
     return trunc * max(scale, cfg.sigma_p_rad_per_ps / 3.0)
 
 
-def _check_oscillation_bound(cfg: ExperimentConfig, nu_half: float, order: int) -> int:
-    """Cap the per-axis order against the dispersion-phase oscillation scale.
-
-    The phase exp(-i (beta2/4)(ns-ni)^2 (z1-z2)) accumulates at most
-    beta2 * L * (2 nu_half)^2 / 4 radians across the box; the rule needs a
-    few points per cycle.  Returns a (possibly raised) order.
-    """
-    cycles = abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m * (2.0 * nu_half) ** 2 / 4.0 / (2.0 * math.pi)
-    needed = int(math.ceil(8.0 * max(cycles, 1.0)))
-    if needed > max(order, 2048):
-        raise AccuracyError(f"dispersion phase oscillates over {cycles:.1f} cycles; "
-                            "fixed-order rule infeasible")
-    return max(order, needed)
-
-
 def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> None:
     if cfg.filter.shape is not shape or cfg.filter.idler is not None:
         raise ValueError(f"{label} requires identical {shape.value} filters on both arms")
 
 
-def _cross_weights(cfg: ExperimentConfig, nu_order: int, trunc: float):
-    """Node vector nu, cross weights C = F(s,i) F*(i,s) w_s w_i, and sum |F|^2 w_s w_i,
-    with the signal arm filtered by ``cfg.filter`` and the idler by its override."""
+@lru_cache(maxsize=32)
+def _spectral_tables(cfg: ExperimentConfig, n: int, trunc: float):
+    """Cosine series of the rates on the endpoint trapezoid rule of n intervals in nu,
+    and on its nested rule over the even nodes.  On nu_k = (k - n/2) step the cross
+    weights C = F(s,i) F*(i,s) w_s w_i = pump(s + i) |H(((s - i) step)^2)|^2 p_s p_i,
+    p = f_s f_i w, are real and symmetric, so R(dt) = 1 - sum_m c_m cos(m step dt),
+    c_m the sum of C over |s - i| = m over the baseline sum |F|^2 w_s w_i.  Returns
+    step, both rules' c_m laid out for _cosine_sums, and kappa = sum |c_m|."""
     signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
     half = max(_nu_halfwidth(signal, cfg, trunc), _nu_halfwidth(idler, cfg, trunc))
-    nu_order = _check_oscillation_bound(cfg, half, nu_order)
-    nu, w = gauss_legendre(nu_order, -half, half)
-    f_mat = (_q_factored(nu[:, None] + nu[None, :], (nu[:, None] - nu[None, :]) ** 2, cfg)
-             * np.outer(filter_amplitude(signal, nu, cfg), filter_amplitude(idler, nu, cfg)))
-    w2 = np.outer(w, w)
-    return nu, f_mat * np.conj(f_mat.T) * w2, float(np.sum(np.abs(f_mat) ** 2 * w2))
+    step = 2.0 * half / n
+    k = np.arange(n + 1)
+    fs, fi = (filter_amplitude(spec, (k - n / 2) * step, cfg) for spec in (signal, idler))
+    w = np.where((k == 0) | (k == n), 0.5, 1.0)  # step and pi sigma_p^2 cancel
+
+    def window(v):  # [s, m] = v[s + m], 0 past the end
+        return np.lib.stride_tricks.sliding_window_view(np.concatenate([v, np.zeros(n)]), n + 1)
+    pump = window(np.exp(-((np.arange(2 * n + 1) - n) * step) ** 2
+                         / (2.0 * cfg.sigma_p_rad_per_ps**2)))[::2]  # [s, m]: at s + i = 2s + m
+    # one-sided diagonal sums D[m] = sum_s pump(2s + m) x_s y_(s+m) of (x, y) = (p, p), and of
+    # (v_s, v_i), v = f^2 w, for the baseline of different arms; as the filters and grid are
+    # even in nu, the sums below the diagonal equal those above
+    p = fs * fi * w
+    pairs = [(p, p)] if np.array_equal(fs, fi) else [(p, p), (fs**2 * w, fi**2 * w)]
+    diag = np.zeros((len(pairs), 2, n + 1))  # both rules
+    for sl in _chunks(n + 1, 4 * (n + 1)):
+        even = slice(sl.start % 2, None, 2)  # the nested rule's rows; its weights are
+        for d, (x, y) in zip(diag, pairs):  # 2 w, a factor 4 that cancels
+            prod = window(y)[sl] * pump[sl]
+            d[0] += x[sl] @ prod
+            d[1, ::2] += x[sl][even] @ prod[even, ::2]
+    sums = diag * np.abs(_h_values((k * step) ** 2, cfg)) ** 2 * np.where(k == 0, 1.0, 2.0)
+    coef = sums[0] / sums[-1].sum(1)[:, None]
+    coef[np.abs(coef) < 1e-300] = 0.0  # subnormal tails only slow BLAS
+    m = math.ceil(math.sqrt(n + 1))  # complex like the phasors: no conversion per call
+    packed = np.pad(coef, ((0, 0), (0, -(n + 1) % m))).astype(complex)
+    return step, packed.reshape(-1, m).T, float(np.sum(np.abs(coef[0])))
 
 
-@lru_cache(maxsize=16)
-def _spectral_tables(cfg: ExperimentConfig, nu_order: int, trunc: float):
-    """Nodes nu <= 0, real symmetric forms rc, rs, baseline and a rounding bound.  As
-    nu[n-1-k] = -nu[k], Re sum C[s,i] e^{-i(ni-ns)dt} = c rc c^T + s rs s^T + 2 c X s^T,
-    c, s = cos, sin nu dt on nu <= 0 and rc, rs, X the Hermitian part of C folded there.
-    C is real in exact arithmetic (Q is exchange symmetric, the filters real), so X is
-    dropped, and bound = 1/2 sum |C - C^H| + 2 sum |X| covers Im and X at every delay."""
-    nu, cross, baseline = _cross_weights(cfg, nu_order, trunc)
-    h = (nu.size + 1) // 2
-
-    def fold(a, row, col):  # node n-1-k added to (1) or taken from (-1) node k < h
-        a = a[:h] + row * a[::-1][:h]
-        return a[:, :h] + col * a[:, ::-1][:, :h]
-    half = np.where(nu == 0.0, 0.5, 1.0)  # the middle node of odd n is its own mirror
-    herm = 0.5 * (cross + np.conj(cross.T)) * np.outer(half, half)
-    rc, rs = (np.where(np.abs(f) < 1e-300, 0.0, f)  # subnormal tails only slow BLAS
-              for f in (fold(herm.real, 1, 1), fold(herm.real, -1, -1)))
-    bound = (0.5 * float(np.sum(np.abs(cross - np.conj(cross.T))))
-             + 2.0 * float(np.sum(np.abs(fold(herm.imag, 1, -1)))))
-    return nu[:h], rc, rs, baseline, bound
+def _cosine_sums(delays: np.ndarray, step: float, coef: np.ndarray) -> np.ndarray:
+    """Rates 1 - sum_m c_m cos(m step dt) of both rules (columns) at every delay: with
+    m = a M + b, cos(m step dt) = Re e^{i a M step dt} e^{i b step dt}, M + A phasors."""
+    m, a = coef.shape[0], coef.shape[1] // 2
+    out = np.empty((delays.size, 2))
+    for sl in _chunks(delays.size, 2 * a):
+        inner = (_phasors(delays[sl], np.arange(m) * step) @ coef).reshape(-1, 2, a)
+        outer = _phasors(delays[sl], np.arange(a) * (m * step))
+        out[sl] = 1.0 - np.einsum("ik,ijk->ij", outer, inner).real
+    return out
 
 
 def _phasors(delays: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -195,25 +196,37 @@ def _clamped(rates: np.ndarray, abs_tol: float, label: str) -> np.ndarray:
     return np.maximum(rates, 0.0)
 
 
-def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, nu_order: int,
-                    settings: QuadratureSettings, label: str) -> np.ndarray:
-    nu, rc, rs, baseline, bound = _spectral_tables(cfg, nu_order, settings.trunc_sigmas)
-    if bound > settings.abs_tol * max(abs(baseline), 1.0):
-        raise AccuracyError(f"{label}: imaginary-part bound {bound:.3e} exceeds tolerance")
-    num = np.empty(delays.size)
-    for sl in _chunks(delays.size, 2 * nu.size):
-        e = _phasors(delays[sl], nu)
-        num[sl] = (baseline - np.einsum("ij,ij->i", e.real, e.real @ rc)
-                   - np.einsum("ij,ij->i", e.imag, e.imag @ rs))
-    return _clamped(num / baseline, settings.abs_tol, label)
+def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, order: int,
+                    settings: QuadratureSettings, label: str) -> tuple[np.ndarray, dict]:
+    """Rates at the first n = order, 2 order, ... (even) whose nested estimate |R_n - R_n/2|
+    meets abs_tol + c kappa eps at the end and middle delays (aliasing starts there), then all."""
+    n, estimate = order + order % 2, math.inf
+    probe = delays[[0, delays.size // 2, -1]] if delays.size else delays
+    while n <= _MAX_NU_ORDER:
+        step, coef, kappa = _spectral_tables(cfg, n, settings.trunc_sigmas)
+        tol = settings.abs_tol + _ROUNDING_FACTOR * kappa * np.finfo(float).eps
+        for points in (probe, delays):
+            rates = _cosine_sums(points, step, coef)
+            estimate = float(np.max(np.abs(rates[:, 0] - rates[:, 1]), initial=0.0))
+            if estimate > tol:
+                break
+        else:
+            return _clamped(rates[:, 0], settings.abs_tol, label), {
+                "nu_order": n, "nu_halfwidth": step * n / 2, "error_estimate": estimate,
+                "kappa": kappa, "abs_tol": settings.abs_tol}
+        n *= 2
+    raise AccuracyError(f"{label}: error estimate {estimate:.3e} exceeds tolerance "
+                        f"at every nu order up to {_MAX_NU_ORDER}")
 
 
 def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
-                  settings: QuadratureSettings) -> np.ndarray:
+                  settings: QuadratureSettings) -> tuple[np.ndarray, dict]:
     label = "gaussian closed-form engine"
     tables = [_lag_tables(cfg, order) for order in _closed_orders(cfg)]
     rates = np.empty((2, delays.size))
-    for sl in _chunks(delays.size, tables[0][0].size):
+    # 8 temporaries of one lag row per delay, each at most 2^14 elements: under glibc's
+    # default mmap threshold (128 KB), so they are reused, not mapped and faulted anew
+    for sl in _chunks(delays.size, 8 * tables[0][0].size):
         t2 = delays[sl, None] ** 2
         for row, (k, a, baseline) in zip(rates, tables):
             # 2 Re sum k (1 - e^{t2 a}): the lags -D add the complex conjugate
@@ -228,14 +241,16 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
     if estimate > settings.abs_tol + _ROUNDING_FACTOR * kappa * np.finfo(float).eps:
         raise AccuracyError(f"{label}: error estimate {estimate:.3e} exceeds tolerance "
                             f"(kappa = {kappa:.3e})")
-    return _clamped(rates[0], settings.abs_tol, label)
+    return _clamped(rates[0], settings.abs_tol, label), {
+        "lag_orders": [t[0].size for t in tables], "error_estimate": estimate,
+        "kappa": kappa, "abs_tol": settings.abs_tol}
 
 
 def _rates(cfg: ExperimentConfig, engine: str, delays: np.ndarray,
            settings: QuadratureSettings | None = None,
            signal_filter: FilterSpec | None = None,
-           idler_filter: FilterSpec | None = None) -> np.ndarray:
-    """Rates of ``engine`` at every delay: the one entry point of the engines.
+           idler_filter: FilterSpec | None = None) -> tuple[np.ndarray, dict]:
+    """Rates of ``engine`` at every delay and the quadrature run: the engines' one entry.
 
     Explicit filters, given as a pair, replace the arms of ``cfg`` for every
     engine; ``asymmetric`` is ``general`` with the pair required.  The
@@ -265,7 +280,7 @@ def rate_general(delta_tau: float, cfg: ExperimentConfig,
                  settings: QuadratureSettings | None = None) -> float:
     """Normalized rate from the spectral integral for any filter shape; the arms
     use ``cfg.filter`` and its idler override, if any (then it is asymmetric)."""
-    return float(_rates(cfg, "general", np.array([delta_tau], dtype=float), settings)[0])
+    return float(_rates(cfg, "general", np.array([delta_tau], dtype=float), settings)[0][0])
 
 
 def rate_asymmetric(delta_tau: float, cfg: ExperimentConfig,
@@ -274,30 +289,31 @@ def rate_asymmetric(delta_tau: float, cfg: ExperimentConfig,
     """Normalized rate of the ``general`` engine with the arms of ``cfg`` replaced
     by ``signal_filter`` and ``idler_filter`` (identical or not)."""
     return float(_rates(cfg, "asymmetric", np.array([delta_tau], dtype=float), settings,
-                        signal_filter, idler_filter)[0])
+                        signal_filter, idler_filter)[0][0])
 
 
 def rate_gaussian_closed(delta_tau: float, cfg: ExperimentConfig,
                          settings: QuadratureSettings | None = None) -> float:
     """Normalized rate from the Gaussian-filter closed form (lag integral)."""
-    return float(_rates(cfg, "gaussian", np.array([delta_tau], dtype=float), settings)[0])
+    return float(_rates(cfg, "gaussian", np.array([delta_tau], dtype=float), settings)[0][0])
 
 
 def rate_supergaussian(delta_tau: float, cfg: ExperimentConfig,
                        settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate for identical quartic filters on both arms (any other
-    filter configuration is rejected): the spectral path at ``settings.gl_order``."""
+    """Normalized rate for identical quartic filters on both arms (any other filter
+    configuration is rejected): the spectral path from order ``settings.gl_order``."""
     return float(_rates(cfg, "supergaussian", np.array([delta_tau], dtype=float),
-                        settings)[0])
+                        settings)[0][0])
 
 
 @dataclass(frozen=True)
 class DipCurve:
-    """Sampled coincidence rate versus delay, baseline-normalized."""
+    """Sampled coincidence rate versus delay, baseline-normalized, and the quadrature run."""
 
     delays_ps: np.ndarray
     rates: np.ndarray
     engine: str
+    quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not (np.all(np.isfinite(self.delays_ps)) and np.all(np.diff(self.delays_ps) > 0)):
@@ -324,8 +340,8 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     if delays_ps is None:
         delays_ps = np.round(np.arange(-150, 151) * 0.1, 10)
     delays_ps = np.asarray(delays_ps, dtype=float)
-    rates = _rates(cfg, engine, delays_ps, settings, signal_filter, idler_filter)
-    return DipCurve(delays_ps=delays_ps, rates=rates, engine=engine)
+    rates, quadrature = _rates(cfg, engine, delays_ps, settings, signal_filter, idler_filter)
+    return DipCurve(delays_ps=delays_ps, rates=rates, engine=engine, quadrature=quadrature)
 
 
 def dip_metrics(curve: DipCurve) -> DipMetrics:

@@ -98,25 +98,27 @@ def _chunks(n: int, per_item: int):
     return [slice(k, k + step) for k in range(0, n, step)]
 
 
-def _q_factored(s: np.ndarray, w: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """Pair amplitude Q at s = nu_s + nu_i and w = (nu_s - nu_i)^2 (same shapes).
-
-    Phi factors exactly: Q = sqrt(pi) sigma_p e^{-s^2 / (4 sigma_p^2)} H(w) with
-    H(w) = sum_z zw G(z) e^{-i beta2 w z / 4}, so the z sum runs once per
-    distinct w, in chunks of bounded size.
-    """
+def _h_values(w: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """H(w) = sum_z zw G(z) e^{-i beta2 w z / 4} at each w of a 1-D array, in chunks."""
     z, zw = gauss_legendre(_Z_ORDER, -cfg.fiber.length_m, 0.0)
     gz = _g_function(z, cfg) * zw
     g2 = np.stack([gz.real, gz.imag], axis=1)
     kz = -0.25 * cfg.fiber.beta2_ps2_per_m * z
-    wu, inverse = np.unique(w, return_inverse=True)
-    h = np.empty(wu.size, dtype=complex)
-    for sl in _chunks(wu.size, z.size):
-        phase = np.multiply.outer(wu[sl], kz)
+    h = np.empty(w.size, dtype=complex)
+    for sl in _chunks(w.size, z.size):
+        phase = np.multiply.outer(w[sl], kz)
         c, si = np.cos(phase) @ g2, np.sin(phase) @ g2
         h[sl] = (c[:, 0] - si[:, 1]) + 1j * (c[:, 1] + si[:, 0])
+    return h
+
+
+def _q_factored(s: np.ndarray, w: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Pair amplitude Q at s = nu_s + nu_i and w = (nu_s - nu_i)^2 (same shapes): Phi
+    factors exactly, Q = sqrt(pi) sigma_p e^{-s^2 / (4 sigma_p^2)} H(w), H once per w."""
+    wu, inverse = np.unique(w, return_inverse=True)
     sp = cfg.sigma_p_rad_per_ps
-    return math.sqrt(math.pi) * sp * np.exp(-s**2 / (4.0 * sp**2)) * h[inverse].reshape(w.shape)
+    return (math.sqrt(math.pi) * sp * np.exp(-s**2 / (4.0 * sp**2))
+            * _h_values(wu, cfg)[inverse].reshape(w.shape))
 
 
 def phi_oracle(
@@ -202,10 +204,10 @@ def jsa_grid(cfg: ExperimentConfig, n_points: int = 65, span: float = 3.0) -> Am
         raise ValueError("n_points must be >= 2")
     half = span * cfg.sigma_0_rad_per_ps
     axis = np.linspace(-half, half, n_points)
-    # on the uniform axis nu_s - nu_i = (i - j) * step, so w takes n_points values
-    k = np.arange(n_points)
-    w = ((k[:, None] - k[None, :]) * (2.0 * half / (n_points - 1))) ** 2
-    q = _q_factored(axis[:, None] + axis[None, :], w, cfg)
+    # on the uniform axis nu_s - nu_i = (i - j) * step, so H takes n_points values
+    k, sp = np.arange(n_points), cfg.sigma_p_rad_per_ps
+    q = (math.sqrt(math.pi) * sp * np.exp(-(axis[:, None] + axis) ** 2 / (4.0 * sp**2))
+         * _h_values((k * (2.0 * half / (n_points - 1))) ** 2, cfg)[np.abs(k[:, None] - k)])
     peak = np.max(np.abs(q))
     if peak > 0:
         q = q / peak

@@ -74,7 +74,7 @@ class QuadratureSettings:
     rel_tol: float = 1e-7
     abs_tol: float = 1e-12
     max_subdivisions: int = 1000
-    gl_order: int = 48              # nu-nodes per axis of the supergaussian engine
+    gl_order: int = 48              # start order of the supergaussian engine's nu search
     trunc_sigmas: float = 6.0       # Gaussian-tail truncation multiplier (used upstream)
 
     def __post_init__(self) -> None:

@@ -96,8 +96,25 @@ class TestDipCommand:
                     "--out", str(out)]) == 0
         man = json.loads((tmp_path / "curve.manifest.json").read_text())
         assert man["engine"] == "gaussian"
-        assert "rel_tol" in man["quadrature"]
         assert man["supergaussian_calibration"] == "half-power-at-configured-fwhm"
+        quad = man["quadrature"]
+        assert quad["lag_orders"] == [64, 48] and quad["kappa"] >= 1.0
+        assert 0.0 <= quad["error_estimate"] <= quad["abs_tol"] == 1e-12
+
+    @pytest.mark.parametrize("engine,shape", [("general", "cascade"),
+                                              ("supergaussian", "supergaussian4")])
+    def test_manifest_records_spectral_order_and_estimate(self, tmp_path, engine, shape):
+        # the orders the search settled on, not the settings' echo: the CLI's
+        # supergaussian engine starts at gl_order 48 and needs 96
+        out = tmp_path / "curve.csv"
+        assert run(["dip", "--engine", engine, "--filter-shape", shape,
+                    "--out", str(out)]) == 0
+        quad = json.loads((tmp_path / "curve.manifest.json").read_text())["quadrature"]
+        assert {"rel_tol", "gl_order", "trunc_sigmas"}.isdisjoint(quad)
+        assert quad["nu_order"] == {"general": 192, "supergaussian": 96}[engine]
+        assert 0.0 <= quad["error_estimate"] <= quad["abs_tol"]
+        # identical arms make every cross weight nonnegative: no cancellation
+        assert quad["kappa"] == pytest.approx(1.0, abs=1e-12) and quad["nu_halfwidth"] > 0.0
 
     def test_repeat_runs_write_identical_output(self, tmp_path):
         outs = [tmp_path / "c1.csv", tmp_path / "c2.csv"]

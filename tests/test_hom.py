@@ -1,6 +1,7 @@
 import csv
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -161,8 +162,9 @@ class TestSuperGaussian:
         assert sg.fwhm_ps > g.fwhm_ps
 
     def test_factored_matches_direct_4d(self, cfg_sg):
-        # the shared spectral tables (factored kernel, z-sum folded into H)
-        # must equal the plain 4-D tensor rule on the same nodes: rebuild
+        # the spectral tables (factored kernel, z-sum folded into H, cross weights
+        # summed over their diagonals) must equal the plain 4-D tensor rule on the
+        # same trapezoid nodes, and on the nested rule's even nodes: rebuild
         # numerator and baseline from the raw integrand
         from homsim.jsa import _Z_ORDER, _g_function
 
@@ -170,14 +172,15 @@ class TestSuperGaussian:
         trunc = 6.0
         spec = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4, fwhm_nm=cfg_sg.filter.fwhm_nm)
         half = hom._nu_halfwidth(spec, cfg_sg, trunc)
-        nu, w = gauss_legendre(order, -half, half)
         z, zw = gauss_legendre(_Z_ORDER, -cfg_sg.fiber.length_m, 0.0)
         b2 = cfg_sg.fiber.beta2_ps2_per_m
         ssg = cfg_sg.sigma_sg_rad_per_ps
         sp = cfg_sg.sigma_p_rad_per_ps
         gz = _g_function(z, cfg_sg)
 
-        def direct(dt, bracket):
+        def direct(nu, dt, bracket):
+            w = np.full(nu.size, nu[1] - nu[0])
+            w[[0, -1]] *= 0.5
             Z1 = z[:, None, None, None]
             Z2 = z[None, :, None, None]
             NS = nu[None, None, :, None]
@@ -192,12 +195,13 @@ class TestSuperGaussian:
                 vals = np.tensordot(vals, wt, axes=([dim], [0]))
             return complex(vals)
 
-        direct_rate = direct(3.0, True).real / direct(0.0, False).real
-        nodes, cross, baseline = hom._cross_weights(cfg_sg, order, trunc)
-        assert np.array_equal(nodes, nu)
-        diff = nodes[None, :] - nodes[:, None]
-        engine_rate = (baseline - np.sum(cross * np.exp(-1j * diff * 3.0))).real / baseline
-        assert engine_rate == pytest.approx(direct_rate, rel=1e-10)
+        nu = np.linspace(-half, half, order + 1)
+        step, coef, _ = hom._spectral_tables(cfg_sg, order, trunc)
+        assert step == pytest.approx(nu[1] - nu[0], rel=1e-14)
+        engine_rates = hom._cosine_sums(np.array([3.0]), step, coef)[0]
+        for rate, nodes in zip(engine_rates, (nu, nu[::2])):
+            direct_rate = direct(nodes, 3.0, True).real / direct(nodes, 0.0, False).real
+            assert rate == pytest.approx(direct_rate, rel=1e-10)
 
 
 def g_phase_cycles(cfg):
@@ -225,20 +229,45 @@ def closed_double_sum(cfg, delays):
     return np.maximum(np.real(num) / np.sum(k).real, 0.0)
 
 
-def per_delay_reference(engine, cfg, delays, signal=None, idler=None, gl_order=48):
-    """One sum per delay: the closed engine's (z1, z2) double sum, or the complex
-    spectral double sum over the engine's unfolded cross weights, the formula the
-    scalar engines evaluated before delays were batched."""
+@lru_cache(maxsize=4)
+def gl_cross_weights(cfg, order):
+    """Nodes nu, complex cross weights C = F(s,i) F*(i,s) w_s w_i and the baseline
+    sum |F|^2 w_s w_i on a Gauss-Legendre grid of ``order`` nodes per axis over the
+    spectral engines' box: a rule independent of theirs."""
+    signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
+    half = max(hom._nu_halfwidth(signal, cfg, 6.0), hom._nu_halfwidth(idler, cfg, 6.0))
+    nu, w = gauss_legendre(order, -half, half)
+    arms = [hom.filter_amplitude(spec, nu, cfg) for spec in (signal, idler)]
+    f_mat = (jsa._q_factored(nu[:, None] + nu[None, :], (nu[:, None] - nu[None, :]) ** 2, cfg)
+             * np.outer(*arms))
+    w2 = np.outer(w, w)
+    return nu, f_mat * np.conj(f_mat.T) * w2, float(np.sum(np.abs(f_mat) ** 2 * w2))
+
+
+def spectral_oracle(cfg, delays):
+    """The complex double sum 1 - Re sum C(s,i) e^{-i(ni-ns)dt} / baseline on
+    Gauss-Legendre grids of 192, 384 and 768 nodes per axis, returned once two
+    successive orders agree within 1e-14 at every delay.  With e = e^{-i nu dt}
+    each delay's sum is conj(e) . (C e): n exponentials per delay."""
+    previous = None
+    for order in (192, 384, 768):
+        nu, cross, base = gl_cross_weights(cfg, order)
+        e = np.exp(-1j * np.multiply.outer(np.asarray(delays, dtype=float), nu))
+        rates = 1.0 - np.einsum("ij,ij->i", np.conj(e), e @ cross.T).real / base
+        if previous is not None and np.max(np.abs(rates - previous)) <= 1e-14:
+            return np.maximum(rates, 0.0)
+        previous = rates
+    raise AssertionError("the Gauss-Legendre oracle did not converge by 768 nodes")
+
+
+def per_delay_reference(engine, cfg, delays, signal=None, idler=None):
+    """One sum per delay: the closed engine's (z1, z2) double sum, or the converged
+    complex spectral double sum of :func:`spectral_oracle`."""
     if engine == "gaussian":
         return closed_double_sum(cfg, delays)
-    quad = QuadratureSettings()
     if engine == "asymmetric":
         cfg = replace(cfg, filter=replace(signal, idler=idler))
-    order = gl_order if engine == "supergaussian" else hom._DEFAULT_NU_ORDER
-    nu, cross, base = hom._cross_weights(cfg, order, quad.trunc_sigmas)
-    diff = nu[None, :] - nu[:, None]  # ni - ns
-    num = [base - np.sum(cross * np.exp(-1j * diff * dt)) for dt in delays]
-    return np.maximum(np.real(num) / base, 0.0)
+    return spectral_oracle(cfg, delays)
 
 
 _SIG = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.8)
@@ -247,7 +276,7 @@ _IDL = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.88)
 
 @pytest.fixture
 def fresh_tables():
-    """An empty spectral-table cache, before and after a test that patches its input."""
+    """An empty spectral-table cache before and after the test."""
     hom._spectral_tables.cache_clear()
     yield
     hom._spectral_tables.cache_clear()
@@ -279,15 +308,19 @@ class TestBatchedDelays:
 
     @pytest.mark.parametrize("axis", ["default", "multichunk"])
     def test_odd_order_matches_per_delay_sum(self, axis):
-        # 47 nodes per axis: the fold keeps the nu = 0 middle node once
+        # an odd start order of 47 rounds up to the even 48 the nested rule needs
         cfg = units.default_config("supergaussian4")
         delays = None if axis == "default" else np.linspace(-20.0, 20.0,
                                                             jsa._CHUNK_ELEMENTS // 48 + 3)
         curve = hom.dip_curve(cfg, "supergaussian", delays_ps=delays,
                               settings=QuadratureSettings(gl_order=47))
+        even = hom.dip_curve(cfg, "supergaussian", delays_ps=delays,
+                             settings=QuadratureSettings(gl_order=48))
+        assert np.array_equal(curve.rates, even.rates)
+        assert curve.quadrature == even.quadrature and curve.quadrature["nu_order"] % 48 == 0
         idx = np.unique(np.r_[0:curve.delays_ps.size:37 if delays is not None else 1,
                               curve.delays_ps.size - 1])
-        ref = per_delay_reference("supergaussian", cfg, curve.delays_ps[idx], gl_order=47)
+        ref = per_delay_reference("supergaussian", cfg, curve.delays_ps[idx])
         assert np.max(np.abs(curve.rates[idx] - ref)) <= 1e-14
 
     @settings(max_examples=15, derandomize=True, database=None, deadline=None,
@@ -326,37 +359,26 @@ class TestBatchedDelays:
                 assert np.max(np.abs(rates - ref)) <= 1e-12
                 assert np.max(np.abs(rates - rates[::-1])) <= 1e-12
 
-    @pytest.mark.parametrize("order", [47, 48])
-    def test_fold_of_complex_hermitian_weights(self, order, monkeypatch, fresh_tables):
-        # physical cross weights are real up to rounding (Q is exchange symmetric
-        # and the filters are real), so random weights check the fold of the real
-        # part, and an imaginary part the engine drops is covered by its bound
+    @pytest.mark.parametrize("order", [96, 192])
+    def test_cosine_series_of_random_coefficients(self, order):
+        # the split m = a M + b of _cosine_sums, with its padded tail, against
+        # sum_m c_m cos(m step dt) in extended precision, for coefficients of
+        # either sign that do not decay
+        step, coef = hom._spectral_tables(units.default_config(), order, 6.0)[:2]
         rng = np.random.default_rng(order)
-        nu = gauss_legendre(order, -2.0, 2.0)[0]
-        a = rng.normal(size=(order, order))
-        real, imag = a + a.T, rng.normal(size=(order, order))
-        baseline = 2.0 * np.sum(np.abs(real))  # keeps every rate in [0.5, 1.5]
+        coef = rng.normal(size=coef.shape).astype(complex)
         delays = np.linspace(-20.0, 20.0, 101)
-        diff = nu[None, :] - nu[:, None]  # ni - ns
-        for scale in (0.0, 1e-13, 1e-9):
-            # Hermitian: the imaginary part is antisymmetric, sum |Im C| = scale * baseline
-            cross = real + 1j * scale * baseline * (imag - imag.T) / np.sum(np.abs(imag - imag.T))
-            monkeypatch.setattr(hom, "_cross_weights",
-                                lambda cfg, n, trunc, cross=cross: (nu, cross, baseline))
-            hom._spectral_tables.cache_clear()
-            if scale > QuadratureSettings().abs_tol:
-                with pytest.raises(hom.AccuracyError, match="imaginary-part bound"):
-                    hom.dip_curve(units.default_config(), "general", delays_ps=delays)
-                continue
-            rates = hom.dip_curve(units.default_config(), "general", delays_ps=delays).rates
-            bound = hom._spectral_tables(units.default_config(), hom._DEFAULT_NU_ORDER, 6.0)[4]
-            assert (bound > 0.0) == (scale > 0.0)
-            ref = [1.0 - np.sum(cross * np.exp(-1j * diff * dt)).real / baseline for dt in delays]
-            assert np.max(np.abs(rates - ref)) <= 1e-14 + bound / baseline
+        series = coef.T.real.reshape(2, -1).astype(np.longdouble)
+        angle = np.multiply.outer(delays.astype(np.longdouble),
+                                  np.arange(series.shape[1]) * np.longdouble(step))
+        exact = 1.0 - np.cos(angle) @ series.T
+        rates = hom._cosine_sums(delays, step, coef)
+        bound = 8.0 * np.finfo(float).eps * np.sum(np.abs(series), axis=1) * (1.0 + np.max(angle))
+        assert np.all(np.max(np.abs(rates - exact), axis=0) <= bound)
 
     def test_raised_order_asymmetric_cascade(self):
-        # the dispersion of 15.8 km raises the order to 149 nodes per axis, at
-        # which numpy lays the cross table out column-major
+        # the dispersion of 15.8 km needs more than the first order: the nested
+        # estimate sizes the rule to 384 intervals
         cfg = units.build_config(
             length_m=15770.75, beta2_ps2_per_km=0.96611, gamma_per_W_m=1.8e-3,
             lambda_p1_nm=1555.92, lambda_p2_nm=1545.95, pump_fwhm_nm=0.42202,
@@ -366,17 +388,24 @@ class TestBatchedDelays:
         delays = np.linspace(-40.0, 40.0, 41)
         curve = hom.dip_curve(cfg, "asymmetric", delays_ps=delays,
                               signal_filter=sig, idler_filter=idl)
-        cfg_pair = replace(cfg, filter=replace(sig, idler=idl))
-        assert hom._cross_weights(cfg_pair, 96, 6.0)[0].size == 149
+        assert curve.quadrature["nu_order"] == 384
         ref = per_delay_reference("asymmetric", cfg, delays, signal=sig, idler=idl)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
+
+
+def engine_frequencies():
+    """The frequencies m step whose phasors the general engine takes on the default
+    config: b step for b < M and a M step for a < A."""
+    step, coef = hom._spectral_tables(units.default_config(), hom._DEFAULT_NU_ORDER, 6.0)[:2]
+    m, a = coef.shape[0], coef.shape[1] // 2
+    return np.r_[np.arange(m) * step, np.arange(a) * (m * step)]
 
 
 class TestPhasors:
     @pytest.mark.parametrize("axis", ["default", "cli", "fit", "wide", "jittered", "one", "two"])
     def test_match_extended_precision(self, axis):
         # within a few roundings of the angle nu dt, however far along the axis
-        nu = hom._spectral_tables(units.default_config(), hom._DEFAULT_NU_ORDER, 6.0)[0]
+        nu = engine_frequencies()
         delays = {
             "default": hom.dip_curve(units.default_config(), "general").delays_ps,
             "cli": np.round(np.arange(0, 201) * 0.15 - 15.0, 12),
@@ -397,7 +426,7 @@ class TestPhasors:
     @pytest.mark.parametrize("jitter", [20.0, 1e-4])
     def test_nonuniform_axis_is_direct(self, jitter):
         # residues of 1e-4 ps put nu r above the 1e-5 rad the correction allows
-        nu = hom._spectral_tables(units.default_config(), hom._DEFAULT_NU_ORDER, 6.0)[0]
+        nu = engine_frequencies()
         delays = np.sort(np.linspace(-20.0, 20.0, 300)
                          + np.random.default_rng(11).uniform(-jitter, jitter, 300))
         assert np.array_equal(hom._phasors(delays, nu), np.exp(1j * np.multiply.outer(delays, nu)))
@@ -407,39 +436,96 @@ class TestSkewBound:
     @pytest.mark.parametrize("shape,order", [
         ("gaussian", 96), ("supergaussian4", 48), ("cascade", 96)])
     def test_bounds_per_delay_imaginary_part(self, shape, order):
-        # the complex per-delay sum in extended precision, whose rounding is
-        # about eps * sum |C| (1e-15 on x86-64) against a bound of about 1e-13:
-        # the bound covers its imaginary part plus the real part the dropped
-        # cos-sin block carries, sum Im(H) sin((ni - ns) dt) with H = (C + C^H) / 2
+        # the engines sum a real symmetric C (Q is exchange symmetric, the filters
+        # real), so they drop the imaginary part of the complex per-delay sum and
+        # the real part that Im(H) sin((ni - ns) dt), H = (C + C^H) / 2, adds.  On
+        # the complex Gauss-Legendre weights, skew = 1/2 sum |C - C^H| + sum |Im H|
+        # bounds both at every delay (|e|, |sin| <= 1), far below the tolerance; the
+        # sums run in extended precision, whose rounding is eps * sum |C|
         cfg = units.default_config(shape)
-        nu, cross, baseline = hom._cross_weights(cfg, order, 6.0)
-        bound = hom._spectral_tables(cfg, order, 6.0)[4]
+        nu, cross, baseline = gl_cross_weights(cfg, order)
+        herm_imag = 0.5 * (cross.imag - cross.imag.T)
+        skew = 0.5 * np.sum(np.abs(cross - np.conj(cross.T))) + np.sum(np.abs(herm_imag))
         wide_nu, wide_cross = nu.astype(np.longdouble), cross.astype(np.clongdouble)
-        herm_imag = (0.5 * (cross.imag - cross.imag.T)).astype(np.longdouble)
+        herm_imag = herm_imag.astype(np.longdouble)
         imag, dropped = [], []
         for dt in np.linspace(-20.0, 20.0, 1204).astype(np.longdouble):
             e = np.exp(-1j * wide_nu * dt)
             imag.append(abs(np.sum(np.conj(e) * (e @ wide_cross.T)).imag))
             dropped.append(abs(np.sum(np.conj(e) * (e @ herm_imag.T)).imag))
         rounding = np.finfo(np.longdouble).eps * np.sum(np.abs(cross))
-        assert 0.0 < max(imag) <= bound + rounding
-        assert np.max(np.add(imag, dropped)) <= bound + rounding
-        assert bound <= QuadratureSettings().abs_tol * baseline
+        assert 0.0 < max(imag) <= skew + rounding
+        assert np.max(np.add(imag, dropped)) <= skew + rounding
+        assert skew <= QuadratureSettings().abs_tol * baseline
 
-    def test_non_hermitian_weights_raise(self, monkeypatch, fresh_tables):
-        cross_weights = hom._cross_weights
 
-        def perturbed(cfg, order, trunc):
-            # 1/2 sum |P - P^H| = 1e-9 baseline, a million times the tolerance
-            nu, cross, baseline = cross_weights(cfg, order, trunc)
-            cross = cross.copy()
-            cross[0, 1] += 0.5e-9 * baseline
-            cross[1, 0] -= 0.5e-9 * baseline
-            return nu, cross, baseline
+class TestErrorEstimate:
+    # fit_model's grid around an initial center guess of 0.7 ps
+    FIT_GRID = np.linspace(-15.0 - 0.7 - 9.5, 15.0 - 0.7 + 9.5, 1204)
 
-        monkeypatch.setattr(hom, "_cross_weights", perturbed)
-        with pytest.raises(hom.AccuracyError, match="imaginary-part bound"):
+    @pytest.mark.parametrize("shape,delays,order", [
+        ("gaussian", None, 96), ("cascade", FIT_GRID, 192)], ids=["gaussian", "cascade"])
+    def test_orders_used(self, shape, delays, order):
+        curve = hom.dip_curve(units.default_config(shape), "general", delays_ps=delays)
+        assert curve.quadrature["nu_order"] == order
+        assert curve.quadrature["error_estimate"] <= QuadratureSettings().abs_tol
+
+    def test_unresolvable_axis_raises(self):
+        # +-5,000 ps needs a step in nu below pi / 5,000 ps: more than 2,048 intervals
+        with pytest.raises(hom.AccuracyError, match="error estimate .* exceeds tolerance"):
+            hom.dip_curve(units.default_config(), "general",
+                          delays_ps=np.linspace(-5000.0, 5000.0, 2001))
+
+    def test_perturbed_coarse_rule_raises(self, monkeypatch):
+        tables = hom._spectral_tables
+
+        def perturbed(cfg, n, trunc):
+            # the nested rule's c_0 (row 0, column A of the packed table) moves by
+            # 1e-9 of the baseline, a thousand times the tolerance, at every order
+            step, coef, kappa = tables(cfg, n, trunc)
+            coef = coef.copy()
+            coef[0, coef.shape[1] // 2] += 1e-9
+            return step, coef, kappa
+
+        monkeypatch.setattr(hom, "_spectral_tables", perturbed)
+        with pytest.raises(hom.AccuracyError, match="error estimate"):
             hom.dip_curve(units.default_config(), "general")
+
+    def test_order_independent_of_call_history(self, fresh_tables):
+        cfg = units.default_config()
+        first = hom.dip_curve(cfg, "general", delays_ps=self.FIT_GRID)
+        wide = hom.dip_curve(cfg, "general", delays_ps=np.linspace(-200.0, 200.0, 801))
+        again = hom.dip_curve(cfg, "general", delays_ps=self.FIT_GRID)
+        assert wide.quadrature["nu_order"] > first.quadrature["nu_order"]
+        assert np.array_equal(first.rates, again.rates)
+        assert first.quadrature == again.quadrature
+
+
+class TestConvergedRule:
+    # each of these fails on a fixed Gauss-Legendre rule of 96 (48) nodes per axis
+    def test_cascade_matches_oracle(self):
+        cfg = units.default_config("cascade")
+        curve = hom.dip_curve(cfg, "general")
+        assert np.max(np.abs(curve.rates - spectral_oracle(cfg, curve.delays_ps))) <= 1e-13
+
+    def test_cli_default_supergaussian_matches_oracle(self):
+        cfg = units.default_config("supergaussian4")
+        delays = np.round(np.arange(0, 301) * 0.1 - 15.0, 12)  # homsim dip's default axis
+        curve = hom.dip_curve(cfg, "supergaussian", delays_ps=delays,
+                              settings=QuadratureSettings())
+        assert np.max(np.abs(curve.rates - spectral_oracle(cfg, delays))) <= 1e-13
+
+    def test_narrow_pump_wide_filter_matches_closed(self):
+        cfg = units.build_config(**{**units.REFERENCE_PARAMS, "pump_fwhm_nm": 0.4,
+                                    "filter_fwhm_nm": 1.6})
+        general = hom.dip_curve(cfg, "general").rates
+        assert np.max(np.abs(general - hom.dip_curve(cfg, "gaussian").rates)) <= 1e-12
+
+    def test_wide_axis_matches_closed(self, cfg):
+        delays = np.linspace(-500.0, 500.0, 5001)
+        general = hom.dip_curve(cfg, "general", delays_ps=delays).rates
+        closed = hom.dip_curve(cfg, "gaussian", delays_ps=delays).rates
+        assert np.max(np.abs(general - closed)) <= 1e-12
 
 
 # the config of test_raised_order_asymmetric_cascade, with a Gaussian filter

@@ -15,14 +15,16 @@ configuration and maps a whole array of delays to rates in one call:
                        arms, its search starting at ``settings.gl_order``.
 * ``gaussian``      -- the closed form for identical Gaussian filters, as a 1-D
                        integral over the lag D = z1 - z2 of I(D; dt) A(D), with
-                       A the autocorrelation of G(z) over the fiber.
+                       A the autocorrelation of G(z) over the fiber, its
+                       Gauss-Legendre lags doubled from 4 per cycle of G's phase.
 
 Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` or :func:`rate_asymmetric` is
 folded into the configuration first.  Delays run in chunks of bounded size.
-Rates are normalized to a large-delay baseline of 1.  Every engine checks an
-embedded error estimate against abs_tol + 10 kappa eps (kappa: the cancellation
-of its sum), and each rate's sign against abs_tol before clamping at zero.
+Rates are normalized to a large-delay baseline of 1.  Every engine doubles its
+order until an embedded error estimate meets abs_tol + 10 kappa eps (kappa: the
+cancellation of its sum), and checks each rate's sign against abs_tol before
+clamping at zero.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jsa import _Z_ORDER, _chunks, _g_function, _h_values, _write_csv
+from .jsa import _chunks, _g_function, _h_values, _write_csv
 from .quadrature import (AccuracyError, QuadratureSettings, _brentq, _CubicSpline,
                          gauss_legendre)
 from .units import ExperimentConfig, FilterShape, FilterSpec
@@ -56,8 +58,10 @@ __all__ = [
 
 _DEFAULT_NU_ORDER = 96   # first trapezoid order n per frequency axis (general engine)
 _MAX_NU_ORDER = 2048     # largest order the spectral engines' search tries
+_MAX_LAG_ORDER = 1024    # largest lag order the closed engine's search tries
 _BASELINE_FRACTION = 0.1
 _ROUNDING_FACTOR = 10.0  # c of the engines' error tolerance abs_tol + c kappa eps
+_FLOOR_FACTOR = 100.0    # an estimate that stalls within this factor of c kappa eps is rounding
 
 
 class AnalysisError(RuntimeError):
@@ -156,21 +160,22 @@ def _phasors(delays: np.ndarray, nu: np.ndarray) -> np.ndarray:
     coarse = np.exp(1j * np.multiply.outer(delays[0] + np.arange(0, n, b) * step, nu))
     fine = np.exp(1j * np.multiply.outer(np.arange(b) * step, nu))
     out = (coarse[:, None, :] * fine).reshape(-1, nu.size)[:n]
-    x = np.multiply.outer(resid[resid != 0.0], nu)
-    out[resid != 0.0] *= 1.0 - 0.5 * x**2 + 1j * x
+    rows = np.flatnonzero(resid)
+    if rows.size:
+        x = np.multiply.outer(resid[rows], nu)
+        out[rows] *= 1.0 - 0.5 * x**2 + 1j * x
     return out
 
 
-def _closed_orders(cfg: ExperimentConfig) -> tuple[int, int]:
-    """Orders of the closed rule and its embedded coarser rule: 4 and 3 nodes per cycle
-    of G's phase (2 gamma Pp - beta2 Delta^2 / 4) z, at least _Z_ORDER and 3/4 of it."""
+def _closed_order(cfg: ExperimentConfig) -> int:
+    """First order of the closed engine's lag rule: 4 nodes per cycle of G's phase
+    (2 gamma Pp - beta2 Delta^2 / 4) z, at least 8; its embedded rule has 3 per cycle."""
     b2_term = 0.25 * cfg.fiber.beta2_ps2_per_m * cfg.Delta_rad_per_ps**2
     cycles = abs(2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W - b2_term) \
         * cfg.fiber.length_m / (2.0 * math.pi)
     if cycles > 256:
         raise AccuracyError(f"G(z) turns {cycles:.0f} cycles over the fiber: too many to resolve")
-    n = max(_Z_ORDER // 4, math.ceil(cycles))
-    return 4 * n, 3 * n
+    return 4 * max(2, math.ceil(cycles))
 
 
 @lru_cache(maxsize=32)
@@ -182,68 +187,84 @@ def _lag_tables(cfg: ExperimentConfig, order: int):
     lag, lw = gauss_legendre(order, 0.0, length)
     t, tw = gauss_legendre(order, 0.0, 1.0)
     span = length - lag
-    z = np.outer(span, t) - length
-    area = (_g_function(z + lag[:, None], cfg) * np.conj(_g_function(z, cfg))) @ tw * span
+    area = np.empty(order, dtype=complex)
+    for sl in _chunks(order, 4 * order):  # row blocks of the (lag, inner node) grid
+        z = np.outer(span[sl], t) - length
+        pairs = _g_function(z + lag[sl, None], cfg) * np.conj(_g_function(z, cfg))
+        area[sl] = pairs @ tw * span[sl]
     s0, b2 = cfg.sigma_0_rad_per_ps, cfg.fiber.beta2_ps2_per_m
     den4 = 4.0 + b2**2 * lag**2 * s0**4
     k = lw * area * np.exp(0.5j * np.arctan(-0.5 * b2 * lag * s0**2)) / den4**0.25
     return k, (-2.0 * s0**2 + 1j * b2 * lag * s0**4) / den4, 2.0 * float(np.sum(k.real))
 
 
-def _clamped(rates: np.ndarray, abs_tol: float, label: str) -> np.ndarray:
+def _lag_sums(delays: np.ndarray, tables) -> np.ndarray:
+    """Rates 2 Re sum k (1 - e^{dt^2 a}) / baseline of each lag table (columns), per delay."""
+    rates = np.empty((delays.size, len(tables)))
+    # 8 temporaries of one lag row per delay, each at most 2^14 elements: under glibc's
+    # default mmap threshold (128 KB), so they are reused, not mapped and faulted anew
+    for sl in _chunks(delays.size, 8 * tables[0][0].size):
+        t2 = delays[sl, None] ** 2
+        for col, (k, a, baseline) in enumerate(tables):
+            decay, phase = np.exp(t2 * a.real), t2 * a.imag
+            rates[sl, col] = 2.0 * ((1.0 - decay * np.cos(phase)) @ k.real
+                                    + (decay * np.sin(phase)) @ k.imag) / baseline
+    return rates
+
+
+def _searched(delays: np.ndarray, n: int, cap: int, rule, settings: QuadratureSettings,
+              label: str, probe: bool = False) -> tuple[np.ndarray, dict]:
+    """Rates at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
+    abs_tol + c kappa eps at every delay (the end and middle ones first, with ``probe``);
+    ``rule(n)`` gives the delays -> [fine, coarse] sums, kappa and a record.  An estimate
+    below _FLOOR_FACTOR c kappa eps that a doubling does not shrink is rounding: raise."""
+    stages = ([delays[[0, delays.size // 2, -1]]] if probe and delays.size else []) + [delays]
+    last, failure = None, f"{label}: start order {n} is past the largest"
+    while n <= cap:
+        sums, kappa, record = rule(n)
+        floor = _ROUNDING_FACTOR * kappa * np.finfo(float).eps
+        for stage, points in enumerate(stages):
+            rates = sums(points)
+            estimate = float(np.max(np.abs(rates[:, 0] - rates[:, 1]), initial=0.0))
+            if estimate > settings.abs_tol + floor:
+                break
+        else:
+            return _clamped(rates[:, 0], settings.abs_tol, kappa, label), {
+                **record, "error_estimate": estimate, "kappa": kappa, "abs_tol": settings.abs_tol}
+        failure = f"{label}: error estimate {estimate:.3e} exceeds tolerance (kappa = {kappa:.3e})"
+        if last and last[0] == stage and last[1] <= estimate <= _FLOOR_FACTOR * floor:
+            raise AccuracyError(f"{failure} and a doubling to {n} did not shrink it: rounding")
+        last, n = (stage, estimate), 2 * n
+    raise AccuracyError(f"{failure}; no order up to {cap} passes")
+
+
+def _clamped(rates: np.ndarray, abs_tol: float, kappa: float, label: str) -> np.ndarray:
     if np.any(rates < -abs_tol):
-        raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e}")
+        raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e} beyond abs_tol "
+                            f"{abs_tol:.1e} (kappa = {kappa:.3e})")
     return np.maximum(rates, 0.0)
 
 
 def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, order: int,
                     settings: QuadratureSettings, label: str) -> tuple[np.ndarray, dict]:
-    """Rates at the first n = order, 2 order, ... (even) whose nested estimate |R_n - R_n/2|
-    meets abs_tol + c kappa eps at the end and middle delays (aliasing starts there), then all."""
-    n, estimate = order + order % 2, math.inf
-    probe = delays[[0, delays.size // 2, -1]] if delays.size else delays
-    while n <= _MAX_NU_ORDER:
+    """Rates of :func:`_searched` from n = order (even) on the trapezoid rule and its nested
+    rule on the even nodes, at the end and middle delays first: aliasing starts there."""
+    def rule(n):
         step, coef, kappa = _spectral_tables(cfg, n, settings.trunc_sigmas)
-        tol = settings.abs_tol + _ROUNDING_FACTOR * kappa * np.finfo(float).eps
-        for points in (probe, delays):
-            rates = _cosine_sums(points, step, coef)
-            estimate = float(np.max(np.abs(rates[:, 0] - rates[:, 1]), initial=0.0))
-            if estimate > tol:
-                break
-        else:
-            return _clamped(rates[:, 0], settings.abs_tol, label), {
-                "nu_order": n, "nu_halfwidth": step * n / 2, "error_estimate": estimate,
-                "kappa": kappa, "abs_tol": settings.abs_tol}
-        n *= 2
-    raise AccuracyError(f"{label}: error estimate {estimate:.3e} exceeds tolerance "
-                        f"at every nu order up to {_MAX_NU_ORDER}")
+        return (lambda points: _cosine_sums(points, step, coef)), kappa, {
+            "nu_order": n, "nu_halfwidth": step * n / 2}
+    return _searched(delays, order + order % 2, _MAX_NU_ORDER, rule, settings, label,
+                     probe=True)
 
 
 def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
                   settings: QuadratureSettings) -> tuple[np.ndarray, dict]:
-    label = "gaussian closed-form engine"
-    tables = [_lag_tables(cfg, order) for order in _closed_orders(cfg)]
-    rates = np.empty((2, delays.size))
-    # 8 temporaries of one lag row per delay, each at most 2^14 elements: under glibc's
-    # default mmap threshold (128 KB), so they are reused, not mapped and faulted anew
-    for sl in _chunks(delays.size, 8 * tables[0][0].size):
-        t2 = delays[sl, None] ** 2
-        for row, (k, a, baseline) in zip(rates, tables):
-            # 2 Re sum k (1 - e^{t2 a}): the lags -D add the complex conjugate
-            decay, phase = np.exp(t2 * a.real), t2 * a.imag
-            row[sl] = 2.0 * ((1.0 - decay * np.cos(phase)) @ k.real
-                             + (decay * np.sin(phase)) @ k.imag) / baseline
-    # the coarse rule's deviation, against abs_tol plus the rounding floor of a
-    # sum whose terms cancel by kappa = sum |terms| / |baseline|
-    k, _, baseline = tables[0]
-    kappa = 2.0 * float(np.sum(np.abs(k))) / abs(baseline)
-    estimate = float(np.max(np.abs(rates[0] - rates[1]), initial=0.0))
-    if estimate > settings.abs_tol + _ROUNDING_FACTOR * kappa * np.finfo(float).eps:
-        raise AccuracyError(f"{label}: error estimate {estimate:.3e} exceeds tolerance "
-                            f"(kappa = {kappa:.3e})")
-    return _clamped(rates[0], settings.abs_tol, label), {
-        "lag_orders": [t[0].size for t in tables], "error_estimate": estimate,
-        "kappa": kappa, "abs_tol": settings.abs_tol}
+    def rule(n):
+        tables = [_lag_tables(cfg, n), _lag_tables(cfg, 3 * n // 4)]
+        kappa = 2.0 * float(np.sum(np.abs(tables[0][0]))) / abs(tables[0][2])
+        return (lambda points: _lag_sums(points, tables)), kappa, {"lag_orders": [n, 3 * n // 4]}
+    return _searched(delays, _closed_order(cfg), _MAX_LAG_ORDER, rule, settings,
+                     "gaussian closed-form engine")
 
 
 def _rates(cfg: ExperimentConfig, engine: str, delays: np.ndarray,

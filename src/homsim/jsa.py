@@ -26,7 +26,7 @@ __all__ = ["AmplitudeGrid", "delta_k", "phi_closed", "phi_oracle",
 
 # Gauss-Legendre order for the z integral of Q.  G's phase can turn tens of cycles
 # over [-L, 0]; the order is verified against the adaptive scalar q_amplitude only
-# at the reference config, and the closed dip engine raises it with the cycle count.
+# at the reference config.  The closed dip engine sizes its own lag rule instead.
 _Z_ORDER = 64
 # Largest temporary of a chunked evaluation (1 MB of float64), in elements
 _CHUNK_ELEMENTS = 1 << 17
@@ -85,11 +85,16 @@ def phi_closed(nu_s, nu_i, z, cfg: ExperimentConfig, pump_amp_sq: float = 1.0):
 
 
 def _g_function(z, cfg: ExperimentConfig):
-    """z-dependent factor G(z) = Phi(0, 0, z) / (sqrt(pi) sigma_p) of the pair
-    amplitude, SPM phase included."""
+    """z-dependent factor G(z) = Phi(0, 0, z) e^{-2i gamma Pp z} / (sqrt(pi) sigma_p) of the
+    pair amplitude: with u = beta2 z sigma_p^2 and b = beta2 Delta^2 z / (4 (1 + u^2)),
+    G = e^{b (i - u) + i (arctan(u) / 2 - 2 gamma Pp z)} / (1 + u^2)^(1/4)."""
+    z = np.asarray(z, dtype=float)
+    _check_arctan_branch(z, cfg)
+    u = cfg.fiber.beta2_ps2_per_m * z * cfg.sigma_p_rad_per_ps**2
+    den = 1.0 + u**2
+    b = 0.25 * cfg.fiber.beta2_ps2_per_m * cfg.Delta_rad_per_ps**2 * z / den
     spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
-    phi = phi_closed(0.0, 0.0, z, cfg) / (math.sqrt(math.pi) * cfg.sigma_p_rad_per_ps)
-    return phi * np.exp(-1j * spm * np.asarray(z, dtype=float))
+    return np.exp(b * (1j - u) + 1j * (0.5 * np.arctan(u) - spm * z)) / den**0.25
 
 
 def _chunks(n: int, per_item: int):

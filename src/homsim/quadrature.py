@@ -74,7 +74,8 @@ class QuadratureSettings:
     rel_tol: float = 1e-7
     abs_tol: float = 1e-12
     max_subdivisions: int = 1000
-    gl_order: int = 48              # start order of the supergaussian engine's nu search
+    gl_order: int = 96              # start order of the supergaussian engine's nu search,
+                                    # the order that passes at the default config
     trunc_sigmas: float = 6.0       # Gaussian-tail truncation multiplier (used upstream)
 
     def __post_init__(self) -> None:

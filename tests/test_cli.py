@@ -98,14 +98,14 @@ class TestDipCommand:
         assert man["engine"] == "gaussian"
         assert man["supergaussian_calibration"] == "half-power-at-configured-fwhm"
         quad = man["quadrature"]
-        assert quad["lag_orders"] == [64, 48] and quad["kappa"] >= 1.0
+        assert quad["lag_orders"] == [8, 6] and quad["kappa"] >= 1.0
         assert 0.0 <= quad["error_estimate"] <= quad["abs_tol"] == 1e-12
 
     @pytest.mark.parametrize("engine,shape", [("general", "cascade"),
                                               ("supergaussian", "supergaussian4")])
     def test_manifest_records_spectral_order_and_estimate(self, tmp_path, engine, shape):
         # the orders the search settled on, not the settings' echo: the CLI's
-        # supergaussian engine starts at gl_order 48 and needs 96
+        # supergaussian engine starts at gl_order 96 and passes there
         out = tmp_path / "curve.csv"
         assert run(["dip", "--engine", engine, "--filter-shape", shape,
                     "--out", str(out)]) == 0

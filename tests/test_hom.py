@@ -213,12 +213,14 @@ def g_phase_cycles(cfg):
 
 def closed_double_sum(cfg, delays):
     """The closed form as a double sum over fiber positions (z1, z2) of
-    G(z1) G*(z2) I(z1 - z2; dt), one delay at a time, built only from G and the
-    closed-form kernel I.  Its order is 64, or 3 nodes per cycle of G's phase
-    when that is more: at 34 cycles the 64 x 64 sum is 1.4e-8 off."""
+    G(z1) G*(z2) I(z1 - z2; dt), one delay at a time, built only from G = Phi(0, 0, z)
+    e^{-2i gamma Pp z} (up to a constant) and the closed-form kernel I.  Its order is 64,
+    or 3 nodes per cycle of G's phase when that is more: at 34 cycles the 64 x 64 sum
+    is 1.4e-8 off."""
     order = max(jsa._Z_ORDER, 3 * math.ceil(g_phase_cycles(cfg)))
     z, zw = gauss_legendre(order, -cfg.fiber.length_m, 0.0)
-    gz = jsa._g_function(z, cfg) * zw
+    spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
+    gz = jsa.phi_closed(0.0, 0.0, z, cfg) * np.exp(-1j * spm * z) * zw
     zdiff = (z[:, None] - z[None, :]).ravel()
     s0, b2 = cfg.sigma_0_rad_per_ps, cfg.fiber.beta2_ps2_per_m
     den4 = 4.0 + b2**2 * zdiff**2 * s0**4
@@ -534,6 +536,14 @@ _LONG_FIBER = dict(length_m=15770.75, beta2_ps2_per_km=0.96611, gamma_per_W_m=1.
                    peak_power_W=0.36, filter_shape="gaussian", filter_fwhm_nm=0.75659)
 
 
+# G's phase turns one cycle over 5.9 km and the lag sum cancels by a factor
+# kappa ~ 3e5, so rounding alone is about kappa * eps per rate
+_ILL_CONDITIONED = {**units.REFERENCE_PARAMS, "length_m": 5894.336338976331,
+                    "beta2_ps2_per_km": 0.015058606919842203,
+                    "pump_fwhm_nm": 0.49604523708036974, "filter_fwhm_nm": 1.0772727591213105}
+_ILL_DELAYS = np.linspace(-15.0, 15.0, 301)
+
+
 class TestClosedEngine:
     @pytest.mark.parametrize("params", [
         units.REFERENCE_PARAMS,
@@ -548,23 +558,15 @@ class TestClosedEngine:
         assert np.max(np.abs(rates - closed_double_sum(cfg, delays))) <= 1e-12
 
     def test_ill_conditioned_config_agrees_or_reports_kappa(self):
-        # G's phase turns one cycle over 5.9 km and the lag sum cancels by a
-        # factor kappa ~ 3e5, so rounding alone is about kappa * eps per rate
-        cfg = units.build_config(**{
-            **units.REFERENCE_PARAMS, "length_m": 5894.336338976331,
-            "beta2_ps2_per_km": 0.015058606919842203, "pump_fwhm_nm": 0.49604523708036974,
-            "filter_fwhm_nm": 1.0772727591213105})
-        delays = np.linspace(-15.0, 15.0, 301)
-        general = hom.dip_curve(cfg, "general", delays_ps=delays).rates
+        cfg = units.build_config(**_ILL_CONDITIONED)
+        general = hom.dip_curve(cfg, "general", delays_ps=_ILL_DELAYS).rates
         try:
-            closed = hom.dip_curve(cfg, "gaussian", delays_ps=delays).rates
+            closed = hom.dip_curve(cfg, "gaussian", delays_ps=_ILL_DELAYS)
         except hom.AccuracyError as exc:
             assert "kappa" in str(exc) and "imaginary" not in str(exc)
         else:
-            k, _, baseline = hom._lag_tables(cfg, hom._closed_orders(cfg)[0])
-            kappa = 2.0 * np.sum(np.abs(k)) / abs(baseline)
-            bound = 1e-12 + hom._ROUNDING_FACTOR * kappa * np.finfo(float).eps
-            assert np.max(np.abs(closed - general)) <= bound
+            bound = 1e-12 + hom._ROUNDING_FACTOR * closed.quadrature["kappa"] * np.finfo(float).eps
+            assert np.max(np.abs(closed.rates - general)) <= bound
 
     def test_too_many_phase_cycles_raise(self):
         # 100 W over 20 km: the SPM phase alone turns about 1,150 cycles
@@ -573,11 +575,27 @@ class TestClosedEngine:
         with pytest.raises(hom.AccuracyError, match="cycles over the fiber"):
             hom.dip_curve(cfg, "gaussian")
 
-    def test_under_resolved_rule_raises(self, monkeypatch):
-        # 64 lags at 34 cycles of G's phase: the 48-lag embedded rule is 6e-3 off
-        monkeypatch.setattr(hom, "_closed_orders", lambda cfg: (64, 48))
-        with pytest.raises(hom.AccuracyError, match="error estimate .*kappa"):
-            hom.dip_curve(units.build_config(**_LONG_FIBER), "gaussian")
+    def test_under_resolved_start_doubles_to_converged(self, monkeypatch):
+        # 8 lags at 34 cycles of G's phase: the search must double its way to the answer
+        monkeypatch.setattr(hom, "_closed_order", lambda cfg: 8)
+        cfg = units.build_config(**_LONG_FIBER)
+        delays = np.linspace(-20.0, 20.0, 301)
+        curve = hom.dip_curve(cfg, "gaussian", delays_ps=delays)
+        assert curve.quadrature["lag_orders"][0] > 8
+        assert np.max(np.abs(curve.rates - closed_double_sum(cfg, delays))) <= 1e-12
+
+    def test_rounding_floor_stops_the_search(self, monkeypatch):
+        # from 64 lags on the kappa ~ 3e5 config the estimate grows with the order
+        # (rounding, not truncation): the search stops after one doubling, not at the cap
+        orders = []
+        lag_tables = hom._lag_tables.__wrapped__
+        monkeypatch.setattr(hom, "_closed_order", lambda cfg: 64)
+        monkeypatch.setattr(hom, "_lag_tables",
+                            lambda cfg, order: orders.append(order) or lag_tables(cfg, order))
+        with pytest.raises(hom.AccuracyError, match="error estimate .*kappa.*rounding"):
+            hom.dip_curve(units.build_config(**_ILL_CONDITIONED), "gaussian",
+                          delays_ps=_ILL_DELAYS)
+        assert max(orders) <= 128
 
 
 class TestDipMetrics:

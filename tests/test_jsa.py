@@ -76,6 +76,23 @@ class TestPhiClosed:
             jsa.phi_closed(0.0, 0.0, -1e8, cfg)
 
 
+class TestGFunction:
+    @pytest.mark.parametrize("beta2,pump", [(1.0, 1.6), (-1.0, 1.6), (-0.116, 0.4)])
+    def test_matches_phi_closed_over_guarded_range(self, beta2, pump):
+        # G(z) = Phi(0, 0, z) e^{-2i gamma Pp z} / (sqrt(pi) sigma_p) wherever the
+        # arctan guard |beta2 z sigma_p^2| <= 1 lets both be evaluated
+        cfg = units.build_config(**{**units.REFERENCE_PARAMS, "beta2_ps2_per_km": beta2,
+                                    "pump_fwhm_nm": pump})
+        z_max = 1.0 / (abs(cfg.fiber.beta2_ps2_per_m) * cfg.sigma_p_rad_per_ps**2)
+        z = np.linspace(-z_max, z_max, 2001)
+        spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
+        ref = (jsa.phi_closed(0.0, 0.0, z, cfg) * np.exp(-1j * spm * z)
+               / (math.sqrt(math.pi) * cfg.sigma_p_rad_per_ps))
+        assert np.max(np.abs(jsa._g_function(z, cfg) - ref) / np.abs(ref)) <= 1e-12
+        with pytest.raises(FloatingPointError):
+            jsa._g_function(1.01 * z, cfg)
+
+
 class TestPhiOracle:
     def test_lattice_agreement(self, cfg):
         # 5 x 5 x 5 lattice over +-3 sigma detunings and the fiber length

@@ -22,7 +22,6 @@ from .units import (  # noqa: F401
 )
 from .quadrature import (  # noqa: F401
     AccuracyError,
-    Integrand1D,
     QuadratureResult,
     QuadratureSettings,
     integrate_1d,
@@ -42,10 +41,6 @@ from .hom import (  # noqa: F401
     DipMetrics,
     dip_curve,
     dip_metrics,
-    rate_asymmetric,
-    rate_gaussian_closed,
-    rate_general,
-    rate_supergaussian,
 )
 from .imperfections import (  # noqa: F401
     BeamSplitter,

@@ -125,12 +125,12 @@ def cmd_jsa(args) -> int:
 
 def cmd_dip(args) -> int:
     t0 = time.perf_counter()
-    if not (args.delay_step > 0 and args.delay_max > args.delay_min):
-        raise ConfigError("need --delay-step > 0 and --delay-max > --delay-min")
+    span, step = args.delay_max - args.delay_min, args.delay_step
+    # a finite count of finite steps over a positive span; rejects infinite or NaN bounds
+    if not (span > 0 and step > 0 and math.isfinite(step) and math.isfinite(span / step)):
+        raise ConfigError("need finite delays, --delay-step > 0 and --delay-max > --delay-min")
     cfg, record = _load_config(args, args.filter_mismatch)
-    delays = np.round(np.arange(
-        0, int(round((args.delay_max - args.delay_min) / args.delay_step)) + 1
-    ) * args.delay_step + args.delay_min, 12)
+    delays = np.round(np.arange(0, int(round(span / step)) + 1) * step + args.delay_min, 12)
     curve = dip_curve(cfg, engine=args.engine, delays_ps=delays)
     metrics = dip_metrics(curve)
     write_curve_csv(curve, args.out)
@@ -157,8 +157,9 @@ def cmd_fit(args) -> int:
     else:
         cfg, record = _load_config(args)
         result = fit_model(data, cfg, engine=args.engine)
+    text = fit_result_to_json(result, dense_curve=dense_curve)  # before the file is opened
     with open(args.out, "w") as fh:
-        fh.write(fit_result_to_json(result, dense_curve=dense_curve))
+        fh.write(text)
     _write_manifest(args.out, "fit", record, {
         "mode": args.mode, "engine": args.engine, "data": args.data,
     }, time.perf_counter() - t0)

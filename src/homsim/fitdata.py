@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hom import DipMetrics, dip_curve
-from .quadrature import QuadratureSettings, _CubicSpline
+from .quadrature import _CubicSpline
 from .units import ExperimentConfig
 
 __all__ = [
@@ -67,10 +67,13 @@ class CoincidenceDataset:
             raise InsufficientDataError(
                 f"need at least 8 points, got {self.delays_ps.size}"
             )
-        if not np.all(np.diff(self.delays_ps) > 0):
-            raise ValueError("delays must be strictly increasing; use ingest paths to sort")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
+        if not (np.all(np.isfinite(self.delays_ps)) and np.all(np.diff(self.delays_ps) > 0)):
+            raise ValueError("delays must be finite and strictly increasing (ingest_csv sorts)")
+        if not np.all(np.isfinite(self.counts) & (self.counts >= 0)):
+            raise ValueError("counts must be finite and nonnegative")
+        if self.uncertainties is not None and not np.all(
+                np.isfinite(self.uncertainties) & (self.uncertainties > 0)):
+            raise ValueError("uncertainties must be finite and positive")
 
 
 def ingest_csv(path) -> CoincidenceDataset:
@@ -146,9 +149,7 @@ class FitResult:
 def _levenberg(residual: Callable[[np.ndarray], np.ndarray],
                jacobian: Callable[[np.ndarray], np.ndarray],
                p0: np.ndarray,
-               max_iter: int = 200,
-               gtol: float = 1e-10,
-               xtol: float = 1e-12):
+               max_iter: int):
     """Damped Gauss-Newton; the objective never increases across accepted steps."""
     p = np.array(p0, dtype=float)
     r = residual(p)
@@ -159,7 +160,7 @@ def _levenberg(residual: Callable[[np.ndarray], np.ndarray],
     for it in range(1, max_iter + 1):
         j = jacobian(p)
         g = j.T @ r
-        if np.max(np.abs(g)) < gtol * max(1.0, math.sqrt(cost)):
+        if np.max(np.abs(g)) < 1e-10 * max(1.0, math.sqrt(cost)):
             converged = True
             break
         jtj = j.T @ j
@@ -174,7 +175,7 @@ def _levenberg(residual: Callable[[np.ndarray], np.ndarray],
             r_new = residual(p_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
-                if np.max(np.abs(step)) < xtol * (np.max(np.abs(p)) + xtol):
+                if np.max(np.abs(step)) < 1e-12 * (np.max(np.abs(p)) + 1e-12):
                     converged = True
                 p, r, cost = p_new, r_new, cost_new
                 lam = max(lam / 10.0, 1e-14)
@@ -182,7 +183,8 @@ def _levenberg(residual: Callable[[np.ndarray], np.ndarray],
                 break
             lam *= 10.0
         if not accepted or converged:
-            converged = converged or not accepted and np.max(np.abs(g)) < 1e-6
+            # a Python bool on every path, so that the result serializes
+            converged = converged or not accepted and bool(np.max(np.abs(g)) < 1e-6)
             break
 
     j = jacobian(p)
@@ -215,7 +217,7 @@ def _initial_dip_guess(d: np.ndarray, c: np.ndarray):
     return baseline, vis, center, max(width, 1e-3)
 
 
-def fit_gaussian_dip(data: CoincidenceDataset, max_iter: int = 200) -> FitResult:
+def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
     """Fit c(dt) = B [1 - V exp(-(dt - tc)^2/(2 w^2))] by damped least squares."""
     d, c = data.delays_ps, data.counts
     wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
@@ -235,7 +237,7 @@ def fit_gaussian_dip(data: CoincidenceDataset, max_iter: int = 200) -> FitResult
         j[:, 3] = -b * v * e * (d - tc) ** 2 / w**3
         return j * wgt[:, None]
 
-    p, cost, it, converged, cov = _levenberg(residual, jacobian, p0, max_iter=max_iter)
+    p, cost, it, converged, cov = _levenberg(residual, jacobian, p0, max_iter=200)
     b, v, tc, w = p
     w = abs(w)
     fwhm = _TWO_SQRT_2LN2 * w
@@ -255,9 +257,8 @@ def fit_gaussian_dip(data: CoincidenceDataset, max_iter: int = 200) -> FitResult
     )
 
 
-def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "gaussian",
-              settings: QuadratureSettings | None = None,
-              max_iter: int = 100) -> FitResult:
+def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
+              engine: str = "gaussian") -> FitResult:
     """Fit an engine-backed curve c(dt) = B [1 - s (1 - R(dt - tc))].
 
     Physics parameters are fixed by ``cfg``; the baseline B, center tc and
@@ -276,7 +277,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
     span = d[-1] - d[0]
     pad = 0.25 * span + 2.0
     grid = np.linspace(d[0] - tc0 - pad, d[-1] - tc0 + pad, max(4 * d.size, 256))
-    rates = dip_curve(cfg, engine, grid, settings).rates
+    rates = dip_curve(cfg, engine, grid).rates
     spline = _CubicSpline(grid, rates)
     resolved = np.count_nonzero(rates < 0.5) >= 8
 
@@ -297,7 +298,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig, engine: str = "ga
         return np.column_stack((1.0 - s * (1.0 - rate), -b * s * slope,
                                 -b * (1.0 - rate))) * wgt[:, None]
 
-    p, cost, it, converged, cov = _levenberg(residual, jacobian, p0, max_iter=max_iter)
+    p, cost, it, converged, cov = _levenberg(residual, jacobian, p0, max_iter=100)
     b, tc, s = p
 
     dense = np.linspace(d[0], d[-1], 2001)

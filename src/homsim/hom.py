@@ -5,26 +5,25 @@ R(dt) = 1 - Re sum F(s,i) F*(i,s) e^{-i(ni-ns)dt} / sum |F(s,i)|^2.  The delay
 enters only through the last factor, so each engine caches its tables per
 configuration and maps a whole array of delays to rates in one call:
 
-* ``general``       -- spectral double sum on a uniform (ns, ni) trapezoid grid,
-                       any filter shape, Q from the kernel of :mod:`homsim.jsa`:
-                       one cosine series in (ni - ns) dt, its order doubled from
-                       96 until the nested rule on the even nodes agrees.
+* ``general``       -- spectral double sum on a uniform (ns, ni) trapezoid grid
+                       over a 6-sigma box, any filter shape, Q from the kernel of
+                       :mod:`homsim.jsa`: one cosine series in (ni - ns) dt, its
+                       order doubled from ``settings.gl_order`` (default 96) until
+                       the nested rule on the even nodes agrees.
 * ``asymmetric``    -- ``general`` with the signal and idler filters given
                        explicitly (required here, accepted by every engine).
-* ``supergaussian`` -- the same path for identical quartic filters on both
-                       arms, its search starting at ``settings.gl_order``.
+* ``supergaussian`` -- ``general``, for identical quartic filters on both arms only.
 * ``gaussian``      -- the closed form for identical Gaussian filters, as a 1-D
                        integral over the lag D = z1 - z2 of I(D; dt) A(D), with
                        A the autocorrelation of G(z) over the fiber, its
                        Gauss-Legendre lags doubled from 4 per cycle of G's phase.
 
 Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
-a filter pair passed to :func:`dip_curve` or :func:`rate_asymmetric` is
-folded into the configuration first.  Delays run in chunks of bounded size.
-Rates are normalized to a large-delay baseline of 1.  Every engine doubles its
-order until an embedded error estimate meets abs_tol + 10 kappa eps (kappa: the
-cancellation of its sum), and checks each rate's sign against abs_tol before
-clamping at zero.
+a filter pair passed to :func:`dip_curve` is folded into the configuration
+first.  Delays run in chunks of bounded size.  Rates are normalized to a
+large-delay baseline of 1.  Every engine doubles its order until an embedded
+error estimate meets abs_tol + 10 kappa eps (kappa: the cancellation of its
+sum), and checks each rate's sign against abs_tol before clamping at zero.
 """
 
 from __future__ import annotations
@@ -46,17 +45,13 @@ __all__ = [
     "DipCurve",
     "DipMetrics",
     "filter_amplitude",
-    "rate_general",
-    "rate_gaussian_closed",
-    "rate_supergaussian",
-    "rate_asymmetric",
     "dip_curve",
     "dip_metrics",
     "write_curve_csv",
     "metrics_to_json",
 ]
 
-_DEFAULT_NU_ORDER = 96   # first trapezoid order n per frequency axis (general engine)
+_NU_BOX_SIGMAS = 6.0     # half-width of the spectral engines' nu box, in filter sigmas
 _MAX_NU_ORDER = 2048     # largest order the spectral engines' search tries
 _MAX_LAG_ORDER = 1024    # largest lag order the closed engine's search tries
 _BASELINE_FRACTION = 0.1
@@ -80,14 +75,14 @@ def filter_amplitude(spec: FilterSpec, nu, cfg: ExperimentConfig):
     return gauss * np.exp(-(nu**4) / cfg.sigma_sg_for(spec)**4)
 
 
-def _nu_halfwidth(spec: FilterSpec, cfg: ExperimentConfig, trunc: float) -> float:
+def _nu_halfwidth(spec: FilterSpec, cfg: ExperimentConfig) -> float:
     """Truncation half-width covering both the filter and pump supports."""
     if spec.shape is FilterShape.SUPERGAUSSIAN4:
-        # quartic tails die much faster; trunc/2.4 sigma already reaches e^-150
+        # quartic tails die much faster; 6/2.4 sigma already reaches e^-150
         scale = cfg.sigma_sg_for(spec) / 2.4
     else:  # Gaussian, or the Gaussian stage of a cascade
         scale = cfg.sigma_for(spec)
-    return trunc * max(scale, cfg.sigma_p_rad_per_ps / 3.0)
+    return _NU_BOX_SIGMAS * max(scale, cfg.sigma_p_rad_per_ps / 3.0)
 
 
 def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> None:
@@ -96,7 +91,7 @@ def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> N
 
 
 @lru_cache(maxsize=32)
-def _spectral_tables(cfg: ExperimentConfig, n: int, trunc: float):
+def _spectral_tables(cfg: ExperimentConfig, n: int):
     """Cosine series of the rates on the endpoint trapezoid rule of n intervals in nu,
     and on its nested rule over the even nodes.  On nu_k = (k - n/2) step the cross
     weights C = F(s,i) F*(i,s) w_s w_i = pump(s + i) |H(((s - i) step)^2)|^2 p_s p_i,
@@ -104,7 +99,7 @@ def _spectral_tables(cfg: ExperimentConfig, n: int, trunc: float):
     c_m the sum of C over |s - i| = m over the baseline sum |F|^2 w_s w_i.  Returns
     step, both rules' c_m laid out for _cosine_sums, and kappa = sum |c_m|."""
     signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
-    half = max(_nu_halfwidth(signal, cfg, trunc), _nu_halfwidth(idler, cfg, trunc))
+    half = max(_nu_halfwidth(signal, cfg), _nu_halfwidth(idler, cfg))
     step = 2.0 * half / n
     k = np.arange(n + 1)
     fs, fi = (filter_amplitude(spec, (k - n / 2) * step, cfg) for spec in (signal, idler))
@@ -245,16 +240,16 @@ def _clamped(rates: np.ndarray, abs_tol: float, kappa: float, label: str) -> np.
     return np.maximum(rates, 0.0)
 
 
-def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, order: int,
-                    settings: QuadratureSettings, label: str) -> tuple[np.ndarray, dict]:
-    """Rates of :func:`_searched` from n = order (even) on the trapezoid rule and its nested
+def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, settings: QuadratureSettings,
+                    label: str) -> tuple[np.ndarray, dict]:
+    """Rates of :func:`_searched` from n = gl_order (even) on the trapezoid rule and its nested
     rule on the even nodes, at the end and middle delays first: aliasing starts there."""
     def rule(n):
-        step, coef, kappa = _spectral_tables(cfg, n, settings.trunc_sigmas)
+        step, coef, kappa = _spectral_tables(cfg, n)
         return (lambda points: _cosine_sums(points, step, coef)), kappa, {
             "nu_order": n, "nu_halfwidth": step * n / 2}
-    return _searched(delays, order + order % 2, _MAX_NU_ORDER, rule, settings, label,
-                     probe=True)
+    n = settings.gl_order
+    return _searched(delays, n + n % 2, _MAX_NU_ORDER, rule, settings, label, probe=True)
 
 
 def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
@@ -265,66 +260,6 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
         return (lambda points: _lag_sums(points, tables)), kappa, {"lag_orders": [n, 3 * n // 4]}
     return _searched(delays, _closed_order(cfg), _MAX_LAG_ORDER, rule, settings,
                      "gaussian closed-form engine")
-
-
-def _rates(cfg: ExperimentConfig, engine: str, delays: np.ndarray,
-           settings: QuadratureSettings | None = None,
-           signal_filter: FilterSpec | None = None,
-           idler_filter: FilterSpec | None = None) -> tuple[np.ndarray, dict]:
-    """Rates of ``engine`` at every delay and the quadrature run: the engines' one entry.
-
-    Explicit filters, given as a pair, replace the arms of ``cfg`` for every
-    engine; ``asymmetric`` is ``general`` with the pair required.  The
-    ``gaussian`` and ``supergaussian`` engines reject any arms other than
-    identical Gaussian or quartic filters.
-    """
-    settings = settings or QuadratureSettings()
-    if signal_filter is not None or idler_filter is not None or engine == "asymmetric":
-        if signal_filter is None or idler_filter is None:
-            raise ValueError(f"{engine} engine needs both explicit signal and idler filters")
-        signal = replace(signal_filter, idler=None)
-        cfg = replace(cfg, filter=replace(signal, idler=None if idler_filter == signal
-                                          else idler_filter))
-    if engine == "gaussian":
-        _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
-        return _closed_rates(delays, cfg, settings)
-    if engine == "supergaussian":
-        _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
-        return _spectral_rates(delays, cfg, settings.gl_order, settings, "super-gaussian engine")
-    if engine not in ("general", "asymmetric"):
-        raise ValueError(f"unknown engine {engine!r}; choose from "
-                         "['asymmetric', 'gaussian', 'general', 'supergaussian']")
-    return _spectral_rates(delays, cfg, _DEFAULT_NU_ORDER, settings, "asymmetric/general engine")
-
-
-def rate_general(delta_tau: float, cfg: ExperimentConfig,
-                 settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate from the spectral integral for any filter shape; the arms
-    use ``cfg.filter`` and its idler override, if any (then it is asymmetric)."""
-    return float(_rates(cfg, "general", np.array([delta_tau], dtype=float), settings)[0][0])
-
-
-def rate_asymmetric(delta_tau: float, cfg: ExperimentConfig,
-                    signal_filter: FilterSpec, idler_filter: FilterSpec,
-                    settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate of the ``general`` engine with the arms of ``cfg`` replaced
-    by ``signal_filter`` and ``idler_filter`` (identical or not)."""
-    return float(_rates(cfg, "asymmetric", np.array([delta_tau], dtype=float), settings,
-                        signal_filter, idler_filter)[0][0])
-
-
-def rate_gaussian_closed(delta_tau: float, cfg: ExperimentConfig,
-                         settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate from the Gaussian-filter closed form (lag integral)."""
-    return float(_rates(cfg, "gaussian", np.array([delta_tau], dtype=float), settings)[0][0])
-
-
-def rate_supergaussian(delta_tau: float, cfg: ExperimentConfig,
-                       settings: QuadratureSettings | None = None) -> float:
-    """Normalized rate for identical quartic filters on both arms (any other filter
-    configuration is rejected): the spectral path from order ``settings.gl_order``."""
-    return float(_rates(cfg, "supergaussian", np.array([delta_tau], dtype=float),
-                        settings)[0][0])
 
 
 @dataclass(frozen=True)
@@ -357,11 +292,36 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
               settings: QuadratureSettings | None = None,
               signal_filter: FilterSpec | None = None,
               idler_filter: FilterSpec | None = None) -> DipCurve:
-    """Sample an engine over a delay axis (default 0.1 ps steps on [-15, 15])."""
+    """Sample an engine over a delay axis (default 0.1 ps steps on [-15, 15]) and record
+    the quadrature run; the rate at one delay dt is ``dip_curve(cfg, engine, [dt]).rates[0]``.
+
+    Explicit filters, given as a pair, replace the arms of ``cfg`` for every
+    engine; ``asymmetric`` is ``general`` with the pair required.  The
+    ``gaussian`` and ``supergaussian`` engines reject any arms other than
+    identical Gaussian or quartic filters; past that guard ``supergaussian``
+    is ``general``.
+    """
+    settings = settings or QuadratureSettings()
     if delays_ps is None:
         delays_ps = np.round(np.arange(-150, 151) * 0.1, 10)
     delays_ps = np.asarray(delays_ps, dtype=float)
-    rates, quadrature = _rates(cfg, engine, delays_ps, settings, signal_filter, idler_filter)
+    if signal_filter is not None or idler_filter is not None or engine == "asymmetric":
+        if signal_filter is None or idler_filter is None:
+            raise ValueError(f"{engine} engine needs both explicit signal and idler filters")
+        signal = replace(signal_filter, idler=None)
+        cfg = replace(cfg, filter=replace(signal, idler=None if idler_filter == signal
+                                          else idler_filter))
+    if engine == "gaussian":
+        _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
+        rates, quadrature = _closed_rates(delays_ps, cfg, settings)
+    elif engine == "supergaussian":
+        _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
+        rates, quadrature = _spectral_rates(delays_ps, cfg, settings, "super-gaussian engine")
+    elif engine in ("general", "asymmetric"):
+        rates, quadrature = _spectral_rates(delays_ps, cfg, settings, "asymmetric/general engine")
+    else:
+        raise ValueError(f"unknown engine {engine!r}; choose from "
+                         "['asymmetric', 'gaussian', 'general', 'supergaussian']")
     return DipCurve(delays_ps=delays_ps, rates=rates, engine=engine, quadrature=quadrature)
 
 

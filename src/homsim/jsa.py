@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import Integrand1D, QuadratureSettings, gauss_legendre, integrate_1d
+from .quadrature import gauss_legendre, integrate_1d
 from .units import ExperimentConfig
 
 __all__ = ["AmplitudeGrid", "delta_k", "phi_closed", "phi_oracle",
@@ -30,6 +30,8 @@ __all__ = ["AmplitudeGrid", "delta_k", "phi_closed", "phi_oracle",
 _Z_ORDER = 64
 # Largest temporary of a chunked evaluation (1 MB of float64), in elements
 _CHUNK_ELEMENTS = 1 << 17
+# Tolerances of the adaptive oracles phi_oracle and scalar q_amplitude
+_ORACLE_TOL = {"rel_tol": 1e-10, "abs_tol": 1e-14}
 
 
 def delta_k(nu_p, nu_s, nu_i, cfg: ExperimentConfig):
@@ -55,12 +57,8 @@ def _check_arctan_branch(z, cfg: ExperimentConfig) -> None:
         )
 
 
-def phi_closed(nu_s, nu_i, z, cfg: ExperimentConfig, pump_amp_sq: float = 1.0):
-    """Closed-form pump convolution Phi(nu_s, nu_i, z).
-
-    Broadcasts over numpy arrays.  ``pump_amp_sq`` scales the (normalized)
-    squared pump amplitude; the default 1.0 drops the unmeasurable prefactor.
-    """
+def phi_closed(nu_s, nu_i, z, cfg: ExperimentConfig):
+    """Closed-form pump convolution Phi(nu_s, nu_i, z); broadcasts over numpy arrays."""
     nu_s = np.asarray(nu_s, dtype=float)
     nu_i = np.asarray(nu_i, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -71,7 +69,7 @@ def phi_closed(nu_s, nu_i, z, cfg: ExperimentConfig, pump_amp_sq: float = 1.0):
     s = nu_s + nu_i
     den = 1.0 + b2**2 * z**2 * sp**4
     amp = (
-        math.sqrt(math.pi) * sp * pump_amp_sq
+        math.sqrt(math.pi) * sp
         * np.exp(-s**2 / (4.0 * sp**2))
         * np.exp(-(b2**2 * z**2 * delta**2 * sp**2) / (4.0 * den))
         / den**0.25
@@ -126,39 +124,24 @@ def _q_factored(s: np.ndarray, w: np.ndarray, cfg: ExperimentConfig) -> np.ndarr
             * _h_values(wu, cfg)[inverse].reshape(w.shape))
 
 
-def phi_oracle(
-    nu_s: float,
-    nu_i: float,
-    z: float,
-    cfg: ExperimentConfig,
-    settings: QuadratureSettings | None = None,
-    pump_amp_sq: float = 1.0,
-) -> complex:
+def phi_oracle(nu_s: float, nu_i: float, z: float, cfg: ExperimentConfig) -> complex:
     """Pump convolution by direct quadrature over the pump detuning.
 
     Independent check of :func:`phi_closed`: integrates the product of the
     two Gaussian pump spectra and the phase-mismatch factor over nu_p, on a
-    window centered on the integrand's Gaussian peak at (nu_s + nu_i)/2.
+    6 sigma_p window centered on the integrand's Gaussian peak at (nu_s + nu_i)/2.
     """
-    settings = settings or QuadratureSettings(rel_tol=1e-10, abs_tol=1e-14)
     sp = cfg.sigma_p_rad_per_ps
     s = nu_s + nu_i
-    half_width = settings.trunc_sigmas * sp
 
     def f(nu_p: np.ndarray) -> np.ndarray:
         envelope = np.exp(-(nu_p**2 + (s - nu_p) ** 2) / (2.0 * sp**2))
-        return pump_amp_sq * envelope * np.exp(1j * delta_k(nu_p, nu_s, nu_i, cfg) * z)
+        return envelope * np.exp(1j * delta_k(nu_p, nu_s, nu_i, cfg) * z)
 
-    res = integrate_1d(Integrand1D(f, s / 2.0 - half_width, s / 2.0 + half_width), settings)
-    return res.value
+    return integrate_1d(f, s / 2.0 - 6.0 * sp, s / 2.0 + 6.0 * sp, **_ORACLE_TOL).value
 
 
-def q_amplitude(
-    nu_s,
-    nu_i,
-    cfg: ExperimentConfig,
-    settings: QuadratureSettings | None = None,
-) -> complex | np.ndarray:
+def q_amplitude(nu_s, nu_i, cfg: ExperimentConfig) -> complex | np.ndarray:
     """Joint spectral amplitude Q(nu_s, nu_i): z integral of Phi times the SPM phase.
 
     Scalar inputs use the adaptive 1-D rule; array inputs broadcast through the
@@ -171,12 +154,10 @@ def q_amplitude(
     nu_i_arr = np.asarray(nu_i, dtype=float)
 
     if nu_s_arr.ndim == 0 and nu_i_arr.ndim == 0:
-        settings = settings or QuadratureSettings(rel_tol=1e-10, abs_tol=1e-14)
-
         def f(z: np.ndarray) -> np.ndarray:
             return phi_closed(float(nu_s_arr), float(nu_i_arr), z, cfg) * np.exp(-1j * spm * z)
 
-        return integrate_1d(Integrand1D(f, -L, 0.0), settings).value
+        return integrate_1d(f, -L, 0.0, **_ORACLE_TOL).value
 
     s, d = np.broadcast_arrays(nu_s_arr + nu_i_arr, nu_s_arr - nu_i_arr)
     return _q_factored(s, d**2, cfg)

@@ -4,15 +4,15 @@
   integrands over a finite interval.  It is the oracle of the closed forms:
   the pump-frequency integral of ``jsa.phi_oracle`` and the fiber-length
   integral of a scalar ``jsa.q_amplitude``.
-* :func:`gauss_legendre` -- fixed Gauss-Legendre nodes and weights, the rule
-  of the dip engines' frequency and fiber-position axes.
+* :func:`gauss_legendre` -- fixed Gauss-Legendre nodes and weights, the rule of the
+  z axis of ``jsa``'s H and of the closed engine's lag axis (not of any nu axis).
 * a not-a-knot cubic spline and a Brent root finder, numerically the defaults
   of scipy's ``CubicSpline`` and ``brentq`` (so importing the package needs
   only numpy).
 
 Integrands must accept numpy arrays (vectorized evaluation) and return
 complex values that are finite everywhere inside the interval.  Results are
-deterministic: identical settings and integrand give bit-identical output.
+deterministic: identical arguments give bit-identical output.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "AccuracyError",
     "QuadratureSettings",
     "QuadratureResult",
-    "Integrand1D",
     "integrate_1d",
     "gauss_legendre",
 ]
@@ -71,18 +70,13 @@ class AccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    rel_tol: float = 1e-7
     abs_tol: float = 1e-12
-    max_subdivisions: int = 1000
-    gl_order: int = 96              # start order of the supergaussian engine's nu search,
+    gl_order: int = 96              # start order of every spectral engine's nu search,
                                     # the order that passes at the default config
-    trunc_sigmas: float = 6.0       # Gaussian-tail truncation multiplier (used upstream)
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        if not self.abs_tol > 0:
+            raise ValueError("abs_tol must be positive")
         if self.gl_order < 2:
             raise ValueError("gl_order must be >= 2")
 
@@ -92,13 +86,6 @@ class QuadratureResult:
     value: complex
     error: float
     subdivisions: int = 0
-
-
-@dataclass(frozen=True)
-class Integrand1D:
-    f: Callable[[np.ndarray], np.ndarray]
-    a: float
-    b: float
 
 
 @lru_cache(maxsize=128)
@@ -129,20 +116,23 @@ def _gk15_panels(f, a_arr: np.ndarray, b_arr: np.ndarray):
     return k, np.abs(k - g)
 
 
-def integrate_1d(integrand: Integrand1D, settings: QuadratureSettings | None = None) -> QuadratureResult:
-    """Adaptively integrate a complex integrand over a finite interval.
+def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
+                 rel_tol: float = 1e-7, abs_tol: float = 1e-12,
+                 max_subdivisions: int = 1000) -> QuadratureResult:
+    """Adaptively integrate a complex integrand f over a finite interval [a, b].
 
     Panels with the largest error estimates are bisected until the summed
     error estimate meets max(abs_tol, rel_tol * |value|) or the subdivision
     cap is reached (then :class:`AccuracyError` carries the best estimate).
     """
-    settings = settings or QuadratureSettings()
-    if not (np.isfinite(integrand.a) and np.isfinite(integrand.b)):
+    if not (rel_tol > 0 and abs_tol > 0):
+        raise ValueError("tolerances must be positive")
+    if max_subdivisions < 1:
+        raise ValueError("max_subdivisions must be >= 1")
+    if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration interval must be finite; truncate upstream")
-    a_arr = np.array([integrand.a], dtype=float)
-    b_arr = np.array([integrand.b], dtype=float)
-    vals, errs = _gk15_panels(integrand.f, a_arr, b_arr)
-    panels = [(integrand.a, integrand.b, vals[0], errs[0])]
+    vals, errs = _gk15_panels(f, np.array([a], dtype=float), np.array([b], dtype=float))
+    panels = [(a, b, vals[0], errs[0])]
     nsub = 1
 
     while True:
@@ -150,10 +140,10 @@ def integrate_1d(integrand: Integrand1D, settings: QuadratureSettings | None = N
         panels.sort(key=lambda p: p[0])
         total = complex(sum(p[2] for p in panels))
         toterr = float(sum(p[3] for p in panels))
-        tol = max(settings.abs_tol, settings.rel_tol * abs(total))
+        tol = max(abs_tol, rel_tol * abs(total))
         if toterr <= tol:
             return QuadratureResult(total, toterr, nsub)
-        if nsub >= settings.max_subdivisions:
+        if nsub >= max_subdivisions:
             raise AccuracyError(
                 f"1-D quadrature did not converge: error {toterr:.3e} > tol {tol:.3e} "
                 f"after {nsub} subdivisions",
@@ -164,14 +154,14 @@ def integrate_1d(integrand: Integrand1D, settings: QuadratureSettings | None = N
         to_split = [p for p in panels if p[3] >= thresh]
         if not to_split:
             to_split = [max(panels, key=lambda p: p[3])]
-        to_split = to_split[: settings.max_subdivisions - nsub]
+        to_split = to_split[: max_subdivisions - nsub]
         keep = [p for p in panels if p not in to_split]
         new_a, new_b = [], []
-        for (a, b, _, _) in to_split:
-            m = 0.5 * (a + b)
-            new_a.extend([a, m])
-            new_b.extend([m, b])
-        vals, errs = _gk15_panels(integrand.f, np.array(new_a), np.array(new_b))
+        for (lo, hi, _, _) in to_split:
+            m = 0.5 * (lo + hi)
+            new_a.extend([lo, m])
+            new_b.extend([m, hi])
+        vals, errs = _gk15_panels(f, np.array(new_a), np.array(new_b))
         keep.extend(zip(new_a, new_b, vals, errs))
         panels = keep
         nsub += len(to_split)

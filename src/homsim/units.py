@@ -14,6 +14,11 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Optional
 
+__all__ = ["C_NM_PER_PS", "REFERENCE_PARAMS", "ExperimentConfig", "FiberParams", "FilterShape",
+           "FilterSpec", "FwhmConvention", "PumpParams", "build_config", "default_config",
+           "fwhm_nm_to_delta_omega", "fwhm_nm_to_sigma", "fwhm_nm_to_sigma_supergaussian",
+           "sigma_to_fwhm_nm", "wavelength_to_angular_frequency"]
+
 # Speed of light, fixed to 3e8 m/s (= 3e5 nm/ps) so that derived frequencies
 # match the round value used in the reference experiment, not CODATA.
 C_NM_PER_PS = 3.0e5

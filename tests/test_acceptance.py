@@ -56,8 +56,8 @@ def test_02_general_engine_matches_closed_engine(cfg):
     delays = np.linspace(-15.0, 15.0, 31)
     worst = 0.0
     for dt in delays:
-        worst = max(worst, abs(hom.rate_general(dt, cfg)
-                               - hom.rate_gaussian_closed(dt, cfg)))
+        worst = max(worst, abs(hom.dip_curve(cfg, "general", [dt]).rates[0]
+                               - hom.dip_curve(cfg, "gaussian", [dt]).rates[0]))
     elapsed = time.perf_counter() - t0
     _report("general vs closed Gaussian dip engine (31 delays)",
             worst <= 1e-4 and elapsed < 300.0,
@@ -65,10 +65,10 @@ def test_02_general_engine_matches_closed_engine(cfg):
 
 
 def test_03_ideal_visibility_both_engines(cfg, cfg_sg):
-    g_min = hom.rate_gaussian_closed(0.0, cfg)
-    sg_min = hom.rate_supergaussian(0.0, cfg_sg)
-    g_base = hom.rate_gaussian_closed(50.0, cfg)
-    sg_base = hom.rate_supergaussian(50.0, cfg_sg)
+    g_min = hom.dip_curve(cfg, "gaussian", [0.0]).rates[0]
+    sg_min = hom.dip_curve(cfg_sg, "supergaussian", [0.0]).rates[0]
+    g_base = hom.dip_curve(cfg, "gaussian", [50.0]).rates[0]
+    sg_base = hom.dip_curve(cfg_sg, "supergaussian", [50.0]).rates[0]
     rg, rsg = g_min / g_base, sg_min / sg_base
     _report("full-depth dip for both filter shapes",
             rg <= 1e-4 and rsg <= 1e-4,
@@ -167,8 +167,8 @@ def test_10_symmetry_suite():
         b = jsa.q_amplitude(float(ni), float(ns), c)
         worst_q = max(worst_q, abs(a - b) / max(abs(a), 1e-300))
         dt = float(rng.uniform(0.5, 10.0))
-        rp = hom.rate_gaussian_closed(dt, c)
-        rm = hom.rate_gaussian_closed(-dt, c)
+        rp = hom.dip_curve(c, "gaussian", [dt]).rates[0]
+        rm = hom.dip_curve(c, "gaussian", [-dt]).rates[0]
         worst_r = max(worst_r, abs(rp - rm) / max(abs(rp), 1e-300))
     _report("exchange symmetry of Q and evenness of the dip (20 draws)",
             worst_q <= 1e-10 and worst_r <= 1e-10,

@@ -187,6 +187,14 @@ class TestDipCommand:
     def test_reversed_delay_range_exits_2(self, tmp_path, capsys):
         self._bad_delay_axis(tmp_path, capsys, ["--delay-min", "5", "--delay-max", "-5"])
 
+    @pytest.mark.parametrize("flags", [["--delay-max", "inf"], ["--delay-min=-inf"],
+                                       ["--delay-step", "inf"], ["--delay-step", "nan"],
+                                       ["--delay-min", "nan"],
+                                       ["--delay-min=-1e308", "--delay-max", "1e308"],
+                                       ["--delay-step", "1e-320"]])
+    def test_nonfinite_delay_axis_exits_2(self, tmp_path, capsys, flags):
+        self._bad_delay_axis(tmp_path, capsys, flags)
+
 
 class TestManifestRoundTrip:
     @pytest.mark.parametrize("options,config_flags", [
@@ -234,6 +242,26 @@ class TestFitCommand:
         small.write_text("\n".join(f"{i},1" for i in range(4)))
         assert run(["fit", "--data", str(small),
                     "--out", str(tmp_path / "f.json")]) == 2
+
+    @pytest.mark.parametrize("row", ["0.05,nan,1", "0.05,inf,1", "0.05,200,0",
+                                     "0.05,200,-1", "0.05,200,nan", "nan,200,1"])
+    def test_nonfinite_or_nonpositive_data_exits_2(self, tmp_path, capsys, row):
+        data = tmp_path / "counts.csv"
+        data.write_text("\n".join([f"{k * 0.5 - 5.0},200,1" for k in range(20)] + [row]))
+        out = tmp_path / "f.json"
+        assert run(["fit", "--data", str(data), "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_not_opened_before_serialization(self, tmp_path, dip_data_file,
+                                                     monkeypatch):
+        def unserializable(*args, **kwargs):
+            raise ValueError("not serializable")
+
+        monkeypatch.setattr(cli, "fit_result_to_json", unserializable)
+        out = tmp_path / "f.json"
+        assert run(["fit", "--data", str(dip_data_file), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_model_mode(self, tmp_path, dip_data_file):
         out = tmp_path / "fit.json"

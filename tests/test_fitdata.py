@@ -62,6 +62,17 @@ class TestIngest:
         assert ds.delays_ps.size == 9
         assert ds.counts[4] == 15.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("delays", np.nan), ("delays", np.inf), ("counts", np.nan), ("counts", -np.inf),
+        ("uncertainties", 0.0), ("uncertainties", -1.0), ("uncertainties", np.nan),
+        ("uncertainties", np.inf)])
+    def test_dataset_rejects_nonfinite_or_nonpositive_values(self, field, value):
+        arrays = {"delays": np.arange(10.0), "counts": np.full(10, 5.0),
+                  "uncertainties": np.ones(10)}
+        arrays[field][-1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            CoincidenceDataset(*arrays.values())
+
     def test_bad_column_count(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("1,2,3,4\n" * 10)
@@ -158,7 +169,8 @@ class TestModelFit:
         # noise-free engine data on a scan centred on the stage position
         delays = np.round(np.arange(-120, 121) * 0.125, 10) + stage_ps
         baseline, scale, center = 420.0, 0.96, stage_ps + 0.4
-        shifted = np.array([hom.rate_gaussian_closed(dt - center, cfg) for dt in delays])
+        shifted = np.array([hom.dip_curve(cfg, "gaussian", [dt - center]).rates[0]
+                            for dt in delays])
         counts = baseline * (1 - scale * (1 - shifted))
         res = fit_model(CoincidenceDataset(delays, counts), cfg, engine="gaussian")
         assert res.converged
@@ -252,7 +264,7 @@ class TestModelFit:
             pump_fwhm_nm=0.8, peak_power_W=0.36,
             filter_shape="cascade", filter_fwhm_nm=stage_fwhm)
         delays = np.round(np.arange(-150, 151) * 0.1, 10)
-        rates = np.array([hom.rate_general(dt, cfg_cascade) for dt in delays])
+        rates = np.array([hom.dip_curve(cfg_cascade, "general", [dt]).rates[0] for dt in delays])
         counts = 100.0 * rates
         res = fit_gaussian_dip(CoincidenceDataset(delays, counts))
         g = hom.dip_metrics(hom.dip_curve(cfg, "gaussian")).fwhm_ps
@@ -296,6 +308,22 @@ class TestModelFit:
         data = CoincidenceDataset(delays, np.ones(10))
         with pytest.raises(ValueError):
             fit_model(data, cfg, engine="bogus")
+
+
+def test_converged_is_a_python_bool_when_no_step_is_accepted():
+    # the residual is NaN after the first call, as a NaN count makes it, so every
+    # trial step is rejected
+    calls = []
+
+    def residual(p):
+        calls.append(p)
+        return np.array([1.0 if len(calls) == 1 else np.nan])
+
+    p0 = np.array([1.0])
+    p, cost, it, converged, cov = fitdata._levenberg(residual, lambda p: np.array([[1.0]]),
+                                                     p0, max_iter=10)
+    assert type(converged) is bool and not converged
+    assert it == 1 and np.array_equal(p, p0)
 
 
 def test_fit_result_json_round_trip():

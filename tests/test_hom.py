@@ -31,55 +31,54 @@ def cfg_no_dispersion():
     )
 
 
-ENGINES = {
-    "general": hom.rate_general,
-    "gaussian": hom.rate_gaussian_closed,
-}
+def _rate(engine, dt, cfg, **filters):
+    """The rate of one engine at one delay."""
+    return hom.dip_curve(cfg, engine, [dt], **filters).rates[0]
 
 
 class TestZeroDelay:
     def test_general_vanishes(self, cfg):
-        assert hom.rate_general(0.0, cfg) <= 1e-12
+        assert _rate("general", 0.0, cfg) <= 1e-12
 
     def test_closed_vanishes(self, cfg):
-        assert hom.rate_gaussian_closed(0.0, cfg) <= 1e-12
+        assert _rate("gaussian", 0.0, cfg) <= 1e-12
 
     def test_supergaussian_vanishes(self, cfg_sg):
-        assert hom.rate_supergaussian(0.0, cfg_sg) <= 1e-12
+        assert _rate("supergaussian", 0.0, cfg_sg) <= 1e-12
 
 
 class TestBaseline:
     @pytest.mark.parametrize("engine", ["general", "gaussian"])
     def test_large_delay_baseline(self, cfg, engine):
-        assert ENGINES[engine](50.0, cfg) == pytest.approx(1.0, abs=0.01)
+        assert _rate(engine, 50.0, cfg) == pytest.approx(1.0, abs=0.01)
 
     def test_supergaussian_large_delay(self, cfg_sg):
-        assert hom.rate_supergaussian(50.0, cfg_sg) == pytest.approx(1.0, abs=0.01)
+        assert _rate("supergaussian", 50.0, cfg_sg) == pytest.approx(1.0, abs=0.01)
 
 
 class TestSymmetry:
     @pytest.mark.parametrize("engine", ["general", "gaussian"])
     def test_even_in_delay(self, cfg, engine):
         for dt in (0.5, 2.0, 7.3):
-            assert ENGINES[engine](dt, cfg) == pytest.approx(
-                ENGINES[engine](-dt, cfg), rel=1e-10)
+            assert _rate(engine, dt, cfg) == pytest.approx(
+                _rate(engine, -dt, cfg), rel=1e-10)
 
     def test_supergaussian_even(self, cfg_sg):
         for dt in (1.0, 4.0):
-            assert hom.rate_supergaussian(dt, cfg_sg) == pytest.approx(
-                hom.rate_supergaussian(-dt, cfg_sg), rel=1e-10)
+            assert _rate("supergaussian", dt, cfg_sg) == pytest.approx(
+                _rate("supergaussian", -dt, cfg_sg), rel=1e-10)
 
 
 class TestEngineAgreement:
     def test_reference_delays(self, cfg):
         for dt in (1.0, 3.0, 5.0, 8.0):
-            a = hom.rate_general(dt, cfg)
-            b = hom.rate_gaussian_closed(dt, cfg)
+            a = _rate("general", dt, cfg)
+            b = _rate("gaussian", dt, cfg)
             assert abs(a - b) < 1e-4
 
     def test_across_full_dip(self, cfg):
         for dt in np.linspace(-15, 15, 31):
-            assert abs(hom.rate_general(dt, cfg) - hom.rate_gaussian_closed(dt, cfg)) < 1e-4
+            assert abs(_rate("general", dt, cfg) - _rate("gaussian", dt, cfg)) < 1e-4
 
 
 class TestDispersionlessLimit:
@@ -88,7 +87,7 @@ class TestDispersionlessLimit:
         s0 = cfg_no_dispersion.sigma_0_rad_per_ps
         for dt in (0.5, 2.0, 4.0, 8.0):
             expected = 1.0 - math.exp(-(dt**2) * s0**2 / 2.0)
-            assert hom.rate_gaussian_closed(dt, cfg_no_dispersion) == pytest.approx(
+            assert _rate("gaussian", dt, cfg_no_dispersion) == pytest.approx(
                 expected, rel=1e-8)
 
     def test_fwhm(self, cfg_no_dispersion):
@@ -103,8 +102,8 @@ class TestAsymmetric:
     def test_identical_filters_match_general(self, cfg):
         f = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.8)
         for dt in (0.0, 1.0, 3.0, 6.0, 10.0):
-            a = hom.rate_asymmetric(dt, cfg, f, f)
-            b = hom.rate_general(dt, cfg)
+            a = _rate("asymmetric", dt, cfg, signal_filter=f, idler_filter=f)
+            b = _rate("general", dt, cfg)
             assert abs(a - b) <= 1e-10
 
     def test_mismatch_degrades_visibility(self, cfg):
@@ -134,10 +133,11 @@ class TestAsymmetric:
             cross = np.sum(f * np.conj(f.T) * np.exp(-1j * (ni - ns) * dt))
             return 1.0 - cross.real / base
 
-        min_engine = hom.rate_asymmetric(0.0, cfg, sig, idl)
+        min_engine = _rate("asymmetric", 0.0, cfg, signal_filter=sig, idler_filter=idl)
         assert min_engine == pytest.approx(oracle(0.0), abs=2e-4)
         for dt in (2.0, 5.0):
-            assert hom.rate_asymmetric(dt, cfg, sig, idl) == pytest.approx(oracle(dt), abs=2e-4)
+            assert _rate("asymmetric", dt, cfg, signal_filter=sig,
+                         idler_filter=idl) == pytest.approx(oracle(dt), abs=2e-4)
         # the residual coincidence floor is strictly positive
         assert min_engine > 1e-5
 
@@ -161,6 +161,15 @@ class TestSuperGaussian:
         sg = hom.dip_metrics(hom.dip_curve(cfg_sg, "supergaussian"))
         assert sg.fwhm_ps > g.fwhm_ps
 
+    @pytest.mark.parametrize("order", [96, 192])
+    def test_same_as_general_at_every_start_order(self, cfg_sg, order):
+        # past its quartic-filter guard the supergaussian engine is the general one
+        settings = QuadratureSettings(gl_order=order)
+        sg = hom.dip_curve(cfg_sg, "supergaussian", settings=settings)
+        general = hom.dip_curve(cfg_sg, "general", settings=settings)
+        assert np.array_equal(sg.rates, general.rates)
+        assert sg.quadrature == general.quadrature and sg.quadrature["nu_order"] == order
+
     def test_factored_matches_direct_4d(self, cfg_sg):
         # the spectral tables (factored kernel, z-sum folded into H, cross weights
         # summed over their diagonals) must equal the plain 4-D tensor rule on the
@@ -169,9 +178,8 @@ class TestSuperGaussian:
         from homsim.jsa import _Z_ORDER, _g_function
 
         order = 24
-        trunc = 6.0
         spec = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4, fwhm_nm=cfg_sg.filter.fwhm_nm)
-        half = hom._nu_halfwidth(spec, cfg_sg, trunc)
+        half = hom._nu_halfwidth(spec, cfg_sg)
         z, zw = gauss_legendre(_Z_ORDER, -cfg_sg.fiber.length_m, 0.0)
         b2 = cfg_sg.fiber.beta2_ps2_per_m
         ssg = cfg_sg.sigma_sg_rad_per_ps
@@ -196,7 +204,7 @@ class TestSuperGaussian:
             return complex(vals)
 
         nu = np.linspace(-half, half, order + 1)
-        step, coef, _ = hom._spectral_tables(cfg_sg, order, trunc)
+        step, coef, _ = hom._spectral_tables(cfg_sg, order)
         assert step == pytest.approx(nu[1] - nu[0], rel=1e-14)
         engine_rates = hom._cosine_sums(np.array([3.0]), step, coef)[0]
         for rate, nodes in zip(engine_rates, (nu, nu[::2])):
@@ -237,7 +245,7 @@ def gl_cross_weights(cfg, order):
     sum |F|^2 w_s w_i on a Gauss-Legendre grid of ``order`` nodes per axis over the
     spectral engines' box: a rule independent of theirs."""
     signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
-    half = max(hom._nu_halfwidth(signal, cfg, 6.0), hom._nu_halfwidth(idler, cfg, 6.0))
+    half = max(hom._nu_halfwidth(signal, cfg), hom._nu_halfwidth(idler, cfg))
     nu, w = gauss_legendre(order, -half, half)
     arms = [hom.filter_amplitude(spec, nu, cfg) for spec in (signal, idler)]
     f_mat = (jsa._q_factored(nu[:, None] + nu[None, :], (nu[:, None] - nu[None, :]) ** 2, cfg)
@@ -366,7 +374,7 @@ class TestBatchedDelays:
         # the split m = a M + b of _cosine_sums, with its padded tail, against
         # sum_m c_m cos(m step dt) in extended precision, for coefficients of
         # either sign that do not decay
-        step, coef = hom._spectral_tables(units.default_config(), order, 6.0)[:2]
+        step, coef = hom._spectral_tables(units.default_config(), order)[:2]
         rng = np.random.default_rng(order)
         coef = rng.normal(size=coef.shape).astype(complex)
         delays = np.linspace(-20.0, 20.0, 101)
@@ -398,7 +406,7 @@ class TestBatchedDelays:
 def engine_frequencies():
     """The frequencies m step whose phasors the general engine takes on the default
     config: b step for b < M and a M step for a < A."""
-    step, coef = hom._spectral_tables(units.default_config(), hom._DEFAULT_NU_ORDER, 6.0)[:2]
+    step, coef = hom._spectral_tables(units.default_config(), QuadratureSettings().gl_order)[:2]
     m, a = coef.shape[0], coef.shape[1] // 2
     return np.r_[np.arange(m) * step, np.arange(a) * (m * step)]
 
@@ -481,10 +489,10 @@ class TestErrorEstimate:
     def test_perturbed_coarse_rule_raises(self, monkeypatch):
         tables = hom._spectral_tables
 
-        def perturbed(cfg, n, trunc):
+        def perturbed(cfg, n):
             # the nested rule's c_0 (row 0, column A of the packed table) moves by
             # 1e-9 of the baseline, a thousand times the tolerance, at every order
-            step, coef, kappa = tables(cfg, n, trunc)
+            step, coef, kappa = tables(cfg, n)
             coef = coef.copy()
             coef[0, coef.shape[1] // 2] += 1e-9
             return step, coef, kappa
@@ -696,7 +704,7 @@ class TestCurveIO:
 class TestValidation:
     def test_closed_engine_rejects_non_gaussian(self, cfg_sg):
         with pytest.raises(ValueError):
-            hom.rate_gaussian_closed(1.0, cfg_sg)
+            _rate("gaussian", 1.0, cfg_sg)
 
     def test_supergaussian_engine_rejects_other_filters(self, cfg):
         # the quartic engine must not silently replace the configured filter
@@ -707,7 +715,7 @@ class TestValidation:
             lambda_p1_nm=1555.92, lambda_p2_nm=1545.95, pump_fwhm_nm=0.8,
             peak_power_W=0.36, filter_shape="supergaussian4", idler_filter_fwhm_nm=0.9)
         with pytest.raises(ValueError):
-            hom.rate_supergaussian(1.0, mismatched)
+            _rate("supergaussian", 1.0, mismatched)
 
     def test_unknown_engine(self, cfg):
         with pytest.raises(ValueError):
@@ -715,6 +723,6 @@ class TestValidation:
 
     def test_cascade_supported_by_general(self):
         cfg = units.default_config("cascade")
-        r = hom.rate_general(3.0, cfg)
+        r = _rate("general", 3.0, cfg)
         assert 0.0 < r < 1.0
-        assert hom.rate_general(0.0, cfg) <= 1e-12
+        assert _rate("general", 0.0, cfg) <= 1e-12

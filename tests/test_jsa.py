@@ -110,11 +110,6 @@ class TestPhiOracle:
         got = jsa.phi_oracle(0.0, 0.0, 0.0, cfg)
         assert got == pytest.approx(math.sqrt(math.pi) * cfg.sigma_p_rad_per_ps, rel=1e-10)
 
-    def test_linear_in_pump_amplitude_squared(self, cfg):
-        a = jsa.phi_oracle(0.1, -0.2, -120.0, cfg, pump_amp_sq=1.0)
-        b = jsa.phi_oracle(0.1, -0.2, -120.0, cfg, pump_amp_sq=2.0)
-        assert b == pytest.approx(2.0 * a, rel=1e-12)
-
 
 class TestQAmplitude:
     def test_dispersionless_closed_form(self, cfg_no_dispersion):

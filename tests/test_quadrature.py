@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from numpy.polynomial.legendre import leggauss
 from homsim import hom, quadrature, units
 from homsim.quadrature import (
     AccuracyError,
-    Integrand1D,
     QuadratureSettings,
     gauss_legendre,
     integrate_1d,
@@ -39,17 +39,15 @@ def test_symmetric_interval_nodes_are_exactly_antisymmetric(order):
 
 
 def test_complex_exponential():
-    res = integrate_1d(Integrand1D(lambda x: np.exp(1j * x), 0.0, 1.0))
+    res = integrate_1d(lambda x: np.exp(1j * x), 0.0, 1.0)
     expected = math.sin(1.0) + 1j * (1.0 - math.cos(1.0))
     assert abs(res.value - expected) < 1e-12
 
 
 def test_truncated_gaussian():
     sigma = 1.0
-    res = integrate_1d(
-        Integrand1D(lambda x: np.exp(-(x**2) / (2 * sigma**2)), -6 * sigma, 6 * sigma),
-        QuadratureSettings(rel_tol=1e-12, abs_tol=1e-14),
-    )
+    res = integrate_1d(lambda x: np.exp(-(x**2) / (2 * sigma**2)), -6 * sigma, 6 * sigma,
+                       rel_tol=1e-12, abs_tol=1e-14)
     exact_truncated = sigma * math.sqrt(2 * math.pi) * math.erf(6.0 / math.sqrt(2.0))
     assert abs(res.value - exact_truncated) < 1e-11 * sigma
     # the 6-sigma tail itself contributes only ~2e-9 relative
@@ -58,10 +56,7 @@ def test_truncated_gaussian():
 
 def test_oscillatory_integrand():
     # int_0^10 e^{i 20 x} dx, forces real subdivision work
-    res = integrate_1d(
-        Integrand1D(lambda x: np.exp(20j * x), 0.0, 10.0),
-        QuadratureSettings(rel_tol=1e-10, abs_tol=1e-13),
-    )
+    res = integrate_1d(lambda x: np.exp(20j * x), 0.0, 10.0, rel_tol=1e-10, abs_tol=1e-13)
     expected = (np.exp(200j) - 1.0) / 20j
     assert abs(res.value - expected) < 1e-9
     assert res.subdivisions > 1
@@ -71,10 +66,9 @@ def test_linearity():
     f = lambda x: np.exp(-(x**2))
     g = lambda x: np.cos(3 * x) + 0j
     a, b = 2.0 + 1j, -0.5
-    s = QuadratureSettings(rel_tol=1e-11, abs_tol=1e-14)
-    lhs = integrate_1d(Integrand1D(lambda x: a * f(x) + b * g(x), -3, 3), s).value
-    rhs = a * integrate_1d(Integrand1D(f, -3, 3), s).value \
-        + b * integrate_1d(Integrand1D(g, -3, 3), s).value
+    s = {"rel_tol": 1e-11, "abs_tol": 1e-14}
+    lhs = integrate_1d(lambda x: a * f(x) + b * g(x), -3, 3, **s).value
+    rhs = a * integrate_1d(f, -3, 3, **s).value + b * integrate_1d(g, -3, 3, **s).value
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -82,15 +76,15 @@ def test_refinement_monotonicity():
     f = lambda x: np.exp(1j * 15 * x) * np.exp(-0.1 * x**2)
     errs = []
     for rel in (1e-4, 5e-5, 2.5e-5, 1.25e-5, 1e-8):
-        res = integrate_1d(Integrand1D(f, -5, 5), QuadratureSettings(rel_tol=rel, abs_tol=1e-16))
+        res = integrate_1d(f, -5, 5, rel_tol=rel, abs_tol=1e-16)
         errs.append(res.error)
     assert all(a >= b for a, b in zip(errs, errs[1:]))
 
 
 def test_deterministic():
     f = lambda x: np.exp(1j * 7 * x) / (1 + x**2)
-    r1 = integrate_1d(Integrand1D(f, -4, 4))
-    r2 = integrate_1d(Integrand1D(f, -4, 4))
+    r1 = integrate_1d(f, -4, 4)
+    r2 = integrate_1d(f, -4, 4)
     assert r1.value == r2.value
     assert r1.error == r2.error
 
@@ -98,29 +92,34 @@ def test_deterministic():
 def test_subdivision_cap_raises_with_best_estimate():
     f = lambda x: np.exp(1j * 500 * x)
     with pytest.raises(AccuracyError) as exc:
-        integrate_1d(Integrand1D(f, 0, 50), QuadratureSettings(rel_tol=1e-14, abs_tol=1e-16,
-                                                               max_subdivisions=4))
+        integrate_1d(f, 0, 50, rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=4)
     assert exc.value.best is not None
     assert np.isfinite(exc.value.best.error)
 
 
 def test_rejects_infinite_interval():
     with pytest.raises(ValueError):
-        integrate_1d(Integrand1D(lambda x: np.exp(-x**2), 0.0, math.inf))
+        integrate_1d(lambda x: np.exp(-x**2), 0.0, math.inf)
 
 
 def test_rejects_nonfinite_integrand():
     with pytest.raises(ValueError):
-        integrate_1d(Integrand1D(lambda x: np.full_like(x, np.nan), -1.0, 1.0))
+        integrate_1d(lambda x: np.full_like(x, np.nan), -1.0, 1.0)
 
 
 def test_settings_validation():
+    f = lambda x: np.exp(1j * x)
     with pytest.raises(ValueError):
-        QuadratureSettings(rel_tol=0.0)
+        integrate_1d(f, 0.0, 1.0, rel_tol=0.0)
     with pytest.raises(ValueError):
-        QuadratureSettings(max_subdivisions=0)
+        integrate_1d(f, 0.0, 1.0, abs_tol=-1e-12)
+    with pytest.raises(ValueError):
+        integrate_1d(f, 0.0, 1.0, max_subdivisions=0)
+    with pytest.raises(ValueError):
+        QuadratureSettings(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSettings(gl_order=1)
+    assert {fld.name for fld in dataclasses.fields(QuadratureSettings)} == {"abs_tol", "gl_order"}
 
 
 def _knots(n, kind, rng):

@@ -173,17 +173,17 @@ def cmd_overlap(args) -> int:
     t0 = time.perf_counter()
     d = args.d_mm * 1e-3
     lam = args.lambda_nm * 1e-9
+    if (args.target is None) == (args.theta_urad is None):
+        raise ConfigError("overlap: provide exactly one of --target and --theta-urad")
     if args.theta_urad is not None:
         theta = args.theta_urad * 1e-6
         overlap = spatial_overlap(SpatialGeometry(d, lam, theta))
         out = {"theta_urad": args.theta_urad, "overlap": overlap}
-    elif args.target is not None:
+    else:
         theta = solve_angle_for_overlap(args.target, d, lam)
         achieved = spatial_overlap(SpatialGeometry(d, lam, theta))
         out = {"target": args.target, "theta_rad": theta,
                "theta_urad": theta * 1e6, "achieved_overlap": achieved}
-    else:
-        raise ConfigError("overlap: provide either --target or --theta-urad")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(out, fh, indent=2)

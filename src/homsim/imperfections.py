@@ -12,6 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .quadrature import _brentq
+
 __all__ = [
     "BeamSplitter",
     "SpatialGeometry",
@@ -34,12 +38,10 @@ class BeamSplitter:
     transmittance: float
 
     def __post_init__(self) -> None:
-        if self.reflectance < 0 or self.transmittance < 0:
+        if not (self.reflectance >= 0 and self.transmittance >= 0):
             raise ValueError("R and T must be nonnegative")
-        if abs(self.reflectance + self.transmittance - 1.0) > 1e-9:
-            raise ValueError(
-                f"R + T must equal 1, got {self.reflectance + self.transmittance}"
-            )
+        if not abs(self.reflectance + self.transmittance - 1.0) <= 1e-9:
+            raise ValueError(f"R + T must equal 1, got {self.reflectance + self.transmittance}")
 
 
 @dataclass(frozen=True)
@@ -51,62 +53,32 @@ class SpatialGeometry:
     angle_rad: float
 
     def __post_init__(self) -> None:
-        if not self.lens_diameter_m > 0:
-            raise ValueError("lens diameter must be positive")
-        if not self.wavelength_m > 0:
-            raise ValueError("wavelength must be positive")
+        if not 0 < self.lens_diameter_m < math.inf:
+            raise ValueError("lens diameter must be positive and finite")
+        if not 0 < self.wavelength_m < math.inf:
+            raise ValueError("wavelength must be positive and finite")
         if not abs(self.angle_rad) < math.pi / 2:
             raise ValueError("|theta| must be below pi/2")
 
 
+def _nodes(x: float) -> tuple[int, np.ndarray]:
+    """N = 32 + 2 ceil(|x|) and the nodes 2 pi k / N, on which the trapezoid rule converges
+    geometrically for the periodic integrands of Bessel's and Poisson's integrals (Trefethen
+    & Weideman, SIAM Review 56, 2014); |x| > 1e6 or NaN raises (5 mm, 1.55 um: x <= 1.01e4)."""
+    if not abs(x) <= 1e6:
+        raise ValueError(f"|x| must be at most 1e6, got {x}")
+    n = 32 + 2 * math.ceil(abs(x))
+    return n, np.arange(n, dtype=float) * (2.0 * math.pi / n)
+
+
 def bessel_j1(x: float) -> float:
-    """First-order Bessel function J1, |error| < 1e-12 for |x| <= 20.
+    """J1(x) = (1/2pi) int_0^2pi cos(t - x sin t) dt (Bessel's integral).
 
-    Power series below |x| = 9; Miller's downward recurrence with the
-    J0 + 2 sum J_{2k} = 1 normalization beyond (the ascending series loses
-    digits to cancellation there, upward recurrence is unstable).
+    The integrand's mean over the N nodes at |x|, signed as x (J1 is odd): within
+    1e-14 for |x| <= 20 and 1e-13 up to |x| = 1e6, beyond which it raises.
     """
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    ax = abs(x)
-    sign = -1.0 if x < 0 else 1.0  # J1 is odd
-    if ax == 0.0:
-        return 0.0
-    if ax < 9.0:
-        # sum_k (-1)^k (x/2)^{2k+1} / (k! (k+1)!)
-        half = ax / 2.0
-        term = half
-        total = term
-        k = 0
-        while True:
-            k += 1
-            term *= -(half * half) / (k * (k + 1))
-            total += term
-            if abs(term) < 1e-18 * abs(total) + 1e-300:
-                return sign * total
-
-    # Miller's algorithm: recurse J_{n-1} = (2n/x) J_n - J_{n+1} downward
-    # from a start order well above x, then normalize.
-    nstart = int(ax + 20 + 10 * math.sqrt(ax))
-    if nstart % 2:
-        nstart += 1
-    jp, jc = 0.0, 1e-300
-    norm = 0.0
-    j1 = 0.0
-    for n in range(nstart, 0, -1):
-        jm = (2.0 * n / ax) * jc - jp
-        jp, jc = jc, jm
-        if n - 1 == 1:
-            j1 = jc
-        if (n - 1) % 2 == 0:
-            norm += 2.0 * jc if n - 1 > 0 else jc
-        # rescale to avoid overflow during the growth phase
-        if abs(jc) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            norm *= 1e-250
-            j1 *= 1e-250
-    return sign * j1 / norm
+    _, t = _nodes(x)
+    return float(np.sign(x)) * float(np.mean(np.cos(t - abs(x) * np.sin(t))))
 
 
 def bs_visibility_factor(bs: BeamSplitter) -> float:
@@ -116,11 +88,14 @@ def bs_visibility_factor(bs: BeamSplitter) -> float:
 
 
 def _airy_amplitude(x: float) -> float:
-    """2 J1(x)/x with the series limit 1 at x = 0."""
-    if abs(x) < 1e-6:
-        x2 = x * x
-        return 1.0 - x2 / 8.0 + x2 * x2 / 192.0
-    return 2.0 * bessel_j1(x) / x
+    """2 J1(x)/x = (1/pi) int_0^2pi cos(x cos t) sin^2 t dt (Poisson's integral).
+
+    (2/N) sum_k cos(x cos t_k) sin^2 t_k over the N nodes: exactly 1 at x = 0,
+    within 1e-14 for |x| <= 20 however small |x| is; raises beyond |x| = 1e6.
+    """
+    n, t = _nodes(x)
+    s = np.sin(t)
+    return 2.0 / n * float(np.dot(np.cos(x * np.cos(t)), s * s))
 
 
 def spatial_overlap(geom: SpatialGeometry) -> float:
@@ -133,21 +108,16 @@ def solve_angle_for_overlap(target: float, lens_diameter_m: float,
                             wavelength_m: float) -> float:
     """Angle theta (rad) at which the spatial overlap equals ``target``.
 
-    Bisection on the monotone branch x in (0, first J1 zero); unique solution.
+    Brent's method, to 1e-15 in x (2e-12 left 1.3e-11 of theta at x = 0.04), on
+    2 J1(x)/x = sqrt(target) over [0, first J1 zero], where it falls from 1 to 0.
     """
+    SpatialGeometry(lens_diameter_m, wavelength_m, 0.0)  # validates d and lambda
     if not 0.0 < target < 1.0:
         raise ValueError(f"target overlap must be in (0, 1), got {target}")
     amp_target = math.sqrt(target)
-    lo, hi = 0.0, J1_FIRST_ZERO
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _airy_amplitude(mid) > amp_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(hi, 1.0):
-            break
-    x = 0.5 * (lo + hi)
+    x = J1_FIRST_ZERO  # the sum reads 2.4e-18 here: targets below ~6e-36 keep this x
+    if _airy_amplitude(x) < amp_target:
+        x = _brentq(lambda x: _airy_amplitude(x) - amp_target, 0.0, J1_FIRST_ZERO, xtol=1e-15)
     s = x * wavelength_m / (math.pi * lens_diameter_m)
     if s >= 1.0:
         raise ValueError("target overlap unreachable for this geometry (sin theta >= 1)")

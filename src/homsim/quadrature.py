@@ -268,8 +268,10 @@ _BRENTQ_RTOL = 4 * np.finfo(float).eps
 _BRENTQ_MAXITER = 100
 
 
-def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
-    """Root of f in [a, b] by Brent's method, as scipy's ``brentq`` defaults.
+def _brentq(f: Callable[[float], float], a: float, b: float,
+            xtol: float = _BRENTQ_XTOL) -> float:
+    """Root of f in [a, b] by Brent's method, as scipy's ``brentq`` with its
+    defaults: it stops once the bracket is below xtol + 4 eps |x|.
 
     Raises ``ValueError`` if f(a) and f(b) have the same sign or f returns
     NaN, and ``RuntimeError`` if 100 iterations do not converge.
@@ -297,7 +299,7 @@ def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENTQ_XTOL + _BRENTQ_RTOL * abs(xcur)) / 2
+        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

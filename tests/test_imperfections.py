@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homsim import cli
 from homsim import imperfections as imp
 
 
@@ -28,14 +29,30 @@ class TestBesselJ1:
         for x in np.linspace(-20, 20, 161):
             exact = float(mpmath.besselj(1, mpmath.mpf(float(x))))
             assert abs(imp.bessel_j1(float(x)) - exact) < 1e-12
+        # J1 and the Airy amplitude 2 J1(x)/x on a ten times denser grid and
+        # down to |x| = 1e-9, where the quotient 2 J1(x)/x would lose digits
+        for x in [*np.linspace(-20, 20, 1601), 1e-9, 1e-6, -1e-6, 1e-3]:
+            exact = mpmath.besselj(1, mpmath.mpf(float(x)))
+            assert abs(imp.bessel_j1(float(x)) - float(exact)) < 1e-14
+            amp = float(2 * exact / x) if x else 1.0
+            assert abs(imp._airy_amplitude(float(x)) - amp) < 1e-14
+        for x in (1e3, -1e4, 1e5, 1e6):
+            assert abs(imp.bessel_j1(x) - float(mpmath.besselj(1, x))) < 1e-13
 
     def test_odd_function(self):
-        for x in (0.3, 2.7, 11.4):
+        for x in (0.3, 2.7, 11.4, 1e3, 1e6):
             assert imp.bessel_j1(-x) == -imp.bessel_j1(x)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             imp.bessel_j1(float("nan"))
+
+    @pytest.mark.parametrize("fn", [imp.bessel_j1, imp._airy_amplitude])
+    @pytest.mark.parametrize("x", [math.nextafter(1e6, math.inf), -1.5e6, math.inf])
+    def test_rejects_beyond_node_bound(self, fn, x):
+        # raised before the 32 + 2 ceil(|x|) nodes are built
+        with pytest.raises(ValueError, match="at most 1e6"):
+            fn(x)
 
 
 class TestBeamSplitter:
@@ -70,6 +87,7 @@ class TestSpatialOverlap:
     def test_zero_angle(self):
         geom = imp.SpatialGeometry(5e-3, 1.55e-6, 0.0)
         assert imp.spatial_overlap(geom) == 1.0
+        assert imp._airy_amplitude(0.0) == 1.0
 
     def test_first_bessel_zero_kills_overlap(self):
         # choose theta so that pi d sin(theta) / lambda hits the first J1 zero
@@ -124,6 +142,26 @@ class TestAngleInversion:
         theta = imp.solve_angle_for_overlap(0.943, 5e-3, 1.55e-6)
         assert theta == pytest.approx(47.69e-6, abs=0.05e-6)
 
+    def test_tiny_target_gives_first_zero_angle(self):
+        # 1e-30 is solved to within rounding of the zero; below ~6e-36 the sum's
+        # 2.4e-18 at the zero is above sqrt(target) and the zero itself is kept
+        d, lam = 5e-3, 1.55e-6
+        first_zero = math.asin(imp.J1_FIRST_ZERO * lam / (math.pi * d))
+        for target in (1e-30, 1e-300, 5e-324):
+            theta = imp.solve_angle_for_overlap(target, d, lam)
+            assert theta == pytest.approx(first_zero, rel=1e-12)
+
+    def test_against_mpmath_root(self):
+        # the amplitude's ~5e-16 rounding over its slope x/4 allows ~5e-12 at 0.9999
+        import mpmath
+        mpmath.mp.dps = 40
+        d, lam = 5e-3, 1.55e-6
+        for target in (0.05, 0.5, 0.943, 0.9999):
+            x = mpmath.findroot(lambda x: 2 * mpmath.besselj(1, x) / x - mpmath.sqrt(target),
+                                (mpmath.mpf("1e-3"), imp.J1_FIRST_ZERO), solver="anderson")
+            exact = float(mpmath.asin(x * lam / (mpmath.pi * d)))
+            assert imp.solve_angle_for_overlap(target, d, lam) == pytest.approx(exact, rel=1e-11)
+
     def test_rejects_bad_target(self):
         for target in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
@@ -135,3 +173,28 @@ def test_visibility_budget_multiplies():
     geom = imp.SpatialGeometry(5e-3, 1.55e-6, 30e-6)
     v = imp.visibility_budget(1.0, bs=bs, geom=geom)
     assert v == pytest.approx(imp.bs_visibility_factor(bs) * imp.spatial_overlap(geom), rel=1e-14)
+
+
+@pytest.mark.parametrize("call, args", [
+    (imp.solve_angle_for_overlap, (0.9, -5e-3, 1.55e-6)),
+    (imp.solve_angle_for_overlap, (0.9, 5e-3, 0.0)),
+    (imp.solve_angle_for_overlap, (0.9, math.nan, 1.55e-6)),
+    (imp.SpatialGeometry, (math.inf, 1.55e-6, 0.0)),
+    (imp.SpatialGeometry, (5e-3, math.inf, 0.0)),
+    (imp.BeamSplitter, (math.nan, math.nan)),
+    (imp.BeamSplitter, (math.nan, 0.5)),
+    (cli.main, (["overlap", "--target", "0.9", "--d-mm", "0"],)),
+    (cli.main, (["overlap", "--theta-urad", "10", "--lambda-nm", "inf"],)),
+    (cli.main, (["overlap", "--target", "0.9", "--theta-urad", "10"],)),
+    # x = pi d sin(theta) / lambda = 1.003e6, past the bound on the node count
+    (cli.main, (["overlap", "--theta-urad", "1428700", "--d-mm", "500"],)),
+], ids=["solve-negative-d", "solve-zero-lambda", "solve-nan-d", "geometry-infinite-d",
+        "geometry-infinite-lambda", "splitter-nan", "splitter-nan-r", "cli-zero-d",
+        "cli-infinite-lambda", "cli-target-and-angle", "cli-beyond-node-bound"])
+def test_invalid_input_rejected(call, args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if call is cli.main:
+        assert call(*args) == 2
+    else:
+        with pytest.raises(ValueError):
+            call(*args)

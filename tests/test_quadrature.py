@@ -180,6 +180,7 @@ def test_brentq_matches_scipy_on_general_dip():
     roots += [(lambda x: float(spline(x)) - half, d[i], d[i + 1]) for i in flips]
     for f, a, b in roots:
         assert abs(_brentq(f, a, b) - optimize.brentq(f, a, b)) <= 2e-12
+        assert _brentq(f, a, b, xtol=1e-15) == optimize.brentq(f, a, b, xtol=1e-15)
 
 
 def test_brentq_rejects_unbracketed_and_nan():

@@ -5,8 +5,10 @@ Two fit families:
 * :func:`fit_gaussian_dip` -- the phenomenological model
   c(dt) = B [1 - V exp(-(dt - tc)^2 / (2 w^2))] with an analytic Jacobian.
 * :func:`fit_model` -- a physics engine curve with nuisance parameters
-  (baseline, center, depth scale); the engine curve is computed once on a dense
-  grid and spline-cached, the spline's derivative gives an analytic Jacobian.
+  (baseline, center, depth scale).  The engine rate is interpolated by a
+  spline on a grid symmetric about zero, sized by the scan span and cached per
+  (config, engine, half-width); its spacing is halved until a midpoint check
+  meets ``_MODEL_TOL``.  The spline's derivative gives an analytic Jacobian.
 
 The optimizer is damped Gauss-Newton with a Levenberg-style schedule:
 damping x10 on a rejected step, /10 on an accepted one, starting at 1e-3.
@@ -18,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +41,9 @@ __all__ = [
 ]
 
 _TWO_SQRT_2LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
+_MODEL_TOL = 1e-9         # the model spline's midpoint-check tolerance on R
+_MODEL_MAX_KNOTS = 2**15  # largest model spline
+_MODEL_HALF_STEP = 5.0    # model half-widths are multiples of this, in ps
 
 
 class ParseError(ValueError):
@@ -144,6 +150,16 @@ class FitResult:
     covariance: Optional[np.ndarray] = None
     suspicious: bool = False
     message: str = ""
+    dof: int = 1                     # data points minus fitted parameters, at least 1
+    std_errors: dict[str, Optional[float]] | None = None  # None where no covariance
+    model: Optional[dict] = None     # engine spline record of fit_model
+
+
+def _std_errors(names, cov: Optional[np.ndarray]) -> dict[str, Optional[float]]:
+    """sqrt(diag(cov)) for each name in the fitted order; None without a usable covariance."""
+    var = np.full(len(names), np.nan) if cov is None else np.diag(cov)
+    return {name: float(math.sqrt(v)) if math.isfinite(v) and v >= 0.0 else None
+            for name, v in zip(names, var)}
 
 
 def _levenberg(residual: Callable[[np.ndarray], np.ndarray],
@@ -249,12 +265,49 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
         visibility=float(v), fwhm_ps=float(fwhm), center_ps=float(tc),
         baseline=float(b), engine="GaussianDipFit",
     )
+    errors = _std_errors(("baseline", "visibility", "center_ps", "width_ps"), cov)
+    width_error = errors["width_ps"]
+    errors["fwhm_ps"] = None if width_error is None else _TWO_SQRT_2LN2 * width_error
     return FitResult(
         params={"baseline": float(b), "visibility": float(v),
                 "center_ps": float(tc), "width_ps": float(w), "fwhm_ps": float(fwhm)},
         residual_norm=cost, iterations=it, converged=converged,
         derived_metrics=metrics, covariance=cov, suspicious=suspicious, message=msg,
+        dof=max(d.size - p.size, 1), std_errors=errors,
     )
+
+
+@lru_cache(maxsize=16)
+def _model(cfg: ExperimentConfig, engine: str, half: float):
+    """Spline of the engine rate R on knots k h, |k h| <= n h, n h >= ``half``, and its record.
+
+    R is even, so the engine runs on [0, n h] and is mirrored.  From h = 1/4 ps
+    (coarser by powers of two when the first halving would pass _MODEL_MAX_KNOTS)
+    h is halved until the previous spline, checked at its midpoints -- the new odd
+    knots -- is within _MODEL_TOL of the engine, or the next halving would pass the
+    cap.  Returns the finer spline and a record whose ``model_error`` is that
+    check's largest deviation, a bound on the coarser spline's error.
+    """
+    h = 0.25
+    while 4 * math.ceil(half / h) + 1 > _MODEL_MAX_KNOTS:
+        h *= 2.0
+    n = math.ceil(half / h)
+
+    def mirrored(m: int, spacing: float):
+        curve = dip_curve(cfg, engine, np.arange(m + 1) * spacing)
+        x, y = curve.delays_ps, curve.rates
+        return _CubicSpline(np.r_[-x[:0:-1], x], np.r_[y[:0:-1], y]), curve
+
+    spline, _ = mirrored(n, h)
+    while True:
+        n, h = 2 * n, 0.5 * h
+        finer, curve = mirrored(n, h)
+        error = float(np.max(np.abs(spline(curve.delays_ps[1::2]) - curve.rates[1::2])))
+        if error <= _MODEL_TOL or 4 * n + 1 > _MODEL_MAX_KNOTS:
+            return finer, {"half_width_ps": n * h, "knots": 2 * n + 1, "spacing_ps": h,
+                           "model_error": error, "model_tol": _MODEL_TOL,
+                           "quadrature": curve.quadrature}
+        spline = finer
 
 
 def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
@@ -262,13 +315,15 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     """Fit an engine-backed curve c(dt) = B [1 - s (1 - R(dt - tc))].
 
     Physics parameters are fixed by ``cfg``; the baseline B, center tc and
-    depth scale s vary.  The engine rate R is evaluated once on a dense grid
-    spanning the data relative to the initial center guess and
-    spline-interpolated, with its derivative for an analytic Jacobian, for
-    every candidate step.  The fit is marked suspicious when it leaves the
-    model: the center moves off the grid (R would be extrapolated), s leaves
-    [0, 1.05], the FWHM is not bracketed, or the grid is too coarse for the
-    engine dip (fewer than 8 knots with R < 0.5).
+    depth scale s vary.  R comes from a cached spline of the engine (see
+    :func:`_model`) over +-half, the scan span plus a pad of a quarter span
+    + 2 ps, rounded up to 5 ps, so that every center within the pad of the
+    initial guess keeps the data on the grid; its derivative gives an analytic
+    Jacobian.  The fit is marked suspicious when it leaves the model: the
+    center moves more than the pad (R would be extrapolated), s leaves
+    [0, 1.05], the FWHM is not bracketed, or the spline's error estimate exceeds
+    ``_MODEL_TOL`` at the knot cap (the grid does not resolve the engine dip).
+    ``FitResult.model`` records the spline and the engine's quadrature.
     """
     d, c = data.delays_ps, data.counts
     wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
@@ -276,10 +331,8 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     b0, v0, tc0, _ = _initial_dip_guess(d, c)
     span = d[-1] - d[0]
     pad = 0.25 * span + 2.0
-    grid = np.linspace(d[0] - tc0 - pad, d[-1] - tc0 + pad, max(4 * d.size, 256))
-    rates = dip_curve(cfg, engine, grid).rates
-    spline = _CubicSpline(grid, rates)
-    resolved = np.count_nonzero(rates < 0.5) >= 8
+    half = _MODEL_HALF_STEP * math.ceil((span + pad) / _MODEL_HALF_STEP)
+    spline, record = _model(cfg, engine, half)
 
     p0 = np.array([b0, tc0, min(max(v0, 0.05), 1.0)])
 
@@ -304,8 +357,8 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     dense = np.linspace(d[0], d[-1], 2001)
     curve = model(p, dense)
     imin = int(np.argmin(curve))
-    half = 0.5 * (b + curve[imin])
-    below = np.nonzero(curve < half)[0]
+    level = 0.5 * (b + curve[imin])
+    below = np.nonzero(curve < level)[0]
     bracketed = below.size >= 2
     fwhm = float(dense[below[-1]] - dense[below[0]]) if bracketed else float("nan")
     # engine dips to zero, so the depth scale is the visibility
@@ -316,7 +369,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     notes = [("center left the engine grid", abs(tc - tc0) > pad),
              ("depth scale outside [0, 1.05]", not 0.0 <= s <= 1.05),
              ("FWHM not bracketed", not bracketed),
-             ("engine dip not resolved by the fit grid", not resolved)]
+             ("engine dip not resolved by the fit grid", record["model_error"] > _MODEL_TOL)]
     msg = "; ".join(["converged" if converged else "max iterations reached"]
                     + [note for note, hit in notes if hit])
     return FitResult(
@@ -324,6 +377,8 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
         residual_norm=cost, iterations=it, converged=converged,
         derived_metrics=metrics, covariance=cov,
         suspicious=any(hit for _, hit in notes), message=msg,
+        dof=max(d.size - p.size, 1), std_errors=_std_errors(("baseline", "center", "scale"), cov),
+        model={**record, "quadrature": dict(record["quadrature"])},
     )
 
 
@@ -332,12 +387,17 @@ def fit_result_to_json(result: FitResult,
     """Serialize a fit result (optionally with a dense fitted curve) to JSON."""
     out: dict = {
         "params": result.params,
+        "std_errors": result.std_errors or dict.fromkeys(result.params),
         "residual_norm": result.residual_norm,
+        "reduced_chi2": result.residual_norm / result.dof,
+        "dof": result.dof,
         "iterations": result.iterations,
         "converged": result.converged,
         "suspicious": result.suspicious,
         "message": result.message,
     }
+    if result.model is not None:
+        out["model"] = result.model
     if result.derived_metrics is not None:
         m = result.derived_metrics
         out["derived_metrics"] = {

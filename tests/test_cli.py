@@ -271,6 +271,27 @@ class TestFitCommand:
         assert doc["converged"]
         assert 0.9 < doc["params"]["scale"] < 1.0
 
+    @pytest.mark.parametrize("mode,engine", [("model", "gaussian"), ("model", "general"),
+                                             ("gaussian-dip", "gaussian")])
+    def test_fit_records_errors_and_model(self, tmp_path, dip_data_file, mode, engine):
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--data", str(dip_data_file), "--mode", mode,
+                    "--engine", engine, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        man = json.loads((tmp_path / "fit.manifest.json").read_text())
+        assert set(doc["std_errors"]) == set(doc["params"])
+        assert doc["dof"] == 301 - (3 if mode == "model" else 4)
+        assert doc["reduced_chi2"] == doc["residual_norm"] / doc["dof"]
+        if mode == "gaussian-dip":
+            assert "model" not in doc and "model" not in man
+            return
+        assert man["model"] == doc["model"]
+        assert doc["model"]["model_error"] <= doc["model"]["model_tol"]
+        assert doc["model"]["half_width_ps"] == 40.0
+        quadrature = doc["model"]["quadrature"]
+        assert ("lag_orders" if engine == "gaussian" else "nu_order") in quadrature
+        assert quadrature["error_estimate"] <= quadrature["abs_tol"]
+
 
 class TestOverlapCommand:
     # without --out the manifest lands in the working directory, so run

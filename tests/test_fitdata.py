@@ -162,6 +162,20 @@ def cfg():
     return units.default_config()
 
 
+FIT_BATCH_PAIRS = [("gaussian", "gaussian"), ("gaussian", "general"),
+                   ("supergaussian4", "general"), ("supergaussian4", "supergaussian"),
+                   ("cascade", "general")]
+
+
+def engine_dataset(cfg, engine, seed):
+    """301 noisy engine-shaped counts on [-15, 15] ps with a seeded center."""
+    rng = np.random.default_rng(seed)
+    delays = np.round(np.arange(-150, 151) * 0.1, 10)
+    rates = hom.dip_curve(cfg, engine, delays - rng.uniform(-1.0, 1.0)).rates
+    return CoincidenceDataset(delays, 600.0 * (1.0 - 0.9 * (1.0 - rates))
+                              + rng.normal(0.0, 2.0, delays.size))
+
+
 class TestModelFit:
 
     @staticmethod
@@ -230,9 +244,13 @@ class TestModelFit:
                 up = rng.random(curve.rates.size) < 0.5
                 return replace(curve, rates=np.nextafter(curve.rates, np.where(up, 2.0, 0.0)))
 
+            # the model spline is cached per config: without the clears the nudged
+            # engine would never be called, and the next reference would be nudged
             monkeypatch.setattr(fitdata, "dip_curve", nudged)
+            fitdata._model.cache_clear()
             res = fit_model(data, cfg)
             monkeypatch.setattr(fitdata, "dip_curve", engine_curve)
+            fitdata._model.cache_clear()
             changes.append(max(abs(res.params[k] / ref.params[k] - 1.0) for k in ref.params))
         assert np.median(changes) <= 1e-12
 
@@ -282,14 +300,17 @@ class TestModelFit:
         assert res.message.endswith("FWHM not bracketed")
 
     def test_unresolved_engine_dip_is_flagged(self, cfg):
-        # 21 points over +-10 ns: the fit grid spacing (~118 ps) is far
-        # wider than the ~6 ps engine dip, so the fitted curve means nothing
+        # 21 points over +-10 ns: a model over +-25 ns reaches the knot cap at a
+        # 2 ps spacing, where the midpoint check of the 4 ps spline across the
+        # ~6 ps engine dip is far above the model tolerance
         delays = np.linspace(-1e4, 1e4, 21)
         counts = np.full(delays.size, 100.0)
         counts[10] = 0.0
         res = fit_model(CoincidenceDataset(delays, counts), cfg)
         assert res.suspicious
         assert res.message.endswith("engine dip not resolved by the fit grid")
+        assert res.model["knots"] <= fitdata._MODEL_MAX_KNOTS
+        assert res.model["model_error"] > fitdata._MODEL_TOL
 
     def test_fit_leaving_the_model_is_flagged(self, cfg):
         # flat data with one low point at the edge: the center runs off the
@@ -302,6 +323,58 @@ class TestModelFit:
         assert res.suspicious
         assert "center left the engine grid" in res.message
         assert "depth scale outside [0, 1.05]" in res.message
+
+    @pytest.mark.parametrize("shape,engine", FIT_BATCH_PAIRS)
+    def test_model_error_bounds_spline_deviation(self, shape, engine):
+        cfg = units.default_config(shape)
+        res = fit_model(engine_dataset(cfg, engine, seed=6), cfg, engine=engine)
+        record = res.model
+        assert record["model_error"] <= record["model_tol"] == fitdata._MODEL_TOL
+        half = record["half_width_ps"]
+        spline, cached = fitdata._model(cfg, engine, half)
+        assert cached == record
+        x = np.sort(np.random.default_rng(7).uniform(-half, half, 2000))
+        engine_rates = hom.dip_curve(cfg, engine, x).rates
+        assert np.max(np.abs(spline(x) - engine_rates)) <= record["model_error"]
+
+    def test_warm_fit_makes_no_engine_call(self, cfg, monkeypatch):
+        data = engine_dataset(cfg, "gaussian", seed=8)
+        fit_model(data, cfg)
+        engine_curve, calls = fitdata.dip_curve, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return engine_curve(*args, **kwargs)
+
+        monkeypatch.setattr(fitdata, "dip_curve", counting)
+        fit_model(engine_dataset(cfg, "gaussian", seed=9), cfg)
+        assert calls == []
+
+    def test_cold_and_warm_fits_are_identical(self, cfg):
+        data = engine_dataset(cfg, "general", seed=10)
+        fitdata._model.cache_clear()
+        cold = fit_model(data, cfg, engine="general")
+        warm = fit_model(data, cfg, engine="general")
+        assert fitdata._model.cache_info().hits >= 1
+        assert cold.params == warm.params
+        assert cold.model == warm.model
+
+    def test_standard_errors_cover_the_truth(self, cfg):
+        # 200 seeded noisy fits with known parameters: each +-1 sigma interval
+        # holds the truth with probability 0.683, so its count over 200 fits lies
+        # within 137 +- 4 binomial standard deviations (6.6) but for ~6e-5
+        delays = np.round(np.arange(-150, 151) * 0.1, 10)
+        truth = {"baseline": 500.0, "center": 0.3, "scale": 0.92}
+        rates = hom.dip_curve(cfg, "gaussian", delays - truth["center"]).rates
+        clean = truth["baseline"] * (1.0 - truth["scale"] * (1.0 - rates))
+        rng = np.random.default_rng(20261018)
+        hits = dict.fromkeys(truth, 0)
+        for _ in range(200):
+            res = fit_model(CoincidenceDataset(delays, clean + rng.normal(0.0, 3.0, delays.size)),
+                            cfg)
+            for k in truth:
+                hits[k] += abs(res.params[k] - truth[k]) <= res.std_errors[k]
+        assert all(137 - 26 <= n <= 137 + 26 for n in hits.values()), hits
 
     def test_rejects_unknown_engine_and_params(self, cfg):
         delays = np.arange(10.0)
@@ -335,3 +408,25 @@ def test_fit_result_json_round_trip():
     assert doc["converged"]
     assert doc["params"]["visibility"] == pytest.approx(0.943, abs=1e-8)
     assert len(doc["curve"]["delay_ps"]) == delays.size
+
+
+def test_fit_json_writes_standard_errors_and_reduced_chi2(cfg):
+    import json
+    delays = np.round(np.arange(-150, 151) * 0.1, 10)
+    rng = np.random.default_rng(12)
+    data = CoincidenceDataset(delays, gaussian_dip_counts(delays, baseline=300.0)
+                              + rng.normal(0.0, 2.0, delays.size))
+    docs = [json.loads(fitdata.fit_result_to_json(res)) | {"covariance": res.covariance}
+            for res in (fit_gaussian_dip(data), fit_model(data, cfg))]
+    for doc, fitted in zip(docs, (4, 3)):
+        assert doc["dof"] == delays.size - fitted
+        assert doc["reduced_chi2"] == pytest.approx(doc["residual_norm"] / doc["dof"], rel=1e-15)
+        assert set(doc["std_errors"]) == set(doc["params"])
+        errors = np.sqrt(np.diag(doc["covariance"]))
+        assert [doc["std_errors"][k] for k in list(doc["params"])[:fitted]] == list(errors)
+    widths = docs[0]["std_errors"]
+    assert widths["fwhm_ps"] == pytest.approx(_TWO_SQRT_2LN2 * widths["width_ps"], rel=1e-15)
+    bare = fitdata.FitResult(params={"baseline": 1.0}, residual_norm=0.0, iterations=1,
+                             converged=True)
+    assert json.loads(fitdata.fit_result_to_json(bare))["std_errors"] == {"baseline": None}
+    assert fitdata._std_errors(("a", "b"), None) == {"a": None, "b": None}

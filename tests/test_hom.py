@@ -403,6 +403,11 @@ class TestBatchedDelays:
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
 
 
+# the finest engine axis of fit_model's model spline for a 301-point scan over
+# +-15 ps: the engine runs on [0, 40] ps at 1/64 ps and is mirrored
+MODEL_AXIS = np.arange(2561) / 64.0
+
+
 def engine_frequencies():
     """The frequencies m step whose phasors the general engine takes on the default
     config: b step for b < M and a M step for a < A."""
@@ -412,15 +417,19 @@ def engine_frequencies():
 
 
 class TestPhasors:
-    @pytest.mark.parametrize("axis", ["default", "cli", "fit", "wide", "jittered", "one", "two"])
+    @pytest.mark.parametrize("axis", ["default", "cli", "fit", "model", "wide", "jittered",
+                                      "one", "two"])
     def test_match_extended_precision(self, axis):
         # within a few roundings of the angle nu dt, however far along the axis
         nu = engine_frequencies()
         delays = {
             "default": hom.dip_curve(units.default_config(), "general").delays_ps,
             "cli": np.round(np.arange(0, 201) * 0.15 - 15.0, 12),
-            # fit_model's grid around an initial center guess of 0.7 ps
+            # the per-dataset grid that fit_model used before its model spline, for
+            # a 301-point scan over +-15 ps with an initial center guess of 0.7 ps
             "fit": np.linspace(-15.0 - 0.7 - 9.5, 15.0 - 0.7 + 9.5, 1204),
+            # fit_model's finest model axis for such a scan: [0, 40] ps at 1/64 ps
+            "model": MODEL_AXIS,
             "wide": np.linspace(-500.0, 500.0, 5001),
             # residues up to 1e-6 ps, where the second-order correction counts
             "jittered": np.linspace(-20.0, 20.0, 401)
@@ -470,14 +479,23 @@ class TestSkewBound:
 
 
 class TestErrorEstimate:
-    # fit_model's grid around an initial center guess of 0.7 ps
+    # the per-dataset grid that fit_model used before its model spline, for a
+    # 301-point scan over +-15 ps with an initial center guess of 0.7 ps
     FIT_GRID = np.linspace(-15.0 - 0.7 - 9.5, 15.0 - 0.7 + 9.5, 1204)
 
-    @pytest.mark.parametrize("shape,delays,order", [
-        ("gaussian", None, 96), ("cascade", FIT_GRID, 192)], ids=["gaussian", "cascade"])
-    def test_orders_used(self, shape, delays, order):
-        curve = hom.dip_curve(units.default_config(shape), "general", delays_ps=delays)
-        assert curve.quadrature["nu_order"] == order
+    @pytest.mark.parametrize("shape,engine,delays,key,order", [
+        ("gaussian", "general", None, "nu_order", 96),
+        ("cascade", "general", FIT_GRID, "nu_order", 192),
+        ("gaussian", "gaussian", MODEL_AXIS, "lag_orders", [8, 6]),
+        ("gaussian", "general", MODEL_AXIS, "nu_order", 96),
+        ("supergaussian4", "general", MODEL_AXIS, "nu_order", 96),
+        ("supergaussian4", "supergaussian", MODEL_AXIS, "nu_order", 96),
+        ("cascade", "general", MODEL_AXIS, "nu_order", 192)],
+        ids=["gaussian", "cascade", "model-closed", "model-gaussian", "model-supergaussian4",
+             "model-supergaussian", "model-cascade"])
+    def test_orders_used(self, shape, engine, delays, key, order):
+        curve = hom.dip_curve(units.default_config(shape), engine, delays_ps=delays)
+        assert curve.quadrature[key] == order
         assert curve.quadrature["error_estimate"] <= QuadratureSettings().abs_tol
 
     def test_unresolvable_axis_raises(self):

@@ -20,7 +20,7 @@ cfg = units.default_config()
 delays = np.round(np.arange(-120, 121) * 0.125, 10)
 
 baseline, scale, center = 800.0, 0.95, 0.3
-truth = np.array([hom.dip_curve(cfg, "gaussian", [dt - center]).rates[0] for dt in delays])
+truth = hom.dip_curve(cfg, "gaussian", delays - center).rates
 counts = baseline * (1.0 - scale * (1.0 - truth))
 noisy = rng.poisson(counts).astype(float)
 sigma = np.sqrt(np.maximum(noisy, 1.0))

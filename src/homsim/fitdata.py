@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hom import DipMetrics, dip_curve
-from .quadrature import _CubicSpline
+from .quadrature import _brentq, _CubicSpline
 from .units import ExperimentConfig
 
 __all__ = [
@@ -321,7 +321,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     initial guess keeps the data on the grid; its derivative gives an analytic
     Jacobian.  The fit is marked suspicious when it leaves the model: the
     center moves more than the pad (R would be extrapolated), s leaves
-    [0, 1.05], the FWHM is not bracketed, or the spline's error estimate exceeds
+    [0, 1.05], the scan does not bracket the FWHM, or the spline's estimate exceeds
     ``_MODEL_TOL`` at the knot cap (the grid does not resolve the engine dip).
     ``FitResult.model`` records the spline and the engine's quadrature.
     """
@@ -354,13 +354,18 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     p, cost, it, converged, cov = _levenberg(residual, jacobian, p0, max_iter=100)
     b, tc, s = p
 
+    # each outer half-level crossing lies in the resample interval that leaves the
+    # outermost point below the level; Brent's method refines it on the model
     dense = np.linspace(d[0], d[-1], 2001)
     curve = model(p, dense)
-    imin = int(np.argmin(curve))
-    level = 0.5 * (b + curve[imin])
-    below = np.nonzero(curve < level)[0]
-    bracketed = below.size >= 2
-    fwhm = float(dense[below[-1]] - dense[below[0]]) if bracketed else float("nan")
+    level = 0.5 * (b + np.min(curve))
+    below = np.flatnonzero(curve < level)
+    bracketed = below.size > 0 and 0 < below[0] and below[-1] < dense.size - 1
+    fwhm = float("nan")
+    if bracketed:
+        def crossing(k: int) -> float:
+            return _brentq(lambda x: model(p, x) - level, dense[k], dense[k + 1])
+        fwhm = crossing(below[-1]) - crossing(below[0] - 1)
     # engine dips to zero, so the depth scale is the visibility
     metrics = DipMetrics(
         visibility=float(s), fwhm_ps=fwhm, center_ps=float(tc),

@@ -135,30 +135,10 @@ def _cosine_sums(delays: np.ndarray, step: float, coef: np.ndarray) -> np.ndarra
     m, a = coef.shape[0], coef.shape[1] // 2
     out = np.empty((delays.size, 2))
     for sl in _chunks(delays.size, 2 * a):
-        inner = (_phasors(delays[sl], np.arange(m) * step) @ coef).reshape(-1, 2, a)
-        outer = _phasors(delays[sl], np.arange(a) * (m * step))
+        inner = (np.exp(1j * np.multiply.outer(delays[sl], np.arange(m) * step))
+                 @ coef).reshape(-1, 2, a)
+        outer = np.exp(1j * np.multiply.outer(delays[sl], np.arange(a) * (m * step)))
         out[sl] = 1.0 - np.einsum("ik,ijk->ij", outer, inner).real
-    return out
-
-
-def _phasors(delays: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """e^{i nu dt} for every delay (rows) and node.  Within 1e-5 rad of an axis dt_0 +
-    k step, entry k = b B + j (B = ceil(sqrt n)) is the direct e^{i nu (dt_0 + b B step)}
-    times e^{i nu j step}, 2 sqrt(n) exponentials in place of n with an error flat in k,
-    times 1 - (nu r)^2 / 2 + i nu r (error < 2e-16) for r = dt - (dt_0 + k step)."""
-    n = delays.size
-    step = (delays[-1] - delays[0]) / max(n - 1, 1)
-    resid = delays - (delays[0] + np.arange(n) * step)
-    if not np.max(np.abs(resid)) * np.max(np.abs(nu)) <= 1e-5:  # also NaN: direct
-        return np.exp(1j * np.multiply.outer(delays, nu))
-    b = math.ceil(math.sqrt(n))
-    coarse = np.exp(1j * np.multiply.outer(delays[0] + np.arange(0, n, b) * step, nu))
-    fine = np.exp(1j * np.multiply.outer(np.arange(b) * step, nu))
-    out = (coarse[:, None, :] * fine).reshape(-1, nu.size)[:n]
-    rows = np.flatnonzero(resid)
-    if rows.size:
-        x = np.multiply.outer(resid[rows], nu)
-        out[rows] *= 1.0 - 0.5 * x**2 + 1j * x
     return out
 
 
@@ -210,9 +190,10 @@ def _lag_sums(delays: np.ndarray, tables) -> np.ndarray:
 def _searched(delays: np.ndarray, n: int, cap: int, rule, settings: QuadratureSettings,
               label: str, probe: bool = False) -> tuple[np.ndarray, dict]:
     """Rates at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
-    abs_tol + c kappa eps at every delay (the end and middle ones first, with ``probe``);
-    ``rule(n)`` gives the delays -> [fine, coarse] sums, kappa and a record.  An estimate
-    below _FLOOR_FACTOR c kappa eps that a doubling does not shrink is rounding: raise."""
+    abs_tol + c kappa eps at every delay; ``probe`` tries the end and middle ones first, a
+    cheap early exit, and the full axis decides.  ``rule(n)`` gives the delays -> [fine,
+    coarse] sums, kappa and a record.  An estimate below _FLOOR_FACTOR c kappa eps that a
+    doubling does not shrink is rounding: raise."""
     stages = ([delays[[0, delays.size // 2, -1]]] if probe and delays.size else []) + [delays]
     last, failure = None, f"{label}: start order {n} is past the largest"
     while n <= cap:
@@ -243,7 +224,7 @@ def _clamped(rates: np.ndarray, abs_tol: float, kappa: float, label: str) -> np.
 def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, settings: QuadratureSettings,
                     label: str) -> tuple[np.ndarray, dict]:
     """Rates of :func:`_searched` from n = gl_order (even) on the trapezoid rule and its nested
-    rule on the even nodes, at the end and middle delays first: aliasing starts there."""
+    rule on the even nodes, the end and middle delays first as a cheap early exit."""
     def rule(n):
         step, coef, kappa = _spectral_tables(cfg, n)
         return (lambda points: _cosine_sums(points, step, coef)), kappa, {
@@ -329,8 +310,8 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
     """Visibility, FWHM and center of a sampled dip.
 
     Baseline is the mean of the outermost 10% of samples on each side; the
-    half-depth crossings are located by Brent's method on a cubic interpolation
-    of the curve.
+    outermost half-depth crossing on each flank is located by Brent's method on
+    a cubic interpolation of the curve.
     """
     n = curve.delays_ps.size
     edge = max(int(round(_BASELINE_FRACTION * n / 2)), 1)
@@ -357,25 +338,22 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
     rmin_ref = float(spline(center))
     half_level = 0.5 * (baseline + rmin_ref)
 
-    def crossings(side: int) -> list[float]:
-        xs = []
-        idx = range(imin, n - 1) if side > 0 else range(imin, 0, -1)
-        for i in idx:
-            j = i + 1 if side > 0 else i - 1
-            a, b = curve.rates[i] - half_level, curve.rates[j] - half_level
-            if a == 0.0:
-                xs.append(float(curve.delays_ps[i]))
-            elif a * b < 0:
-                left, right = sorted((curve.delays_ps[i], curve.delays_ps[j]))
-                xs.append(_brentq(lambda x: spline(x) - half_level, left, right))
-        return xs
+    def outermost(i: np.ndarray, j: np.ndarray) -> float:
+        """The crossing of the last sample pair (i, j) out from the minimum that brackets
+        the level: sample i if it lies on it, else Brent's root between i and j."""
+        a, b = curve.rates[i] - half_level, curve.rates[j] - half_level
+        hits = np.flatnonzero((a == 0.0) | (a * b < 0))
+        if not hits.size:
+            raise AnalysisError("half-depth level not bracketed on both flanks")
+        k = hits[-1]
+        if a[k] == 0.0:
+            return float(curve.delays_ps[i[k]])
+        left, right = sorted((curve.delays_ps[i[k]], curve.delays_ps[j[k]]))
+        return _brentq(lambda x: spline(x) - half_level, left, right)
 
-    right = crossings(+1)
-    left = crossings(-1)
-    if not right or not left:
-        raise AnalysisError("half-depth level not bracketed on both flanks")
     # with non-monotone flanks report the widest crossing pair
-    fwhm = max(right) - min(left)
+    right, left = np.arange(imin, n - 1), np.arange(imin, 0, -1)
+    fwhm = outermost(right, right + 1) - outermost(left, left - 1)
     return DipMetrics(
         visibility=visibility,
         fwhm_ps=fwhm,

@@ -7,6 +7,7 @@ import pytest
 from homsim import fitdata, hom, units
 from homsim.fitdata import (CoincidenceDataset, InsufficientDataError,
                             ParseError, fit_gaussian_dip, fit_model, ingest_csv)
+from homsim.quadrature import _brentq
 
 _TWO_SQRT_2LN2 = 2 * math.sqrt(2 * math.log(2))
 
@@ -183,8 +184,7 @@ class TestModelFit:
         # noise-free engine data on a scan centred on the stage position
         delays = np.round(np.arange(-120, 121) * 0.125, 10) + stage_ps
         baseline, scale, center = 420.0, 0.96, stage_ps + 0.4
-        shifted = np.array([hom.dip_curve(cfg, "gaussian", [dt - center]).rates[0]
-                            for dt in delays])
+        shifted = hom.dip_curve(cfg, "gaussian", delays - center).rates
         counts = baseline * (1 - scale * (1 - shifted))
         res = fit_model(CoincidenceDataset(delays, counts), cfg, engine="gaussian")
         assert res.converged
@@ -282,13 +282,29 @@ class TestModelFit:
             pump_fwhm_nm=0.8, peak_power_W=0.36,
             filter_shape="cascade", filter_fwhm_nm=stage_fwhm)
         delays = np.round(np.arange(-150, 151) * 0.1, 10)
-        rates = np.array([hom.dip_curve(cfg_cascade, "general", [dt]).rates[0] for dt in delays])
-        counts = 100.0 * rates
+        counts = 100.0 * hom.dip_curve(cfg_cascade, "general", delays).rates
         res = fit_gaussian_dip(CoincidenceDataset(delays, counts))
         g = hom.dip_metrics(hom.dip_curve(cfg, "gaussian")).fwhm_ps
         sg = hom.dip_metrics(hom.dip_curve(units.default_config("supergaussian4"),
                                            "supergaussian")).fwhm_ps
         assert g < res.params["fwhm_ps"] < sg
+
+    @pytest.mark.parametrize("shape,engine", [("gaussian", "gaussian"),
+                                              ("supergaussian4", "supergaussian")])
+    def test_fwhm_is_the_engine_half_width(self, shape, engine):
+        # on noiseless engine data the fitted FWHM is the width at R = 0.5 found
+        # by root-finding on the engine, not a multiple of the 0.015 ps spacing
+        # of the fitted curve's resampling
+        cfg = units.default_config(shape)
+        delays = np.round(np.arange(-150, 151) * 0.1, 10)
+        rates = hom.dip_curve(cfg, engine, delays - 0.3).rates
+        counts = 500.0 * (1.0 - 0.95 * (1.0 - rates))
+        res = fit_model(CoincidenceDataset(delays, counts), cfg, engine=engine)
+
+        def half(x):
+            return hom.dip_curve(cfg, engine, [x]).rates[0] - 0.5
+        width = _brentq(half, 0.0, 15.0) - _brentq(half, -15.0, 0.0)
+        assert res.derived_metrics.fwhm_ps == pytest.approx(width, abs=1e-4)
 
     def test_unbracketed_fwhm_is_flagged(self, cfg):
         # flat data: the fit drives the depth scale to ~0, so the fitted

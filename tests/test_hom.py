@@ -284,6 +284,25 @@ _SIG = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.8)
 _IDL = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.88)
 
 
+# the finest engine axis of fit_model's model spline for a 301-point scan over
+# +-15 ps: the engine runs on [0, 40] ps at 1/64 ps and is mirrored
+MODEL_AXIS = np.arange(2561) / 64.0
+
+DELAY_AXES = {
+    "default": np.round(np.arange(-150, 151) * 0.1, 10),
+    "cli": np.round(np.arange(0, 201) * 0.15 - 15.0, 12),
+    # the per-dataset grid that fit_model used before its model spline, for a
+    # 301-point scan over +-15 ps with an initial center guess of 0.7 ps
+    "fit": np.linspace(-15.0 - 0.7 - 9.5, 15.0 - 0.7 + 9.5, 1204),
+    "model": MODEL_AXIS,
+    "wide": np.linspace(-500.0, 500.0, 5001),
+    "jittered": np.linspace(-20.0, 20.0, 401)
+    + np.random.default_rng(3).uniform(-1e-6, 1e-6, 401),
+    "one": np.array([3.3]),
+    "two": np.array([-1.7, 4.1]),
+}
+
+
 @pytest.fixture
 def fresh_tables():
     """An empty spectral-table cache before and after the test."""
@@ -351,8 +370,7 @@ class TestBatchedDelays:
         assume(abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m
                * cfg.sigma_p_rad_per_ps**2 < 1.0)
         half = max(15.0, 6.0 / cfg.sigma_0_rad_per_ps)
-        # a plain axis, and one rounded like the benchmark's parameter sweep,
-        # which the phasors take by angle addition with a residue correction
+        # a plain axis, and one rounded like the benchmark's parameter sweep
         axes = (np.linspace(-half, half, 21), np.round(np.arange(-30, 31) * (half / 30.0), 12))
         filters = {"signal_filter": FilterSpec(shape=cfg.filter.shape, fwhm_nm=filter_fwhm),
                    "idler_filter": FilterSpec(shape=cfg.filter.shape,
@@ -369,15 +387,17 @@ class TestBatchedDelays:
                 assert np.max(np.abs(rates - ref)) <= 1e-12
                 assert np.max(np.abs(rates - rates[::-1])) <= 1e-12
 
+    @pytest.mark.parametrize("axis", list(DELAY_AXES))
     @pytest.mark.parametrize("order", [96, 192])
-    def test_cosine_series_of_random_coefficients(self, order):
+    def test_cosine_series_of_random_coefficients(self, order, axis):
         # the split m = a M + b of _cosine_sums, with its padded tail, against
         # sum_m c_m cos(m step dt) in extended precision, for coefficients of
-        # either sign that do not decay
+        # either sign that do not decay: within a few roundings of the largest
+        # angle, however far along the axis
         step, coef = hom._spectral_tables(units.default_config(), order)[:2]
         rng = np.random.default_rng(order)
         coef = rng.normal(size=coef.shape).astype(complex)
-        delays = np.linspace(-20.0, 20.0, 101)
+        delays = DELAY_AXES[axis]
         series = coef.T.real.reshape(2, -1).astype(np.longdouble)
         angle = np.multiply.outer(delays.astype(np.longdouble),
                                   np.arange(series.shape[1]) * np.longdouble(step))
@@ -401,54 +421,6 @@ class TestBatchedDelays:
         assert curve.quadrature["nu_order"] == 384
         ref = per_delay_reference("asymmetric", cfg, delays, signal=sig, idler=idl)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
-
-
-# the finest engine axis of fit_model's model spline for a 301-point scan over
-# +-15 ps: the engine runs on [0, 40] ps at 1/64 ps and is mirrored
-MODEL_AXIS = np.arange(2561) / 64.0
-
-
-def engine_frequencies():
-    """The frequencies m step whose phasors the general engine takes on the default
-    config: b step for b < M and a M step for a < A."""
-    step, coef = hom._spectral_tables(units.default_config(), QuadratureSettings().gl_order)[:2]
-    m, a = coef.shape[0], coef.shape[1] // 2
-    return np.r_[np.arange(m) * step, np.arange(a) * (m * step)]
-
-
-class TestPhasors:
-    @pytest.mark.parametrize("axis", ["default", "cli", "fit", "model", "wide", "jittered",
-                                      "one", "two"])
-    def test_match_extended_precision(self, axis):
-        # within a few roundings of the angle nu dt, however far along the axis
-        nu = engine_frequencies()
-        delays = {
-            "default": hom.dip_curve(units.default_config(), "general").delays_ps,
-            "cli": np.round(np.arange(0, 201) * 0.15 - 15.0, 12),
-            # the per-dataset grid that fit_model used before its model spline, for
-            # a 301-point scan over +-15 ps with an initial center guess of 0.7 ps
-            "fit": np.linspace(-15.0 - 0.7 - 9.5, 15.0 - 0.7 + 9.5, 1204),
-            # fit_model's finest model axis for such a scan: [0, 40] ps at 1/64 ps
-            "model": MODEL_AXIS,
-            "wide": np.linspace(-500.0, 500.0, 5001),
-            # residues up to 1e-6 ps, where the second-order correction counts
-            "jittered": np.linspace(-20.0, 20.0, 401)
-            + np.random.default_rng(3).uniform(-1e-6, 1e-6, 401),
-            "one": np.array([3.3]),
-            "two": np.array([-1.7, 4.1]),
-        }[axis]
-        exact = np.exp(1j * np.multiply.outer(delays.astype(np.longdouble),
-                                              nu.astype(np.longdouble)))
-        bound = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.multiply.outer(delays, nu))))
-        assert np.max(np.abs(hom._phasors(delays, nu) - exact)) <= bound
-
-    @pytest.mark.parametrize("jitter", [20.0, 1e-4])
-    def test_nonuniform_axis_is_direct(self, jitter):
-        # residues of 1e-4 ps put nu r above the 1e-5 rad the correction allows
-        nu = engine_frequencies()
-        delays = np.sort(np.linspace(-20.0, 20.0, 300)
-                         + np.random.default_rng(11).uniform(-jitter, jitter, 300))
-        assert np.array_equal(hom._phasors(delays, nu), np.exp(1j * np.multiply.outer(delays, nu)))
 
 
 class TestSkewBound:
@@ -667,6 +639,40 @@ class TestDipMetrics:
         curve = hom.DipCurve(delays_ps=delays, rates=rates, engine="test")
         with pytest.raises(hom.AnalysisError):
             hom.dip_metrics(curve)
+
+    @pytest.mark.parametrize("case", ["three_crossings", "sample_on_level"])
+    def test_widest_crossing_pair_matches_scipy(self, case):
+        # the widest pair of half-level crossings, against scipy's spline and
+        # Brent's method at every sign change, plus any sample on the level
+        interpolate = pytest.importorskip("scipy.interpolate")
+        optimize = pytest.importorskip("scipy.optimize")
+        delays = np.round(np.arange(-100, 101) * 0.2, 10)
+        rates = 1.0 - np.exp(-delays**2 / 8.0)
+        if case == "three_crossings":
+            # a bump on each flank rises above the half level and falls back
+            rates = (1.0 - 0.9 * np.exp(-delays**2 / 8.0) - 0.6 * np.exp(-(delays - 5.0) ** 2 / 0.5)
+                     - 0.7 * np.exp(-(delays + 6.5) ** 2 / 0.8))
+        else:
+            # the minimum sits at 0 ps and the baseline is exactly 1, so the level is 0.5
+            rates[[88, 112]] = 0.5
+        curve = hom.DipCurve(delays_ps=delays, rates=rates, engine="test")
+        metrics = hom.dip_metrics(curve)
+
+        spline = interpolate.CubicSpline(delays, rates)
+        imin = int(np.argmin(rates))
+        center = optimize.brentq(lambda x: spline(x, 1), delays[imin - 1], delays[imin + 1])
+        level = 0.5 * (metrics.baseline + float(spline(center)))
+        gap = rates - level
+        flips = np.flatnonzero(gap[:-1] * gap[1:] < 0)
+        roots = np.r_[[optimize.brentq(lambda x: spline(x) - level, delays[i], delays[i + 1])
+                       for i in flips], delays[gap == 0.0]]
+        left, right = roots[roots < delays[imin]], roots[roots > delays[imin]]
+        if case == "three_crossings":
+            assert left.size == right.size == 3
+        else:
+            assert level == 0.5 and np.array_equal(np.sort(roots), [-2.4, 2.4])
+        assert metrics.center_ps == pytest.approx(center, abs=1e-11)
+        assert metrics.fwhm_ps == pytest.approx(right.max() - left.min(), abs=1e-11)
 
 
 class TestCurveIO:

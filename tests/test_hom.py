@@ -387,24 +387,12 @@ class TestBatchedDelays:
                 assert np.max(np.abs(rates - ref)) <= 1e-12
                 assert np.max(np.abs(rates - rates[::-1])) <= 1e-12
 
-    @pytest.mark.parametrize("axis", list(DELAY_AXES))
     @pytest.mark.parametrize("order", [96, 192])
-    def test_cosine_series_of_random_coefficients(self, order, axis):
+    def test_cosine_series_of_random_coefficients(self, order):
         # the split m = a M + b of _cosine_sums, with its padded tail, against
         # sum_m c_m cos(m step dt) in extended precision, for coefficients of
-        # either sign that do not decay: within a few roundings of the largest
-        # angle, however far along the axis
-        step, coef = hom._spectral_tables(units.default_config(), order)[:2]
-        rng = np.random.default_rng(order)
-        coef = rng.normal(size=coef.shape).astype(complex)
-        delays = DELAY_AXES[axis]
-        series = coef.T.real.reshape(2, -1).astype(np.longdouble)
-        angle = np.multiply.outer(delays.astype(np.longdouble),
-                                  np.arange(series.shape[1]) * np.longdouble(step))
-        exact = 1.0 - np.cos(angle) @ series.T
-        rates = hom._cosine_sums(delays, step, coef)
-        bound = 8.0 * np.finfo(float).eps * np.sum(np.abs(series), axis=1) * (1.0 + np.max(angle))
-        assert np.all(np.max(np.abs(rates - exact), axis=0) <= bound)
+        # either sign that do not decay
+        assert_cosine_series_exact(order, np.linspace(-20.0, 20.0, 101))
 
     def test_raised_order_asymmetric_cascade(self):
         # the dispersion of 15.8 km needs more than the first order: the nested
@@ -421,6 +409,30 @@ class TestBatchedDelays:
         assert curve.quadrature["nu_order"] == 384
         ref = per_delay_reference("asymmetric", cfg, delays, signal=sig, idler=idl)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
+
+
+def assert_cosine_series_exact(order, delays):
+    """_cosine_sums of random coefficients on the default config's rule of ``order``
+    within a few roundings of the largest angle of the extended-precision series."""
+    step, coef = hom._spectral_tables(units.default_config(), order)[:2]
+    rng = np.random.default_rng(order)
+    coef = rng.normal(size=coef.shape).astype(complex)
+    series = coef.T.real.reshape(2, -1).astype(np.longdouble)
+    angle = np.multiply.outer(delays.astype(np.longdouble),
+                              np.arange(series.shape[1]) * np.longdouble(step))
+    exact = 1.0 - np.cos(angle) @ series.T
+    rates = hom._cosine_sums(delays, step, coef)
+    bound = 8.0 * np.finfo(float).eps * np.sum(np.abs(series), axis=1) * (1.0 + np.max(angle))
+    assert np.all(np.max(np.abs(rates - exact), axis=0) <= bound)
+
+
+class TestPhasors:
+    @pytest.mark.parametrize("axis", list(DELAY_AXES))
+    def test_match_extended_precision(self, axis):
+        # the phasors e^{i m step dt} that _cosine_sums takes directly, through the
+        # whole series at the engine's start order: within a few roundings of the
+        # largest angle, however far along the axis
+        assert_cosine_series_exact(QuadratureSettings().gl_order, DELAY_AXES[axis])
 
 
 class TestSkewBound:

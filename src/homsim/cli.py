@@ -160,9 +160,9 @@ def cmd_fit(args) -> int:
     text = fit_result_to_json(result, dense_curve=dense_curve)  # before the file is opened
     with open(args.out, "w") as fh:
         fh.write(text)
-    extra = {"mode": args.mode, "engine": args.engine, "data": args.data}
-    if result.model is not None:
-        extra["model"] = result.model
+    extra = {"mode": args.mode, "data": args.data}
+    if result.model is not None:  # only model mode runs an engine
+        extra.update(engine=args.engine, model=result.model)
     _write_manifest(args.out, "fit", record, extra, time.perf_counter() - t0)
     m = result.derived_metrics
     print(json.dumps({"visibility": m.visibility, "fwhm_ps": m.fwhm_ps,

@@ -12,6 +12,11 @@ Two fit families:
 
 The optimizer is damped Gauss-Newton with a Levenberg-style schedule:
 damping x10 on a rejected step, /10 on an accepted one, starting at 1e-3.
+Each fit hands it one ``evaluate(p)`` that returns the residual at p and a
+zero-argument callable building the Jacobian at p from the residual's own
+intermediates (the Gaussian's exp, the spline's pieces).  The loop calls
+``evaluate`` once per trial point and builds the Jacobian only at the start and
+at accepted points; the covariance comes from the last one built.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hom import DipMetrics, dip_curve
-from .quadrature import _brentq, _CubicSpline
+from .quadrature import _brentq, _CubicSpline, _slope, _value
 from .units import ExperimentConfig
 
 __all__ = [
@@ -82,56 +87,62 @@ class CoincidenceDataset:
             raise ValueError("uncertainties must be finite and positive")
 
 
+def _checked_row(raw: str, lineno: int, ncols: Optional[int]) -> Optional[list[float]]:
+    """The values of a row that the fast path of :func:`ingest_csv` did not take:
+    None for a blank line or a header on line 1, else a checked parse."""
+    line = raw.strip()
+    if not line:
+        return None
+    cells = [c.strip() for c in line.split(",")]
+    if lineno == 1:
+        try:
+            [float(c) for c in cells]
+        except ValueError:
+            return None  # header row
+    if len(cells) not in (2, 3):
+        raise ParseError(f"expected 2 or 3 columns, got {len(cells)}", lineno)
+    if ncols is not None and len(cells) != ncols:
+        raise ParseError(f"inconsistent column count {len(cells)} != {ncols}", lineno)
+    try:
+        return [float(c) for c in cells]
+    except ValueError as exc:
+        raise ParseError(f"non-numeric cell ({exc})", lineno) from None
+
+
 def ingest_csv(path) -> CoincidenceDataset:
     """Read delay/count (and optional uncertainty) columns from a CSV file.
 
     Header row optional; duplicate delays are averaged with a warning;
-    output is sorted by delay.
+    output is sorted by delay.  A UTF-8 byte-order mark is skipped.
     """
-    delays: list[float] = []
-    counts: list[float] = []
-    sigmas: list[float] = []
+    values: list[float] = []  # the rows, concatenated
     ncols = None
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if lineno == 1:
+            cells = raw.split(",")
+            if len(cells) == ncols:
                 try:
-                    [float(c) for c in cells]
+                    values.extend([float(c) for c in cells])  # float() skips the whitespace
+                    continue
                 except ValueError:
-                    continue  # header row
-            if len(cells) not in (2, 3):
-                raise ParseError(f"expected 2 or 3 columns, got {len(cells)}", lineno)
-            if ncols is None:
-                ncols = len(cells)
-            elif len(cells) != ncols:
-                raise ParseError(f"inconsistent column count {len(cells)} != {ncols}", lineno)
-            try:
-                vals = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ParseError(f"non-numeric cell ({exc})", lineno) from None
-            delays.append(vals[0])
-            counts.append(vals[1])
-            if ncols == 3:
-                sigmas.append(vals[2])
+                    pass
+            row = _checked_row(raw, lineno, ncols)
+            if row is not None:
+                ncols = len(row)
+                values.extend(row)
 
-    if len(delays) < 8:
-        raise InsufficientDataError(f"need at least 8 points, got {len(delays)}")
+    nrows = len(values) // ncols if ncols else 0
+    if nrows < 8:
+        raise InsufficientDataError(f"need at least 8 points, got {nrows}")
 
-    d = np.array(delays)
-    c = np.array(counts)
-    s = np.array(sigmas) if sigmas else None
-    order = np.argsort(d, kind="stable")
-    d, c = d[order], c[order]
-    if s is not None:
-        s = s[order]
+    columns = np.array(values).reshape(nrows, ncols).T
+    order = np.argsort(columns[0], kind="stable")
+    d, c = columns[0][order], columns[1][order]
+    s = columns[2][order] if ncols == 3 else None
 
-    uniq, inverse, count = np.unique(d, return_inverse=True, return_counts=True)
-    if uniq.size != d.size:
+    if np.any(d[1:] == d[:-1]):
         warnings.warn("duplicate delays found; averaging their counts", stacklevel=2)
+        uniq, inverse, count = np.unique(d, return_inverse=True, return_counts=True)
         c_avg = np.bincount(inverse, weights=c) / count
         if s is not None:
             # average uncertainties in quadrature over the duplicates
@@ -162,49 +173,53 @@ def _std_errors(names, cov: Optional[np.ndarray]) -> dict[str, Optional[float]]:
             for name, v in zip(names, var)}
 
 
-def _levenberg(residual: Callable[[np.ndarray], np.ndarray],
-               jacobian: Callable[[np.ndarray], np.ndarray],
+def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
                p0: np.ndarray,
                max_iter: int):
-    """Damped Gauss-Newton; the objective never increases across accepted steps."""
+    """Damped Gauss-Newton; the objective never increases across accepted steps.
+
+    ``evaluate(p)`` returns the residual at p and a zero-argument callable that
+    builds the Jacobian at p; it is called once per trial point, and the Jacobian
+    is built only at the start and at accepted points.
+    """
     p = np.array(p0, dtype=float)
-    r = residual(p)
+    r, jacobian = evaluate(p)
+    j = jacobian()
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        j = jacobian(p)
         g = j.T @ r
-        if np.max(np.abs(g)) < 1e-10 * max(1.0, math.sqrt(cost)):
+        if np.abs(g).max() < 1e-10 * max(1.0, math.sqrt(cost)):
             converged = True
             break
         jtj = j.T @ j
+        damping = np.diag(np.maximum(np.diag(jtj), 1e-12))
         accepted = False
         for _ in range(40):
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12)), -g)
+                step = np.linalg.solve(jtj + lam * damping, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             p_new = p + step
-            r_new = residual(p_new)
+            r_new, jacobian = evaluate(p_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
-                if np.max(np.abs(step)) < 1e-12 * (np.max(np.abs(p)) + 1e-12):
+                if np.abs(step).max() < 1e-12 * (np.abs(p).max() + 1e-12):
                     converged = True
-                p, r, cost = p_new, r_new, cost_new
+                p, r, cost, j = p_new, r_new, cost_new, jacobian()
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 break
             lam *= 10.0
         if not accepted or converged:
             # a Python bool on every path, so that the result serializes
-            converged = converged or not accepted and bool(np.max(np.abs(g)) < 1e-6)
+            converged = converged or not accepted and bool(np.abs(g).max() < 1e-6)
             break
 
-    j = jacobian(p)
-    jtj = j.T @ j
+    jtj = j.T @ j  # j is the Jacobian at p, the last accepted point
     try:
         cov = np.linalg.inv(jtj)
         dof = max(r.size - p.size, 1)
@@ -239,21 +254,23 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
     wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
     p0 = np.array(_initial_dip_guess(d, c))
 
-    def residual(p: np.ndarray) -> np.ndarray:
+    def evaluate(p: np.ndarray):
         b, v, tc, w = p
-        return (b * (1.0 - v * np.exp(-((d - tc) ** 2) / (2.0 * w**2))) - c) * wgt
+        dt = d - tc
+        e = np.exp(-(dt ** 2) / (2.0 * w**2))
+        shape = 1.0 - v * e
+        r = (b * shape - c) * wgt
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        b, v, tc, w = p
-        e = np.exp(-((d - tc) ** 2) / (2.0 * w**2))
-        j = np.empty((d.size, 4))
-        j[:, 0] = 1.0 - v * e
-        j[:, 1] = -b * e
-        j[:, 2] = -b * v * e * (d - tc) / w**2
-        j[:, 3] = -b * v * e * (d - tc) ** 2 / w**3
-        return j * wgt[:, None]
+        def jacobian() -> np.ndarray:
+            j = np.empty((d.size, 4))
+            j[:, 0] = shape
+            j[:, 1] = -b * e
+            j[:, 2] = -b * v * e * dt / w**2
+            j[:, 3] = -b * v * e * dt ** 2 / w**3
+            return j * wgt[:, None]
+        return r, jacobian
 
-    p, cost, it, converged, cov = _levenberg(residual, jacobian, p0, max_iter=200)
+    p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=200)
     b, v, tc, w = p
     w = abs(w)
     fwhm = _TWO_SQRT_2LN2 * w
@@ -336,35 +353,39 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
 
     p0 = np.array([b0, tc0, min(max(v0, 0.05), 1.0)])
 
-    def model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def evaluate(p: np.ndarray):
         b, tc, s = p
-        return b * (1.0 - s * (1.0 - np.clip(spline(x - tc), 0.0, None)))
+        piece = spline._piece(d - tc)
+        raw = _value(*piece)
+        depth = 1.0 - np.clip(raw, 0.0, None)
+        shape = 1.0 - s * depth
+        r = (b * shape - c) * wgt
 
-    def residual(p: np.ndarray) -> np.ndarray:
-        return (model(p, d) - c) * wgt
+        def jacobian() -> np.ndarray:
+            slope = np.where(raw < 0.0, 0.0, _slope(*piece))  # the clip is flat
+            return np.column_stack((shape, -b * s * slope, -b * depth)) * wgt[:, None]
+        return r, jacobian
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        b, tc, s = p
-        rate = spline(d - tc)
-        slope = np.where(rate < 0.0, 0.0, spline(d - tc, 1))  # the clip is flat
-        rate = np.clip(rate, 0.0, None)
-        return np.column_stack((1.0 - s * (1.0 - rate), -b * s * slope,
-                                -b * (1.0 - rate))) * wgt[:, None]
-
-    p, cost, it, converged, cov = _levenberg(residual, jacobian, p0, max_iter=100)
+    p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=100)
     b, tc, s = p
 
     # each outer half-level crossing lies in the resample interval that leaves the
-    # outermost point below the level; Brent's method refines it on the model
+    # outermost point below the level; Brent's method refines it on the model, in
+    # plain floats on the spline pieces that the interval touches
     dense = np.linspace(d[0], d[-1], 2001)
-    curve = model(p, dense)
+    curve = b * (1.0 - s * (1.0 - np.clip(spline(dense - tc), 0.0, None)))
     level = 0.5 * (b + np.min(curve))
     below = np.flatnonzero(curve < level)
     bracketed = below.size > 0 and 0 < below[0] and below[-1] < dense.size - 1
     fwhm = float("nan")
     if bracketed:
+        fb, ftc, fs, flevel = float(b), float(tc), float(s), float(level)
+
         def crossing(k: int) -> float:
-            return _brentq(lambda x: model(p, x) - level, dense[k], dense[k + 1])
+            lo, hi = float(dense[k]), float(dense[k + 1])
+            rate = spline._local(lo - ftc, hi - ftc)
+            return _brentq(lambda x: fb * (1.0 - fs * (1.0 - max(rate(x - ftc), 0.0))) - flevel,
+                           lo, hi)
         fwhm = crossing(below[-1]) - crossing(below[0] - 1)
     # engine dips to zero, so the depth scale is the visibility
     metrics = DipMetrics(

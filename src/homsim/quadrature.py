@@ -17,6 +17,7 @@ deterministic: identical arguments give bit-identical output.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Tuple
@@ -199,13 +200,39 @@ class _CubicSpline:
 
     def __call__(self, xq, nu: int = 0):
         """Spline (``nu=0``) or its first derivative (``nu=1``) at a float or array."""
-        i = self._inner.searchsorted(xq, "right")
-        t = xq - self._x[i]
         if nu == 0:
-            return ((self._c0[i] * t + self._c1[i]) * t + self._c2[i]) * t + self._c3[i]
+            return _value(*self._piece(xq))
         if nu == 1:
-            return (3.0 * self._c0[i] * t + 2.0 * self._c1[i]) * t + self._c2[i]
+            return _slope(*self._piece(xq))
         raise ValueError("nu must be 0 or 1")
+
+    def _piece(self, xq):
+        """Offset t of xq from its piece's left knot, and that piece's coefficients:
+        the one knot search that :func:`_value` and :func:`_slope` share."""
+        i = self._inner.searchsorted(xq, "right")
+        return xq - self._x[i], self._c0[i], self._c1[i], self._c2[i], self._c3[i]
+
+    def _local(self, lo: float, hi: float) -> Callable[[float], float]:
+        """The spline on [lo, hi] as a function of a plain float, equal bit for bit
+        to ``self(x)`` there; it converts only the pieces that [lo, hi] touches."""
+        i, j = self._inner.searchsorted((lo, hi), "right")
+        knots = self._x[i:j + 1].tolist()
+        pieces = list(zip(*(c[i:j + 1].tolist() for c in (self._c0, self._c1, self._c2, self._c3))))
+
+        def value(x: float) -> float:
+            k = bisect_right(knots, x, 1) - 1
+            return _value(x - knots[k], *pieces[k])
+        return value
+
+
+def _value(t, c0, c1, c2, c3):
+    """A cubic piece c0 t^3 + c1 t^2 + c2 t + c3 at offset t."""
+    return ((c0 * t + c1) * t + c2) * t + c3
+
+
+def _slope(t, c0, c1, c2, c3):
+    """The first derivative of that piece at offset t."""
+    return (3.0 * c0 * t + 2.0 * c1) * t + c2
 
 
 def _knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:

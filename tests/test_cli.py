@@ -283,8 +283,10 @@ class TestFitCommand:
         assert doc["dof"] == 301 - (3 if mode == "model" else 4)
         assert doc["reduced_chi2"] == doc["residual_norm"] / doc["dof"]
         if mode == "gaussian-dip":
-            assert "model" not in doc and "model" not in man
+            # no engine runs in this mode, so the manifest names none
+            assert "model" not in doc and "model" not in man and "engine" not in man
             return
+        assert man["engine"] == engine
         assert man["model"] == doc["model"]
         assert doc["model"]["model_error"] <= doc["model"]["model_tol"]
         assert doc["model"]["half_width_ps"] == 40.0

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from homsim import fitdata, hom, units
+from homsim import fitdata, hom, quadrature, units
 from homsim.fitdata import (CoincidenceDataset, InsufficientDataError,
                             ParseError, fit_gaussian_dip, fit_model, ingest_csv)
 from homsim.quadrature import _brentq
@@ -80,6 +80,68 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest_csv(p)
 
+    def test_headerless_file_with_byte_order_mark_keeps_its_first_row(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + "\n".join(f"{i},{10 + i}" for i in range(10)).encode())
+        ds = ingest_csv(p)
+        assert ds.delays_ps.size == 10
+        assert ds.delays_ps[0] == 0.0 and ds.counts[0] == 10.0
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
+    def test_line_ends_and_spaces_around_cells(self, tmp_path, end):
+        p = tmp_path / "data.csv"
+        rows = ["delay_ps , counts , sigma"] + [f" {i * 0.5} ,\t{100 + i} , 2.5 " for i in range(10)]
+        p.write_bytes(end.join(rows).encode() + end.encode())
+        ds = ingest_csv(p)
+        assert list(ds.delays_ps) == [i * 0.5 for i in range(10)]
+        assert list(ds.counts) == [100.0 + i for i in range(10)]
+        assert list(ds.uncertainties) == [2.5] * 10
+
+    def test_blank_lines_in_the_middle_are_skipped(self, tmp_path):
+        p = tmp_path / "data.csv"
+        rows = [f"{i},{i}" for i in range(10)]
+        p.write_text("\n".join(rows[:4] + ["", "   ", "\t"] + rows[4:]) + "\n\n")
+        assert list(ingest_csv(p).delays_ps) == list(range(10))
+
+    def test_trailing_comma_is_an_empty_third_cell(self, tmp_path):
+        p = tmp_path / "data.csv"
+        rows = [f"{i},{i}" for i in range(10)]
+        rows[3] = "3,3,"  # line 4
+        p.write_text("\n".join(rows))
+        with pytest.raises(ParseError, match=r"^line 4: inconsistent column count 3 != 2$"):
+            ingest_csv(p)
+        # on every row: line 1 does not parse, so it is taken for a header
+        p.write_text("\n".join(f"{i},{i}," for i in range(10)))
+        with pytest.raises(ParseError, match=r"^line 2: non-numeric cell") as exc:
+            ingest_csv(p)
+        assert exc.value.line == 2
+
+    def test_non_numeric_row_after_line_1_is_not_a_header(self, tmp_path):
+        p = tmp_path / "data.csv"
+        rows = [f"{i},{i}" for i in range(10)]
+        rows.insert(1, "delay_ps,counts")  # line 2
+        p.write_text("\n".join(rows))
+        with pytest.raises(ParseError, match=r"^line 2: non-numeric cell \(could not convert "
+                                             r"string to float: 'delay_ps'\)$") as exc:
+            ingest_csv(p)
+        assert exc.value.line == 2
+
+    def test_header_after_a_blank_first_line_is_rejected(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("\ndelay_ps,counts\n" + "\n".join(f"{i},{i}" for i in range(10)))
+        with pytest.raises(ParseError, match=r"^line 2: non-numeric cell") as exc:
+            ingest_csv(p)
+        assert exc.value.line == 2
+
+    def test_three_column_row_after_two_column_rows(self, tmp_path):
+        p = tmp_path / "data.csv"
+        rows = [f"{i},{i}" for i in range(10)]
+        rows[5] = "5,5,1"  # line 6
+        p.write_text("\n".join(rows))
+        with pytest.raises(ParseError, match=r"^line 6: inconsistent column count 3 != 2$") as exc:
+            ingest_csv(p)
+        assert exc.value.line == 6
+
 
 class TestGaussianDipFit:
     delays = np.round(np.arange(-150, 151) * 0.1, 10)
@@ -117,12 +179,12 @@ class TestGaussianDipFit:
         costs = []
         orig = fitdata._levenberg
 
-        def spy(residual, jacobian, p0, **kw):
+        def spy(evaluate, p0, **kw):
             def wrapped(p):
-                r = residual(p)
+                r, jacobian = evaluate(p)
                 costs.append(float(r @ r))
-                return r
-            return orig(wrapped, jacobian, p0, **kw)
+                return r, jacobian
+            return orig(wrapped, p0, **kw)
 
         fitdata._levenberg, saved = spy, fitdata._levenberg
         try:
@@ -205,9 +267,9 @@ class TestModelFit:
     def test_analytic_jacobian_matches_central_difference(self, cfg, monkeypatch):
         levenberg, seen = fitdata._levenberg, {}
 
-        def spy(residual, jacobian, p0, **kwargs):
-            seen.update(residual=residual, jacobian=jacobian, p0=p0)
-            return levenberg(residual, jacobian, p0, **kwargs)
+        def spy(evaluate, p0, **kwargs):
+            seen.update(evaluate=evaluate, p0=p0)
+            return levenberg(evaluate, p0, **kwargs)
 
         monkeypatch.setattr(fitdata, "_levenberg", spy)
         delays = np.round(np.arange(-150, 151) * 0.1, 10)
@@ -216,11 +278,11 @@ class TestModelFit:
         counts = 700.0 * (1.0 - 0.9 * (1.0 - rates)) + rng.normal(0.0, 2.0, delays.size)
         p_fit = np.array(list(fit_model(CoincidenceDataset(delays, counts), cfg).params.values()))
         for p in (seen["p0"], p_fit):
-            jac = seen["jacobian"](p)
+            jac = seen["evaluate"](p)[1]()
             for k in range(p.size):
                 h = 1e-6 * max(abs(p[k]), 1.0)
                 step = np.eye(p.size)[k] * h
-                central = (seen["residual"](p + step) - seen["residual"](p - step)) / (2.0 * h)
+                central = (seen["evaluate"](p + step)[0] - seen["evaluate"](p - step)[0]) / (2.0 * h)
                 assert np.max(np.abs(jac[:, k] - central)) <= 1e-6 * np.max(np.abs(jac[:, k]))
 
     def test_params_stable_under_ulp_rate_noise(self, cfg, monkeypatch):
@@ -399,18 +461,60 @@ class TestModelFit:
             fit_model(data, cfg, engine="bogus")
 
 
+@pytest.mark.parametrize("fit", [fit_gaussian_dip, fit_model])
+def test_each_trial_point_is_evaluated_once(cfg, monkeypatch, fit):
+    # the fit loop calls evaluate once per trial point and builds the Jacobian
+    # only at the start and at each accepted point, the trial whose cost does not
+    # exceed the last accepted one; a warm fit_model searches the spline's knots
+    # once per trial point
+    data = engine_dataset(cfg, "gaussian", seed=11)
+    fit_model(data, cfg)  # warm the model spline
+    levenberg, trials, searches, during_fit = fitdata._levenberg, [], [], {}
+    piece = quadrature._CubicSpline._piece
+
+    def counting_piece(self, xq):
+        searches.append(xq)
+        return piece(self, xq)
+
+    def spy(evaluate, p0, **kwargs):
+        def counted(p):
+            r, jacobian = evaluate(p)
+            trial = {"p": p.tobytes(), "cost": float(r @ r), "builds": 0}
+            trials.append(trial)
+
+            def build():
+                trial["builds"] += 1
+                return jacobian()
+            return r, build
+        searches.clear()
+        out = levenberg(counted, p0, **kwargs)
+        during_fit["knot_searches"] = len(searches)
+        return out
+
+    monkeypatch.setattr(quadrature._CubicSpline, "_piece", counting_piece)
+    monkeypatch.setattr(fitdata, "_levenberg", spy)
+    res = fit(data) if fit is fit_gaussian_dip else fit(data, cfg)
+    assert res.converged and len(trials) > res.iterations >= 2
+    assert len({t["p"] for t in trials}) == len(trials)
+    best = math.inf
+    for trial in trials:
+        accepted = trial["cost"] <= best
+        best = min(best, trial["cost"])
+        assert trial["builds"] == accepted
+    assert during_fit["knot_searches"] == (len(trials) if fit is fit_model else 0)
+
+
 def test_converged_is_a_python_bool_when_no_step_is_accepted():
     # the residual is NaN after the first call, as a NaN count makes it, so every
     # trial step is rejected
     calls = []
 
-    def residual(p):
+    def evaluate(p):
         calls.append(p)
-        return np.array([1.0 if len(calls) == 1 else np.nan])
+        return np.array([1.0 if len(calls) == 1 else np.nan]), lambda: np.array([[1.0]])
 
     p0 = np.array([1.0])
-    p, cost, it, converged, cov = fitdata._levenberg(residual, lambda p: np.array([[1.0]]),
-                                                     p0, max_iter=10)
+    p, cost, it, converged, cov = fitdata._levenberg(evaluate, p0, max_iter=10)
     assert type(converged) is bool and not converged
     assert it == 1 and np.array_equal(p, p0)
 

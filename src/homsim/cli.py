@@ -146,8 +146,14 @@ def cmd_dip(args) -> int:
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
+    if args.mode == "gaussian-dip":  # runs no engine, so it takes no engine or config
+        given = [_flag(k) for k in ("config", "engine", *REFERENCE_PARAMS)
+                 if getattr(args, k) is not None]
+        if given:
+            raise ConfigError(f"--mode gaussian-dip does not take {', '.join(given)}")
     data = ingest_csv(args.data)
     record = dense_curve = None
+    extra = {"mode": args.mode, "data": args.data}
     if args.mode == "gaussian-dip":
         result = fit_gaussian_dip(data)
         p = result.params
@@ -156,17 +162,16 @@ def cmd_fit(args) -> int:
             -((dense - p["center_ps"]) ** 2) / (2.0 * p["width_ps"] ** 2))))
     else:
         cfg, record = _load_config(args)
-        result = fit_model(data, cfg, engine=args.engine)
+        engine = args.engine or "gaussian"
+        result = fit_model(data, cfg, engine=engine)
+        extra.update(engine=engine, model=result.model)
     text = fit_result_to_json(result, dense_curve=dense_curve)  # before the file is opened
     with open(args.out, "w") as fh:
         fh.write(text)
-    extra = {"mode": args.mode, "data": args.data}
-    if result.model is not None:  # only model mode runs an engine
-        extra.update(engine=args.engine, model=result.model)
     _write_manifest(args.out, "fit", record, extra, time.perf_counter() - t0)
-    m = result.derived_metrics
-    print(json.dumps({"visibility": m.visibility, "fwhm_ps": m.fwhm_ps,
-                      "converged": result.converged}, indent=2))
+    m = json.loads(text)["derived_metrics"]  # as written: an unbracketed FWHM is null
+    print(json.dumps({"visibility": m["visibility"], "fwhm_ps": m["fwhm_ps"],
+                      "converged": result.converged}, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -195,15 +200,19 @@ def cmd_overlap(args) -> int:
     return EXIT_OK
 
 
+def _flag(name: str) -> str:
+    """The command-line flag of an argument."""
+    return "--" + name.lower().replace("_", "-")
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config with laboratory-unit fields "
                                     "(flags override config fields)")
     for name in REFERENCE_PARAMS:
-        flag = "--" + name.lower().replace("_", "-")
         if name == "filter_shape":
-            p.add_argument(flag, dest=name, choices=[shape.value for shape in FilterShape])
+            p.add_argument(_flag(name), dest=name, choices=[shape.value for shape in FilterShape])
         else:
-            p.add_argument(flag, dest=name, type=float)
+            p.add_argument(_flag(name), dest=name, type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--data", required=True, help="CSV with delay_ps,counts[,uncertainty]")
     p.add_argument("--mode", default="gaussian-dip", choices=["gaussian-dip", "model"])
-    p.add_argument("--engine", default="gaussian",
-                   choices=["gaussian", "supergaussian", "general"])
+    p.add_argument("--engine", choices=["gaussian", "supergaussian", "general"],
+                   help="model mode only (default gaussian)")
     p.add_argument("--out", default="fit_result.json")
     p.set_defaults(func=cmd_fit)
 

@@ -8,7 +8,8 @@ Two fit families:
   (baseline, center, depth scale).  The engine rate is interpolated by a
   spline on a grid symmetric about zero, sized by the scan span and cached per
   (config, engine, half-width); its spacing is halved until a midpoint check
-  meets ``_MODEL_TOL``.  The spline's derivative gives an analytic Jacobian.
+  meets ``_MODEL_TOL``.  Its derivative gives an analytic Jacobian, and the
+  half-width of its dip, found once per cached spline, the FWHM.
 
 The optimizer is damped Gauss-Newton with a Levenberg-style schedule:
 damping x10 on a rejected step, /10 on an accepted one, starting at 1e-3.
@@ -30,8 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hom import DipMetrics, dip_curve
-from .quadrature import _brentq, _CubicSpline, _slope, _value
+from .hom import DipMetrics, _outermost, dip_curve
+from .quadrature import _CubicSpline, _slope, _value
 from .units import ExperimentConfig
 
 __all__ = [
@@ -296,14 +297,15 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
 
 @lru_cache(maxsize=16)
 def _model(cfg: ExperimentConfig, engine: str, half: float):
-    """Spline of the engine rate R on knots k h, |k h| <= n h, n h >= ``half``, and its record.
+    """Spline of the engine rate R on knots k h, |k h| <= n h, n h >= ``half``, record and w.
 
     R is even, so the engine runs on [0, n h] and is mirrored.  From h = 1/4 ps
     (coarser by powers of two when the first halving would pass _MODEL_MAX_KNOTS)
     h is halved until the previous spline, checked at its midpoints -- the new odd
     knots -- is within _MODEL_TOL of the engine, or the next halving would pass the
-    cap.  Returns the finer spline and a record whose ``model_error`` is that
-    check's largest deviation, a bound on the coarser spline's error.
+    cap.  Returns the finer spline, a record whose ``model_error`` is that check's
+    largest deviation (a bound on the coarser spline's error) and w, the outermost
+    crossing of (1 + R(0)) / 2 on [0, n h]; R is least at 0 (cosine weights are >= 0).
     """
     h = 0.25
     while 4 * math.ceil(half / h) + 1 > _MODEL_MAX_KNOTS:
@@ -321,9 +323,11 @@ def _model(cfg: ExperimentConfig, engine: str, half: float):
         finer, curve = mirrored(n, h)
         error = float(np.max(np.abs(spline(curve.delays_ps[1::2]) - curve.rates[1::2])))
         if error <= _MODEL_TOL or 4 * n + 1 > _MODEL_MAX_KNOTS:
+            i = np.arange(n)
+            width = _outermost(curve, finer, 0.5 * (1.0 + curve.rates[0]), i, i + 1)
             return finer, {"half_width_ps": n * h, "knots": 2 * n + 1, "spacing_ps": h,
                            "model_error": error, "model_tol": _MODEL_TOL,
-                           "quadrature": curve.quadrature}
+                           "quadrature": curve.quadrature}, width
         spline = finer
 
 
@@ -336,8 +340,10 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     :func:`_model`) over +-half, the scan span plus a pad of a quarter span
     + 2 ps, rounded up to 5 ps, so that every center within the pad of the
     initial guess keeps the data on the grid; its derivative gives an analytic
-    Jacobian.  The fit is marked suspicious when it leaves the model: the
-    center moves more than the pad (R would be extrapolated), s leaves
+    Jacobian.  The curve is affine in R, so its FWHM is the model's 2 w (see
+    :func:`_model`) if it dips (B > 0, B (1 - s (1 - R(0))) < B) and the scan
+    holds tc +- w, else NaN.  The fit is marked suspicious when it leaves the
+    model: the center moves more than the pad (R would be extrapolated), s leaves
     [0, 1.05], the scan does not bracket the FWHM, or the spline's estimate exceeds
     ``_MODEL_TOL`` at the knot cap (the grid does not resolve the engine dip).
     ``FitResult.model`` records the spline and the engine's quadrature.
@@ -349,7 +355,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     span = d[-1] - d[0]
     pad = 0.25 * span + 2.0
     half = _MODEL_HALF_STEP * math.ceil((span + pad) / _MODEL_HALF_STEP)
-    spline, record = _model(cfg, engine, half)
+    spline, record, width = _model(cfg, engine, half)
 
     p0 = np.array([b0, tc0, min(max(v0, 0.05), 1.0)])
 
@@ -369,24 +375,9 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=100)
     b, tc, s = p
 
-    # each outer half-level crossing lies in the resample interval that leaves the
-    # outermost point below the level; Brent's method refines it on the model, in
-    # plain floats on the spline pieces that the interval touches
-    dense = np.linspace(d[0], d[-1], 2001)
-    curve = b * (1.0 - s * (1.0 - np.clip(spline(dense - tc), 0.0, None)))
-    level = 0.5 * (b + np.min(curve))
-    below = np.flatnonzero(curve < level)
-    bracketed = below.size > 0 and 0 < below[0] and below[-1] < dense.size - 1
-    fwhm = float("nan")
-    if bracketed:
-        fb, ftc, fs, flevel = float(b), float(tc), float(s), float(level)
-
-        def crossing(k: int) -> float:
-            lo, hi = float(dense[k]), float(dense[k + 1])
-            rate = spline._local(lo - ftc, hi - ftc)
-            return _brentq(lambda x: fb * (1.0 - fs * (1.0 - max(rate(x - ftc), 0.0))) - flevel,
-                           lo, hi)
-        fwhm = crossing(below[-1]) - crossing(below[0] - 1)
+    dips = b > 0.0 and b * (1.0 - s * (1.0 - spline(0.0))) < b
+    bracketed = dips and d[0] < tc - width and tc + width < d[-1]
+    fwhm = 2.0 * width if bracketed else math.nan
     # engine dips to zero, so the depth scale is the visibility
     metrics = DipMetrics(
         visibility=float(s), fwhm_ps=fwhm, center_ps=float(tc),
@@ -427,7 +418,8 @@ def fit_result_to_json(result: FitResult,
     if result.derived_metrics is not None:
         m = result.derived_metrics
         out["derived_metrics"] = {
-            "visibility": m.visibility, "fwhm_ps": m.fwhm_ps,
+            "visibility": m.visibility,
+            "fwhm_ps": m.fwhm_ps if math.isfinite(m.fwhm_ps) else None,  # null: not bracketed
             "center_ps": m.center_ps, "baseline": m.baseline, "engine": m.engine,
         }
     if dense_curve is not None:
@@ -435,4 +427,4 @@ def fit_result_to_json(result: FitResult,
             "delay_ps": [float(x) for x in dense_curve[0]],
             "value": [float(y) for y in dense_curve[1]],
         }
-    return json.dumps(out, indent=2)
+    return json.dumps(out, indent=2, allow_nan=False)

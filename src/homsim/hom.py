@@ -306,12 +306,28 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     return DipCurve(delays_ps=delays_ps, rates=rates, engine=engine, quadrature=quadrature)
 
 
+def _outermost(curve: DipCurve, spline: _CubicSpline, level: float,
+               i: np.ndarray, j: np.ndarray) -> float:
+    """The crossing of ``level`` by the last sample pair (i, j) of ``curve`` that
+    brackets it: sample i if it lies on the level, else Brent's root of ``spline``
+    between i and j; infinity if no pair brackets the level."""
+    a, b = curve.rates[i] - level, curve.rates[j] - level
+    hits = np.flatnonzero((a == 0.0) | (a * b < 0))
+    if not hits.size:
+        return math.inf
+    k = hits[-1]
+    if a[k] == 0.0:
+        return float(curve.delays_ps[i[k]])
+    left, right = sorted((curve.delays_ps[i[k]], curve.delays_ps[j[k]]))
+    return _brentq(lambda x: spline(x) - level, left, right)
+
+
 def dip_metrics(curve: DipCurve) -> DipMetrics:
     """Visibility, FWHM and center of a sampled dip.
 
     Baseline is the mean of the outermost 10% of samples on each side; the
-    outermost half-depth crossing on each flank is located by Brent's method on
-    a cubic interpolation of the curve.
+    outermost half-depth crossing on each flank is located by :func:`_outermost`
+    on a cubic interpolation of the curve.
     """
     n = curve.delays_ps.size
     edge = max(int(round(_BASELINE_FRACTION * n / 2)), 1)
@@ -338,22 +354,12 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
     rmin_ref = float(spline(center))
     half_level = 0.5 * (baseline + rmin_ref)
 
-    def outermost(i: np.ndarray, j: np.ndarray) -> float:
-        """The crossing of the last sample pair (i, j) out from the minimum that brackets
-        the level: sample i if it lies on it, else Brent's root between i and j."""
-        a, b = curve.rates[i] - half_level, curve.rates[j] - half_level
-        hits = np.flatnonzero((a == 0.0) | (a * b < 0))
-        if not hits.size:
-            raise AnalysisError("half-depth level not bracketed on both flanks")
-        k = hits[-1]
-        if a[k] == 0.0:
-            return float(curve.delays_ps[i[k]])
-        left, right = sorted((curve.delays_ps[i[k]], curve.delays_ps[j[k]]))
-        return _brentq(lambda x: spline(x) - half_level, left, right)
-
     # with non-monotone flanks report the widest crossing pair
     right, left = np.arange(imin, n - 1), np.arange(imin, 0, -1)
-    fwhm = outermost(right, right + 1) - outermost(left, left - 1)
+    fwhm = (_outermost(curve, spline, half_level, right, right + 1)
+            - _outermost(curve, spline, half_level, left, left - 1))
+    if not math.isfinite(fwhm):
+        raise AnalysisError("half-depth level not bracketed on both flanks")
     return DipMetrics(
         visibility=visibility,
         fwhm_ps=fwhm,

@@ -17,7 +17,6 @@ deterministic: identical arguments give bit-identical output.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Tuple
@@ -211,18 +210,6 @@ class _CubicSpline:
         the one knot search that :func:`_value` and :func:`_slope` share."""
         i = self._inner.searchsorted(xq, "right")
         return xq - self._x[i], self._c0[i], self._c1[i], self._c2[i], self._c3[i]
-
-    def _local(self, lo: float, hi: float) -> Callable[[float], float]:
-        """The spline on [lo, hi] as a function of a plain float, equal bit for bit
-        to ``self(x)`` there; it converts only the pieces that [lo, hi] touches."""
-        i, j = self._inner.searchsorted((lo, hi), "right")
-        knots = self._x[i:j + 1].tolist()
-        pieces = list(zip(*(c[i:j + 1].tolist() for c in (self._c0, self._c1, self._c2, self._c3))))
-
-        def value(x: float) -> float:
-            k = bisect_right(knots, x, 1) - 1
-            return _value(x - knots[k], *pieces[k])
-        return value
 
 
 def _value(t, c0, c1, c2, c3):

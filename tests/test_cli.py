@@ -272,11 +272,11 @@ class TestFitCommand:
         assert 0.9 < doc["params"]["scale"] < 1.0
 
     @pytest.mark.parametrize("mode,engine", [("model", "gaussian"), ("model", "general"),
-                                             ("gaussian-dip", "gaussian")])
+                                             ("model", None), ("gaussian-dip", None)])
     def test_fit_records_errors_and_model(self, tmp_path, dip_data_file, mode, engine):
         out = tmp_path / "fit.json"
-        assert run(["fit", "--data", str(dip_data_file), "--mode", mode,
-                    "--engine", engine, "--out", str(out)]) == 0
+        assert run(["fit", "--data", str(dip_data_file), "--mode", mode, "--out", str(out)]
+                   + (["--engine", engine] if engine else [])) == 0
         doc = json.loads(out.read_text())
         man = json.loads((tmp_path / "fit.manifest.json").read_text())
         assert set(doc["std_errors"]) == set(doc["params"])
@@ -286,6 +286,7 @@ class TestFitCommand:
             # no engine runs in this mode, so the manifest names none
             assert "model" not in doc and "model" not in man and "engine" not in man
             return
+        engine = engine or "gaussian"  # model mode's default, recorded as run
         assert man["engine"] == engine
         assert man["model"] == doc["model"]
         assert doc["model"]["model_error"] <= doc["model"]["model_tol"]
@@ -293,6 +294,33 @@ class TestFitCommand:
         quadrature = doc["model"]["quadrature"]
         assert ("lag_orders" if engine == "gaussian" else "nu_order") in quadrature
         assert quadrature["error_estimate"] <= quadrature["abs_tol"]
+
+    @pytest.mark.parametrize("flags", [["--config", "missing.json"], ["--length-m", "-5"],
+                                       ["--engine", "general"]])
+    def test_gaussian_dip_rejects_engine_and_config_flags(self, tmp_path, dip_data_file,
+                                                          capsys, flags):
+        # the Gaussian-dip fit runs no engine, so these flags would be ignored
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--data", str(dip_data_file), "--mode", "gaussian-dip",
+                    "--out", str(out)] + flags) == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unbracketed_fwhm_is_written_as_null(self, tmp_path, capsys):
+        # flat data: the model fit finds no dip, so its FWHM is NaN in Python
+        # and null in the file and on stdout, which must both be strict JSON
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        data = tmp_path / "flat.csv"
+        data.write_text("\n".join(f"{k * 0.125 - 15.0},100" for k in range(241)))
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--data", str(data), "--mode", "model", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["derived_metrics"]["fwhm_ps"] is None
+        assert summary["fwhm_ps"] is None
+        assert doc["message"].endswith("FWHM not bracketed")
 
 
 class TestOverlapCommand:

@@ -355,8 +355,7 @@ class TestModelFit:
                                               ("supergaussian4", "supergaussian")])
     def test_fwhm_is_the_engine_half_width(self, shape, engine):
         # on noiseless engine data the fitted FWHM is the width at R = 0.5 found
-        # by root-finding on the engine, not a multiple of the 0.015 ps spacing
-        # of the fitted curve's resampling
+        # by root-finding on the engine, to within the model spline's error
         cfg = units.default_config(shape)
         delays = np.round(np.arange(-150, 151) * 0.1, 10)
         rates = hom.dip_curve(cfg, engine, delays - 0.3).rates
@@ -376,6 +375,33 @@ class TestModelFit:
         assert math.isnan(res.derived_metrics.fwhm_ps)
         assert res.suspicious
         assert res.message.endswith("FWHM not bracketed")
+
+    def test_one_flank_scan_does_not_bracket_fwhm(self, cfg):
+        # noiseless engine data whose scan stops 2 ps past the center, inside
+        # the right half-width of about 3.1 ps
+        delays = np.round(np.arange(-150, 21) * 0.1, 10)
+        counts = 500.0 * (1.0 - 0.95 * (1.0 - hom.dip_curve(cfg, "gaussian", delays).rates))
+        res = fit_model(CoincidenceDataset(delays, counts), cfg)
+        assert res.params["center"] == pytest.approx(0.0, abs=1e-6)
+        assert math.isnan(res.derived_metrics.fwhm_ps)
+        assert res.suspicious
+        assert res.message.endswith("FWHM not bracketed")
+
+    @pytest.mark.parametrize("shape,engine", FIT_BATCH_PAIRS)
+    def test_fwhm_is_one_value_per_model(self, shape, engine):
+        # the FWHM is the cached model's own half-width, so noise and center
+        # do not move it
+        cfg = units.default_config(shape)
+        fits = [fit_model(engine_dataset(cfg, engine, seed), cfg, engine=engine)
+                for seed in range(6)]
+        assert len({res.params["center"] for res in fits}) == 6
+        assert len({res.derived_metrics.fwhm_ps for res in fits}) == 1
+
+    def test_gaussian_and_general_fwhm_agree(self, cfg):
+        data = engine_dataset(cfg, "gaussian", seed=9)
+        g, general = (fit_model(data, cfg, engine=engine).derived_metrics.fwhm_ps
+                      for engine in ("gaussian", "general"))
+        assert general == pytest.approx(g, abs=1e-8)
 
     def test_unresolved_engine_dip_is_flagged(self, cfg):
         # 21 points over +-10 ns: a model over +-25 ns reaches the knot cap at a
@@ -409,7 +435,7 @@ class TestModelFit:
         record = res.model
         assert record["model_error"] <= record["model_tol"] == fitdata._MODEL_TOL
         half = record["half_width_ps"]
-        spline, cached = fitdata._model(cfg, engine, half)
+        spline, cached, _ = fitdata._model(cfg, engine, half)
         assert cached == record
         x = np.sort(np.random.default_rng(7).uniform(-half, half, 2000))
         engine_rates = hom.dip_curve(cfg, engine, x).rates

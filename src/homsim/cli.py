@@ -35,7 +35,7 @@ from .hom import (AnalysisError, dip_curve, dip_metrics, metrics_to_json,
                   write_curve_csv)
 from .imperfections import (SpatialGeometry, solve_angle_for_overlap,
                             spatial_overlap)
-from .jsa import jsa_grid, write_grid_csv
+from .jsa import _Z_ORDER, jsa_grid, write_grid_csv
 from .quadrature import AccuracyError
 from .units import REFERENCE_PARAMS, ExperimentConfig, FilterShape, build_config
 
@@ -113,11 +113,14 @@ def _write_manifest(out_path: str, command: str, config: dict[str, Any] | None,
 
 def cmd_jsa(args) -> int:
     t0 = time.perf_counter()
+    if not (math.isfinite(args.span) and args.span > 0):
+        raise ConfigError("--span must be finite and > 0")
     cfg, record = _load_config(args)
     grid = jsa_grid(cfg, n_points=args.n, span=args.span)
     write_grid_csv(grid, args.out)
     _write_manifest(args.out, "jsa", record,
-                    {"grid": {"n_points": args.n, "span_sigma0": args.span}},
+                    {"grid": {"n_points": args.n, "span_sigma0": args.span},
+                     "quadrature": {"z_order": _Z_ORDER}},
                     time.perf_counter() - t0)
     print(f"wrote {args.n * args.n} grid samples to {args.out}")
     return EXIT_OK

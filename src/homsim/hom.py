@@ -245,12 +245,17 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
 
 @dataclass(frozen=True)
 class DipCurve:
-    """Sampled coincidence rate versus delay, baseline-normalized, and the quadrature run."""
+    """Sampled coincidence rate versus delay, baseline-normalized, and the quadrature run.
+
+    ``baseline`` is the large-delay rate the curve is normalized to when that is
+    known (1.0 for every :func:`dip_curve`), else None.
+    """
 
     delays_ps: np.ndarray
     rates: np.ndarray
     engine: str
     quadrature: dict = field(default_factory=dict)
+    baseline: float | None = None
 
     def __post_init__(self) -> None:
         if not (np.all(np.isfinite(self.delays_ps)) and np.all(np.diff(self.delays_ps) > 0)):
@@ -303,7 +308,8 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     else:
         raise ValueError(f"unknown engine {engine!r}; choose from "
                          "['asymmetric', 'gaussian', 'general', 'supergaussian']")
-    return DipCurve(delays_ps=delays_ps, rates=rates, engine=engine, quadrature=quadrature)
+    return DipCurve(delays_ps=delays_ps, rates=rates, engine=engine, quadrature=quadrature,
+                    baseline=1.0)
 
 
 def _outermost(curve: DipCurve, spline: _CubicSpline, level: float,
@@ -325,13 +331,17 @@ def _outermost(curve: DipCurve, spline: _CubicSpline, level: float,
 def dip_metrics(curve: DipCurve) -> DipMetrics:
     """Visibility, FWHM and center of a sampled dip.
 
-    Baseline is the mean of the outermost 10% of samples on each side; the
-    outermost half-depth crossing on each flank is located by :func:`_outermost`
-    on a cubic interpolation of the curve.
+    The baseline is the curve's own when it has one (an engine curve's is 1, so
+    a scan narrower than the dip leaves the half level unbracketed), else the
+    mean of the outermost 10% of samples on each side.  The outermost half-depth
+    crossing on each flank is located by :func:`_outermost` on a cubic
+    interpolation of the curve.
     """
     n = curve.delays_ps.size
     edge = max(int(round(_BASELINE_FRACTION * n / 2)), 1)
-    baseline = float(np.mean(np.concatenate([curve.rates[:edge], curve.rates[-edge:]])))
+    baseline = curve.baseline
+    if baseline is None:
+        baseline = float(np.mean(np.concatenate([curve.rates[:edge], curve.rates[-edge:]])))
     if baseline <= 0:
         raise AnalysisError("baseline is zero; curve cannot be normalized")
 
@@ -370,7 +380,8 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
 
 
 def write_curve_csv(curve: DipCurve, path) -> None:
-    """Write the curve as CSV rows delay_ps,rate_normalized."""
+    """Write the curve as CSV rows delay_ps,rate_normalized, each value as ``%.17g``
+    through :func:`homsim.jsa._write_csv`."""
     _write_csv(path, ["delay_ps", "rate_normalized"], [curve.delays_ps, curve.rates])
 
 

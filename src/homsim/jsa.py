@@ -189,6 +189,8 @@ def jsa_grid(cfg: ExperimentConfig, n_points: int = 65, span: float = 3.0) -> Am
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     half = span * cfg.sigma_0_rad_per_ps
+    if not 0.0 < half < math.inf:
+        raise ValueError(f"span must be finite and > 0, got {span!r}")
     axis = np.linspace(-half, half, n_points)
     # on the uniform axis nu_s - nu_i = (i - j) * step, so H takes n_points values
     k, sp = np.arange(n_points), cfg.sigma_p_rad_per_ps
@@ -201,17 +203,32 @@ def jsa_grid(cfg: ExperimentConfig, n_points: int = 65, span: float = 3.0) -> Am
 
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write float columns as CSV in one ``%`` operation over the whole table; the
-    bytes equal ``csv.writer`` rows of ``f"{x:.17g}"`` values, CRLF line ends included."""
-    values = np.column_stack(columns)
-    line = ",".join(["%.17g"] * values.shape[1]) + "\r\n"
+    """Write float columns as CSV whose bytes equal ``csv.writer`` rows of
+    ``f"{x:.17g}"`` values, CRLF line ends included.
+
+    ``%.17g`` depends only on a float's bits, so each column formats each of its
+    distinct bit patterns once (-0.0 stays apart from 0.0, every NaN prints
+    ``nan``); rows are then gathered from those strings and written in blocks
+    of about _CHUNK_ELEMENTS cells.
+    """
+    cells = []
+    for k, column in enumerate(columns):
+        bits, inverse = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.uint64),
+                                  return_inverse=True)
+        # each string carries the separator after it, "," or the row's "\r\n"
+        fmt = "%.17g" + (",", "\r\n")[k == len(columns) - 1] + "\0"
+        strings = (fmt * bits.size % tuple(bits.view(np.float64).tolist())).split("\0")[:-1]
+        cells.append((np.array(strings, dtype=object), inverse))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write((line * values.shape[0]) % tuple(values.ravel().tolist()))
+        for sl in _chunks(inverse.size, len(columns)):
+            block = np.stack([strings[rows[sl]] for strings, rows in cells], axis=1)
+            fh.write("".join(block.ravel().tolist()))
 
 
 def write_grid_csv(grid: AmplitudeGrid, path) -> None:
-    """Write the grid as CSV rows nu_s,nu_i,re_q,im_q,abs2_q (axes in rad/ps)."""
+    """Write the grid as CSV rows nu_s,nu_i,re_q,im_q,abs2_q (axes in rad/ps), one row
+    per cell, nu_s-major, each value as ``%.17g`` through :func:`_write_csv`."""
     n_s, n_i = grid.values.shape
     re, im = grid.values.real.ravel(), grid.values.imag.ravel()
     # |q|^2 as abs(q) ** 2 of each scalar, i.e. C pow: the array square rounds

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from homsim import cli
+from homsim import cli, jsa
 
 
 def run(args):
@@ -36,6 +36,7 @@ class TestJsaCommand:
         assert man["tool"] == "homsim"
         assert man["command"] == "jsa"
         assert man["grid"] == {"n_points": 9, "span_sigma0": 2.0}
+        assert man["quadrature"] == {"z_order": jsa._Z_ORDER}
         assert man["config"]["filter_shape"] == "gaussian"
 
     def test_n_controls_row_count(self, tmp_path):
@@ -76,6 +77,14 @@ class TestJsaCommand:
         assert run(["jsa", "--config", str(cfgfile),
                     "--out", str(tmp_path / "g.csv")]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("span", ["inf", "0", "-1", "nan"])
+    def test_bad_span_exits_2(self, tmp_path, capsys, span):
+        # rejected before any work: an infinite span once reached the z rule
+        # and warned about cos/sin before failing on the grid axes
+        assert run(["jsa", f"--span={span}", "--out", str(tmp_path / "g.csv")]) == 2
+        assert "--span" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestDipCommand:
@@ -166,6 +175,13 @@ class TestDipCommand:
 
     def test_unwritable_output_exits_1(self, tmp_path):
         assert run(["dip", "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+
+    def test_scan_narrower_than_dip_exits_3(self, tmp_path, capsys):
+        # the engine baseline is 1, so the half level lies beyond a +-2 ps scan
+        # of the 6.25 ps dip; an edge estimate once gave a 2.66 ps FWHM here
+        assert run(["dip", "--engine", "gaussian", "--delay-min", "-2", "--delay-max", "2",
+                    "--out", str(tmp_path / "x.csv")]) == 3
+        assert "not bracketed" in capsys.readouterr().err
 
     def test_supergaussian_engine_with_gaussian_filter_exits_2(self, tmp_path):
         # the quartic engine must not silently replace the configured filter

@@ -615,6 +615,17 @@ class TestDipMetrics:
         assert metrics.fwhm_ps == pytest.approx(6.4, abs=0.3)
         assert abs(metrics.center_ps) < 0.05
 
+    def test_engine_curve_half_level_from_its_baseline(self, cfg):
+        # a +-2 ps scan of the 6.25 ps dip never reaches the baseline: from the
+        # engine's baseline of 1 the half level is unbracketed, while the same
+        # samples without a known baseline fall back to the edge estimate
+        curve = hom.dip_curve(cfg, "gaussian", delays_ps=np.linspace(-2.0, 2.0, 41))
+        assert curve.baseline == 1.0
+        with pytest.raises(hom.AnalysisError, match="not bracketed"):
+            hom.dip_metrics(curve)
+        edge = hom.dip_metrics(hom.DipCurve(curve.delays_ps, curve.rates, "test"))
+        assert edge.baseline < 0.9 and edge.fwhm_ps == pytest.approx(2.6638, abs=1e-4)
+
     def test_flat_curve_raises(self):
         delays = np.linspace(-10, 10, 101)
         curve = hom.DipCurve(delays_ps=delays, rates=np.ones_like(delays), engine="test")

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -163,6 +164,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             jsa.jsa_grid(cfg, n_points=1)
 
+    @pytest.mark.parametrize("span", [math.inf, 0.0, -1.0, math.nan])
+    def test_rejects_bad_span_before_any_work(self, cfg, monkeypatch, span):
+        monkeypatch.setattr(jsa, "_h_values", lambda w, cfg: pytest.fail("H evaluated"))
+        with pytest.raises(ValueError, match="span"):
+            jsa.jsa_grid(cfg, n_points=5, span=span)
+
     def test_csv_round_trip(self, cfg, tmp_path):
         grid = jsa.jsa_grid(cfg, n_points=9, span=2.0)
         path = tmp_path / "grid.csv"
@@ -181,3 +188,75 @@ class TestGrid:
                 nu_i_axis=np.array([0.0, 1.0, 2.0]),
                 values=np.zeros((3, 3), dtype=complex),
             )
+
+
+def _per_row_csv(path, header, rows):
+    """The reference bytes: csv.writer rows of per-value f"{x:.17g}" strings."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{x:.17g}" for x in row])
+
+
+def _grid_rows(grid):
+    return ((ns, ni, q.real, q.imag, abs(q) ** 2)
+            for ns, row in zip(grid.nu_s_axis, grid.values)
+            for ni, q in zip(grid.nu_i_axis, row))
+
+
+class TestCsvWriter:
+    """Formatting each distinct bit pattern of a column once, and writing in row
+    blocks, leaves the bytes of the per-row reference."""
+
+    def _assert_table(self, tmp_path, columns):
+        header = [f"c{k}" for k in range(len(columns))]
+        jsa._write_csv(tmp_path / "t.csv", header, columns)
+        _per_row_csv(tmp_path / "ref.csv", header, zip(*columns))
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_signed_zeros_stay_apart(self, tmp_path):
+        # equal as values, so a value-based np.unique would print one of them twice
+        column = np.array([0.0, -0.0, 0.0, 1.0, -0.0])
+        assert np.unique(column).size == 2
+        self._assert_table(tmp_path, [column, column[::-1].copy()])
+        assert b"-0,0\r\n" in (tmp_path / "t.csv").read_bytes()
+
+    def test_nan_and_infinite_grid_values(self, tmp_path):
+        nan_bits = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+        negative_nan, payload_nan = nan_bits.view(np.float64)
+        values = np.array([[np.nan, complex(np.inf, 1.0), complex(0.5, -np.inf)],
+                           [complex(negative_nan, 0.0), complex(payload_nan, np.nan), -np.inf],
+                           [complex(np.inf, np.nan), 0.25 + 0.5j, np.nan]])
+        grid = jsa.AmplitudeGrid(nu_s_axis=np.arange(3.0), nu_i_axis=np.arange(3.0),
+                                 values=values)
+        jsa.write_grid_csv(grid, tmp_path / "grid.csv")
+        _per_row_csv(tmp_path / "ref.csv", ["nu_s", "nu_i", "re_q", "im_q", "abs2_q"],
+                     _grid_rows(grid))
+        written = (tmp_path / "grid.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        assert b"-inf" in written and b"nan" in written and b"-nan" not in written
+
+    def test_every_value_repeats(self, tmp_path):
+        self._assert_table(tmp_path, [np.full(40, 0.1), np.full(40, -3e-300), np.full(40, 7.0)])
+
+    def test_one_row(self, tmp_path):
+        self._assert_table(tmp_path, [np.array([1.0 / 3.0]), np.array([-0.0]), np.array([5e-324])])
+
+    def test_rows_across_several_blocks(self, tmp_path, monkeypatch):
+        # 16 elements per block of 5 columns is 3 rows, so 10 rows make four
+        # blocks, the last one short
+        monkeypatch.setattr(jsa, "_CHUNK_ELEMENTS", 16)
+        assert len(jsa._chunks(10, 5)) == 4
+        rng = np.random.default_rng(5)
+        self._assert_table(tmp_path, [rng.choice([0.5, -0.0, 0.0, 2.0 / 3.0], 10)
+                                      for _ in range(5)])
+
+    def test_reference_grid_file(self, cfg, tmp_path):
+        # the 257^2 grid spans three default row blocks
+        grid = jsa.jsa_grid(cfg, 257)
+        assert len(jsa._chunks(grid.values.size, 5)) == 3
+        jsa.write_grid_csv(grid, tmp_path / "grid.csv")
+        _per_row_csv(tmp_path / "ref.csv", ["nu_s", "nu_i", "re_q", "im_q", "abs2_q"],
+                     _grid_rows(grid))
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

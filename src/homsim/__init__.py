@@ -11,13 +11,11 @@ from .units import (  # noqa: F401
     FiberParams,
     FilterShape,
     FilterSpec,
-    FwhmConvention,
     PumpParams,
     build_config,
     default_config,
     fwhm_nm_to_sigma,
     fwhm_nm_to_sigma_supergaussian,
-    sigma_to_fwhm_nm,
     wavelength_to_angular_frequency,
 )
 from .quadrature import (  # noqa: F401

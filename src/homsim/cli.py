@@ -45,8 +45,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # the reference parameters have command-line flags; the rest are config-only
-_CONFIG_FIELDS = set(REFERENCE_PARAMS) | {
-    "idler_filter_fwhm_nm", "idler_filter_shape", "fwhm_convention"}
+_CONFIG_FIELDS = set(REFERENCE_PARAMS) | {"idler_filter_fwhm_nm", "idler_filter_shape"}
 
 
 class ConfigError(ValueError):
@@ -86,7 +85,7 @@ def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, 
         "Delta_rad_per_ps": cfg.Delta_rad_per_ps,
         "sigma_p_rad_per_ps": cfg.sigma_p_rad_per_ps,
         "sigma_0_rad_per_ps": cfg.sigma_0_rad_per_ps,
-        "sigma_supergaussian_rad_per_ps": cfg.sigma_sg_rad_per_ps,
+        "sigma_supergaussian_rad_per_ps": cfg.sigma_sg_for(cfg.filter),
     }}
 
 
@@ -113,10 +112,11 @@ def _write_manifest(out_path: str, command: str, config: dict[str, Any] | None,
 
 def cmd_jsa(args) -> int:
     t0 = time.perf_counter()
-    if not (math.isfinite(args.span) and args.span > 0):
-        raise ConfigError("--span must be finite and > 0")
     cfg, record = _load_config(args)
-    grid = jsa_grid(cfg, n_points=args.n, span=args.span)
+    try:
+        grid = jsa_grid(cfg, n_points=args.n, span=args.span)
+    except ValueError as exc:
+        raise ConfigError(f"--n {args.n} --span {args.span}: {exc}") from None
     write_grid_csv(grid, args.out)
     _write_manifest(args.out, "jsa", record,
                     {"grid": {"n_points": args.n, "span_sigma0": args.span},

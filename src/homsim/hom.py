@@ -22,8 +22,8 @@ Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` is folded into the configuration
 first.  Delays run in chunks of bounded size.  Rates are normalized to a
 large-delay baseline of 1.  Every engine doubles its order until an embedded
-error estimate meets abs_tol + 10 kappa eps (kappa: the cancellation of its
-sum), and checks each rate's sign against abs_tol before clamping at zero.
+error estimate meets _ABS_TOL = 1e-12 plus 10 kappa eps (kappa: the cancellation
+of its sum), and checks each rate's sign against _ABS_TOL before clamping at zero.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ _NU_BOX_SIGMAS = 6.0     # half-width of the spectral engines' nu box, in filter
 _MAX_NU_ORDER = 2048     # largest order the spectral engines' search tries
 _MAX_LAG_ORDER = 1024    # largest lag order the closed engine's search tries
 _BASELINE_FRACTION = 0.1
-_ROUNDING_FACTOR = 10.0  # c of the engines' error tolerance abs_tol + c kappa eps
+_ABS_TOL = 1e-12         # the engines' fixed absolute tolerance
+_ROUNDING_FACTOR = 10.0  # c of the engines' error tolerance _ABS_TOL + c kappa eps
 _FLOOR_FACTOR = 100.0    # an estimate that stalls within this factor of c kappa eps is rounding
 
 
@@ -187,10 +188,10 @@ def _lag_sums(delays: np.ndarray, tables) -> np.ndarray:
     return rates
 
 
-def _searched(delays: np.ndarray, n: int, cap: int, rule, settings: QuadratureSettings,
-              label: str, probe: bool = False) -> tuple[np.ndarray, dict]:
+def _searched(delays: np.ndarray, n: int, cap: int, rule, label: str,
+              probe: bool = False) -> tuple[np.ndarray, dict]:
     """Rates at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
-    abs_tol + c kappa eps at every delay; ``probe`` tries the end and middle ones first, a
+    _ABS_TOL + c kappa eps at every delay; ``probe`` tries the end and middle ones first, a
     cheap early exit, and the full axis decides.  ``rule(n)`` gives the delays -> [fine,
     coarse] sums, kappa and a record.  An estimate below _FLOOR_FACTOR c kappa eps that a
     doubling does not shrink is rounding: raise."""
@@ -202,11 +203,11 @@ def _searched(delays: np.ndarray, n: int, cap: int, rule, settings: QuadratureSe
         for stage, points in enumerate(stages):
             rates = sums(points)
             estimate = float(np.max(np.abs(rates[:, 0] - rates[:, 1]), initial=0.0))
-            if estimate > settings.abs_tol + floor:
+            if estimate > _ABS_TOL + floor:
                 break
         else:
-            return _clamped(rates[:, 0], settings.abs_tol, kappa, label), {
-                **record, "error_estimate": estimate, "kappa": kappa, "abs_tol": settings.abs_tol}
+            return _clamped(rates[:, 0], kappa, label), {
+                **record, "error_estimate": estimate, "kappa": kappa, "abs_tol": _ABS_TOL}
         failure = f"{label}: error estimate {estimate:.3e} exceeds tolerance (kappa = {kappa:.3e})"
         if last and last[0] == stage and last[1] <= estimate <= _FLOOR_FACTOR * floor:
             raise AccuracyError(f"{failure} and a doubling to {n} did not shrink it: rounding")
@@ -214,32 +215,30 @@ def _searched(delays: np.ndarray, n: int, cap: int, rule, settings: QuadratureSe
     raise AccuracyError(f"{failure}; no order up to {cap} passes")
 
 
-def _clamped(rates: np.ndarray, abs_tol: float, kappa: float, label: str) -> np.ndarray:
-    if np.any(rates < -abs_tol):
+def _clamped(rates: np.ndarray, kappa: float, label: str) -> np.ndarray:
+    if np.any(rates < -_ABS_TOL):
         raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e} beyond abs_tol "
-                            f"{abs_tol:.1e} (kappa = {kappa:.3e})")
+                            f"{_ABS_TOL:.1e} (kappa = {kappa:.3e})")
     return np.maximum(rates, 0.0)
 
 
-def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, settings: QuadratureSettings,
+def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
                     label: str) -> tuple[np.ndarray, dict]:
-    """Rates of :func:`_searched` from n = gl_order (even) on the trapezoid rule and its nested
+    """Rates of :func:`_searched` from order n (made even) on the trapezoid rule and its nested
     rule on the even nodes, the end and middle delays first as a cheap early exit."""
     def rule(n):
         step, coef, kappa = _spectral_tables(cfg, n)
         return (lambda points: _cosine_sums(points, step, coef)), kappa, {
             "nu_order": n, "nu_halfwidth": step * n / 2}
-    n = settings.gl_order
-    return _searched(delays, n + n % 2, _MAX_NU_ORDER, rule, settings, label, probe=True)
+    return _searched(delays, n + n % 2, _MAX_NU_ORDER, rule, label, probe=True)
 
 
-def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
-                  settings: QuadratureSettings) -> tuple[np.ndarray, dict]:
+def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     def rule(n):
         tables = [_lag_tables(cfg, n), _lag_tables(cfg, 3 * n // 4)]
         kappa = 2.0 * float(np.sum(np.abs(tables[0][0]))) / abs(tables[0][2])
         return (lambda points: _lag_sums(points, tables)), kappa, {"lag_orders": [n, 3 * n // 4]}
-    return _searched(delays, _closed_order(cfg), _MAX_LAG_ORDER, rule, settings,
+    return _searched(delays, _closed_order(cfg), _MAX_LAG_ORDER, rule,
                      "gaussian closed-form engine")
 
 
@@ -287,7 +286,7 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     identical Gaussian or quartic filters; past that guard ``supergaussian``
     is ``general``.
     """
-    settings = settings or QuadratureSettings()
+    gl_order = (settings or QuadratureSettings()).gl_order
     if delays_ps is None:
         delays_ps = np.round(np.arange(-150, 151) * 0.1, 10)
     delays_ps = np.asarray(delays_ps, dtype=float)
@@ -299,12 +298,12 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
                                           else idler_filter))
     if engine == "gaussian":
         _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
-        rates, quadrature = _closed_rates(delays_ps, cfg, settings)
+        rates, quadrature = _closed_rates(delays_ps, cfg)
     elif engine == "supergaussian":
         _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
-        rates, quadrature = _spectral_rates(delays_ps, cfg, settings, "super-gaussian engine")
+        rates, quadrature = _spectral_rates(delays_ps, cfg, gl_order, "super-gaussian engine")
     elif engine in ("general", "asymmetric"):
-        rates, quadrature = _spectral_rates(delays_ps, cfg, settings, "asymmetric/general engine")
+        rates, quadrature = _spectral_rates(delays_ps, cfg, gl_order, "asymmetric/general engine")
     else:
         raise ValueError(f"unknown engine {engine!r}; choose from "
                          "['asymmetric', 'gaussian', 'general', 'supergaussian']")

@@ -188,12 +188,14 @@ def jsa_grid(cfg: ExperimentConfig, n_points: int = 65, span: float = 3.0) -> Am
     """Sample Q on an (n_points x n_points) grid over +-span*sigma_0 per axis."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    half = span * cfg.sigma_0_rad_per_ps
-    if not 0.0 < half < math.inf:
-        raise ValueError(f"span must be finite and > 0, got {span!r}")
+    half, sp = span * cfg.sigma_0_rad_per_ps, cfg.sigma_p_rad_per_ps
+    # the largest squared detuning (2 half)^2 must stay finite, in the pump and in H's phase
+    scale = 0.25 * max(sp**-2, abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m)
+    if not (half > 0.0 and 4.0 * half * half * scale < math.inf):
+        raise ValueError(f"span must be > 0 and keep the squared detuning finite, got {span!r}")
     axis = np.linspace(-half, half, n_points)
     # on the uniform axis nu_s - nu_i = (i - j) * step, so H takes n_points values
-    k, sp = np.arange(n_points), cfg.sigma_p_rad_per_ps
+    k = np.arange(n_points)
     q = (math.sqrt(math.pi) * sp * np.exp(-(axis[:, None] + axis) ** 2 / (4.0 * sp**2))
          * _h_values((k * (2.0 * half / (n_points - 1))) ** 2, cfg)[np.abs(k[:, None] - k)])
     peak = np.max(np.abs(q))

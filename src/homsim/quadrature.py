@@ -70,13 +70,10 @@ class AccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    abs_tol: float = 1e-12
-    gl_order: int = 96              # start order of every spectral engine's nu search,
-                                    # the order that passes at the default config
+    gl_order: int = 96  # start order of every spectral engine's nu search, the order that
+                        # passes at the default config; the tolerance is fixed (hom._ABS_TOL)
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
         if self.gl_order < 2:
             raise ValueError("gl_order must be >= 2")
 

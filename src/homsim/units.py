@@ -15,9 +15,8 @@ from types import MappingProxyType
 from typing import Optional
 
 __all__ = ["C_NM_PER_PS", "REFERENCE_PARAMS", "ExperimentConfig", "FiberParams", "FilterShape",
-           "FilterSpec", "FwhmConvention", "PumpParams", "build_config", "default_config",
-           "fwhm_nm_to_delta_omega", "fwhm_nm_to_sigma", "fwhm_nm_to_sigma_supergaussian",
-           "sigma_to_fwhm_nm", "wavelength_to_angular_frequency"]
+           "FilterSpec", "PumpParams", "build_config", "default_config", "fwhm_nm_to_delta_omega",
+           "fwhm_nm_to_sigma", "fwhm_nm_to_sigma_supergaussian", "wavelength_to_angular_frequency"]
 
 # Speed of light, fixed to 3e8 m/s (= 3e5 nm/ps) so that derived frequencies
 # match the round value used in the reference experiment, not CODATA.
@@ -33,11 +32,6 @@ class FilterShape(str, Enum):
     GAUSSIAN = "gaussian"
     SUPERGAUSSIAN4 = "supergaussian4"
     CASCADE = "cascade"  # Gaussian stage followed by a 4th-order super-Gaussian stage
-
-
-class FwhmConvention(str, Enum):
-    POWER = "power"          # FWHM refers to |E|^2 (standard laboratory usage)
-    AMPLITUDE = "amplitude"  # FWHM refers to the field amplitude
 
 
 def wavelength_to_angular_frequency(lambda_nm: float) -> float:
@@ -56,36 +50,13 @@ def fwhm_nm_to_delta_omega(fwhm_nm: float, center_lambda_nm: float) -> float:
     return 2.0 * math.pi * C_NM_PER_PS * fwhm_nm / center_lambda_nm**2
 
 
-def fwhm_nm_to_sigma(
-    fwhm_nm: float,
-    center_lambda_nm: float,
-    convention: FwhmConvention = FwhmConvention.POWER,
-) -> float:
-    """Gaussian amplitude width sigma (rad/ps) from a spectral FWHM in nm.
+def fwhm_nm_to_sigma(fwhm_nm: float, center_lambda_nm: float) -> float:
+    """Gaussian amplitude width sigma (rad/ps) from a power FWHM in nm.
 
     For an amplitude profile exp(-(w-W)^2/(2 sigma^2)) the power spectrum
-    |E|^2 has FWHM = 2 sigma sqrt(ln 2); the amplitude itself has
-    FWHM = 2 sigma sqrt(2 ln 2).
+    |E|^2 has FWHM = 2 sigma sqrt(ln 2).
     """
-    dw = fwhm_nm_to_delta_omega(fwhm_nm, center_lambda_nm)
-    if convention is FwhmConvention.POWER:
-        return dw / _TWO_SQRT_LN2
-    return dw / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-
-
-def sigma_to_fwhm_nm(
-    sigma: float,
-    center_lambda_nm: float,
-    convention: FwhmConvention = FwhmConvention.POWER,
-) -> float:
-    """Inverse of :func:`fwhm_nm_to_sigma`."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if convention is FwhmConvention.POWER:
-        dw = sigma * _TWO_SQRT_LN2
-    else:
-        dw = sigma * 2.0 * math.sqrt(2.0 * math.log(2.0))
-    return dw * center_lambda_nm**2 / (2.0 * math.pi * C_NM_PER_PS)
+    return fwhm_nm_to_delta_omega(fwhm_nm, center_lambda_nm) / _TWO_SQRT_LN2
 
 
 def fwhm_nm_to_sigma_supergaussian(fwhm_nm: float, center_lambda_nm: float) -> float:
@@ -162,7 +133,6 @@ class ExperimentConfig:
     fiber: FiberParams
     pumps: PumpParams
     filter: FilterSpec
-    fwhm_convention: FwhmConvention = FwhmConvention.POWER
 
     # derived, populated in __post_init__
     Omega_rad_per_ps: float = field(init=False)
@@ -181,27 +151,16 @@ class ExperimentConfig:
         object.__setattr__(self, "center_lambda_nm", center)
         # Both pump spectra and the filters are converted at the signal/idler
         # center; the sub-percent error from the pumps' own centers is accepted.
-        object.__setattr__(
-            self,
-            "sigma_p_rad_per_ps",
-            fwhm_nm_to_sigma(self.pumps.fwhm_nm, center, self.fwhm_convention),
-        )
-        object.__setattr__(
-            self,
-            "sigma_0_rad_per_ps",
-            fwhm_nm_to_sigma(self.filter.fwhm_nm, center, self.fwhm_convention),
-        )
-
-    @property
-    def sigma_sg_rad_per_ps(self) -> float:
-        """Quartic filter width matching the configured power FWHM."""
-        return fwhm_nm_to_sigma_supergaussian(self.filter.fwhm_nm, self.center_lambda_nm)
+        for name, fwhm_nm in (("sigma_p_rad_per_ps", self.pumps.fwhm_nm),
+                              ("sigma_0_rad_per_ps", self.filter.fwhm_nm)):
+            object.__setattr__(self, name, fwhm_nm_to_sigma(fwhm_nm, center))
 
     def sigma_for(self, spec: FilterSpec) -> float:
         """Gaussian-stage sigma for an arbitrary filter spec at this config's center."""
-        return fwhm_nm_to_sigma(spec.fwhm_nm, self.center_lambda_nm, self.fwhm_convention)
+        return fwhm_nm_to_sigma(spec.fwhm_nm, self.center_lambda_nm)
 
     def sigma_sg_for(self, spec: FilterSpec) -> float:
+        """Quartic-stage sigma for an arbitrary filter spec at this config's center."""
         return fwhm_nm_to_sigma_supergaussian(spec.fwhm_nm, self.center_lambda_nm)
 
 
@@ -217,7 +176,6 @@ def build_config(
     filter_fwhm_nm: float = 0.8,
     idler_filter_fwhm_nm: Optional[float] = None,
     idler_filter_shape: Optional[str | FilterShape] = None,
-    fwhm_convention: str | FwhmConvention = FwhmConvention.POWER,
 ) -> ExperimentConfig:
     """Assemble an ExperimentConfig from laboratory-unit inputs.
 
@@ -243,7 +201,6 @@ def build_config(
             peak_power_W=peak_power_W,
         ),
         filter=FilterSpec(shape=FilterShape(filter_shape), fwhm_nm=filter_fwhm_nm, idler=idler),
-        fwhm_convention=FwhmConvention(fwhm_convention),
     )
 
 

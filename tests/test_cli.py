@@ -58,9 +58,11 @@ class TestJsaCommand:
                   "--out", str(tmp_path / "g.csv")])
         assert rc == 2
 
-    def test_unknown_config_field_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("doc", [{"fiber_length": 300}, {"fwhm_convention": "amplitude"}],
+                             ids=["fiber_length", "fwhm_convention"])
+    def test_unknown_config_field_exits_2(self, tmp_path, doc):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"fiber_length": 300}))
+        cfgfile.write_text(json.dumps(doc))
         assert run(["jsa", "--config", str(cfgfile),
                     "--out", str(tmp_path / "g.csv")]) == 2
 
@@ -78,7 +80,7 @@ class TestJsaCommand:
                     "--out", str(tmp_path / "g.csv")]) == 2
         assert "JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("span", ["inf", "0", "-1", "nan"])
+    @pytest.mark.parametrize("span", ["inf", "0", "-1", "nan", "1e200"])
     def test_bad_span_exits_2(self, tmp_path, capsys, span):
         # rejected before any work: an infinite span once reached the z rule
         # and warned about cos/sin before failing on the grid axes

@@ -182,7 +182,7 @@ class TestSuperGaussian:
         half = hom._nu_halfwidth(spec, cfg_sg)
         z, zw = gauss_legendre(_Z_ORDER, -cfg_sg.fiber.length_m, 0.0)
         b2 = cfg_sg.fiber.beta2_ps2_per_m
-        ssg = cfg_sg.sigma_sg_rad_per_ps
+        ssg = cfg_sg.sigma_sg_for(cfg_sg.filter)
         sp = cfg_sg.sigma_p_rad_per_ps
         gz = _g_function(z, cfg_sg)
 
@@ -459,7 +459,7 @@ class TestSkewBound:
         rounding = np.finfo(np.longdouble).eps * np.sum(np.abs(cross))
         assert 0.0 < max(imag) <= skew + rounding
         assert np.max(np.add(imag, dropped)) <= skew + rounding
-        assert skew <= QuadratureSettings().abs_tol * baseline
+        assert skew <= hom._ABS_TOL * baseline
 
 
 class TestErrorEstimate:
@@ -480,7 +480,7 @@ class TestErrorEstimate:
     def test_orders_used(self, shape, engine, delays, key, order):
         curve = hom.dip_curve(units.default_config(shape), engine, delays_ps=delays)
         assert curve.quadrature[key] == order
-        assert curve.quadrature["error_estimate"] <= QuadratureSettings().abs_tol
+        assert curve.quadrature["error_estimate"] <= hom._ABS_TOL
 
     def test_unresolvable_axis_raises(self):
         # +-5,000 ps needs a step in nu below pi / 5,000 ps: more than 2,048 intervals

@@ -164,7 +164,7 @@ class TestGrid:
         with pytest.raises(ValueError):
             jsa.jsa_grid(cfg, n_points=1)
 
-    @pytest.mark.parametrize("span", [math.inf, 0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("span", [math.inf, 0.0, -1.0, math.nan, 1e200])
     def test_rejects_bad_span_before_any_work(self, cfg, monkeypatch, span):
         monkeypatch.setattr(jsa, "_h_values", lambda w, cfg: pytest.fail("H evaluated"))
         with pytest.raises(ValueError, match="span"):

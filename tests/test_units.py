@@ -52,25 +52,11 @@ def test_fwhm_to_sigma_linearity():
     assert s2 == pytest.approx(2.0 * s1, rel=1e-14)
 
 
-def test_fwhm_sigma_round_trip():
-    for fwhm in (0.1, 0.8, 2.5):
-        for conv in (units.FwhmConvention.POWER, units.FwhmConvention.AMPLITUDE):
-            s = units.fwhm_nm_to_sigma(fwhm, 1550.0, conv)
-            back = units.sigma_to_fwhm_nm(s, 1550.0, conv)
-            assert back == pytest.approx(fwhm, rel=1e-12)
-
-
 def test_fwhm_rejects_nonpositive():
     with pytest.raises(ValueError):
         units.fwhm_nm_to_sigma(0.0, 1550.0)
     with pytest.raises(ValueError):
         units.fwhm_nm_to_sigma(0.8, -1.0)
-
-
-def test_amplitude_convention_differs():
-    p = units.fwhm_nm_to_sigma(0.8, 1550.0, units.FwhmConvention.POWER)
-    a = units.fwhm_nm_to_sigma(0.8, 1550.0, units.FwhmConvention.AMPLITUDE)
-    assert a == pytest.approx(p / math.sqrt(2.0), rel=1e-14)
 
 
 class TestExperimentConfig:

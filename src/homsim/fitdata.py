@@ -18,6 +18,16 @@ zero-argument callable building the Jacobian at p from the residual's own
 intermediates (the Gaussian's exp, the spline's pieces).  The loop calls
 ``evaluate`` once per trial point and builds the Jacobian only at the start and
 at accepted points; the covariance comes from the last one built.
+
+The stop is scale-free (after Moré, "The Levenberg-Marquardt algorithm:
+implementation and theory", 1978).  Before the first trial of each iteration is
+evaluated, the fit has converged if that step is shorter than ``_TAU`` = 1e-6
+standard errors in the covariance metric, dT (J^T J) d * dof <= tau^2 * cost;
+such an iteration runs no trial and is not counted in ``iterations``.  Only the
+first trial is tested, since damped steps shrink under rejection.  An accepted
+step below 1e-12 of the largest |p| also converges, which ends zero-residual
+fits.  When no trial of an iteration is accepted, the fit has converged only if
+the residual is orthogonal to every column of J to within tau (MINPACK's gtol).
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ _TWO_SQRT_2LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
 _MODEL_TOL = 1e-9         # the model spline's midpoint-check tolerance on R
 _MODEL_MAX_KNOTS = 2**15  # largest model spline
 _MODEL_HALF_STEP = 5.0    # model half-widths are multiples of this, in ps
+_TAU = 1e-6               # a fit stops at a step shorter than this many standard errors
 
 
 class ParseError(ValueError):
@@ -88,9 +99,17 @@ class CoincidenceDataset:
             raise ValueError("uncertainties must be finite and positive")
 
 
+def _floats(text: str) -> Optional[list[float]]:
+    """The comma-separated values of ``text``, or None if one does not parse."""
+    try:
+        return list(map(float, text.split(",")))  # float() skips the whitespace
+    except ValueError:
+        return None
+
+
 def _checked_row(raw: str, lineno: int, ncols: Optional[int]) -> Optional[list[float]]:
-    """The values of a row that the fast path of :func:`ingest_csv` did not take:
-    None for a blank line or a header on line 1, else a checked parse."""
+    """The values of a row on the checked path of :func:`ingest_csv`: None for a
+    blank line or a header on line 1, else a checked parse."""
     line = raw.strip()
     if not line:
         return None
@@ -114,19 +133,22 @@ def ingest_csv(path) -> CoincidenceDataset:
     """Read delay/count (and optional uncertainty) columns from a CSV file.
 
     Header row optional; duplicate delays are averaged with a warning;
-    output is sorted by delay.  A UTF-8 byte-order mark is skipped.
+    output is sorted by delay.  A UTF-8 byte-order mark is skipped.  A file
+    whose rows after an optional header all have 2, or all 3, cells that parse
+    is converted in one pass; any other is walked row by row by
+    :func:`_checked_row`, which skips blank lines and names the first bad row.
     """
-    values: list[float] = []  # the rows, concatenated
-    ncols = None
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            cells = raw.split(",")
-            if len(cells) == ncols:
-                try:
-                    values.extend([float(c) for c in cells])  # float() skips the whitespace
-                    continue
-                except ValueError:
-                    pass
+        lines = fh.readlines()
+    # line 1 is checked as the walk would check it: it raises where the walk raises first
+    body = lines if lines and _checked_row(lines[0], 1, None) is not None else lines[1:]
+    commas = {line.count(",") for line in body}
+    values = _floats(",".join(body)) if commas in ({1}, {2}) else None
+    if values is not None:
+        ncols = commas.pop() + 1
+    else:
+        values, ncols = [], None  # the rows, concatenated
+        for lineno, raw in enumerate(lines, start=1):
             row = _checked_row(raw, lineno, ncols)
             if row is not None:
                 ncols = len(row)
@@ -174,6 +196,16 @@ def _std_errors(names, cov: Optional[np.ndarray]) -> dict[str, Optional[float]]:
             for name, v in zip(names, var)}
 
 
+_CHI2_NOTE = "reduced chi2 far from 1 for the given uncertainties"
+
+
+def _chi2_off(data: CoincidenceDataset, cost: float, dof: int) -> bool:
+    """Whether the data carry uncertainties and the reduced chi2 lies more than 5 of
+    its standard deviations, sqrt(2 / dof), from 1: the uncertainties or the model
+    do not describe the data, and the covariance, scaled by it, hides that."""
+    return data.uncertainties is not None and abs(cost / dof - 1.0) > 5.0 * math.sqrt(2.0 / dof)
+
+
 def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
                p0: np.ndarray,
                max_iter: int):
@@ -187,23 +219,25 @@ def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], n
     r, jacobian = evaluate(p)
     j = jacobian()
     cost = float(r @ r)
+    dof = max(r.size - p.size, 1)
     lam = 1e-3
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         g = j.T @ r
-        if np.abs(g).max() < 1e-10 * max(1.0, math.sqrt(cost)):
-            converged = True
-            break
         jtj = j.T @ j
         damping = np.diag(np.maximum(np.diag(jtj), 1e-12))
         accepted = False
-        for _ in range(40):
+        for trial in range(40):
             try:
                 step = np.linalg.solve(jtj + lam * damping, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            # damped steps shrink under rejection, so only the first is a measure of p
+            if trial == 0 and dof * float(step @ jtj @ step) <= _TAU * _TAU * cost:
+                converged, it = True, it - 1  # no trial ran: not an iteration
+                break
             p_new = p + step
             r_new, jacobian = evaluate(p_new)
             cost_new = float(r_new @ r_new)
@@ -216,15 +250,15 @@ def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], n
                 break
             lam *= 10.0
         if not accepted or converged:
+            # no step accepted: converged only where r is orthogonal to J (gtol);
             # a Python bool on every path, so that the result serializes
-            converged = converged or not accepted and bool(np.abs(g).max() < 1e-6)
+            converged = converged or bool(np.all(
+                np.abs(g) <= _TAU * math.sqrt(cost) * np.sqrt(np.diag(jtj))))
             break
 
     jtj = j.T @ j  # j is the Jacobian at p, the last accepted point
     try:
-        cov = np.linalg.inv(jtj)
-        dof = max(r.size - p.size, 1)
-        cov = cov * cost / dof
+        cov = np.linalg.inv(jtj) * cost / dof
     except np.linalg.LinAlgError:
         cov = None
     return p, cost, it, converged, cov
@@ -250,7 +284,11 @@ def _initial_dip_guess(d: np.ndarray, c: np.ndarray):
 
 
 def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
-    """Fit c(dt) = B [1 - V exp(-(dt - tc)^2/(2 w^2))] by damped least squares."""
+    """Fit c(dt) = B [1 - V exp(-(dt - tc)^2/(2 w^2))] by damped least squares.
+
+    The fit is marked suspicious when V leaves [0, 1.05], or when the data carry
+    uncertainties and the reduced chi2 is far from 1 (see :func:`_chi2_off`).
+    """
     d, c = data.delays_ps, data.counts
     wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
     p0 = np.array(_initial_dip_guess(d, c))
@@ -275,10 +313,14 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
     b, v, tc, w = p
     w = abs(w)
     fwhm = _TWO_SQRT_2LN2 * w
-    suspicious = not (0.0 <= v <= 1.05)
+    dof = max(d.size - p.size, 1)
+    chi2_off = _chi2_off(data, cost, dof)
+    suspicious = not (0.0 <= v <= 1.05) or chi2_off
     msg = "converged" if converged else "max iterations reached"
     if v < 1e-4:
         msg = "converged-degenerate: no significant dip"
+    if chi2_off:
+        msg += "; " + _CHI2_NOTE
     metrics = DipMetrics(
         visibility=float(v), fwhm_ps=float(fwhm), center_ps=float(tc),
         baseline=float(b), engine="GaussianDipFit",
@@ -291,7 +333,7 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
                 "center_ps": float(tc), "width_ps": float(w), "fwhm_ps": float(fwhm)},
         residual_norm=cost, iterations=it, converged=converged,
         derived_metrics=metrics, covariance=cov, suspicious=suspicious, message=msg,
-        dof=max(d.size - p.size, 1), std_errors=errors,
+        dof=dof, std_errors=errors,
     )
 
 
@@ -324,7 +366,7 @@ def _model(cfg: ExperimentConfig, engine: str, half: float):
         error = float(np.max(np.abs(spline(curve.delays_ps[1::2]) - curve.rates[1::2])))
         if error <= _MODEL_TOL or 4 * n + 1 > _MODEL_MAX_KNOTS:
             i = np.arange(n)
-            width = _outermost(curve, finer, 0.5 * (1.0 + curve.rates[0]), i, i + 1)
+            width, _ = _outermost(curve, finer, 0.5 * (1.0 + curve.rates[0]), i, i + 1)
             return finer, {"half_width_ps": n * h, "knots": 2 * n + 1, "spacing_ps": h,
                            "model_error": error, "model_tol": _MODEL_TOL,
                            "quadrature": curve.quadrature}, width
@@ -345,7 +387,9 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     holds tc +- w, else NaN.  The fit is marked suspicious when it leaves the
     model: the center moves more than the pad (R would be extrapolated), s leaves
     [0, 1.05], the scan does not bracket the FWHM, or the spline's estimate exceeds
-    ``_MODEL_TOL`` at the knot cap (the grid does not resolve the engine dip).
+    ``_MODEL_TOL`` at the knot cap (the grid does not resolve the engine dip); and
+    when the data carry uncertainties and the reduced chi2 is far from 1 (see
+    :func:`_chi2_off`).
     ``FitResult.model`` records the spline and the engine's quadrature.
     """
     d, c = data.delays_ps, data.counts
@@ -374,6 +418,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
 
     p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=100)
     b, tc, s = p
+    dof = max(d.size - p.size, 1)
 
     dips = b > 0.0 and b * (1.0 - s * (1.0 - spline(0.0))) < b
     bracketed = dips and d[0] < tc - width and tc + width < d[-1]
@@ -386,7 +431,8 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     notes = [("center left the engine grid", abs(tc - tc0) > pad),
              ("depth scale outside [0, 1.05]", not 0.0 <= s <= 1.05),
              ("FWHM not bracketed", not bracketed),
-             ("engine dip not resolved by the fit grid", record["model_error"] > _MODEL_TOL)]
+             ("engine dip not resolved by the fit grid", record["model_error"] > _MODEL_TOL),
+             (_CHI2_NOTE, _chi2_off(data, cost, dof))]
     msg = "; ".join(["converged" if converged else "max iterations reached"]
                     + [note for note, hit in notes if hit])
     return FitResult(
@@ -394,7 +440,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
         residual_norm=cost, iterations=it, converged=converged,
         derived_metrics=metrics, covariance=cov,
         suspicious=any(hit for _, hit in notes), message=msg,
-        dof=max(d.size - p.size, 1), std_errors=_std_errors(("baseline", "center", "scale"), cov),
+        dof=dof, std_errors=_std_errors(("baseline", "center", "scale"), cov),
         model={**record, "quadrature": dict(record["quadrature"])},
     )
 

@@ -270,6 +270,9 @@ class DipMetrics:
     center_ps: float
     baseline: float
     engine: str = ""
+    # sample pairs bracketing the half level on the (left, right) flank; more than
+    # one means the FWHM is the widest of several crossings.  None: not counted
+    half_level_crossings: tuple[int, int] | None = None
 
 
 def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
@@ -312,19 +315,20 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
 
 
 def _outermost(curve: DipCurve, spline: _CubicSpline, level: float,
-               i: np.ndarray, j: np.ndarray) -> float:
+               i: np.ndarray, j: np.ndarray) -> tuple[float, int]:
     """The crossing of ``level`` by the last sample pair (i, j) of ``curve`` that
-    brackets it: sample i if it lies on the level, else Brent's root of ``spline``
-    between i and j; infinity if no pair brackets the level."""
+    brackets it, and the number of pairs that bracket it.  The crossing is sample
+    i if it lies on the level, else Brent's root of ``spline`` between i and j;
+    infinity if no pair brackets the level."""
     a, b = curve.rates[i] - level, curve.rates[j] - level
     hits = np.flatnonzero((a == 0.0) | (a * b < 0))
     if not hits.size:
-        return math.inf
+        return math.inf, 0
     k = hits[-1]
     if a[k] == 0.0:
-        return float(curve.delays_ps[i[k]])
+        return float(curve.delays_ps[i[k]]), hits.size
     left, right = sorted((curve.delays_ps[i[k]], curve.delays_ps[j[k]]))
-    return _brentq(lambda x: spline(x) - level, left, right)
+    return _brentq(lambda x: spline(x) - level, left, right), hits.size
 
 
 def dip_metrics(curve: DipCurve) -> DipMetrics:
@@ -334,7 +338,9 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
     a scan narrower than the dip leaves the half level unbracketed), else the
     mean of the outermost 10% of samples on each side.  The outermost half-depth
     crossing on each flank is located by :func:`_outermost` on a cubic
-    interpolation of the curve.
+    interpolation of the curve; ``half_level_crossings`` counts the sample pairs
+    that bracket the half level on each flank, so a count above 1 says the flank
+    is not monotone and the FWHM is the widest of its crossings.
     """
     n = curve.delays_ps.size
     edge = max(int(round(_BASELINE_FRACTION * n / 2)), 1)
@@ -363,10 +369,11 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
     rmin_ref = float(spline(center))
     half_level = 0.5 * (baseline + rmin_ref)
 
-    # with non-monotone flanks report the widest crossing pair
+    # with non-monotone flanks report the widest crossing pair, and how many there are
     right, left = np.arange(imin, n - 1), np.arange(imin, 0, -1)
-    fwhm = (_outermost(curve, spline, half_level, right, right + 1)
-            - _outermost(curve, spline, half_level, left, left - 1))
+    x_right, n_right = _outermost(curve, spline, half_level, right, right + 1)
+    x_left, n_left = _outermost(curve, spline, half_level, left, left - 1)
+    fwhm = x_right - x_left
     if not math.isfinite(fwhm):
         raise AnalysisError("half-depth level not bracketed on both flanks")
     return DipMetrics(
@@ -375,6 +382,7 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
         center_ps=center,
         baseline=baseline,
         engine=curve.engine,
+        half_level_crossings=(n_left, n_right),
     )
 
 
@@ -390,4 +398,5 @@ def metrics_to_json(metrics: DipMetrics) -> str:
         "fwhm_ps": metrics.fwhm_ps,
         "center_ps": metrics.center_ps,
         "engine": metrics.engine,
+        "half_level_crossings": metrics.half_level_crossings,
     }, indent=2)

@@ -143,6 +143,51 @@ class TestIngest:
         assert exc.value.line == 6
 
 
+_ROWS = ["0.3,101.5", "-0.7,99.25", "1.1,87.0", "-1.5,140.125", "2.9,150.0", "-2.3,120.5",
+         "0.0,60.75", "3.7,149.0"]
+_SIGMAS = ["1.5", "2.0", "1.25", "3.0", "2.5", "1.75", "1.0", "2.25"]
+_SORTED = ([-2.3, -1.5, -0.7, 0.0, 0.3, 1.1, 2.9, 3.7],
+           [120.5, 140.125, 99.25, 60.75, 101.5, 87.0, 150.0, 149.0])
+
+
+@pytest.mark.parametrize("content,expected", [
+    pytest.param(b"delay_ps,counts\n" + "\n".join(_ROWS).encode() + b"\n",
+                 _SORTED + (None,), id="lf"),
+    pytest.param(b"delay_ps,counts\r\n" + "\r\n".join(_ROWS).encode() + b"\r\n",
+                 _SORTED + (None,), id="crlf"),
+    pytest.param(b"delay_ps,counts\r" + "\r".join(_ROWS).encode() + b"\r",
+                 _SORTED + (None,), id="cr_only"),
+    pytest.param("\n".join(_ROWS).encode() + b"\n\n", _SORTED + (None,), id="trailing_blank_line"),
+    pytest.param("\n".join(_ROWS[:4] + [""] + _ROWS[4:]).encode(), _SORTED + (None,),
+                 id="blank_line_in_middle"),
+    pytest.param("\n".join(" {}\t, {} ".format(*row.split(",")) for row in _ROWS).encode(),
+                 _SORTED + (None,), id="padded_cells"),
+    pytest.param(b"\xef\xbb\xbfdelay_ps,counts\n" + "\n".join(_ROWS).encode(),
+                 _SORTED + (None,), id="bom_and_header"),
+    pytest.param(b"delay_ps,counts,sigma\n"
+                 + "\n".join(f"{row},{s}" for row, s in zip(_ROWS, _SIGMAS)).encode(),
+                 _SORTED + ([1.75, 3.0, 2.0, 1.0, 1.5, 1.25, 2.5, 2.25],), id="three_columns"),
+    pytest.param("\n".join(_ROWS[:5] + [_ROWS[5] + ",1.75"] + _ROWS[6:]).encode(),
+                 ("line 6: inconsistent column count 3 != 2", 6), id="inconsistent_row"),
+    pytest.param("\n".join(_ROWS[:3] + ["1.9,n/a"] + _ROWS[3:]).encode(),
+                 ("line 4: non-numeric cell (could not convert string to float: 'n/a')", 4),
+                 id="non_numeric_middle_row"),
+])
+def test_ingest_csv_edge_cases(tmp_path, content, expected):
+    # one table of line ends, blank lines, padding, headers and bad rows: the
+    # one-pass parse and the checked row walk give these arrays, or this error
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    if len(expected) == 2:
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path)
+        assert (str(exc.value), exc.value.line) == expected
+        return
+    ds = ingest_csv(path)
+    sigmas = None if ds.uncertainties is None else ds.uncertainties.tolist()
+    assert (ds.delays_ps.tolist(), ds.counts.tolist(), sigmas) == expected
+
+
 class TestGaussianDipFit:
     delays = np.round(np.arange(-150, 151) * 0.1, 10)
 
@@ -545,6 +590,25 @@ def test_converged_is_a_python_bool_when_no_step_is_accepted():
     assert it == 1 and np.array_equal(p, p0)
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+def test_no_accepted_step_converges_only_at_a_stationary_point(scale):
+    # every trial residual is NaN, so no step is accepted; the cosine of the
+    # residual and the Jacobian's column is about 0.5e-6 or 2e-6, inside or outside
+    # tau whatever the units of the residual, while the first step is longer than
+    # tau standard errors in both cases
+    for eps, stationary in ((0.5e-6, True), (2e-6, False)):
+        r0 = scale * (np.r_[np.tile([1.0, -1.0], 50), 0.0] + eps)
+        calls = []
+
+        def evaluate(p):
+            calls.append(p)
+            r = r0 if len(calls) == 1 else np.full(r0.size, np.nan)
+            return r, lambda: np.ones((r0.size, 1))
+
+        p, cost, it, converged, cov = fitdata._levenberg(evaluate, np.array([1.0]), max_iter=10)
+        assert converged is stationary and it == 1 and len(calls) == 41
+
+
 def test_fit_result_json_round_trip():
     import json
     delays = np.round(np.arange(-150, 151) * 0.1, 10)
@@ -576,3 +640,74 @@ def test_fit_json_writes_standard_errors_and_reduced_chi2(cfg):
                              converged=True)
     assert json.loads(fitdata.fit_result_to_json(bare))["std_errors"] == {"baseline": None}
     assert fitdata._std_errors(("a", "b"), None) == {"a": None, "b": None}
+
+
+@pytest.mark.parametrize("fit", [fit_gaussian_dip, fit_model])
+def test_fit_does_not_depend_on_the_units_of_the_counts(cfg, fit):
+    # counts x1e-9 and x1e6 (baseline and noise alike) give the same fit, the
+    # baseline scaled: a stop test in absolute units ended the small-count fits
+    # early, up to 7.6e-3 sigma away
+    for seed in range(10):
+        data = engine_dataset(cfg, "gaussian", seed)
+        ref = fit(data) if fit is fit_gaussian_dip else fit(data, cfg)
+        for factor in (1e-9, 1e6):
+            scaled = CoincidenceDataset(data.delays_ps, data.counts * factor)
+            res = fit(scaled) if fit is fit_gaussian_dip else fit(scaled, cfg)
+            assert res.converged
+            for k, v in ref.params.items():
+                unit = factor if k == "baseline" else 1.0
+                assert abs(res.params[k] / unit - v) <= 1e-6 * ref.std_errors[k], (seed, factor, k)
+
+
+def test_fits_stop_at_the_least_squares_oracle(monkeypatch):
+    # on the five fit_batch pairs both fits land within 1e-6 sigma of scipy's
+    # MINPACK Levenberg-Marquardt run to tight tolerances on the same residual and
+    # Jacobian, and the stop spends few trials: the rejection spiral at the
+    # rounding floor took 13.6 per fit on these datasets
+    optimize = pytest.importorskip("scipy.optimize")
+    levenberg, runs = fitdata._levenberg, []
+
+    def spy(evaluate, p0, **kwargs):
+        run = {"evaluate": evaluate, "p0": p0, "trials": 0}
+        runs.append(run)
+
+        def counted(p):
+            run["trials"] += 1
+            return evaluate(p)
+        return levenberg(counted, p0, **kwargs)
+
+    monkeypatch.setattr(fitdata, "_levenberg", spy)
+    for shape, engine in FIT_BATCH_PAIRS:
+        cfg = units.default_config(shape)
+        for seed in range(4):
+            data = engine_dataset(cfg, engine, seed=20 + seed)
+            for fit in (lambda: fit_model(data, cfg, engine=engine),
+                        lambda: fit_gaussian_dip(data)):
+                res, run = fit(), runs[-1]
+                oracle = optimize.least_squares(
+                    lambda p: run["evaluate"](p)[0], run["p0"],
+                    jac=lambda p: run["evaluate"](p)[1](), method="lm",
+                    xtol=1e-15, ftol=1e-15, gtol=1e-15)
+                assert res.converged and oracle.success
+                for k, x in zip(res.params, oracle.x):
+                    assert abs(res.params[k] - x) <= 1e-6 * res.std_errors[k], (shape, engine, k)
+    assert np.mean([run["trials"] for run in runs]) <= 6.0
+
+
+@pytest.mark.parametrize("fit", [fit_gaussian_dip, fit_model])
+def test_reduced_chi2_far_from_1_is_flagged_with_uncertainties(cfg, fit):
+    # counts with noise sigma = 2: the stated sigma gives a reduced chi2 near 1, a
+    # column 3x too large or too small one near 1/9 or 9, far outside 1 +- 5 sqrt(2/dof)
+    data = engine_dataset(cfg, "gaussian", seed=13)
+    results = {}
+    for label, sigma in (("none", None), ("true", 2.0), ("large", 6.0), ("small", 2.0 / 3.0)):
+        uncertainties = None if sigma is None else np.full(data.counts.size, sigma)
+        weighted = CoincidenceDataset(data.delays_ps, data.counts, uncertainties)
+        results[label] = fit(weighted) if fit is fit_gaussian_dip else fit(weighted, cfg)
+    for label in ("none", "true"):
+        assert not results[label].suspicious
+        assert results[label].message == "converged"
+    assert abs(results["true"].residual_norm / results["true"].dof - 1.0) < 0.2
+    for label in ("large", "small"):
+        assert results[label].suspicious
+        assert results[label].message == "converged; " + fitdata._CHI2_NOTE

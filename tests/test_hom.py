@@ -696,6 +696,7 @@ class TestDipMetrics:
             assert level == 0.5 and np.array_equal(np.sort(roots), [-2.4, 2.4])
         assert metrics.center_ps == pytest.approx(center, abs=1e-11)
         assert metrics.fwhm_ps == pytest.approx(right.max() - left.min(), abs=1e-11)
+        assert metrics.half_level_crossings == (left.size, right.size)
 
 
 class TestCurveIO:
@@ -745,7 +746,9 @@ class TestCurveIO:
         import json
         metrics = hom.dip_metrics(hom.dip_curve(cfg, "gaussian"))
         doc = json.loads(hom.metrics_to_json(metrics))
-        assert set(doc) == {"visibility", "fwhm_ps", "center_ps", "engine"}
+        assert doc == {"visibility": metrics.visibility, "fwhm_ps": metrics.fwhm_ps,
+                       "center_ps": metrics.center_ps, "engine": "gaussian",
+                       "half_level_crossings": [1, 1]}
 
 
 class TestValidation:

@@ -20,16 +20,12 @@ from .units import (  # noqa: F401
 )
 from .quadrature import (  # noqa: F401
     AccuracyError,
-    QuadratureResult,
     QuadratureSettings,
-    integrate_1d,
 )
 from .jsa import (  # noqa: F401
     AmplitudeGrid,
-    delta_k,
     jsa_grid,
     phi_closed,
-    phi_oracle,
     q_amplitude,
     write_grid_csv,
 )

@@ -35,7 +35,7 @@ from .hom import (AnalysisError, dip_curve, dip_metrics, metrics_to_json,
                   write_curve_csv)
 from .imperfections import (SpatialGeometry, solve_angle_for_overlap,
                             spatial_overlap)
-from .jsa import _Z_ORDER, jsa_grid, write_grid_csv
+from .jsa import jsa_grid, write_grid_csv
 from .quadrature import AccuracyError
 from .units import REFERENCE_PARAMS, ExperimentConfig, FilterShape, build_config
 
@@ -120,7 +120,7 @@ def cmd_jsa(args) -> int:
     write_grid_csv(grid, args.out)
     _write_manifest(args.out, "jsa", record,
                     {"grid": {"n_points": args.n, "span_sigma0": args.span},
-                     "quadrature": {"z_order": _Z_ORDER}},
+                     "quadrature": grid.quadrature},
                     time.perf_counter() - t0)
     print(f"wrote {args.n * args.n} grid samples to {args.out}")
     return EXIT_OK

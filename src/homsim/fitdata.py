@@ -133,15 +133,17 @@ def ingest_csv(path) -> CoincidenceDataset:
     """Read delay/count (and optional uncertainty) columns from a CSV file.
 
     Header row optional; duplicate delays are averaged with a warning;
-    output is sorted by delay.  A UTF-8 byte-order mark is skipped.  A file
-    whose rows after an optional header all have 2, or all 3, cells that parse
-    is converted in one pass; any other is walked row by row by
-    :func:`_checked_row`, which skips blank lines and names the first bad row.
+    output is sorted by delay.  A UTF-8 byte-order mark is skipped, and so are
+    blank lines.  A file whose rows after an optional header all have 2, or all
+    3, cells that parse is converted in one pass; any other is walked row by row
+    by :func:`_checked_row`, which names the first bad row.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
-    # line 1 is checked as the walk would check it: it raises where the walk raises first
+    # line 1 is checked as the walk would check it: it raises where the walk raises first;
+    # blank lines, which the walk skips, are dropped
     body = lines if lines and _checked_row(lines[0], 1, None) is not None else lines[1:]
+    body = [line for line in body if not line.isspace()]
     commas = {line.count(",") for line in body}
     values = _floats(",".join(body)) if commas in ({1}, {2}) else None
     if values is not None:

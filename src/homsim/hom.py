@@ -9,7 +9,8 @@ configuration and maps a whole array of delays to rates in one call:
                        over a 6-sigma box, any filter shape, Q from the kernel of
                        :mod:`homsim.jsa`: one cosine series in (ni - ns) dt, its
                        order doubled from ``settings.gl_order`` (default 96) until
-                       the nested rule on the even nodes agrees.
+                       the series' period covers twice the largest |dt|, then
+                       until the nested rule on the even nodes agrees.
 * ``asymmetric``    -- ``general`` with the signal and idler filters given
                        explicitly (required here, accepted by every engine).
 * ``supergaussian`` -- ``general``, for identical quartic filters on both arms only.
@@ -21,9 +22,11 @@ configuration and maps a whole array of delays to rates in one call:
 Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` is folded into the configuration
 first.  Delays run in chunks of bounded size.  Rates are normalized to a
-large-delay baseline of 1.  Every engine doubles its order until an embedded
-error estimate meets _ABS_TOL = 1e-12 plus 10 kappa eps (kappa: the cancellation
-of its sum), and checks each rate's sign against _ABS_TOL before clamping at zero.
+large-delay baseline of 1.  Every engine doubles its order by
+``quadrature._searched`` until an embedded error estimate meets _ABS_TOL = 1e-12
+plus 10 kappa eps (kappa: the cancellation of its sum), and checks each rate's
+sign against _ABS_TOL before clamping at zero.  The spectral engines' H runs
+its own searched z rule, whose order and estimate their record carries.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jsa import _chunks, _g_function, _h_values, _write_csv
-from .quadrature import (AccuracyError, QuadratureSettings, _brentq, _CubicSpline,
-                         gauss_legendre)
+from .jsa import _chunks, _g_cycles, _g_function, _h_values, _nodes_per_cycle, _write_csv
+from .quadrature import (_ABS_TOL, AccuracyError, QuadratureSettings, _brentq, _CubicSpline,
+                         _searched, gauss_legendre)
 from .units import ExperimentConfig, FilterShape, FilterSpec
 
 __all__ = [
@@ -55,9 +58,6 @@ _NU_BOX_SIGMAS = 6.0     # half-width of the spectral engines' nu box, in filter
 _MAX_NU_ORDER = 2048     # largest order the spectral engines' search tries
 _MAX_LAG_ORDER = 1024    # largest lag order the closed engine's search tries
 _BASELINE_FRACTION = 0.1
-_ABS_TOL = 1e-12         # the engines' fixed absolute tolerance
-_ROUNDING_FACTOR = 10.0  # c of the engines' error tolerance _ABS_TOL + c kappa eps
-_FLOOR_FACTOR = 100.0    # an estimate that stalls within this factor of c kappa eps is rounding
 
 
 class AnalysisError(RuntimeError):
@@ -86,6 +86,11 @@ def _nu_halfwidth(spec: FilterSpec, cfg: ExperimentConfig) -> float:
     return _NU_BOX_SIGMAS * max(scale, cfg.sigma_p_rad_per_ps / 3.0)
 
 
+def _nu_half(cfg: ExperimentConfig) -> float:
+    """Half-width of the spectral engines' nu box: the wider of the two arms'."""
+    return max(_nu_halfwidth(cfg.filter, cfg), _nu_halfwidth(cfg.filter.idler or cfg.filter, cfg))
+
+
 def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> None:
     if cfg.filter.shape is not shape or cfg.filter.idler is not None:
         raise ValueError(f"{label} requires identical {shape.value} filters on both arms")
@@ -98,10 +103,9 @@ def _spectral_tables(cfg: ExperimentConfig, n: int):
     weights C = F(s,i) F*(i,s) w_s w_i = pump(s + i) |H(((s - i) step)^2)|^2 p_s p_i,
     p = f_s f_i w, are real and symmetric, so R(dt) = 1 - sum_m c_m cos(m step dt),
     c_m the sum of C over |s - i| = m over the baseline sum |F|^2 w_s w_i.  Returns
-    step, both rules' c_m laid out for _cosine_sums, and kappa = sum |c_m|."""
+    step, both rules' c_m laid out for _cosine_sums, kappa = sum |c_m| and H's z record."""
     signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
-    half = max(_nu_halfwidth(signal, cfg), _nu_halfwidth(idler, cfg))
-    step = 2.0 * half / n
+    step = 2.0 * _nu_half(cfg) / n
     k = np.arange(n + 1)
     fs, fi = (filter_amplitude(spec, (k - n / 2) * step, cfg) for spec in (signal, idler))
     w = np.where((k == 0) | (k == n), 0.5, 1.0)  # step and pi sigma_p^2 cancel
@@ -122,12 +126,13 @@ def _spectral_tables(cfg: ExperimentConfig, n: int):
             prod = window(y)[sl] * pump[sl]
             d[0] += x[sl] @ prod
             d[1, ::2] += x[sl][even] @ prod[even, ::2]
-    sums = diag * np.abs(_h_values((k * step) ** 2, cfg)) ** 2 * np.where(k == 0, 1.0, 2.0)
+    h, z_record = _h_values((k * step) ** 2, cfg)
+    sums = diag * np.abs(h) ** 2 * np.where(k == 0, 1.0, 2.0)
     coef = sums[0] / sums[-1].sum(1)[:, None]
     coef[np.abs(coef) < 1e-300] = 0.0  # subnormal tails only slow BLAS
     m = math.ceil(math.sqrt(n + 1))  # complex like the phasors: no conversion per call
     packed = np.pad(coef, ((0, 0), (0, -(n + 1) % m))).astype(complex)
-    return step, packed.reshape(-1, m).T, float(np.sum(np.abs(coef[0])))
+    return step, packed.reshape(-1, m).T, float(np.sum(np.abs(coef[0]))), z_record
 
 
 def _cosine_sums(delays: np.ndarray, step: float, coef: np.ndarray) -> np.ndarray:
@@ -146,12 +151,10 @@ def _cosine_sums(delays: np.ndarray, step: float, coef: np.ndarray) -> np.ndarra
 def _closed_order(cfg: ExperimentConfig) -> int:
     """First order of the closed engine's lag rule: 4 nodes per cycle of G's phase
     (2 gamma Pp - beta2 Delta^2 / 4) z, at least 8; its embedded rule has 3 per cycle."""
-    b2_term = 0.25 * cfg.fiber.beta2_ps2_per_m * cfg.Delta_rad_per_ps**2
-    cycles = abs(2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W - b2_term) \
-        * cfg.fiber.length_m / (2.0 * math.pi)
+    cycles = _g_cycles(cfg)
     if cycles > 256:
         raise AccuracyError(f"G(z) turns {cycles:.0f} cycles over the fiber: too many to resolve")
-    return 4 * max(2, math.ceil(cycles))
+    return _nodes_per_cycle(cycles)
 
 
 @lru_cache(maxsize=32)
@@ -188,49 +191,31 @@ def _lag_sums(delays: np.ndarray, tables) -> np.ndarray:
     return rates
 
 
-def _searched(delays: np.ndarray, n: int, cap: int, rule, label: str,
-              probe: bool = False) -> tuple[np.ndarray, dict]:
-    """Rates at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
-    _ABS_TOL + c kappa eps at every delay; ``probe`` tries the end and middle ones first, a
-    cheap early exit, and the full axis decides.  ``rule(n)`` gives the delays -> [fine,
-    coarse] sums, kappa and a record.  An estimate below _FLOOR_FACTOR c kappa eps that a
-    doubling does not shrink is rounding: raise."""
-    stages = ([delays[[0, delays.size // 2, -1]]] if probe and delays.size else []) + [delays]
-    last, failure = None, f"{label}: start order {n} is past the largest"
-    while n <= cap:
-        sums, kappa, record = rule(n)
-        floor = _ROUNDING_FACTOR * kappa * np.finfo(float).eps
-        for stage, points in enumerate(stages):
-            rates = sums(points)
-            estimate = float(np.max(np.abs(rates[:, 0] - rates[:, 1]), initial=0.0))
-            if estimate > _ABS_TOL + floor:
-                break
-        else:
-            return _clamped(rates[:, 0], kappa, label), {
-                **record, "error_estimate": estimate, "kappa": kappa, "abs_tol": _ABS_TOL}
-        failure = f"{label}: error estimate {estimate:.3e} exceeds tolerance (kappa = {kappa:.3e})"
-        if last and last[0] == stage and last[1] <= estimate <= _FLOOR_FACTOR * floor:
-            raise AccuracyError(f"{failure} and a doubling to {n} did not shrink it: rounding")
-        last, n = (stage, estimate), 2 * n
-    raise AccuracyError(f"{failure}; no order up to {cap} passes")
-
-
-def _clamped(rates: np.ndarray, kappa: float, label: str) -> np.ndarray:
+def _clamped(rates: np.ndarray, record: dict, label: str) -> tuple[np.ndarray, dict]:
+    """A search's rates clamped at zero, and its record, once no rate lies below -_ABS_TOL."""
     if np.any(rates < -_ABS_TOL):
         raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e} beyond abs_tol "
-                            f"{_ABS_TOL:.1e} (kappa = {kappa:.3e})")
-    return np.maximum(rates, 0.0)
+                            f"{_ABS_TOL:.1e} (kappa = {record['kappa']:.3e})")
+    return np.maximum(rates, 0.0), record
 
 
 def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
                     label: str) -> tuple[np.ndarray, dict]:
-    """Rates of :func:`_searched` from order n (made even) on the trapezoid rule and its nested
-    rule on the even nodes, the end and middle delays first as a cheap early exit."""
+    """Rates of :func:`_searched` on the trapezoid rule and its nested rule on the even nodes,
+    the end and middle delays first as a cheap early exit.  The series repeats with period
+    2 pi / step, where both rules read the dip again and the estimate cannot see it, so the
+    search starts at the first of n, 2 n, ... (n made even) whose nested rule's period
+    pi / step exceeds every |delay|."""
+    half, reach = _nu_half(cfg), float(np.max(np.abs(delays), initial=0.0))
+    n += n % 2
+    while n <= _MAX_NU_ORDER and math.pi * n <= 2.0 * half * reach:
+        n *= 2
+
     def rule(n):
-        step, coef, kappa = _spectral_tables(cfg, n)
+        step, coef, kappa, z_record = _spectral_tables(cfg, n)
         return (lambda points: _cosine_sums(points, step, coef)), kappa, {
-            "nu_order": n, "nu_halfwidth": step * n / 2}
-    return _searched(delays, n + n % 2, _MAX_NU_ORDER, rule, label, probe=True)
+            "nu_order": n, "nu_halfwidth": step * n / 2, **z_record}
+    return _clamped(*_searched(delays, n, _MAX_NU_ORDER, rule, label, probe=True), label)
 
 
 def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
@@ -238,8 +223,8 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray
         tables = [_lag_tables(cfg, n), _lag_tables(cfg, 3 * n // 4)]
         kappa = 2.0 * float(np.sum(np.abs(tables[0][0]))) / abs(tables[0][2])
         return (lambda points: _lag_sums(points, tables)), kappa, {"lag_orders": [n, 3 * n // 4]}
-    return _searched(delays, _closed_order(cfg), _MAX_LAG_ORDER, rule,
-                     "gaussian closed-form engine")
+    label = "gaussian closed-form engine"
+    return _clamped(*_searched(delays, _closed_order(cfg), _MAX_LAG_ORDER, rule, label), label)
 
 
 @dataclass(frozen=True)

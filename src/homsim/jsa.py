@@ -3,9 +3,13 @@
 The pair amplitude Q(nu_s, nu_i) is the fiber-length integral of the pump
 convolution Phi(nu_s, nu_i, z) times the pump self-phase-modulation factor
 exp(-2i gamma Pp z).  Phi has an exact closed form (a Gaussian integral with
-complex argument); the direct frequency-domain quadrature is kept as an
-independent oracle.  The overall pump amplitude squared is set to 1: every
-downstream quantity is normalized, so absolute prefactors are unobservable.
+complex argument) that factors: Q = sqrt(pi) sigma_p e^{-s^2 / (4 sigma_p^2)} H(w),
+s = nu_s + nu_i, w = (nu_s - nu_i)^2, with H one z integral per w.  Its
+Gauss-Legendre rule is sized by ``quadrature._searched``: it starts at 4 nodes
+per cycle of the integrand's phase (at least 8), takes its error estimate from
+the 3/4-order rule evaluated in the same pass, and doubles up to 1,024 nodes.
+The overall pump amplitude squared is set to 1: every downstream quantity is
+normalized, so absolute prefactors are unobservable.
 
 All detunings nu are measured from the signal/idler center frequency in
 rad/ps, z runs over [-L, 0] in meters.
@@ -14,36 +18,19 @@ rad/ps, z runs over [-L, 0] in meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_legendre, integrate_1d
+from .quadrature import _searched, gauss_legendre
 from .units import ExperimentConfig
 
-__all__ = ["AmplitudeGrid", "delta_k", "phi_closed", "phi_oracle",
-           "q_amplitude", "jsa_grid", "write_grid_csv"]
+__all__ = ["AmplitudeGrid", "phi_closed", "q_amplitude", "jsa_grid", "write_grid_csv"]
 
-# Gauss-Legendre order for the z integral of Q.  G's phase can turn tens of cycles
-# over [-L, 0]; the order is verified against the adaptive scalar q_amplitude only
-# at the reference config.  The closed dip engine sizes its own lag rule instead.
-_Z_ORDER = 64
+# Largest order of the z rule of H
+_MAX_Z_ORDER = 1024
 # Largest temporary of a chunked evaluation (1 MB of float64), in elements
 _CHUNK_ELEMENTS = 1 << 17
-# Tolerances of the adaptive oracles phi_oracle and scalar q_amplitude
-_ORACLE_TOL = {"rel_tol": 1e-10, "abs_tol": 1e-14}
-
-
-def delta_k(nu_p, nu_s, nu_i, cfg: ExperimentConfig):
-    """Wavenumber mismatch (1/m) to second order in dispersion.
-
-    beta2 * [(Delta/2 - nu_p)^2 + (Delta/2 - nu_p)(nu_s + nu_i) + nu_s nu_i];
-    symmetric under nu_s <-> nu_i.
-    """
-    b2 = cfg.fiber.beta2_ps2_per_m
-    half_delta = 0.5 * cfg.Delta_rad_per_ps
-    d = half_delta - np.asarray(nu_p)
-    return b2 * (d * d + d * (np.asarray(nu_s) + np.asarray(nu_i)) + np.asarray(nu_s) * np.asarray(nu_i))
 
 
 def _check_arctan_branch(z, cfg: ExperimentConfig) -> None:
@@ -95,24 +82,54 @@ def _g_function(z, cfg: ExperimentConfig):
     return np.exp(b * (1j - u) + 1j * (0.5 * np.arctan(u) - spm * z)) / den**0.25
 
 
+def _g_cycles(cfg: ExperimentConfig, w_max: float = 0.0) -> float:
+    """Cycles over the fiber of G's linear phase (2 gamma Pp - beta2 Delta^2 / 4) z, plus
+    those of e^{-i beta2 w z / 4} at w = w_max: a bound on the phase of H's integrand."""
+    b2_term = 0.25 * cfg.fiber.beta2_ps2_per_m * cfg.Delta_rad_per_ps**2
+    return (abs(2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W - b2_term)
+            + 0.25 * abs(cfg.fiber.beta2_ps2_per_m) * w_max) * cfg.fiber.length_m / (2.0 * math.pi)
+
+
+def _nodes_per_cycle(cycles: float) -> int:
+    """Start order of the z and lag rules: 4 nodes per cycle of their phase, at least 8;
+    their embedded 3/4-order rules have 3 per cycle."""
+    return 4 * max(2, math.ceil(cycles))
+
+
 def _chunks(n: int, per_item: int):
     """Slices of range(n) whose temporaries hold about _CHUNK_ELEMENTS elements."""
     step = max(1, _CHUNK_ELEMENTS // per_item)
     return [slice(k, k + step) for k in range(0, n, step)]
 
 
-def _h_values(w: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """H(w) = sum_z zw G(z) e^{-i beta2 w z / 4} at each w of a 1-D array, in chunks."""
-    z, zw = gauss_legendre(_Z_ORDER, -cfg.fiber.length_m, 0.0)
-    gz = _g_function(z, cfg) * zw
-    g2 = np.stack([gz.real, gz.imag], axis=1)
-    kz = -0.25 * cfg.fiber.beta2_ps2_per_m * z
-    h = np.empty(w.size, dtype=complex)
-    for sl in _chunks(w.size, z.size):
-        phase = np.multiply.outer(w[sl], kz)
-        c, si = np.cos(phase) @ g2, np.sin(phase) @ g2
-        h[sl] = (c[:, 0] - si[:, 1]) + 1j * (c[:, 1] + si[:, 0])
-    return h
+def _h_values(w: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
+    """H(w) = sum_z zw G(z) e^{-i beta2 w z / 4} at each w of a 1-D array, in chunks, and
+    the record of its z rule.  :func:`_searched` sizes the rule from 4 nodes per cycle of
+    the integrand's phase; one node set holds the rule and its 3/4-order rule, so one
+    pass gives both, and the estimate is taken on H / L, where |G| <= 1."""
+    length = cfg.fiber.length_m
+
+    def rule(n):
+        z, zw = (np.concatenate(pair) for pair in zip(gauss_legendre(n, -length, 0.0),
+                                                      gauss_legendre(3 * n // 4, -length, 0.0)))
+        gz = _g_function(z, cfg) * zw / length
+        g4 = np.zeros((z.size, 4))  # the (Re, Im) weights of the rule, then of the 3/4 rule
+        g4[:n, 0], g4[:n, 1] = gz[:n].real, gz[:n].imag
+        g4[n:, 2], g4[n:, 3] = gz[n:].real, gz[n:].imag
+        kz = -0.25 * cfg.fiber.beta2_ps2_per_m * z
+
+        def sums(points):
+            h = np.empty((points.size, 2), dtype=complex)
+            for sl in _chunks(points.size, z.size):
+                phase = np.multiply.outer(points[sl], kz)
+                c, si = np.cos(phase) @ g4, np.sin(phase) @ g4
+                h[sl] = (c[:, ::2] - si[:, 1::2]) + 1j * (c[:, 1::2] + si[:, ::2])
+            return h
+        return sums, float(np.sum(np.abs(gz[:n]))), {"z_order": n}
+
+    start = _nodes_per_cycle(_g_cycles(cfg, float(np.max(w, initial=0.0))))
+    h, record = _searched(w, start, _MAX_Z_ORDER, rule, "z rule of H")
+    return h * length, {"z_order": record["z_order"], "z_error_estimate": record["error_estimate"]}
 
 
 def _q_factored(s: np.ndarray, w: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
@@ -121,55 +138,28 @@ def _q_factored(s: np.ndarray, w: np.ndarray, cfg: ExperimentConfig) -> np.ndarr
     wu, inverse = np.unique(w, return_inverse=True)
     sp = cfg.sigma_p_rad_per_ps
     return (math.sqrt(math.pi) * sp * np.exp(-s**2 / (4.0 * sp**2))
-            * _h_values(wu, cfg)[inverse].reshape(w.shape))
-
-
-def phi_oracle(nu_s: float, nu_i: float, z: float, cfg: ExperimentConfig) -> complex:
-    """Pump convolution by direct quadrature over the pump detuning.
-
-    Independent check of :func:`phi_closed`: integrates the product of the
-    two Gaussian pump spectra and the phase-mismatch factor over nu_p, on a
-    6 sigma_p window centered on the integrand's Gaussian peak at (nu_s + nu_i)/2.
-    """
-    sp = cfg.sigma_p_rad_per_ps
-    s = nu_s + nu_i
-
-    def f(nu_p: np.ndarray) -> np.ndarray:
-        envelope = np.exp(-(nu_p**2 + (s - nu_p) ** 2) / (2.0 * sp**2))
-        return envelope * np.exp(1j * delta_k(nu_p, nu_s, nu_i, cfg) * z)
-
-    return integrate_1d(f, s / 2.0 - 6.0 * sp, s / 2.0 + 6.0 * sp, **_ORACLE_TOL).value
+            * _h_values(wu, cfg)[0][inverse].reshape(w.shape))
 
 
 def q_amplitude(nu_s, nu_i, cfg: ExperimentConfig) -> complex | np.ndarray:
-    """Joint spectral amplitude Q(nu_s, nu_i): z integral of Phi times the SPM phase.
-
-    Scalar inputs use the adaptive 1-D rule; array inputs broadcast through the
-    factored kernel on a fixed high-order Gauss-Legendre rule in z (identical
-    results to quadrature tolerance, verified in tests).
-    """
-    L = cfg.fiber.length_m
-    spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
-    nu_s_arr = np.asarray(nu_s, dtype=float)
-    nu_i_arr = np.asarray(nu_i, dtype=float)
-
-    if nu_s_arr.ndim == 0 and nu_i_arr.ndim == 0:
-        def f(z: np.ndarray) -> np.ndarray:
-            return phi_closed(float(nu_s_arr), float(nu_i_arr), z, cfg) * np.exp(-1j * spm * z)
-
-        return integrate_1d(f, -L, 0.0, **_ORACLE_TOL).value
-
-    s, d = np.broadcast_arrays(nu_s_arr + nu_i_arr, nu_s_arr - nu_i_arr)
-    return _q_factored(s, d**2, cfg)
+    """Joint spectral amplitude Q(nu_s, nu_i): z integral of Phi times the SPM phase, on
+    the factored kernel and its error-controlled z rule.  Broadcasts over arrays;
+    scalar inputs give a complex."""
+    nu_s, nu_i = np.asarray(nu_s, dtype=float), np.asarray(nu_i, dtype=float)
+    s, d = np.broadcast_arrays(nu_s + nu_i, nu_s - nu_i)
+    q = _q_factored(s, d**2, cfg)
+    return complex(q) if q.ndim == 0 else q
 
 
 @dataclass(frozen=True)
 class AmplitudeGrid:
-    """Complex Q samples on a uniform detuning grid, normalized to max |Q| = 1."""
+    """Complex Q samples on a uniform detuning grid, normalized to max |Q| = 1, and the
+    record of the z rule that ran (``z_order``, ``z_error_estimate``) when computed."""
 
     nu_s_axis: np.ndarray
     nu_i_axis: np.ndarray
     values: np.ndarray
+    quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for axis in (self.nu_s_axis, self.nu_i_axis):
@@ -196,12 +186,13 @@ def jsa_grid(cfg: ExperimentConfig, n_points: int = 65, span: float = 3.0) -> Am
     axis = np.linspace(-half, half, n_points)
     # on the uniform axis nu_s - nu_i = (i - j) * step, so H takes n_points values
     k = np.arange(n_points)
+    h, record = _h_values((k * (2.0 * half / (n_points - 1))) ** 2, cfg)
     q = (math.sqrt(math.pi) * sp * np.exp(-(axis[:, None] + axis) ** 2 / (4.0 * sp**2))
-         * _h_values((k * (2.0 * half / (n_points - 1))) ** 2, cfg)[np.abs(k[:, None] - k)])
+         * h[np.abs(k[:, None] - k)])
     peak = np.max(np.abs(q))
     if peak > 0:
         q = q / peak
-    return AmplitudeGrid(nu_s_axis=axis, nu_i_axis=axis.copy(), values=q)
+    return AmplitudeGrid(nu_s_axis=axis, nu_i_axis=axis.copy(), values=q, quadrature=record)
 
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:

@@ -1,18 +1,17 @@
-"""Error-controlled 1-D integration and the package's private curve numerics.
+"""Error-controlled rules and the package's private curve numerics.
 
-* :func:`integrate_1d` -- an adaptive Gauss-Kronrod 7/15 scheme for complex
-  integrands over a finite interval.  It is the oracle of the closed forms:
-  the pump-frequency integral of ``jsa.phi_oracle`` and the fiber-length
-  integral of a scalar ``jsa.q_amplitude``.
 * :func:`gauss_legendre` -- fixed Gauss-Legendre nodes and weights, the rule of the
   z axis of ``jsa``'s H and of the closed engine's lag axis (not of any nu axis).
+* :func:`_searched` -- the one doubling search that sizes every rule of the
+  package: the spectral engines' nu order, the closed engine's lag order and the
+  z order of H.  Each rule carries an embedded estimate, |fine - coarse| on a
+  coarser rule evaluated with it, checked against _ABS_TOL = 1e-12 plus
+  10 kappa eps; past its cap the search raises :class:`AccuracyError`.
 * a not-a-knot cubic spline and a Brent root finder, numerically the defaults
   of scipy's ``CubicSpline`` and ``brentq`` (so importing the package needs
   only numpy).
 
-Integrands must accept numpy arrays (vectorized evaluation) and return
-complex values that are finite everywhere inside the interval.  Results are
-deterministic: identical arguments give bit-identical output.
+Results are deterministic: identical arguments give bit-identical output.
 """
 
 from __future__ import annotations
@@ -29,60 +28,27 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "AccuracyError",
     "QuadratureSettings",
-    "QuadratureResult",
-    "integrate_1d",
     "gauss_legendre",
 ]
 
-# Gauss-Kronrod 7/15 abscissae and weights on [-1, 1].  Odd-indexed Kronrod
-# nodes are the embedded 7-point Gauss nodes.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
-_GAUSS_IDX = np.arange(1, 15, 2)
+_ABS_TOL = 1e-12         # the searched rules' fixed absolute tolerance
+_ROUNDING_FACTOR = 10.0  # c of the searched rules' error tolerance _ABS_TOL + c kappa eps
+_FLOOR_FACTOR = 100.0    # an estimate that stalls within this factor of c kappa eps is rounding
 
 
 class AccuracyError(RuntimeError):
-    """Requested tolerance not reached; ``best`` carries the best estimate, if any."""
-
-    def __init__(self, message: str, best: "QuadratureResult | None" = None):
-        super().__init__(message)
-        self.best = best
+    """A rule could not meet its tolerance: its estimate failed up to its largest order,
+    or a result lies beyond the tolerance."""
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     gl_order: int = 96  # start order of every spectral engine's nu search, the order that
-                        # passes at the default config; the tolerance is fixed (hom._ABS_TOL)
+                        # passes at the default config; the tolerance is fixed (_ABS_TOL)
 
     def __post_init__(self) -> None:
         if self.gl_order < 2:
             raise ValueError("gl_order must be >= 2")
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: complex
-    error: float
-    subdivisions: int = 0
 
 
 @lru_cache(maxsize=128)
@@ -100,68 +66,36 @@ def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarr
     return mid + half * x, half * w
 
 
-def _gk15_panels(f, a_arr: np.ndarray, b_arr: np.ndarray):
-    """Evaluate GK15 on a batch of panels; return (kronrod, gauss_err) per panel."""
-    mid = 0.5 * (a_arr + b_arr)[:, None]
-    half = 0.5 * (b_arr - a_arr)[:, None]
-    x = mid + half * _XK[None, :]
-    y = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
-    if not np.all(np.isfinite(y.view(float))):
-        raise ValueError("integrand returned a non-finite value inside the box")
-    k = half[:, 0] * (y @ _WK)
-    g = half[:, 0] * (y[:, _GAUSS_IDX] @ _WG)
-    return k, np.abs(k - g)
-
-
-def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
-                 rel_tol: float = 1e-7, abs_tol: float = 1e-12,
-                 max_subdivisions: int = 1000) -> QuadratureResult:
-    """Adaptively integrate a complex integrand f over a finite interval [a, b].
-
-    Panels with the largest error estimates are bisected until the summed
-    error estimate meets max(abs_tol, rel_tol * |value|) or the subdivision
-    cap is reached (then :class:`AccuracyError` carries the best estimate).
-    """
-    if not (rel_tol > 0 and abs_tol > 0):
-        raise ValueError("tolerances must be positive")
-    if max_subdivisions < 1:
-        raise ValueError("max_subdivisions must be >= 1")
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("integration interval must be finite; truncate upstream")
-    vals, errs = _gk15_panels(f, np.array([a], dtype=float), np.array([b], dtype=float))
-    panels = [(a, b, vals[0], errs[0])]
-    nsub = 1
-
-    while True:
-        # Summation in left-endpoint order keeps results bit-stable.
-        panels.sort(key=lambda p: p[0])
-        total = complex(sum(p[2] for p in panels))
-        toterr = float(sum(p[3] for p in panels))
-        tol = max(abs_tol, rel_tol * abs(total))
-        if toterr <= tol:
-            return QuadratureResult(total, toterr, nsub)
-        if nsub >= max_subdivisions:
-            raise AccuracyError(
-                f"1-D quadrature did not converge: error {toterr:.3e} > tol {tol:.3e} "
-                f"after {nsub} subdivisions",
-                QuadratureResult(total, toterr, nsub),
-            )
-        # Split every panel holding more than its share of the error budget.
-        thresh = max(tol / max(len(panels), 1), max(p[3] for p in panels) * 0.5)
-        to_split = [p for p in panels if p[3] >= thresh]
-        if not to_split:
-            to_split = [max(panels, key=lambda p: p[3])]
-        to_split = to_split[: max_subdivisions - nsub]
-        keep = [p for p in panels if p not in to_split]
-        new_a, new_b = [], []
-        for (lo, hi, _, _) in to_split:
-            m = 0.5 * (lo + hi)
-            new_a.extend([lo, m])
-            new_b.extend([m, hi])
-        vals, errs = _gk15_panels(f, np.array(new_a), np.array(new_b))
-        keep.extend(zip(new_a, new_b, vals, errs))
-        panels = keep
-        nsub += len(to_split)
+def _searched(points: np.ndarray, n: int, cap: int, rule, label: str,
+              probe: bool = False) -> tuple[np.ndarray, dict]:
+    """Values at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
+    _ABS_TOL + c kappa eps at every point; ``probe`` tries the end and middle ones first, a
+    cheap early exit, and the full array decides.  ``rule(n)`` gives the points -> [fine,
+    coarse] sums, kappa and a record.  An estimate below _FLOOR_FACTOR c kappa eps that a
+    doubling does not shrink is rounding: raise.  A start order past the cap raises too,
+    after the estimate of its largest halving under the cap."""
+    stages = ([points[[0, points.size // 2, -1]]] if probe and points.size else []) + [points]
+    start, last, failure = n, None, f"{label}: start order {n} is past the largest"
+    while n > cap:
+        n //= 2
+    while n <= cap:
+        sums, kappa, record = rule(n)
+        floor = _ROUNDING_FACTOR * kappa * np.finfo(float).eps
+        for stage, subset in enumerate(stages):
+            values = sums(subset)
+            estimate = float(np.max(np.abs(values[:, 0] - values[:, 1]), initial=0.0))
+            if estimate > _ABS_TOL + floor:
+                break
+        else:
+            if n < start:  # a halving of a start past the cap passes: still no order
+                break
+            return values[:, 0], {
+                **record, "error_estimate": estimate, "kappa": kappa, "abs_tol": _ABS_TOL}
+        failure = f"{label}: error estimate {estimate:.3e} exceeds tolerance (kappa = {kappa:.3e})"
+        if last and last[0] == stage and last[1] <= estimate <= _FLOOR_FACTOR * floor:
+            raise AccuracyError(f"{failure} and a doubling to {n} did not shrink it: rounding")
+        last, n = (stage, estimate), 2 * n
+    raise AccuracyError(f"{failure}; no order up to {cap} passes")
 
 
 class _CubicSpline:

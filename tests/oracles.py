@@ -1,0 +1,173 @@
+"""Independent oracles of the package's numerics, for the tests only.
+
+* :func:`integrate_1d` -- an adaptive Gauss-Kronrod 7/15 scheme for complex
+  integrands over a finite interval, with its own tolerances and subdivision cap.
+* :func:`phi_oracle` -- the pump convolution Phi by direct quadrature over the
+  pump detuning, with the wavenumber mismatch :func:`delta_k`: the oracle of
+  ``jsa.phi_closed``.
+* :func:`q_oracle` -- the pair amplitude Q at one point by the adaptive rule over
+  the fiber length: the oracle of ``jsa.q_amplitude`` and its searched z rule.
+* ``_Z_ORDER`` -- the order of the fixed 64-node Gauss-Legendre z rule the
+  package once used, kept as the floor of the closed engine's reference sum.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from homsim import quadrature
+from homsim.jsa import phi_closed
+from homsim.units import ExperimentConfig
+
+# Gauss-Legendre order of the fixed z rule of the package's earlier H
+_Z_ORDER = 64
+# Tolerances of the adaptive oracles phi_oracle and q_oracle
+_ORACLE_TOL = {"rel_tol": 1e-10, "abs_tol": 1e-14}
+
+# Gauss-Kronrod 7/15 abscissae and weights on [-1, 1].  Odd-indexed Kronrod
+# nodes are the embedded 7-point Gauss nodes.
+_XK = np.array([
+    -0.991455371120813, -0.949107912342759, -0.864864423359769,
+    -0.741531185599394, -0.586087235467691, -0.405845151377397,
+    -0.207784955007898, 0.0,
+    0.207784955007898, 0.405845151377397, 0.586087235467691,
+    0.741531185599394, 0.864864423359769, 0.949107912342759,
+    0.991455371120813,
+])
+_WK = np.array([
+    0.022935322010529, 0.063092092629979, 0.104790010322250,
+    0.140653259715525, 0.169004726639267, 0.190350578064785,
+    0.204432940075298, 0.209482141084728,
+    0.204432940075298, 0.190350578064785, 0.169004726639267,
+    0.140653259715525, 0.104790010322250, 0.063092092629979,
+    0.022935322010529,
+])
+_WG = np.array([
+    0.129484966168870, 0.279705391489277, 0.381830050505119,
+    0.417959183673469,
+    0.381830050505119, 0.279705391489277, 0.129484966168870,
+])
+_GAUSS_IDX = np.arange(1, 15, 2)
+
+
+class AccuracyError(quadrature.AccuracyError):
+    """Requested tolerance not reached; ``best`` carries the best estimate, if any."""
+
+    def __init__(self, message: str, best: "QuadratureResult | None" = None):
+        super().__init__(message)
+        self.best = best
+
+
+@dataclass(frozen=True)
+class QuadratureResult:
+    value: complex
+    error: float
+    subdivisions: int = 0
+
+
+def _gk15_panels(f, a_arr: np.ndarray, b_arr: np.ndarray):
+    """Evaluate GK15 on a batch of panels; return (kronrod, gauss_err) per panel."""
+    mid = 0.5 * (a_arr + b_arr)[:, None]
+    half = 0.5 * (b_arr - a_arr)[:, None]
+    x = mid + half * _XK[None, :]
+    y = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+    if not np.all(np.isfinite(y.view(float))):
+        raise ValueError("integrand returned a non-finite value inside the box")
+    k = half[:, 0] * (y @ _WK)
+    g = half[:, 0] * (y[:, _GAUSS_IDX] @ _WG)
+    return k, np.abs(k - g)
+
+
+def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
+                 rel_tol: float = 1e-7, abs_tol: float = 1e-12,
+                 max_subdivisions: int = 1000) -> QuadratureResult:
+    """Adaptively integrate a complex integrand f over a finite interval [a, b].
+
+    Panels with the largest error estimates are bisected until the summed
+    error estimate meets max(abs_tol, rel_tol * |value|) or the subdivision
+    cap is reached (then :class:`AccuracyError` carries the best estimate).
+    """
+    if not (rel_tol > 0 and abs_tol > 0):
+        raise ValueError("tolerances must be positive")
+    if max_subdivisions < 1:
+        raise ValueError("max_subdivisions must be >= 1")
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("integration interval must be finite; truncate upstream")
+    vals, errs = _gk15_panels(f, np.array([a], dtype=float), np.array([b], dtype=float))
+    panels = [(a, b, vals[0], errs[0])]
+    nsub = 1
+
+    while True:
+        # Summation in left-endpoint order keeps results bit-stable.
+        panels.sort(key=lambda p: p[0])
+        total = complex(sum(p[2] for p in panels))
+        toterr = float(sum(p[3] for p in panels))
+        tol = max(abs_tol, rel_tol * abs(total))
+        if toterr <= tol:
+            return QuadratureResult(total, toterr, nsub)
+        if nsub >= max_subdivisions:
+            raise AccuracyError(
+                f"1-D quadrature did not converge: error {toterr:.3e} > tol {tol:.3e} "
+                f"after {nsub} subdivisions",
+                QuadratureResult(total, toterr, nsub),
+            )
+        # Split every panel holding more than its share of the error budget.
+        thresh = max(tol / max(len(panels), 1), max(p[3] for p in panels) * 0.5)
+        to_split = [p for p in panels if p[3] >= thresh]
+        if not to_split:
+            to_split = [max(panels, key=lambda p: p[3])]
+        to_split = to_split[: max_subdivisions - nsub]
+        keep = [p for p in panels if p not in to_split]
+        new_a, new_b = [], []
+        for (lo, hi, _, _) in to_split:
+            m = 0.5 * (lo + hi)
+            new_a.extend([lo, m])
+            new_b.extend([m, hi])
+        vals, errs = _gk15_panels(f, np.array(new_a), np.array(new_b))
+        keep.extend(zip(new_a, new_b, vals, errs))
+        panels = keep
+        nsub += len(to_split)
+
+
+def delta_k(nu_p, nu_s, nu_i, cfg: ExperimentConfig):
+    """Wavenumber mismatch (1/m) to second order in dispersion.
+
+    beta2 * [(Delta/2 - nu_p)^2 + (Delta/2 - nu_p)(nu_s + nu_i) + nu_s nu_i];
+    symmetric under nu_s <-> nu_i.
+    """
+    b2 = cfg.fiber.beta2_ps2_per_m
+    half_delta = 0.5 * cfg.Delta_rad_per_ps
+    d = half_delta - np.asarray(nu_p)
+    return b2 * (d * d + d * (np.asarray(nu_s) + np.asarray(nu_i)) + np.asarray(nu_s) * np.asarray(nu_i))
+
+
+def phi_oracle(nu_s: float, nu_i: float, z: float, cfg: ExperimentConfig) -> complex:
+    """Pump convolution by direct quadrature over the pump detuning.
+
+    Independent check of :func:`phi_closed`: integrates the product of the
+    two Gaussian pump spectra and the phase-mismatch factor over nu_p, on a
+    6 sigma_p window centered on the integrand's Gaussian peak at (nu_s + nu_i)/2.
+    """
+    sp = cfg.sigma_p_rad_per_ps
+    s = nu_s + nu_i
+
+    def f(nu_p: np.ndarray) -> np.ndarray:
+        envelope = np.exp(-(nu_p**2 + (s - nu_p) ** 2) / (2.0 * sp**2))
+        return envelope * np.exp(1j * delta_k(nu_p, nu_s, nu_i, cfg) * z)
+
+    return integrate_1d(f, s / 2.0 - 6.0 * sp, s / 2.0 + 6.0 * sp, **_ORACLE_TOL).value
+
+
+def q_oracle(nu_s: float, nu_i: float, cfg: ExperimentConfig) -> complex:
+    """Joint spectral amplitude Q(nu_s, nu_i) at one point by the adaptive 1-D rule: the
+    z integral of Phi times the SPM phase, independent of the package's factored kernel."""
+    L = cfg.fiber.length_m
+    spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
+
+    def f(z: np.ndarray) -> np.ndarray:
+        return phi_closed(float(nu_s), float(nu_i), z, cfg) * np.exp(-1j * spm * z)
+
+    return integrate_1d(f, -L, 0.0, **_ORACLE_TOL).value

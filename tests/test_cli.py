@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from homsim import cli, jsa
+from homsim import cli, jsa, units
 
 
 def run(args):
@@ -36,7 +36,10 @@ class TestJsaCommand:
         assert man["tool"] == "homsim"
         assert man["command"] == "jsa"
         assert man["grid"] == {"n_points": 9, "span_sigma0": 2.0}
-        assert man["quadrature"] == {"z_order": jsa._Z_ORDER}
+        # the z rule that ran and its estimate, as the library's own grid records them
+        quad = man["quadrature"]
+        assert quad == jsa.jsa_grid(units.default_config(), 9, 2.0).quadrature
+        assert quad["z_order"] == 8 and 0.0 <= quad["z_error_estimate"] <= 1e-12
         assert man["config"]["filter_shape"] == "gaussian"
 
     def test_n_controls_row_count(self, tmp_path):

@@ -103,6 +103,23 @@ class TestIngest:
         p.write_text("\n".join(rows[:4] + ["", "   ", "\t"] + rows[4:]) + "\n\n")
         assert list(ingest_csv(p).delays_ps) == list(range(10))
 
+    def test_blank_lines_keep_the_one_pass_parse(self, tmp_path, monkeypatch):
+        # interior and trailing blank lines give the dataset of the clean file, and
+        # the row walk never runs: only line 1 is checked, as for the clean file
+        rows = [f"{0.5 * i},{100.0 + i},{1.0 + 0.1 * i}" for i in range(12)]
+        clean, blank = tmp_path / "clean.csv", tmp_path / "blank.csv"
+        clean.write_text("delay_ps,counts,sigma\n" + "\n".join(rows) + "\n")
+        blank.write_text("delay_ps,counts,sigma\n" + "\n".join(rows[:5] + ["", " \t"] + rows[5:])
+                         + "\n\n\r\n")
+        checked = []
+        walk = fitdata._checked_row
+        monkeypatch.setattr(fitdata, "_checked_row", lambda raw, lineno, ncols:
+                            checked.append(lineno) or walk(raw, lineno, ncols))
+        a, b = ingest_csv(clean), ingest_csv(blank)
+        assert checked == [1, 1]
+        for field in ("delays_ps", "counts", "uncertainties"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
     def test_trailing_comma_is_an_empty_third_cell(self, tmp_path):
         p = tmp_path / "data.csv"
         rows = [f"{i},{i}" for i in range(10)]

@@ -5,11 +5,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from homsim import hom, jsa, units
+from homsim import hom, jsa, quadrature, units
 from homsim.quadrature import QuadratureSettings, gauss_legendre
 from homsim.units import FilterShape, FilterSpec
+from oracles import _Z_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -174,13 +175,14 @@ class TestSuperGaussian:
         # the spectral tables (factored kernel, z-sum folded into H, cross weights
         # summed over their diagonals) must equal the plain 4-D tensor rule on the
         # same trapezoid nodes, and on the nested rule's even nodes: rebuild
-        # numerator and baseline from the raw integrand
-        from homsim.jsa import _Z_ORDER, _g_function
+        # numerator and baseline from the raw integrand, on the z rule the tables ran
+        from homsim.jsa import _g_function
 
         order = 24
         spec = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4, fwhm_nm=cfg_sg.filter.fwhm_nm)
         half = hom._nu_halfwidth(spec, cfg_sg)
-        z, zw = gauss_legendre(_Z_ORDER, -cfg_sg.fiber.length_m, 0.0)
+        step, coef, _, z_record = hom._spectral_tables(cfg_sg, order)
+        z, zw = gauss_legendre(z_record["z_order"], -cfg_sg.fiber.length_m, 0.0)
         b2 = cfg_sg.fiber.beta2_ps2_per_m
         ssg = cfg_sg.sigma_sg_for(cfg_sg.filter)
         sp = cfg_sg.sigma_p_rad_per_ps
@@ -204,7 +206,6 @@ class TestSuperGaussian:
             return complex(vals)
 
         nu = np.linspace(-half, half, order + 1)
-        step, coef, _ = hom._spectral_tables(cfg_sg, order)
         assert step == pytest.approx(nu[1] - nu[0], rel=1e-14)
         engine_rates = hom._cosine_sums(np.array([3.0]), step, coef)[0]
         for rate, nodes in zip(engine_rates, (nu, nu[::2])):
@@ -225,7 +226,7 @@ def closed_double_sum(cfg, delays):
     e^{-2i gamma Pp z} (up to a constant) and the closed-form kernel I.  Its order is 64,
     or 3 nodes per cycle of G's phase when that is more: at 34 cycles the 64 x 64 sum
     is 1.4e-8 off."""
-    order = max(jsa._Z_ORDER, 3 * math.ceil(g_phase_cycles(cfg)))
+    order = max(_Z_ORDER, 3 * math.ceil(g_phase_cycles(cfg)))
     z, zw = gauss_legendre(order, -cfg.fiber.length_m, 0.0)
     spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
     gz = jsa.phi_closed(0.0, 0.0, z, cfg) * np.exp(-1j * spm * z) * zw
@@ -359,6 +360,9 @@ class TestBatchedDelays:
            pump_fwhm=st.floats(0.4, 1.6), filter_fwhm=st.floats(0.4, 1.6),
            shape=st.sampled_from(["gaussian", "supergaussian4", "cascade"]),
            mismatch=st.floats(0.05, 0.3))
+    # the long-fiber corner: G's phase turns 53 cycles over 20 km
+    @example(log_length=math.log10(2.0e4), log_beta2=0.0, sign=-1.0, pump_fwhm=0.4,
+             filter_fwhm=0.8, shape="gaussian", mismatch=0.1)
     def test_property_over_physical_ranges(self, log_length, log_beta2, sign,
                                            pump_fwhm, filter_fwhm, shape, mismatch):
         cfg = units.build_config(
@@ -494,10 +498,10 @@ class TestErrorEstimate:
         def perturbed(cfg, n):
             # the nested rule's c_0 (row 0, column A of the packed table) moves by
             # 1e-9 of the baseline, a thousand times the tolerance, at every order
-            step, coef, kappa = tables(cfg, n)
+            step, coef, kappa, z_record = tables(cfg, n)
             coef = coef.copy()
             coef[0, coef.shape[1] // 2] += 1e-9
-            return step, coef, kappa
+            return step, coef, kappa, z_record
 
         monkeypatch.setattr(hom, "_spectral_tables", perturbed)
         with pytest.raises(hom.AccuracyError, match="error estimate"):
@@ -511,6 +515,32 @@ class TestErrorEstimate:
         assert wide.quadrature["nu_order"] > first.quadrature["nu_order"]
         assert np.array_equal(first.rates, again.rates)
         assert first.quadrature == again.quadrature
+
+
+class TestAliasFreeOrder:
+    # the cosine series repeats with period P = 2 pi / step in the delay, and its nested
+    # rule with P / 2, so both read the dip again at P: at nu order 96 on the default
+    # config P = 133.5 ps, where the rule once returned 0 with an estimate of 1e-16
+    def period(self, cfg):
+        return 2.0 * math.pi * 96 / (2.0 * hom._nu_half(cfg))
+
+    def test_single_delay_at_period_matches_closed(self, cfg):
+        delays = [self.period(cfg)]
+        general = hom.dip_curve(cfg, "general", delays_ps=delays)
+        assert math.pi * general.quadrature["nu_order"] / (2.0 * general.quadrature[
+            "nu_halfwidth"]) > delays[0]
+        closed = hom.dip_curve(cfg, "gaussian", delays_ps=delays).rates
+        assert abs(general.rates[0] - closed[0]) <= 1e-12
+
+    def test_offset_axis_matches_closed(self, cfg):
+        # homsim dip --engine general --delay-min 118.5 --delay-max 148.5: flat, no dip
+        delays = np.round(np.arange(0, 301) * 0.1 + 118.5, 12)
+        assert delays[0] < self.period(cfg) < delays[-1]
+        general = hom.dip_curve(cfg, "general", delays_ps=delays)
+        closed = hom.dip_curve(cfg, "gaussian", delays_ps=delays).rates
+        assert np.max(np.abs(general.rates - closed)) <= 1e-12
+        with pytest.raises(hom.AnalysisError, match="no dip found"):
+            hom.dip_metrics(general)
 
 
 class TestConvergedRule:
@@ -532,6 +562,17 @@ class TestConvergedRule:
                                     "filter_fwhm_nm": 1.6})
         general = hom.dip_curve(cfg, "general").rates
         assert np.max(np.abs(general - hom.dip_curve(cfg, "gaussian").rates)) <= 1e-12
+
+    @pytest.mark.parametrize("beta2", [-0.5, -0.7, -1.0])
+    def test_long_fiber_corner_matches_closed(self, beta2):
+        # G's phase turns 29 to 53 cycles over 20 km with a 0.4 nm pump: a fixed
+        # 64-node z rule of H is 8.7e-3 off at -1 ps^2/km, the searched one is not
+        cfg = units.build_config(**{**units.REFERENCE_PARAMS, "length_m": 20000.0,
+                                    "beta2_ps2_per_km": beta2, "pump_fwhm_nm": 0.4})
+        general = hom.dip_curve(cfg, "general")
+        assert general.quadrature["z_error_estimate"] <= hom._ABS_TOL
+        closed = hom.dip_curve(cfg, "gaussian").rates
+        assert np.max(np.abs(general.rates - closed)) <= 1e-12
 
     def test_wide_axis_matches_closed(self, cfg):
         delays = np.linspace(-500.0, 500.0, 5001)
@@ -575,7 +616,8 @@ class TestClosedEngine:
         except hom.AccuracyError as exc:
             assert "kappa" in str(exc) and "imaginary" not in str(exc)
         else:
-            bound = 1e-12 + hom._ROUNDING_FACTOR * closed.quadrature["kappa"] * np.finfo(float).eps
+            rounding = quadrature._ROUNDING_FACTOR * closed.quadrature["kappa"]
+            bound = 1e-12 + rounding * np.finfo(float).eps
             assert np.max(np.abs(closed.rates - general)) <= bound
 
     def test_too_many_phase_cycles_raise(self):

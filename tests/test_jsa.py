@@ -6,6 +6,7 @@ import pytest
 
 from homsim import jsa, units
 from homsim.quadrature import QuadratureSettings
+from oracles import delta_k, phi_oracle, q_oracle
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +26,19 @@ def cfg_no_dispersion():
 class TestDeltaK:
     def test_zero_on_phase_matched_point(self, cfg):
         # nu_p = Delta/2, nu_s = nu_i = 0: every bracket term vanishes
-        assert jsa.delta_k(cfg.Delta_rad_per_ps / 2, 0.0, 0.0, cfg) == 0.0
+        assert delta_k(cfg.Delta_rad_per_ps / 2, 0.0, 0.0, cfg) == 0.0
 
     def test_signal_idler_exchange_symmetry(self, cfg):
         rng = np.random.default_rng(7)
         for _ in range(20):
             nu_p, ns, ni = rng.uniform(-1, 1, 3)
-            assert jsa.delta_k(nu_p, ns, ni, cfg) == pytest.approx(
-                jsa.delta_k(nu_p, ni, ns, cfg), rel=1e-14)
+            assert delta_k(nu_p, ns, ni, cfg) == pytest.approx(
+                delta_k(nu_p, ni, ns, cfg), rel=1e-14)
 
     def test_central_value(self, cfg):
         # nu_p = nu_s = nu_i = 0 leaves beta2 Delta^2 / 4
         expected = cfg.fiber.beta2_ps2_per_m * cfg.Delta_rad_per_ps**2 / 4.0
-        assert jsa.delta_k(0.0, 0.0, 0.0, cfg) == pytest.approx(expected, rel=1e-14)
+        assert delta_k(0.0, 0.0, 0.0, cfg) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(-1.770e-3, abs=5e-6)
 
 
@@ -59,7 +60,7 @@ class TestPhiClosed:
 
     def test_matches_oracle_at_reference_point(self, cfg):
         a = jsa.phi_closed(0.2, -0.1, -150.0, cfg)
-        b = jsa.phi_oracle(0.2, -0.1, -150.0, cfg)
+        b = phi_oracle(0.2, -0.1, -150.0, cfg)
         assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_modulus_independent_of_gamma(self):
@@ -104,11 +105,11 @@ class TestPhiOracle:
             for ni in nus:
                 for z in zs:
                     a = jsa.phi_closed(ns, ni, z, cfg)
-                    b = jsa.phi_oracle(ns, ni, z, cfg)
+                    b = phi_oracle(ns, ni, z, cfg)
                     assert abs(a - b) <= 1e-7 * abs(a)
 
     def test_z_zero_zero_detuning(self, cfg):
-        got = jsa.phi_oracle(0.0, 0.0, 0.0, cfg)
+        got = phi_oracle(0.0, 0.0, 0.0, cfg)
         assert got == pytest.approx(math.sqrt(math.pi) * cfg.sigma_p_rad_per_ps, rel=1e-10)
 
 
@@ -139,8 +140,21 @@ class TestQAmplitude:
         ni = np.array([0.1, -0.3, 0.4])
         vec = jsa.q_amplitude(ns, ni, cfg)
         for k in range(3):
-            scalar = jsa.q_amplitude(float(ns[k]), float(ni[k]), cfg)
+            scalar = q_oracle(float(ns[k]), float(ni[k]), cfg)
             assert abs(vec[k] - scalar) <= 1e-9 * abs(scalar)
+
+
+    @pytest.mark.parametrize("beta2", [-0.5, -0.7, -1.0])
+    def test_long_fiber_corner_matches_adaptive(self, beta2):
+        # G's phase turns 29 to 53 cycles over 20 km with a 0.4 nm pump
+        c = units.build_config(**{**units.REFERENCE_PARAMS, "length_m": 20000.0,
+                                  "beta2_ps2_per_km": beta2, "pump_fwhm_nm": 0.4})
+        ns = np.array([0.0, 0.2, -0.5, 0.3])
+        ni = np.array([0.1, -0.3, 0.4, 0.3])
+        vec = jsa.q_amplitude(ns, ni, c)
+        for k in range(ns.size):
+            scalar = q_oracle(float(ns[k]), float(ni[k]), c)
+            assert abs(vec[k] - scalar) <= 1e-10 * abs(scalar)
 
 
 class TestGrid:

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from homsim import hom, quadrature, units
+from homsim import hom, jsa, quadrature, units
 from homsim.quadrature import (
-    AccuracyError,
     QuadratureSettings,
     gauss_legendre,
-    integrate_1d,
     _brentq,
     _CubicSpline,
 )
+from oracles import AccuracyError, integrate_1d
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
@@ -118,6 +117,29 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         QuadratureSettings(gl_order=1)
     assert {fld.name for fld in dataclasses.fields(QuadratureSettings)} == {"gl_order"}
+
+
+@pytest.mark.parametrize("coarse_error,message", [
+    (0.0, "start order 192 is past the largest; no order up to 100 passes"),
+    (1e-9, "error estimate 1.000e-09 exceeds tolerance .*; no order up to 100 passes")])
+def test_search_start_past_the_cap_raises_after_its_largest_halving(coarse_error, message):
+    # a start order past the cap is halved under it (96) and evaluated there, and the
+    # search raises either way: with the estimate if it fails, else naming the start
+    orders = []
+
+    def rule(n):
+        orders.append(n)
+        return (lambda points: np.outer(np.ones(points.size), [0.0, coarse_error])), 1.0, {}
+    with pytest.raises(quadrature.AccuracyError, match=message):
+        quadrature._searched(np.linspace(-1.0, 1.0, 5), 192, 100, rule, "toy rule")
+    assert orders == [96]
+
+
+def test_z_rule_past_its_cap_raises():
+    # +-1,000 sigma_0 puts H's phase past 1,024 nodes at 4 per cycle: the jsa grid
+    # raises rather than return an unresolved H
+    with pytest.raises(quadrature.AccuracyError, match="z rule of H: error estimate"):
+        jsa.jsa_grid(units.default_config(), 5, span=1000.0)
 
 
 def _knots(n, kind, rng):

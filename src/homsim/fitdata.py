@@ -12,7 +12,8 @@ Two fit families:
   half-width of its dip, found once per cached spline, the FWHM.
 
 The optimizer is damped Gauss-Newton with a Levenberg-style schedule:
-damping x10 on a rejected step, /10 on an accepted one, starting at 1e-3.
+damping x10 on a rejected step, /10 on an accepted one, starting at 1e-3,
+times diag J^T J (1 on a zero column), so the path does not depend on the units.
 Each fit hands it one ``evaluate(p)`` that returns the residual at p and a
 zero-argument callable building the Jacobian at p from the residual's own
 intermediates (the Gaussian's exp, the spline's pieces).  The loop calls
@@ -228,7 +229,8 @@ def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], n
     for it in range(1, max_iter + 1):
         g = j.T @ r
         jtj = j.T @ j
-        damping = np.diag(np.maximum(np.diag(jtj), 1e-12))
+        diag = np.diag(jtj)  # scale-free damping; only a zero column needs a floor
+        damping = np.diag(np.where(diag > 0, diag, 1.0))
         accepted = False
         for trial in range(40):
             try:

@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .jsa import _chunks, _g_cycles, _g_function, _h_values, _nodes_per_cycle, _write_csv
-from .quadrature import (_ABS_TOL, AccuracyError, QuadratureSettings, _brentq, _CubicSpline,
-                         _searched, gauss_legendre)
+from .quadrature import (_ABS_TOL, _MAX_GL_ORDER, AccuracyError, QuadratureSettings, _brentq,
+                         _CubicSpline, _searched, gauss_legendre)
 from .units import ExperimentConfig, FilterShape, FilterSpec
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
 
 _NU_BOX_SIGMAS = 6.0     # half-width of the spectral engines' nu box, in filter sigmas
 _MAX_NU_ORDER = 2048     # largest order the spectral engines' search tries
-_MAX_LAG_ORDER = 1024    # largest lag order the closed engine's search tries
 _BASELINE_FRACTION = 0.1
 
 
@@ -148,15 +147,6 @@ def _cosine_sums(delays: np.ndarray, step: float, coef: np.ndarray) -> np.ndarra
     return out
 
 
-def _closed_order(cfg: ExperimentConfig) -> int:
-    """First order of the closed engine's lag rule: 4 nodes per cycle of G's phase
-    (2 gamma Pp - beta2 Delta^2 / 4) z, at least 8; its embedded rule has 3 per cycle."""
-    cycles = _g_cycles(cfg)
-    if cycles > 256:
-        raise AccuracyError(f"G(z) turns {cycles:.0f} cycles over the fiber: too many to resolve")
-    return _nodes_per_cycle(cycles)
-
-
 @lru_cache(maxsize=32)
 def _lag_tables(cfg: ExperimentConfig, order: int):
     """Weights k = w I(D; 0) A(D), A(D) = int_{-L}^{-D} G(z + D) G*(z) dz, and delay
@@ -201,11 +191,11 @@ def _clamped(rates: np.ndarray, record: dict, label: str) -> tuple[np.ndarray, d
 
 def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
                     label: str) -> tuple[np.ndarray, dict]:
-    """Rates of :func:`_searched` on the trapezoid rule and its nested rule on the even nodes,
-    the end and middle delays first as a cheap early exit.  The series repeats with period
-    2 pi / step, where both rules read the dip again and the estimate cannot see it, so the
-    search starts at the first of n, 2 n, ... (n made even) whose nested rule's period
-    pi / step exceeds every |delay|."""
+    """Rates of :func:`_searched` on the trapezoid rule and its nested rule on the even nodes.
+    The series repeats with period 2 pi / step, where both rules read the dip again and the
+    estimate cannot see it, so the search starts at the first of n, 2 n, ... (n made even)
+    whose nested rule's period pi / step exceeds every |delay|; past _MAX_NU_ORDER the axis
+    is wider than the largest rule's period and the search raises."""
     half, reach = _nu_half(cfg), float(np.max(np.abs(delays), initial=0.0))
     n += n % 2
     while n <= _MAX_NU_ORDER and math.pi * n <= 2.0 * half * reach:
@@ -215,7 +205,7 @@ def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
         step, coef, kappa, z_record = _spectral_tables(cfg, n)
         return (lambda points: _cosine_sums(points, step, coef)), kappa, {
             "nu_order": n, "nu_halfwidth": step * n / 2, **z_record}
-    return _clamped(*_searched(delays, n, _MAX_NU_ORDER, rule, label, probe=True), label)
+    return _clamped(*_searched(delays, n, _MAX_NU_ORDER, rule, label), label)
 
 
 def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
@@ -224,7 +214,8 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray
         kappa = 2.0 * float(np.sum(np.abs(tables[0][0]))) / abs(tables[0][2])
         return (lambda points: _lag_sums(points, tables)), kappa, {"lag_orders": [n, 3 * n // 4]}
     label = "gaussian closed-form engine"
-    return _clamped(*_searched(delays, _closed_order(cfg), _MAX_LAG_ORDER, rule, label), label)
+    start = _nodes_per_cycle(_g_cycles(cfg), label)
+    return _clamped(*_searched(delays, start, _MAX_GL_ORDER, rule, label), label)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ complex argument) that factors: Q = sqrt(pi) sigma_p e^{-s^2 / (4 sigma_p^2)} H(
 s = nu_s + nu_i, w = (nu_s - nu_i)^2, with H one z integral per w.  Its
 Gauss-Legendre rule is sized by ``quadrature._searched``: it starts at 4 nodes
 per cycle of the integrand's phase (at least 8), takes its error estimate from
-the 3/4-order rule evaluated in the same pass, and doubles up to 1,024 nodes.
+the 3/4-order rule evaluated in the same pass, and doubles up to 1,024 nodes
+(``quadrature._MAX_GL_ORDER``); a start past that raises before any rule runs.
 The overall pump amplitude squared is set to 1: every downstream quantity is
 normalized, so absolute prefactors are unobservable.
 
@@ -22,13 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _searched, gauss_legendre
+from .quadrature import _MAX_GL_ORDER, AccuracyError, _searched, gauss_legendre
 from .units import ExperimentConfig
 
 __all__ = ["AmplitudeGrid", "phi_closed", "q_amplitude", "jsa_grid", "write_grid_csv"]
 
-# Largest order of the z rule of H
-_MAX_Z_ORDER = 1024
 # Largest temporary of a chunked evaluation (1 MB of float64), in elements
 _CHUNK_ELEMENTS = 1 << 17
 
@@ -90,9 +89,13 @@ def _g_cycles(cfg: ExperimentConfig, w_max: float = 0.0) -> float:
             + 0.25 * abs(cfg.fiber.beta2_ps2_per_m) * w_max) * cfg.fiber.length_m / (2.0 * math.pi)
 
 
-def _nodes_per_cycle(cycles: float) -> int:
+def _nodes_per_cycle(cycles: float, label: str) -> int:
     """Start order of the z and lag rules: 4 nodes per cycle of their phase, at least 8;
-    their embedded 3/4-order rules have 3 per cycle."""
+    their embedded 3/4-order rules have 3 per cycle.  A phase that needs more than
+    _MAX_GL_ORDER nodes, or whose cycle count is not finite (NaN included), raises."""
+    if not 4.0 * cycles <= _MAX_GL_ORDER:
+        raise AccuracyError(f"{label}: {cycles:.4g} cycles over the fiber need more than "
+                            f"{_MAX_GL_ORDER} nodes at 4 per cycle")
     return 4 * max(2, math.ceil(cycles))
 
 
@@ -127,27 +130,22 @@ def _h_values(w: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
             return h
         return sums, float(np.sum(np.abs(gz[:n]))), {"z_order": n}
 
-    start = _nodes_per_cycle(_g_cycles(cfg, float(np.max(w, initial=0.0))))
-    h, record = _searched(w, start, _MAX_Z_ORDER, rule, "z rule of H")
+    label = "z rule of H"
+    start = _nodes_per_cycle(_g_cycles(cfg, float(np.max(w, initial=0.0))), label)
+    h, record = _searched(w, start, _MAX_GL_ORDER, rule, label)
     return h * length, {"z_order": record["z_order"], "z_error_estimate": record["error_estimate"]}
 
 
-def _q_factored(s: np.ndarray, w: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """Pair amplitude Q at s = nu_s + nu_i and w = (nu_s - nu_i)^2 (same shapes): Phi
-    factors exactly, Q = sqrt(pi) sigma_p e^{-s^2 / (4 sigma_p^2)} H(w), H once per w."""
-    wu, inverse = np.unique(w, return_inverse=True)
-    sp = cfg.sigma_p_rad_per_ps
-    return (math.sqrt(math.pi) * sp * np.exp(-s**2 / (4.0 * sp**2))
-            * _h_values(wu, cfg)[0][inverse].reshape(w.shape))
-
-
 def q_amplitude(nu_s, nu_i, cfg: ExperimentConfig) -> complex | np.ndarray:
-    """Joint spectral amplitude Q(nu_s, nu_i): z integral of Phi times the SPM phase, on
-    the factored kernel and its error-controlled z rule.  Broadcasts over arrays;
-    scalar inputs give a complex."""
+    """Joint spectral amplitude Q(nu_s, nu_i), z integral of Phi times the SPM phase: Phi
+    factors, Q = sqrt(pi) sigma_p e^{-s^2 / (4 sigma_p^2)} H(w), s = nu_s + nu_i, w =
+    (nu_s - nu_i)^2, H once per w.  Broadcasts over arrays; scalars give a complex."""
     nu_s, nu_i = np.asarray(nu_s, dtype=float), np.asarray(nu_i, dtype=float)
     s, d = np.broadcast_arrays(nu_s + nu_i, nu_s - nu_i)
-    q = _q_factored(s, d**2, cfg)
+    w, inverse = np.unique(d**2, return_inverse=True)
+    sp = cfg.sigma_p_rad_per_ps
+    q = (math.sqrt(math.pi) * sp * np.exp(-s**2 / (4.0 * sp**2))
+         * _h_values(w, cfg)[0][inverse].reshape(s.shape))
     return complex(q) if q.ndim == 0 else q
 
 

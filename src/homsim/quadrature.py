@@ -6,7 +6,8 @@
   package: the spectral engines' nu order, the closed engine's lag order and the
   z order of H.  Each rule carries an embedded estimate, |fine - coarse| on a
   coarser rule evaluated with it, checked against _ABS_TOL = 1e-12 plus
-  10 kappa eps; past its cap the search raises :class:`AccuracyError`.
+  10 kappa eps; a NaN estimate fails.  A start past the cap (_MAX_GL_ORDER for
+  the z and lag rules) or a search that reaches it raises :class:`AccuracyError`.
 * a not-a-knot cubic spline and a Brent root finder, numerically the defaults
   of scipy's ``CubicSpline`` and ``brentq`` (so importing the package needs
   only numpy).
@@ -34,6 +35,7 @@ __all__ = [
 _ABS_TOL = 1e-12         # the searched rules' fixed absolute tolerance
 _ROUNDING_FACTOR = 10.0  # c of the searched rules' error tolerance _ABS_TOL + c kappa eps
 _FLOOR_FACTOR = 100.0    # an estimate that stalls within this factor of c kappa eps is rounding
+_MAX_GL_ORDER = 1024     # largest order of the searched Gauss-Legendre rules (z and lag)
 
 
 class AccuracyError(RuntimeError):
@@ -66,29 +68,25 @@ def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarr
     return mid + half * x, half * w
 
 
-def _searched(points: np.ndarray, n: int, cap: int, rule, label: str,
-              probe: bool = False) -> tuple[np.ndarray, dict]:
+def _searched(points: np.ndarray, n: int, cap: int, rule, label: str) -> tuple[np.ndarray, dict]:
     """Values at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
-    _ABS_TOL + c kappa eps at every point; ``probe`` tries the end and middle ones first, a
+    _ABS_TOL + c kappa eps at every point; the end and middle points are tried first, a
     cheap early exit, and the full array decides.  ``rule(n)`` gives the points -> [fine,
-    coarse] sums, kappa and a record.  An estimate below _FLOOR_FACTOR c kappa eps that a
-    doubling does not shrink is rounding: raise.  A start order past the cap raises too,
-    after the estimate of its largest halving under the cap."""
-    stages = ([points[[0, points.size // 2, -1]]] if probe and points.size else []) + [points]
-    start, last, failure = n, None, f"{label}: start order {n} is past the largest"
-    while n > cap:
-        n //= 2
+    coarse] sums, kappa and a record.  A NaN estimate fails.  An estimate below
+    _FLOOR_FACTOR c kappa eps that a doubling does not shrink is rounding: raise.  A start
+    order past the cap raises before any rule is evaluated."""
+    if n > cap:
+        raise AccuracyError(f"{label}: start order {n} is past the largest, {cap}")
+    stages, last = ([points[[0, points.size // 2, -1]]] if points.size else []) + [points], None
     while n <= cap:
         sums, kappa, record = rule(n)
         floor = _ROUNDING_FACTOR * kappa * np.finfo(float).eps
         for stage, subset in enumerate(stages):
             values = sums(subset)
             estimate = float(np.max(np.abs(values[:, 0] - values[:, 1]), initial=0.0))
-            if estimate > _ABS_TOL + floor:
+            if not estimate <= _ABS_TOL + floor:  # NaN fails
                 break
         else:
-            if n < start:  # a halving of a start past the cap passes: still no order
-                break
             return values[:, 0], {
                 **record, "error_estimate": estimate, "kappa": kappa, "abs_tol": _ABS_TOL}
         failure = f"{label}: error estimate {estimate:.3e} exceeds tolerance (kappa = {kappa:.3e})"

@@ -3,12 +3,14 @@
 Laboratory inputs (nm, W, m, ps^2/km) are converted once into the internal
 unit system: angular frequency in rad/ps, time in ps, length in m, power
 in W.  In these units the dimensionless products beta2*z*sigma^2 that drive
-all the dispersion phases stay O(1), so nothing over- or underflows.
+all the dispersion phases stay O(1), so nothing over- or underflows.  The
+parameter records reject any non-finite number field with a ValueError naming it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -69,6 +71,13 @@ def fwhm_nm_to_sigma_supergaussian(fwhm_nm: float, center_lambda_nm: float) -> f
     return (dw / 2.0) / _SG_HALF_POWER
 
 
+def _require_finite(params) -> None:
+    """Reject a non-finite number field of a parameter record, naming the field."""
+    for name, value in vars(params).items():
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{type(params).__name__}.{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FiberParams:
     """Dispersion-shifted fiber: length L (m), GVD beta2 (ps^2/m), nonlinearity gamma (1/W/m)."""
@@ -78,10 +87,9 @@ class FiberParams:
     gamma_per_W_m: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.length_m > 0:
             raise ValueError(f"fiber length must be positive, got {self.length_m} m")
-        if not math.isfinite(self.beta2_ps2_per_m):
-            raise ValueError("beta2 must be finite")
         if self.gamma_per_W_m < 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma_per_W_m}")
 
@@ -96,6 +104,7 @@ class PumpParams:
     peak_power_W: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.lambda_p1_nm > 0 and self.lambda_p2_nm > 0):
             raise ValueError("pump wavelengths must be positive")
         if self.lambda_p1_nm == self.lambda_p2_nm:
@@ -120,6 +129,7 @@ class FilterSpec:
     idler: Optional["FilterSpec"] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.fwhm_nm > 0:
             raise ValueError(f"filter FWHM must be positive, got {self.fwhm_nm} nm")
         if self.idler is not None and self.idler.idler is not None:

@@ -217,6 +217,23 @@ class TestDipCommand:
         self._bad_delay_axis(tmp_path, capsys, flags)
 
 
+@pytest.mark.parametrize("flag", [cli._flag(k) for k in units.REFERENCE_PARAMS
+                                  if k != "filter_shape"])
+@pytest.mark.parametrize("command", [["dip", "--engine", "gaussian"],
+                                     ["dip", "--engine", "general"],
+                                     ["jsa", "--n", "5"], ["fit", "--mode", "model"]],
+                         ids=["dip-gaussian", "dip-general", "jsa", "fit-model"])
+def test_nonfinite_config_flag_exits_2(tmp_path, capsys, dip_data_file, command, flag):
+    # every float config flag is checked where the config is built, before any engine
+    # runs; an exception that escapes main fails the test
+    data = ["--data", str(dip_data_file)] if command[0] == "fit" else []
+    for value in ("inf", "nan"):
+        out = tmp_path / "x.csv"
+        assert run([*command, *data, flag, value, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestManifestRoundTrip:
     @pytest.mark.parametrize("options,config_flags", [
         (["dip", "--engine", "gaussian"], []),

@@ -660,17 +660,29 @@ def test_fit_json_writes_standard_errors_and_reduced_chi2(cfg):
 
 
 @pytest.mark.parametrize("fit", [fit_gaussian_dip, fit_model])
-def test_fit_does_not_depend_on_the_units_of_the_counts(cfg, fit):
-    # counts x1e-9 and x1e6 (baseline and noise alike) give the same fit, the
+def test_fit_does_not_depend_on_the_units_of_the_counts(cfg, fit, monkeypatch):
+    # counts x1e-12, x1e-9 and x1e6 (baseline and noise alike) give the same fit, the
     # baseline scaled: a stop test in absolute units ended the small-count fits
-    # early, up to 7.6e-3 sigma away
+    # early, up to 7.6e-3 sigma away.  The damping is diag J^T J with no absolute
+    # floor, so they also take the path of x1, the same evaluations and iterations
+    # (a floor of 1e-12 made the x1e-12 fits take 9 evaluations where x1 takes 4)
+    levenberg, runs = fitdata._levenberg, []
+
+    def spy(evaluate, p0, **kwargs):
+        calls = []
+        result = levenberg(lambda p: calls.append(p) or evaluate(p), p0, **kwargs)
+        runs.append((len(calls), result[2]))
+        return result
+
+    monkeypatch.setattr(fitdata, "_levenberg", spy)
     for seed in range(10):
         data = engine_dataset(cfg, "gaussian", seed)
         ref = fit(data) if fit is fit_gaussian_dip else fit(data, cfg)
-        for factor in (1e-9, 1e6):
+        ref_run = runs[-1]
+        for factor in (1e-12, 1e-9, 1e6):
             scaled = CoincidenceDataset(data.delays_ps, data.counts * factor)
             res = fit(scaled) if fit is fit_gaussian_dip else fit(scaled, cfg)
-            assert res.converged
+            assert res.converged and runs[-1] == ref_run, (seed, factor)
             for k, v in ref.params.items():
                 unit = factor if k == "baseline" else 1.0
                 assert abs(res.params[k] / unit - v) <= 1e-6 * ref.std_errors[k], (seed, factor, k)

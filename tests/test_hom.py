@@ -213,21 +213,28 @@ class TestSuperGaussian:
             assert rate == pytest.approx(direct_rate, rel=1e-10)
 
 
-def g_phase_cycles(cfg):
-    """Cycles of G's linear phase (2 gamma Pp - beta2 Delta^2 / 4) z over the fiber."""
+def g_phase_cycles(cfg, w_max=0.0):
+    """Cycles of G's linear phase (2 gamma Pp - beta2 Delta^2 / 4) z over the fiber, plus
+    those of e^{-i beta2 w z / 4} at w = w_max."""
     rate = (2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
             - 0.25 * cfg.fiber.beta2_ps2_per_m * cfg.Delta_rad_per_ps**2)
-    return abs(rate) * cfg.fiber.length_m / (2.0 * math.pi)
+    return (abs(rate) + 0.25 * abs(cfg.fiber.beta2_ps2_per_m) * w_max) * cfg.fiber.length_m / (
+        2.0 * math.pi)
+
+
+def fiber_rule(cfg, w_max=0.0, floor=_Z_ORDER):
+    """A Gauss-Legendre rule (z, zw) over the fiber: ``floor`` nodes, or 3 per cycle of the
+    phase of Phi(d / 2, -d / 2, z) e^{-2i gamma Pp z} at d^2 <= w_max when that is more."""
+    order = max(floor, 3 * math.ceil(g_phase_cycles(cfg, w_max)))
+    return gauss_legendre(order, -cfg.fiber.length_m, 0.0)
 
 
 def closed_double_sum(cfg, delays):
     """The closed form as a double sum over fiber positions (z1, z2) of
     G(z1) G*(z2) I(z1 - z2; dt), one delay at a time, built only from G = Phi(0, 0, z)
-    e^{-2i gamma Pp z} (up to a constant) and the closed-form kernel I.  Its order is 64,
-    or 3 nodes per cycle of G's phase when that is more: at 34 cycles the 64 x 64 sum
-    is 1.4e-8 off."""
-    order = max(_Z_ORDER, 3 * math.ceil(g_phase_cycles(cfg)))
-    z, zw = gauss_legendre(order, -cfg.fiber.length_m, 0.0)
+    e^{-2i gamma Pp z} (up to a constant) and the closed-form kernel I, on
+    :func:`fiber_rule`: at 34 cycles a 64 x 64 sum is 1.4e-8 off."""
+    z, zw = fiber_rule(cfg)
     spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
     gz = jsa.phi_closed(0.0, 0.0, z, cfg) * np.exp(-1j * spm * z) * zw
     zdiff = (z[:, None] - z[None, :]).ravel()
@@ -244,13 +251,23 @@ def closed_double_sum(cfg, delays):
 def gl_cross_weights(cfg, order):
     """Nodes nu, complex cross weights C = F(s,i) F*(i,s) w_s w_i and the baseline
     sum |F|^2 w_s w_i on a Gauss-Legendre grid of ``order`` nodes per axis over the
-    spectral engines' box: a rule independent of theirs."""
+    spectral engines' box: a rule independent of theirs.  Q sums phi_closed times the
+    SPM phase on :func:`fiber_rule` with a floor of 32 nodes (within 5e-14 of 256 or 8
+    per cycle over the property test's domain), not on the engines' z rule; Phi depends on
+    nu_s + nu_i = s only through its factor e^{-s^2 / (4 sigma_p^2)}, so
+    Q(nu_s, nu_i) = e^{-s^2 / (4 sigma_p^2)} Q(d / 2, -d / 2), d = nu_s - nu_i, and the
+    z sum runs once per distinct |d|."""
     signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
     half = max(hom._nu_halfwidth(signal, cfg), hom._nu_halfwidth(idler, cfg))
     nu, w = gauss_legendre(order, -half, half)
     arms = [hom.filter_amplitude(spec, nu, cfg) for spec in (signal, idler)]
-    f_mat = (jsa._q_factored(nu[:, None] + nu[None, :], (nu[:, None] - nu[None, :]) ** 2, cfg)
-             * np.outer(*arms))
+    d, inverse = np.unique(np.abs(nu[:, None] - nu[None, :]), return_inverse=True)
+    z, zw = fiber_rule(cfg, (2.0 * half) ** 2, floor=32)
+    zw = zw * np.exp(-2j * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W * z)
+    ridge = np.concatenate([jsa.phi_closed(0.5 * d[k:k + 1024, None], -0.5 * d[k:k + 1024, None],
+                                           z, cfg) @ zw for k in range(0, d.size, 1024)])
+    pump = np.exp(-(nu[:, None] + nu[None, :]) ** 2 / (4.0 * cfg.sigma_p_rad_per_ps**2))
+    f_mat = pump * ridge[inverse].reshape(order, order) * np.outer(*arms)
     w2 = np.outer(w, w)
     return nu, f_mat * np.conj(f_mat.T) * w2, float(np.sum(np.abs(f_mat) ** 2 * w2))
 
@@ -488,7 +505,7 @@ class TestErrorEstimate:
 
     def test_unresolvable_axis_raises(self):
         # +-5,000 ps needs a step in nu below pi / 5,000 ps: more than 2,048 intervals
-        with pytest.raises(hom.AccuracyError, match="error estimate .* exceeds tolerance"):
+        with pytest.raises(hom.AccuracyError, match="start order 3072 is past the largest"):
             hom.dip_curve(units.default_config(), "general",
                           delays_ps=np.linspace(-5000.0, 5000.0, 2001))
 
@@ -629,7 +646,7 @@ class TestClosedEngine:
 
     def test_under_resolved_start_doubles_to_converged(self, monkeypatch):
         # 8 lags at 34 cycles of G's phase: the search must double its way to the answer
-        monkeypatch.setattr(hom, "_closed_order", lambda cfg: 8)
+        monkeypatch.setattr(hom, "_nodes_per_cycle", lambda cycles, label: 8)
         cfg = units.build_config(**_LONG_FIBER)
         delays = np.linspace(-20.0, 20.0, 301)
         curve = hom.dip_curve(cfg, "gaussian", delays_ps=delays)
@@ -641,7 +658,7 @@ class TestClosedEngine:
         # (rounding, not truncation): the search stops after one doubling, not at the cap
         orders = []
         lag_tables = hom._lag_tables.__wrapped__
-        monkeypatch.setattr(hom, "_closed_order", lambda cfg: 64)
+        monkeypatch.setattr(hom, "_nodes_per_cycle", lambda cycles, label: 64)
         monkeypatch.setattr(hom, "_lag_tables",
                             lambda cfg, order: orders.append(order) or lag_tables(cfg, order))
         with pytest.raises(hom.AccuracyError, match="error estimate .*kappa.*rounding"):

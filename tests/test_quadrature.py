@@ -119,27 +119,64 @@ def test_settings_validation():
     assert {fld.name for fld in dataclasses.fields(QuadratureSettings)} == {"gl_order"}
 
 
-@pytest.mark.parametrize("coarse_error,message", [
-    (0.0, "start order 192 is past the largest; no order up to 100 passes"),
-    (1e-9, "error estimate 1.000e-09 exceeds tolerance .*; no order up to 100 passes")])
-def test_search_start_past_the_cap_raises_after_its_largest_halving(coarse_error, message):
-    # a start order past the cap is halved under it (96) and evaluated there, and the
-    # search raises either way: with the estimate if it fails, else naming the start
+def test_search_start_past_the_cap_raises_before_any_rule():
+    # a start order past the cap raises before the rule runs: no lower order stands
+    # for it (for nu, the axis is wider than the largest rule's alias-free period)
     orders = []
 
     def rule(n):
         orders.append(n)
-        return (lambda points: np.outer(np.ones(points.size), [0.0, coarse_error])), 1.0, {}
-    with pytest.raises(quadrature.AccuracyError, match=message):
+        return (lambda points: np.zeros((points.size, 2))), 1.0, {}
+    with pytest.raises(quadrature.AccuracyError,
+                       match="toy rule: start order 192 is past the largest, 100$"):
         quadrature._searched(np.linspace(-1.0, 1.0, 5), 192, 100, rule, "toy rule")
-    assert orders == [96]
+    assert orders == []
+
+
+@pytest.mark.parametrize("nan_at", [slice(None), 1], ids=["everywhere", "off-probe"])
+def test_search_fails_on_a_nan_estimate(nan_at):
+    # NaN sums fail at every order, also where only a point between the probe's end
+    # and middle points is NaN
+    orders = []
+
+    def rule(n):
+        orders.append(n)
+
+        def sums(points):
+            values = np.zeros((points.size, 2))
+            if points.size == 5:
+                values[nan_at] = np.nan
+            return values
+        return sums, 1.0, {}
+    with pytest.raises(quadrature.AccuracyError,
+                       match="toy rule: error estimate nan .*; no order up to 100 passes"):
+        quadrature._searched(np.linspace(-1.0, 1.0, 5), 12, 100, rule, "toy rule")
+    assert orders == [12, 24, 48, 96]
+
+
+@pytest.mark.parametrize("cycles", [256.5, math.inf, math.nan])
+def test_start_past_the_gauss_legendre_cap_raises(cycles):
+    # 4 nodes per cycle past _MAX_GL_ORDER, or a cycle count that is not finite
+    with pytest.raises(quadrature.AccuracyError, match="toy rule: .* cycles over the fiber"):
+        jsa._nodes_per_cycle(cycles, "toy rule")
+    assert jsa._nodes_per_cycle(256.0, "toy rule") == quadrature._MAX_GL_ORDER
 
 
 def test_z_rule_past_its_cap_raises():
     # +-1,000 sigma_0 puts H's phase past 1,024 nodes at 4 per cycle: the jsa grid
     # raises rather than return an unresolved H
-    with pytest.raises(quadrature.AccuracyError, match="z rule of H: error estimate"):
+    with pytest.raises(quadrature.AccuracyError, match="z rule of H: .* cycles over the fiber"):
         jsa.jsa_grid(units.default_config(), 5, span=1000.0)
+
+
+@pytest.mark.parametrize("run", [lambda cfg: hom.dip_curve(cfg, "general"),
+                                 lambda cfg: jsa.jsa_grid(cfg, 5)], ids=["general", "jsa_grid"])
+def test_too_many_phase_cycles_raise_in_the_z_rule(run):
+    # 100 W over 20 km: the SPM phase alone turns about 1,150 cycles
+    cfg = units.build_config(**{**units.REFERENCE_PARAMS, "length_m": 20000.0,
+                                "peak_power_W": 100.0})
+    with pytest.raises(quadrature.AccuracyError, match="z rule of H: .* cycles over the fiber"):
+        run(cfg)
 
 
 def _knots(n, kind, rng):

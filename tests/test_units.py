@@ -107,6 +107,19 @@ class TestExperimentConfig:
             units.FilterSpec(fwhm_nm=0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("record,valid", [
+    (units.FiberParams, {"length_m": 300.0, "beta2_ps2_per_m": -1e-4, "gamma_per_W_m": 1.8e-3}),
+    (units.PumpParams, {"lambda_p1_nm": 1555.92, "lambda_p2_nm": 1545.95, "fwhm_nm": 0.8,
+                        "peak_power_W": 0.36}),
+    (units.FilterSpec, {"fwhm_nm": 0.8})], ids=["fiber", "pump", "filter"])
+def test_nonfinite_field_is_named(record, valid, value):
+    record(**valid)
+    for name in valid:
+        with pytest.raises(ValueError, match=f"{record.__name__}.{name} must be finite"):
+            record(**{**valid, name: value})
+
+
 def test_supergaussian_sigma_calibration():
     # power transmission exp(-2 nu^4 / sigma^4) = 1/2 at half the power FWHM
     sigma = units.fwhm_nm_to_sigma_supergaussian(0.8, 1550.92)

@@ -9,10 +9,11 @@ Subcommands::
 
 Configuration comes from a single JSON document with laboratory-unit field
 names; command-line flags override config fields.  Every command writes a
-manifest JSON next to its outputs recording engine, the quadrature that ran and, under
-``config``, the laboratory-unit parameters exactly as the run passed them to
-``build_config`` (plus a ``derived`` block in internal units), so feeding
-that record back through ``--config`` reproduces byte-identical output.
+manifest JSON next to its outputs recording engine, the quadrature that ran,
+under ``derived`` the derived quantities in internal units and, under ``config``,
+the laboratory-unit parameters exactly as the run passed them to ``build_config``,
+so feeding that record back through ``--config`` reproduces byte-identical output.
+A ``dip`` manifest also records the ``metrics`` that the command prints.
 
 Exit codes: 0 success, 1 I/O error, 2 configuration error, 3 numerical error.
 """
@@ -31,10 +32,8 @@ import numpy as np
 
 from . import __version__
 from .fitdata import fit_gaussian_dip, fit_model, fit_result_to_json, ingest_csv
-from .hom import (AnalysisError, dip_curve, dip_metrics, metrics_to_json,
-                  write_curve_csv)
-from .imperfections import (SpatialGeometry, solve_angle_for_overlap,
-                            spatial_overlap)
+from .hom import AnalysisError, dip_curve, dip_metrics, metrics_record, write_curve_csv
+from .imperfections import SpatialGeometry, solve_angle_for_overlap, spatial_overlap
 from .jsa import jsa_grid, write_grid_csv
 from .quadrature import AccuracyError
 from .units import REFERENCE_PARAMS, ExperimentConfig, FilterShape, build_config
@@ -53,8 +52,9 @@ class ConfigError(ValueError):
 
 
 def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, dict[str, Any]]:
-    """The run's configuration and its manifest record: the laboratory-unit
-    parameters exactly as passed to ``build_config``, plus a ``derived`` block."""
+    """The run's configuration and its manifest record: under ``config`` the
+    laboratory-unit parameters exactly as passed to ``build_config``, and under
+    ``derived`` the derived quantities."""
     params: dict[str, Any] = dict(REFERENCE_PARAMS)
     if args.config is not None:
         if not os.path.exists(args.config):
@@ -80,7 +80,7 @@ def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, 
         cfg = build_config(**params)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
-    return cfg, {**params, "derived": {
+    return cfg, {"config": params, "derived": {
         "Omega_rad_per_ps": cfg.Omega_rad_per_ps,
         "Delta_rad_per_ps": cfg.Delta_rad_per_ps,
         "sigma_p_rad_per_ps": cfg.sigma_p_rad_per_ps,
@@ -89,8 +89,8 @@ def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, 
     }}
 
 
-def _write_manifest(out_path: str, command: str, config: dict[str, Any] | None,
-                    extra: dict[str, Any], elapsed_s: float) -> str:
+def _write_manifest(out_path: str, command: str, record: dict[str, Any] | None,
+                    extra: dict[str, Any], elapsed_s: float) -> None:
     manifest = {
         "tool": "homsim",
         "version": __version__,
@@ -98,8 +98,8 @@ def _write_manifest(out_path: str, command: str, config: dict[str, Any] | None,
         "wall_clock_s": elapsed_s,
         "outputs": [out_path] if out_path else [],
     }
-    if config is not None:
-        manifest["config"] = config
+    if record is not None:
+        manifest.update(record)
         # super-Gaussian width calibration: the quartic power transmission
         # exp(-2 nu^4 / sigma^4) reaches 1/2 at half the configured power FWHM
         manifest["supergaussian_calibration"] = "half-power-at-configured-fwhm"
@@ -107,7 +107,6 @@ def _write_manifest(out_path: str, command: str, config: dict[str, Any] | None,
     man_path = os.path.splitext(out_path)[0] + ".manifest.json" if out_path else f"{command}.manifest.json"
     with open(man_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    return man_path
 
 
 def cmd_jsa(args) -> int:
@@ -135,15 +134,16 @@ def cmd_dip(args) -> int:
     cfg, record = _load_config(args, args.filter_mismatch)
     delays = np.round(np.arange(0, int(round(span / step)) + 1) * step + args.delay_min, 12)
     curve = dip_curve(cfg, engine=args.engine, delays_ps=delays)
-    metrics = dip_metrics(curve)
+    metrics = metrics_record(dip_metrics(curve))
     write_curve_csv(curve, args.out)
     _write_manifest(args.out, "dip", record, {
         "engine": args.engine,
         "filter_mismatch": args.filter_mismatch,
         "delay_range_ps": [args.delay_min, args.delay_max, args.delay_step],
         "quadrature": curve.quadrature,
+        "metrics": metrics,
     }, time.perf_counter() - t0)
-    print(metrics_to_json(metrics))
+    print(json.dumps(metrics, indent=2))
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hom import DipMetrics, _outermost, dip_curve
+from .hom import DipMetrics, _outermost, dip_curve, metrics_record
 from .quadrature import _CubicSpline, _slope, _value
 from .units import ExperimentConfig
 
@@ -466,12 +466,7 @@ def fit_result_to_json(result: FitResult,
     if result.model is not None:
         out["model"] = result.model
     if result.derived_metrics is not None:
-        m = result.derived_metrics
-        out["derived_metrics"] = {
-            "visibility": m.visibility,
-            "fwhm_ps": m.fwhm_ps if math.isfinite(m.fwhm_ps) else None,  # null: not bracketed
-            "center_ps": m.center_ps, "baseline": m.baseline, "engine": m.engine,
-        }
+        out["derived_metrics"] = metrics_record(result.derived_metrics)
     if dense_curve is not None:
         out["curve"] = {
             "delay_ps": [float(x) for x in dense_curve[0]],

@@ -31,9 +31,8 @@ its own searched z rule, whose order and estimate their record carries.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -51,7 +50,7 @@ __all__ = [
     "dip_curve",
     "dip_metrics",
     "write_curve_csv",
-    "metrics_to_json",
+    "metrics_record",
 ]
 
 _NU_BOX_SIGMAS = 6.0     # half-width of the spectral engines' nu box, in filter sigmas
@@ -95,6 +94,14 @@ def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> N
         raise ValueError(f"{label} requires identical {shape.value} filters on both arms")
 
 
+def _require_normalizable(baselines, label: str) -> None:
+    """Raise AccuracyError unless every baseline is finite and nonzero: an under-resolved
+    one may be negative, but one that under- or overflowed normalizes nothing."""
+    if not all(b != 0.0 and math.isfinite(b) for b in baselines):
+        raise AccuracyError(f"{label}: baselines {[float(b) for b in baselines]} "
+                            "are not finite and nonzero")
+
+
 @lru_cache(maxsize=32)
 def _spectral_tables(cfg: ExperimentConfig, n: int):
     """Cosine series of the rates on the endpoint trapezoid rule of n intervals in nu,
@@ -127,7 +134,9 @@ def _spectral_tables(cfg: ExperimentConfig, n: int):
             d[1, ::2] += x[sl][even] @ prod[even, ::2]
     h, z_record = _h_values((k * step) ** 2, cfg)
     sums = diag * np.abs(h) ** 2 * np.where(k == 0, 1.0, 2.0)
-    coef = sums[0] / sums[-1].sum(1)[:, None]
+    baselines = sums[-1].sum(1)
+    _require_normalizable(baselines, f"spectral engine at nu order {n}")
+    coef = sums[0] / baselines[:, None]
     coef[np.abs(coef) < 1e-300] = 0.0  # subnormal tails only slow BLAS
     m = math.ceil(math.sqrt(n + 1))  # complex like the phasors: no conversion per call
     packed = np.pad(coef, ((0, 0), (0, -(n + 1) % m))).astype(complex)
@@ -211,6 +220,8 @@ def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
 def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     def rule(n):
         tables = [_lag_tables(cfg, n), _lag_tables(cfg, 3 * n // 4)]
+        _require_normalizable([baseline for _, _, baseline in tables],
+                              f"{label} at lag orders {[n, 3 * n // 4]}")
         kappa = 2.0 * float(np.sum(np.abs(tables[0][0]))) / abs(tables[0][2])
         return (lambda points: _lag_sums(points, tables)), kappa, {"lag_orders": [n, 3 * n // 4]}
     label = "gaussian closed-form engine"
@@ -368,11 +379,10 @@ def write_curve_csv(curve: DipCurve, path) -> None:
     _write_csv(path, ["delay_ps", "rate_normalized"], [curve.delays_ps, curve.rates])
 
 
-def metrics_to_json(metrics: DipMetrics) -> str:
-    return json.dumps({
-        "visibility": metrics.visibility,
-        "fwhm_ps": metrics.fwhm_ps,
-        "center_ps": metrics.center_ps,
-        "engine": metrics.engine,
-        "half_level_crossings": metrics.half_level_crossings,
-    }, indent=2)
+def metrics_record(metrics: DipMetrics) -> dict:
+    """The metrics as a JSON-ready record of all their fields; a FWHM that is not
+    finite (a fit's unbracketed half level) becomes None."""
+    record = asdict(metrics)
+    if not math.isfinite(metrics.fwhm_ps):
+        record["fwhm_ps"] = None
+    return record

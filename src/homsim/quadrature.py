@@ -248,11 +248,13 @@ def _brentq(f: Callable[[float], float], a: float, b: float,
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:        # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                num, den = -fcur * (xcur - xpre), fcur - fpre
             else:                   # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # a denominator that underflowed to 0 makes scipy's C step infinite: it bisects
+            stry = num / den if den != 0 else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

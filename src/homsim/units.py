@@ -4,7 +4,9 @@ Laboratory inputs (nm, W, m, ps^2/km) are converted once into the internal
 unit system: angular frequency in rad/ps, time in ps, length in m, power
 in W.  In these units the dimensionless products beta2*z*sigma^2 that drive
 all the dispersion phases stay O(1), so nothing over- or underflows.  The
-parameter records reject any non-finite number field with a ValueError naming it.
+parameter records reject any non-finite number field with a ValueError naming it,
+and ExperimentConfig rejects a derived rate (Omega, Delta, each sigma) whose
+magnitude lies outside [1e-75, 1e75] rad/ps.
 """
 
 from __future__ import annotations
@@ -136,6 +138,15 @@ class FilterSpec:
             raise ValueError("idler filter cannot itself carry an idler override")
 
 
+def _representable(name: str, rate: float) -> float:
+    """A derived rate whose magnitude lies in [1e-75, 1e75] rad/ps (NaN fails), where the
+    engines' powers of it, up to the 4th, and the center wavelength's square stay normal."""
+    if not 1e-75 <= abs(rate) <= 1e75:
+        raise ValueError(f"derived {name} = {rate:.3g} is outside [1e-75, 1e75] in "
+                         "magnitude: the config cannot be represented")
+    return rate
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """All physical parameters plus cached derived quantities in internal units."""
@@ -154,16 +165,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         w1 = wavelength_to_angular_frequency(self.pumps.lambda_p1_nm)
         w2 = wavelength_to_angular_frequency(self.pumps.lambda_p2_nm)
-        omega = 0.5 * (w1 + w2)  # energy conservation for the degenerate pair
+        # energy conservation for the degenerate pair; checked before the center is formed
+        omega = _representable("Omega_rad_per_ps", 0.5 * (w1 + w2))
         center = 2.0 * math.pi * C_NM_PER_PS / omega
         object.__setattr__(self, "Omega_rad_per_ps", omega)
-        object.__setattr__(self, "Delta_rad_per_ps", w2 - w1)
+        object.__setattr__(self, "Delta_rad_per_ps", _representable("Delta_rad_per_ps", w2 - w1))
         object.__setattr__(self, "center_lambda_nm", center)
         # Both pump spectra and the filters are converted at the signal/idler
         # center; the sub-percent error from the pumps' own centers is accepted.
         for name, fwhm_nm in (("sigma_p_rad_per_ps", self.pumps.fwhm_nm),
                               ("sigma_0_rad_per_ps", self.filter.fwhm_nm)):
-            object.__setattr__(self, name, fwhm_nm_to_sigma(fwhm_nm, center))
+            object.__setattr__(self, name, _representable(name, fwhm_nm_to_sigma(fwhm_nm, center)))
+        if self.filter.idler is not None:
+            _representable("idler sigma_rad_per_ps", self.sigma_for(self.filter.idler))
 
     def sigma_for(self, spec: FilterSpec) -> float:
         """Gaussian-stage sigma for an arbitrary filter spec at this config's center."""

@@ -104,12 +104,17 @@ class TestDipCommand:
         assert metrics["visibility"] == pytest.approx(1.0, abs=1e-3)
         assert metrics["fwhm_ps"] == pytest.approx(6.4, abs=0.3)
 
-    def test_manifest_records_engine_and_quadrature(self, tmp_path):
+    def test_manifest_records_engine_and_quadrature(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         assert run(["dip", "--engine", "gaussian", "--delay-step", "1.0",
                     "--out", str(out)]) == 0
         man = json.loads((tmp_path / "curve.manifest.json").read_text())
         assert man["engine"] == "gaussian"
+        # the printed metrics, baseline included, and the derived rates beside the config
+        assert man["metrics"] == json.loads(capsys.readouterr().out)
+        assert man["metrics"]["baseline"] == 1.0
+        assert "derived" not in man["config"]
+        assert man["derived"]["Omega_rad_per_ps"] == units.default_config().Omega_rad_per_ps
         assert man["supergaussian_calibration"] == "half-power-at-configured-fwhm"
         quad = man["quadrature"]
         assert quad["lag_orders"] == [8, 6] and quad["kappa"] >= 1.0
@@ -217,12 +222,16 @@ class TestDipCommand:
         self._bad_delay_axis(tmp_path, capsys, flags)
 
 
-@pytest.mark.parametrize("flag", [cli._flag(k) for k in units.REFERENCE_PARAMS
-                                  if k != "filter_shape"])
-@pytest.mark.parametrize("command", [["dip", "--engine", "gaussian"],
-                                     ["dip", "--engine", "general"],
-                                     ["jsa", "--n", "5"], ["fit", "--mode", "model"]],
-                         ids=["dip-gaussian", "dip-general", "jsa", "fit-model"])
+FLOAT_CONFIG_FLAGS = pytest.mark.parametrize(
+    "flag", [cli._flag(k) for k in units.REFERENCE_PARAMS if k != "filter_shape"])
+COMMANDS = {"dip-gaussian": ["dip", "--engine", "gaussian"],
+            "dip-general": ["dip", "--engine", "general"],
+            "jsa": ["jsa", "--n", "5"], "fit-model": ["fit", "--mode", "model"]}
+CONFIG_COMMANDS = pytest.mark.parametrize("command", list(COMMANDS.values()), ids=list(COMMANDS))
+
+
+@FLOAT_CONFIG_FLAGS
+@CONFIG_COMMANDS
 def test_nonfinite_config_flag_exits_2(tmp_path, capsys, dip_data_file, command, flag):
     # every float config flag is checked where the config is built, before any engine
     # runs; an exception that escapes main fails the test
@@ -232,6 +241,37 @@ def test_nonfinite_config_flag_exits_2(tmp_path, capsys, dip_data_file, command,
         assert run([*command, *data, flag, value, "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+# (command, flag, value) of the extreme finite inputs that once raised out of main:
+# a derived rate that overflowed or vanished, a closed-engine baseline that underflowed
+# to 0, and a Brent step whose denominator underflowed
+ONCE_RAISED = {
+    *((c, f, "1e-300") for c in ("dip-gaussian", "dip-general", "jsa", "fit-model")
+      for f in ("--lambda-p1-nm", "--lambda-p2-nm")),
+    *((c, "--pump-fwhm-nm", "1e300") for c in ("dip-gaussian", "jsa", "fit-model")),
+    *((c, "--filter-fwhm-nm", "1e300") for c in ("dip-gaussian", "fit-model")),
+    ("jsa", "--pump-fwhm-nm", "1e-300"),
+    *((c, "--length-m", "1e-300") for c in ("dip-gaussian", "fit-model")),
+    ("dip-gaussian", "--filter-fwhm-nm", "1e-30"),
+}
+
+
+@FLOAT_CONFIG_FLAGS
+@pytest.mark.parametrize("name", COMMANDS)
+def test_extreme_finite_config_flag_exits_cleanly(tmp_path, capsys, dip_data_file, name, flag):
+    # a finite config whose derived rates cannot be represented is rejected (exit 2) and
+    # one the rules cannot resolve fails as a numerical error (exit 3), each with a
+    # one-line message; an exception that escapes main fails the test
+    command = COMMANDS[name]
+    data = ["--data", str(dip_data_file)] if command[0] == "fit" else []
+    for value in ("1e-300", "1e300", "-1e300", "1e-30", "1e30"):
+        code = run([*command, *data, f"{flag}={value}", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert code == 0 or len(err.splitlines()) == 1
+        if (name, flag, value) in ONCE_RAISED:
+            assert code in (2, 3)
 
 
 class TestManifestRoundTrip:
@@ -246,7 +286,6 @@ class TestManifestRoundTrip:
         first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
         assert run(options + config_flags + ["--out", str(first)]) == 0
         config = json.loads((tmp_path / "first.manifest.json").read_text())["config"]
-        del config["derived"]
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config))
         assert run(options + ["--config", str(cfgfile), "--out", str(replay)]) == 0
@@ -320,6 +359,10 @@ class TestFitCommand:
         assert set(doc["std_errors"]) == set(doc["params"])
         assert doc["dof"] == 301 - (3 if mode == "model" else 4)
         assert doc["reduced_chi2"] == doc["residual_norm"] / doc["dof"]
+        # the DipMetrics record the dip command prints; a fit counts no crossings
+        assert list(doc["derived_metrics"]) == ["visibility", "fwhm_ps", "center_ps",
+                                                "baseline", "engine", "half_level_crossings"]
+        assert doc["derived_metrics"]["half_level_crossings"] is None
         if mode == "gaussian-dip":
             # no engine runs in this mode, so the manifest names none
             assert "model" not in doc and "model" not in man and "engine" not in man

@@ -804,10 +804,12 @@ class TestCurveIO:
     def test_metrics_json(self, cfg):
         import json
         metrics = hom.dip_metrics(hom.dip_curve(cfg, "gaussian"))
-        doc = json.loads(hom.metrics_to_json(metrics))
+        doc = json.loads(json.dumps(hom.metrics_record(metrics), allow_nan=False))
         assert doc == {"visibility": metrics.visibility, "fwhm_ps": metrics.fwhm_ps,
-                       "center_ps": metrics.center_ps, "engine": "gaussian",
+                       "center_ps": metrics.center_ps, "baseline": 1.0, "engine": "gaussian",
                        "half_level_crossings": [1, 1]}
+        unbracketed = hom.metrics_record(replace(metrics, fwhm_ps=math.nan))
+        assert unbracketed["fwhm_ps"] is None
 
 
 class TestValidation:

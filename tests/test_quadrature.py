@@ -240,6 +240,17 @@ def test_brentq_matches_scipy_on_general_dip():
         assert _brentq(f, a, b, xtol=1e-15) == optimize.brentq(f, a, b, xtol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-120, 1e-150, 1e-200, 1e-300])
+def test_brentq_matches_scipy_on_tiny_values(scale):
+    # from 1e-120 down, the inverse-quadratic denominator underflows to 0: scipy's C
+    # step is then infinite and it bisects
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def f(x):
+        return scale * (x + 0.03 + 5 * x**3)
+    assert _brentq(f, -0.1, 0.1) == optimize.brentq(f, -0.1, 0.1)
+
+
 def test_brentq_rejects_unbracketed_and_nan():
     assert _brentq(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0), abs=2e-12)
     assert _brentq(lambda x: x, 0.0, 1.0) == 0.0

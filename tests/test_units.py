@@ -120,6 +120,30 @@ def test_nonfinite_field_is_named(record, valid, value):
             record(**{**valid, name: value})
 
 
+@pytest.mark.parametrize("change,rate", [
+    ({"lambda_p1_nm": 1e-300}, "Omega_rad_per_ps"),
+    ({"lambda_p2_nm": 1e300, "lambda_p1_nm": 2e300}, "Omega_rad_per_ps"),
+    ({"lambda_p1_nm": 1.8e81, "lambda_p2_nm": 1e81}, "Delta_rad_per_ps"),  # Omega 1.5e-75
+    ({"pump_fwhm_nm": 1e300}, "sigma_p_rad_per_ps"),
+    ({"pump_fwhm_nm": 1e-300}, "sigma_p_rad_per_ps"),
+    ({"filter_fwhm_nm": 1e300}, "sigma_0_rad_per_ps"),
+    ({"filter_fwhm_nm": 1e-80}, "sigma_0_rad_per_ps"),
+    ({"idler_filter_fwhm_nm": 1e300}, "idler sigma_rad_per_ps"),
+])
+def test_unrepresentable_derived_rate_is_named(change, rate):
+    # finite inputs whose derived rates would over- or underflow in the engines
+    with pytest.raises(ValueError, match=f"derived {rate} = .* cannot be represented"):
+        units.build_config(**{**units.REFERENCE_PARAMS, **change})
+
+
+def test_derived_rate_bounds_are_inclusive():
+    lo, hi = 1e-75, 1e75
+    assert units._representable("r", lo) == lo and units._representable("r", -hi) == -hi
+    for bad in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), 0.0, math.nan):
+        with pytest.raises(ValueError, match="derived r"):
+            units._representable("r", bad)
+
+
 def test_supergaussian_sigma_calibration():
     # power transmission exp(-2 nu^4 / sigma^4) = 1/2 at half the power FWHM
     sigma = units.fwhm_nm_to_sigma_supergaussian(0.8, 1550.92)

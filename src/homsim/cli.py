@@ -8,14 +8,18 @@ Subcommands::
     homsim overlap --target 0.943 --d-mm 5 --lambda-nm 1550
 
 Configuration comes from a single JSON document with laboratory-unit field
-names; command-line flags override config fields.  Every command writes a
-manifest JSON next to its outputs recording engine, the quadrature that ran,
-under ``derived`` the derived quantities in internal units and, under ``config``,
-the laboratory-unit parameters exactly as the run passed them to ``build_config``,
-so feeding that record back through ``--config`` reproduces byte-identical output.
-A ``dip`` manifest also records the ``metrics`` that the command prints.
+names; command-line flags override config fields, and a negative value may be
+written with an exponent (``-1.16e-1``).  Each ``cmd_*`` writes its outputs;
+:func:`main` then writes a manifest JSON next to them and prints only after it.
+The manifest records the engine, the quadrature that ran, under ``derived`` the
+derived quantities in internal units and, under ``config``, the laboratory-unit
+parameters exactly as the run passed them to ``build_config``, so feeding that
+record back through ``--config`` reproduces byte-identical output.  A ``dip``
+manifest also records the ``metrics`` that the command prints, and every one its
+``wall_clock_s``, from after argument parsing to the outputs being written.
 
-Exit codes: 0 success, 1 I/O error, 2 configuration error, 3 numerical error.
+Exit codes: 0 success, 1 I/O error, 2 configuration error, 3 numerical error;
+a failing command writes one stderr line and no manifest or stdout.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from typing import Any
@@ -31,7 +36,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .fitdata import fit_gaussian_dip, fit_model, fit_result_to_json, ingest_csv
+from .fitdata import fit_gaussian_dip, fit_model, fit_result_to_json, gaussian_dip, ingest_csv
 from .hom import AnalysisError, dip_curve, dip_metrics, metrics_record, write_curve_csv
 from .imperfections import SpatialGeometry, solve_angle_for_overlap, spatial_overlap
 from .jsa import jsa_grid, write_grid_csv
@@ -46,9 +51,8 @@ EXIT_NUMERIC = 3
 # the reference parameters have command-line flags; the rest are config-only
 _CONFIG_FIELDS = set(REFERENCE_PARAMS) | {"idler_filter_fwhm_nm", "idler_filter_shape"}
 
-
-class ConfigError(ValueError):
-    pass
+# argparse's own pattern misses exponents and -inf, and would take `-1.16e-1` for an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.I)
 
 
 def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, dict[str, Any]]:
@@ -58,17 +62,17 @@ def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, 
     params: dict[str, Any] = dict(REFERENCE_PARAMS)
     if args.config is not None:
         if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
+            raise ValueError(f"config file not found: {args.config}")
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
+            raise ValueError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(doc) - _CONFIG_FIELDS
         if unknown:
-            raise ConfigError(f"unknown config fields in {args.config}: {sorted(unknown)}")
+            raise ValueError(f"unknown config fields in {args.config}: {sorted(unknown)}")
         params.update(doc)
     params.update({k: v for k in REFERENCE_PARAMS if (v := getattr(args, k)) is not None})
     try:
@@ -79,8 +83,11 @@ def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, 
             params["idler_filter_fwhm_nm"] = params["filter_fwhm_nm"] * (1.0 + filter_mismatch)
         cfg = build_config(**params)
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from None
-    return cfg, {"config": params, "derived": {
+        raise ValueError(f"invalid configuration: {exc}") from None
+    # super-Gaussian width calibration: the quartic power transmission
+    # exp(-2 nu^4 / sigma^4) reaches 1/2 at half the configured power FWHM
+    return cfg, {"config": params, "supergaussian_calibration": "half-power-at-configured-fwhm",
+                 "derived": {
         "Omega_rad_per_ps": cfg.Omega_rad_per_ps,
         "Delta_rad_per_ps": cfg.Delta_rad_per_ps,
         "sigma_p_rad_per_ps": cfg.sigma_p_rad_per_ps,
@@ -89,80 +96,49 @@ def _load_config(args, filter_mismatch: float = 0.0) -> tuple[ExperimentConfig, 
     }}
 
 
-def _write_manifest(out_path: str, command: str, record: dict[str, Any] | None,
-                    extra: dict[str, Any], elapsed_s: float) -> None:
-    manifest = {
-        "tool": "homsim",
-        "version": __version__,
-        "command": command,
-        "wall_clock_s": elapsed_s,
-        "outputs": [out_path] if out_path else [],
-    }
-    if record is not None:
-        manifest.update(record)
-        # super-Gaussian width calibration: the quartic power transmission
-        # exp(-2 nu^4 / sigma^4) reaches 1/2 at half the configured power FWHM
-        manifest["supergaussian_calibration"] = "half-power-at-configured-fwhm"
-    manifest.update(extra)
-    man_path = os.path.splitext(out_path)[0] + ".manifest.json" if out_path else f"{command}.manifest.json"
-    with open(man_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def cmd_jsa(args) -> int:
-    t0 = time.perf_counter()
+# each cmd_* writes its outputs, then returns (out path, record, manifest fields, stdout)
+def cmd_jsa(args):
     cfg, record = _load_config(args)
     try:
         grid = jsa_grid(cfg, n_points=args.n, span=args.span)
     except ValueError as exc:
-        raise ConfigError(f"--n {args.n} --span {args.span}: {exc}") from None
+        raise ValueError(f"--n {args.n} --span {args.span}: {exc}") from None
     write_grid_csv(grid, args.out)
-    _write_manifest(args.out, "jsa", record,
-                    {"grid": {"n_points": args.n, "span_sigma0": args.span},
-                     "quadrature": grid.quadrature},
-                    time.perf_counter() - t0)
-    print(f"wrote {args.n * args.n} grid samples to {args.out}")
-    return EXIT_OK
+    extra = {"grid": {"n_points": args.n, "span_sigma0": args.span}, "quadrature": grid.quadrature}
+    return args.out, record, extra, f"wrote {args.n * args.n} grid samples to {args.out}"
 
 
-def cmd_dip(args) -> int:
-    t0 = time.perf_counter()
+def cmd_dip(args):
     span, step = args.delay_max - args.delay_min, args.delay_step
     # a finite count of finite steps over a positive span; rejects infinite or NaN bounds
     if not (span > 0 and step > 0 and math.isfinite(step) and math.isfinite(span / step)):
-        raise ConfigError("need finite delays, --delay-step > 0 and --delay-max > --delay-min")
+        raise ValueError("need finite delays, --delay-step > 0 and --delay-max > --delay-min")
     cfg, record = _load_config(args, args.filter_mismatch)
     delays = np.round(np.arange(0, int(round(span / step)) + 1) * step + args.delay_min, 12)
     curve = dip_curve(cfg, engine=args.engine, delays_ps=delays)
     metrics = metrics_record(dip_metrics(curve))
     write_curve_csv(curve, args.out)
-    _write_manifest(args.out, "dip", record, {
-        "engine": args.engine,
-        "filter_mismatch": args.filter_mismatch,
-        "delay_range_ps": [args.delay_min, args.delay_max, args.delay_step],
-        "quadrature": curve.quadrature,
-        "metrics": metrics,
-    }, time.perf_counter() - t0)
-    print(json.dumps(metrics, indent=2))
-    return EXIT_OK
+    extra = {"engine": args.engine, "filter_mismatch": args.filter_mismatch,
+             "delay_range_ps": [args.delay_min, args.delay_max, args.delay_step],
+             "quadrature": curve.quadrature, "metrics": metrics}
+    return args.out, record, extra, json.dumps(metrics, indent=2)
 
 
-def cmd_fit(args) -> int:
-    t0 = time.perf_counter()
+def cmd_fit(args):
     if args.mode == "gaussian-dip":  # runs no engine, so it takes no engine or config
         given = [_flag(k) for k in ("config", "engine", *REFERENCE_PARAMS)
                  if getattr(args, k) is not None]
         if given:
-            raise ConfigError(f"--mode gaussian-dip does not take {', '.join(given)}")
+            raise ValueError(f"--mode gaussian-dip does not take {', '.join(given)}")
     data = ingest_csv(args.data)
-    record = dense_curve = None
+    record, dense_curve = {}, None
     extra = {"mode": args.mode, "data": args.data}
     if args.mode == "gaussian-dip":
         result = fit_gaussian_dip(data)
         p = result.params
         dense = np.linspace(data.delays_ps[0], data.delays_ps[-1], 501)
-        dense_curve = (dense, p["baseline"] * (1.0 - p["visibility"] * np.exp(
-            -((dense - p["center_ps"]) ** 2) / (2.0 * p["width_ps"] ** 2))))
+        dense_curve = (dense, gaussian_dip(dense, p["baseline"], p["visibility"],
+                                           p["center_ps"], p["width_ps"])[0])
     else:
         cfg, record = _load_config(args)
         engine = args.engine or "gaussian"
@@ -171,22 +147,18 @@ def cmd_fit(args) -> int:
     text = fit_result_to_json(result, dense_curve=dense_curve)  # before the file is opened
     with open(args.out, "w") as fh:
         fh.write(text)
-    _write_manifest(args.out, "fit", record, extra, time.perf_counter() - t0)
     m = json.loads(text)["derived_metrics"]  # as written: an unbracketed FWHM is null
-    print(json.dumps({"visibility": m["visibility"], "fwhm_ps": m["fwhm_ps"],
-                      "converged": result.converged}, indent=2, allow_nan=False))
-    return EXIT_OK
+    return args.out, record, extra, json.dumps(
+        {"visibility": m["visibility"], "fwhm_ps": m["fwhm_ps"], "converged": result.converged},
+        indent=2, allow_nan=False)
 
 
-def cmd_overlap(args) -> int:
-    t0 = time.perf_counter()
-    d = args.d_mm * 1e-3
-    lam = args.lambda_nm * 1e-9
+def cmd_overlap(args):
+    d, lam = args.d_mm * 1e-3, args.lambda_nm * 1e-9
     if (args.target is None) == (args.theta_urad is None):
-        raise ConfigError("overlap: provide exactly one of --target and --theta-urad")
+        raise ValueError("overlap: provide exactly one of --target and --theta-urad")
     if args.theta_urad is not None:
-        theta = args.theta_urad * 1e-6
-        overlap = spatial_overlap(SpatialGeometry(d, lam, theta))
+        overlap = spatial_overlap(SpatialGeometry(d, lam, args.theta_urad * 1e-6))
         out = {"theta_urad": args.theta_urad, "overlap": overlap}
     else:
         theta = solve_angle_for_overlap(args.target, d, lam)
@@ -196,11 +168,8 @@ def cmd_overlap(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(out, fh, indent=2)
-    _write_manifest(args.out or "", "overlap", None, {"result": out, "d_mm": args.d_mm,
-                                                      "lambda_nm": args.lambda_nm},
-                    time.perf_counter() - t0)
-    print(json.dumps(out, indent=2))
-    return EXIT_OK
+    extra = {"result": out, "d_mm": args.d_mm, "lambda_nm": args.lambda_nm}
+    return args.out or "", {}, extra, json.dumps(out, indent=2)
 
 
 def _flag(name: str) -> str:
@@ -264,14 +233,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_overlap)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: its outputs, then the manifest, then stdout."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        out_path, record, extra, text = args.func(args)
+        manifest = {"tool": "homsim", "version": __version__, "command": args.command,
+                    "wall_clock_s": time.perf_counter() - t0,
+                    "outputs": [out_path] if out_path else [], **record, **extra}
+        stem = os.path.splitext(out_path)[0] if out_path else args.command
+        with open(stem + ".manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+        print(text)
+        return EXIT_OK
     except (AccuracyError, AnalysisError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

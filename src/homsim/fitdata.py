@@ -2,8 +2,8 @@
 
 Two fit families:
 
-* :func:`fit_gaussian_dip` -- the phenomenological model
-  c(dt) = B [1 - V exp(-(dt - tc)^2 / (2 w^2))] with an analytic Jacobian.
+* :func:`fit_gaussian_dip` -- the phenomenological model :func:`gaussian_dip`,
+  c(dt) = B [1 - V exp(-(dt - tc)^2 / (2 w^2))], with an analytic Jacobian.
 * :func:`fit_model` -- a physics engine curve with nuisance parameters
   (baseline, center, depth scale).  The engine rate is interpolated by a
   spline on a grid symmetric about zero, sized by the scan span and cached per
@@ -52,6 +52,7 @@ __all__ = [
     "ParseError",
     "InsufficientDataError",
     "ingest_csv",
+    "gaussian_dip",
     "fit_gaussian_dip",
     "fit_model",
     "fit_result_to_json",
@@ -287,6 +288,13 @@ def _initial_dip_guess(d: np.ndarray, c: np.ndarray):
     return baseline, vis, center, max(width, 1e-3)
 
 
+def gaussian_dip(delays_ps: np.ndarray, baseline, visibility, center_ps, width_ps):
+    """B [1 - V exp(-(t - tc)^2/(2 w^2))] at delays t, and the exp and t - tc for a Jacobian."""
+    dt = delays_ps - center_ps
+    e = np.exp(-(dt ** 2) / (2.0 * width_ps**2))
+    return baseline * (1.0 - visibility * e), e, dt
+
+
 def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
     """Fit c(dt) = B [1 - V exp(-(dt - tc)^2/(2 w^2))] by damped least squares.
 
@@ -299,14 +307,12 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
 
     def evaluate(p: np.ndarray):
         b, v, tc, w = p
-        dt = d - tc
-        e = np.exp(-(dt ** 2) / (2.0 * w**2))
-        shape = 1.0 - v * e
-        r = (b * shape - c) * wgt
+        model, e, dt = gaussian_dip(d, b, v, tc, w)
+        r = (model - c) * wgt
 
         def jacobian() -> np.ndarray:
             j = np.empty((d.size, 4))
-            j[:, 0] = shape
+            j[:, 0] = 1.0 - v * e
             j[:, 1] = -b * e
             j[:, 2] = -b * v * e * dt / w**2
             j[:, 3] = -b * v * e * dt ** 2 / w**3

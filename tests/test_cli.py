@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from homsim import cli, jsa, units
+from homsim import cli, fitdata, jsa, units
 
 
 def run(args):
@@ -444,3 +444,146 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+class TestNegativeNumbers:
+    # argparse once read a negative value with an exponent as an option and exited 2
+    # with "expected one argument"; only the --flag=value form worked
+    @pytest.mark.parametrize("spaced,reference", [
+        (["--beta2-ps2-per-km", "-1.16e-1"], ["--beta2-ps2-per-km=-1.16e-1"]),
+        (["--delay-min", "-1.5e1", "--delay-max", "1.5e1"], []),
+    ], ids=["beta2", "delay-range"])
+    def test_spaced_exponent_form_writes_identical_bytes(self, tmp_path, capsys,
+                                                         spaced, reference):
+        outputs = []
+        for flags, name in ((spaced, "spaced"), (reference, "reference")):
+            assert run(["dip", *flags, "--out", str(tmp_path / f"{name}.csv")]) == 0
+            man = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            del man["wall_clock_s"], man["outputs"]
+            outputs.append(((tmp_path / f"{name}.csv").read_bytes(), man,
+                            capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flags,message", [
+        (["dip", "--delay-min", "-inf"], "need finite delays"),
+        (["dip", "--delay-step", "-.5e-2"], "need finite delays"),
+        (["jsa", "--span", "-.5e-2"], "--span"),
+    ])
+    def test_negative_value_reaches_the_command_check(self, tmp_path, capsys, flags, message):
+        assert run([*flags, "--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_option_after_flag_is_still_a_missing_value(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["dip", "--delay-min", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_dense_fit_curve_is_the_fitted_model(tmp_path, dip_data_file):
+    # the Gaussian-dip fit and its dense curve evaluate one function, bit for bit
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--data", str(dip_data_file), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    p = doc["params"]
+    delays = np.array(doc["curve"]["delay_ps"])
+    model = fitdata.gaussian_dip(delays, p["baseline"], p["visibility"],
+                                 p["center_ps"], p["width_ps"])[0]
+    assert doc["curve"]["value"] == model.tolist()
+
+
+# every subcommand, with the manifest it writes when it succeeds (from the working directory)
+SUCCEEDING = {
+    "jsa": (["jsa", "--n", "5", "--out", "out.csv"], "out.manifest.json"),
+    "dip": (["dip", "--delay-step", "0.5", "--out", "out.csv"], "out.manifest.json"),
+    "fit-model": (["fit", "--mode", "model", "--data", "counts.csv", "--out", "out.json"],
+                  "out.manifest.json"),
+    "fit-gaussian-dip": (["fit", "--mode", "gaussian-dip", "--data", "counts.csv",
+                          "--out", "out.json"], "out.manifest.json"),
+    "overlap": (["overlap", "--target", "0.9"], "overlap.manifest.json"),
+    "overlap-out": (["overlap", "--target", "0.9", "--out", "out.json"], "out.manifest.json"),
+}
+
+# every subcommand failing as a configuration (2) or numerical (3) error
+FAILING = {
+    "jsa": (["jsa", "--span", "-1", "--out", "out.csv"], 2),
+    "dip-config": (["dip", "--engine", "supergaussian", "--out", "out.csv"], 2),
+    "dip-numerical": (["dip", "--delay-min", "-2", "--delay-max", "2", "--out", "out.csv"], 3),
+    "fit-model-config": (["fit", "--mode", "model", "--data", "counts.csv",
+                          "--length-m", "nan", "--out", "out.json"], 2),
+    "fit-model-numerical": (["fit", "--mode", "model", "--data", "counts.csv",
+                             "--filter-fwhm-nm=1e30", "--out", "out.json"], 3),
+    "fit-gaussian-dip": (["fit", "--mode", "gaussian-dip", "--data", "counts.csv",
+                          "--engine", "general", "--out", "out.json"], 2),
+    "overlap": (["overlap", "--target", "1.5"], 2),
+    "overlap-out": (["overlap", "--target", "1.5", "--out", "out.json"], 2),
+}
+
+
+class TestOneProtocol:
+    # main alone writes the manifest, and only after the command's outputs;
+    # stdout comes after the manifest, so a failure at any step prints nothing
+    @pytest.fixture(autouse=True)
+    def _scratch_cwd(self, tmp_path, monkeypatch, dip_data_file):
+        monkeypatch.chdir(tmp_path)  # where dip_data_file wrote counts.csv
+
+    @pytest.mark.parametrize("name", SUCCEEDING)
+    def test_unwritable_manifest_exits_1_and_prints_nothing(self, tmp_path, capsys, name):
+        argv, manifest = SUCCEEDING[name]
+        (tmp_path / manifest).mkdir()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("I/O error: ")
+
+    @pytest.mark.parametrize("name", SUCCEEDING)
+    def test_success_writes_manifest_then_prints(self, tmp_path, capsys, name):
+        argv, manifest = SUCCEEDING[name]
+        assert run(argv) == 0
+        man = json.loads((tmp_path / manifest).read_text())
+        assert man["command"] == argv[0] and man["wall_clock_s"] > 0.0
+        assert capsys.readouterr().out.endswith("\n")
+
+    @pytest.mark.parametrize("name", FAILING)
+    def test_failure_leaves_no_manifest(self, tmp_path, capsys, name):
+        argv, code = FAILING[name]
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert list(tmp_path.glob("*.manifest.json")) == []
+
+
+# the library functions the traced benchmark wraps on the cli module for its per-layer
+# spans, and a subcommand that calls each; cli must look them up there at call time
+TRACED = {
+    "jsa_grid": ["jsa", "--n", "5"],
+    "write_grid_csv": ["jsa", "--n", "5"],
+    "dip_curve": ["dip", "--delay-step", "0.5"],
+    "dip_metrics": ["dip", "--delay-step", "0.5"],
+    "write_curve_csv": ["dip", "--delay-step", "0.5"],
+    "ingest_csv": ["fit", "--mode", "model"],
+    "fit_model": ["fit", "--mode", "model"],
+    "fit_gaussian_dip": ["fit", "--mode", "gaussian-dip"],
+    "solve_angle_for_overlap": ["overlap", "--target", "0.9"],
+}
+
+
+@pytest.mark.parametrize("attr", TRACED)
+def test_traced_library_calls_go_through_the_cli_module(tmp_path, monkeypatch, dip_data_file,
+                                                        attr):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    original = getattr(cli, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, attr, counting)
+    argv = TRACED[attr]
+    data = ["--data", str(dip_data_file)] if argv[0] == "fit" else []
+    assert run([*argv, *data, "--out", str(tmp_path / "out.x")]) == 0
+    assert calls == [attr]

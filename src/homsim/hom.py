@@ -6,7 +6,9 @@ enters only through the last factor, so each engine caches its tables per
 configuration and maps a whole array of delays to rates in one call:
 
 * ``general``       -- spectral double sum on a uniform (ns, ni) trapezoid grid
-                       over a 6-sigma box, any filter shape, Q from the kernel of
+                       over a box of 6 sigma for a Gaussian filter, 6 sigma_sg / 2.4
+                       for a quartic one and the tighter of those two stages for a
+                       cascade (at least 2 sigma_p), any filter shape, Q from the kernel of
                        :mod:`homsim.jsa`: one cosine series in (ni - ns) dt, its
                        order doubled from ``settings.gl_order`` (default 96) until
                        the series' period covers twice the largest |dt|, then
@@ -21,8 +23,9 @@ configuration and maps a whole array of delays to rates in one call:
 
 Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` is folded into the configuration
-first.  Delays run in chunks of bounded size.  Rates are normalized to a
-large-delay baseline of 1.  Every engine doubles its order by
+first.  R is even in dt, so every engine runs once per distinct |dt| of the axis
+and the rates are exactly even; delays run in chunks of bounded size.  Rates are
+normalized to a large-delay baseline of 1.  Every engine doubles its order by
 ``quadrature._searched`` until an embedded error estimate meets _ABS_TOL = 1e-12
 plus 10 kappa eps (kappa: the cancellation of its sum), and checks each rate's
 sign against _ABS_TOL before clamping at zero.  The spectral engines' H runs
@@ -75,12 +78,15 @@ def filter_amplitude(spec: FilterSpec, nu, cfg: ExperimentConfig):
 
 
 def _nu_halfwidth(spec: FilterSpec, cfg: ExperimentConfig) -> float:
-    """Truncation half-width covering both the filter and pump supports."""
-    if spec.shape is FilterShape.SUPERGAUSSIAN4:
-        # quartic tails die much faster; 6/2.4 sigma already reaches e^-150
-        scale = cfg.sigma_sg_for(spec) / 2.4
-    else:  # Gaussian, or the Gaussian stage of a cascade
+    """Truncation half-width covering both the filter and pump supports: at its edge a
+    Gaussian amplitude is e^-18 (6 sigma) and a quartic one e^-39 (6 sigma_sg / 2.4).  A
+    cascade's amplitude is at most either stage's, so the tighter stage sets its box."""
+    if spec.shape is FilterShape.GAUSSIAN:
         scale = cfg.sigma_for(spec)
+    elif spec.shape is FilterShape.SUPERGAUSSIAN4:
+        scale = cfg.sigma_sg_for(spec) / 2.4
+    else:  # cascade
+        scale = min(cfg.sigma_for(spec), cfg.sigma_sg_for(spec) / 2.4)
     return _NU_BOX_SIGMAS * max(scale, cfg.sigma_p_rad_per_ps / 3.0)
 
 
@@ -115,21 +121,25 @@ def _spectral_tables(cfg: ExperimentConfig, n: int):
     k = np.arange(n + 1)
     fs, fi = (filter_amplitude(spec, (k - n / 2) * step, cfg) for spec in (signal, idler))
     w = np.where((k == 0) | (k == n), 0.5, 1.0)  # step and pi sigma_p^2 cancel
-
-    def window(v):  # [s, m] = v[s + m], 0 past the end
-        return np.lib.stride_tricks.sliding_window_view(np.concatenate([v, np.zeros(n)]), n + 1)
-    pump = window(np.exp(-((np.arange(2 * n + 1) - n) * step) ** 2
-                         / (2.0 * cfg.sigma_p_rad_per_ps**2)))[::2]  # [s, m]: at s + i = 2s + m
     # one-sided diagonal sums D[m] = sum_s pump(2s + m) x_s y_(s+m) of (x, y) = (p, p), and of
     # (v_s, v_i), v = f^2 w, for the baseline of different arms; as the filters and grid are
     # even in nu, the sums below the diagonal equal those above
     p = fs * fi * w
     pairs = [(p, p)] if np.array_equal(fs, fi) else [(p, p), (fs**2 * w, fi**2 * w)]
+    # windows [row, s, m] = buffer[row, s + m], 0 past the end, of one zero-padded buffer:
+    # row 0 the pump at the 2 n + 1 sums s + i, then each pair's y
+    buffer = np.zeros((1 + len(pairs), 3 * n + 1))
+    buffer[0, :2 * n + 1] = np.exp(-((np.arange(2 * n + 1) - n) * step) ** 2
+                                   / (2.0 * cfg.sigma_p_rad_per_ps**2))
+    buffer[1:, :n + 1] = [y for _, y in pairs]
+    windows = np.lib.stride_tricks.as_strided(buffer, (buffer.shape[0], 2 * n + 1, n + 1),
+                                              (buffer.strides[0],) + 2 * buffer.strides[1:])
+    pump, y_windows = windows[0, ::2], windows[1:, :n + 1]  # pump [s, m]: at s + i = 2s + m
     diag = np.zeros((len(pairs), 2, n + 1))  # both rules
     for sl in _chunks(n + 1, 4 * (n + 1)):
         even = slice(sl.start % 2, None, 2)  # the nested rule's rows; its weights are
-        for d, (x, y) in zip(diag, pairs):  # 2 w, a factor 4 that cancels
-            prod = window(y)[sl] * pump[sl]
+        for d, (x, _), y in zip(diag, pairs, y_windows):  # 2 w, a factor 4 that cancels
+            prod = y[sl] * pump[sl]
             d[0] += x[sl] @ prod
             d[1, ::2] += x[sl][even] @ prod[even, ::2]
     h, z_record = _h_values((k * step) ** 2, cfg)
@@ -269,6 +279,7 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
               idler_filter: FilterSpec | None = None) -> DipCurve:
     """Sample an engine over a delay axis (default 0.1 ps steps on [-15, 15]) and record
     the quadrature run; the rate at one delay dt is ``dip_curve(cfg, engine, [dt]).rates[0]``.
+    The engine runs once per distinct |dt| of the axis, so the rates are exactly even.
 
     Explicit filters, given as a pair, replace the arms of ``cfg`` for every
     engine; ``asymmetric`` is ``general`` with the pair required.  The
@@ -286,19 +297,20 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
         signal = replace(signal_filter, idler=None)
         cfg = replace(cfg, filter=replace(signal, idler=None if idler_filter == signal
                                           else idler_filter))
+    folded, inverse = np.unique(np.abs(delays_ps), return_inverse=True)
     if engine == "gaussian":
         _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
-        rates, quadrature = _closed_rates(delays_ps, cfg)
+        rates, quadrature = _closed_rates(folded, cfg)
     elif engine == "supergaussian":
         _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
-        rates, quadrature = _spectral_rates(delays_ps, cfg, gl_order, "super-gaussian engine")
+        rates, quadrature = _spectral_rates(folded, cfg, gl_order, "super-gaussian engine")
     elif engine in ("general", "asymmetric"):
-        rates, quadrature = _spectral_rates(delays_ps, cfg, gl_order, "asymmetric/general engine")
+        rates, quadrature = _spectral_rates(folded, cfg, gl_order, "asymmetric/general engine")
     else:
         raise ValueError(f"unknown engine {engine!r}; choose from "
                          "['asymmetric', 'gaussian', 'general', 'supergaussian']")
-    return DipCurve(delays_ps=delays_ps, rates=rates, engine=engine, quadrature=quadrature,
-                    baseline=1.0)
+    return DipCurve(delays_ps=delays_ps, rates=rates[inverse], engine=engine,
+                    quadrature=quadrature, baseline=1.0)
 
 
 def _outermost(curve: DipCurve, spline: _CubicSpline, level: float,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _MAX_GL_ORDER, AccuracyError, _searched, gauss_legendre
+from .quadrature import _MAX_GL_ORDER, AccuracyError, _embedded_unit_rule, _mapped, _searched
 from .units import ExperimentConfig
 
 __all__ = ["AmplitudeGrid", "phi_closed", "q_amplitude", "jsa_grid", "write_grid_csv"]
@@ -113,8 +113,7 @@ def _h_values(w: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     length = cfg.fiber.length_m
 
     def rule(n):
-        z, zw = (np.concatenate(pair) for pair in zip(gauss_legendre(n, -length, 0.0),
-                                                      gauss_legendre(3 * n // 4, -length, 0.0)))
+        z, zw = _mapped(*_embedded_unit_rule(n), -length, 0.0)
         gz = _g_function(z, cfg) * zw / length
         g4 = np.zeros((z.size, 4))  # the (Re, Im) weights of the rule, then of the 3/4 rule
         g4[:n, 0], g4[:n, 1] = gz[:n].real, gz[:n].imag
@@ -182,11 +181,13 @@ def jsa_grid(cfg: ExperimentConfig, n_points: int = 65, span: float = 3.0) -> Am
     if not (half > 0.0 and 4.0 * half * half * scale < math.inf):
         raise ValueError(f"span must be > 0 and keep the squared detuning finite, got {span!r}")
     axis = np.linspace(-half, half, n_points)
-    # on the uniform axis nu_s - nu_i = (i - j) * step, so H takes n_points values
-    k = np.arange(n_points)
-    h, record = _h_values((k * (2.0 * half / (n_points - 1))) ** 2, cfg)
+    # on the uniform axis nu_s - nu_i = (i - j) * step, so H takes n_points values, and
+    # [i, j] = h[|i - j|] is a Toeplitz view of h[n - 1], ..., h[1], h[0], ..., h[n - 1]
+    h, record = _h_values((np.arange(n_points) * (2.0 * half / (n_points - 1))) ** 2, cfg)
+    toeplitz = np.lib.stride_tricks.sliding_window_view(np.concatenate([h[:0:-1], h]),
+                                                        n_points)[::-1]
     q = (math.sqrt(math.pi) * sp * np.exp(-(axis[:, None] + axis) ** 2 / (4.0 * sp**2))
-         * h[np.abs(k[:, None] - k)])
+         * toeplitz)
     peak = np.max(np.abs(q))
     if peak > 0:
         q = q / peak

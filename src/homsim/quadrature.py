@@ -1,7 +1,8 @@
 """Error-controlled rules and the package's private curve numerics.
 
 * :func:`gauss_legendre` -- fixed Gauss-Legendre nodes and weights, the rule of the
-  z axis of ``jsa``'s H and of the closed engine's lag axis (not of any nu axis).
+  closed engine's lag axis and, with its embedded 3/4-order rule as one cached node
+  set, of the z axis of ``jsa``'s H (not of any nu axis).
 * :func:`_searched` -- the one doubling search that sizes every rule of the
   package: the spectral engines' nu order, the closed engine's lag order and the
   z order of H.  Each rule carries an embedded estimate, |fine - coarse| on a
@@ -61,11 +62,24 @@ def _unit_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [a, b] (new arrays on every call)."""
-    x, w = _unit_rule(order)
+@lru_cache(maxsize=64)
+def _embedded_unit_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The unit rules of ``order`` and ``3 * order // 4`` nodes end to end, read-only: one
+    node set holds a rule and its embedded 3/4-order rule."""
+    x, w = (np.concatenate(pair) for pair in zip(_unit_rule(order), _unit_rule(3 * order // 4)))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _mapped(x: np.ndarray, w: np.ndarray, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit-rule nodes and weights mapped to [a, b], as new arrays."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to [a, b] (new arrays on every call)."""
+    return _mapped(*_unit_rule(order), a, b)
 
 
 def _searched(points: np.ndarray, n: int, cap: int, rule, label: str) -> tuple[np.ndarray, dict]:

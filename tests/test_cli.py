@@ -123,14 +123,14 @@ class TestDipCommand:
     @pytest.mark.parametrize("engine,shape", [("general", "cascade"),
                                               ("supergaussian", "supergaussian4")])
     def test_manifest_records_spectral_order_and_estimate(self, tmp_path, engine, shape):
-        # the orders the search settled on, not the settings' echo: the CLI's
-        # supergaussian engine starts at gl_order 96 and passes there
+        # the orders the search settled on, not the settings' echo: both engines start
+        # at gl_order 96 and pass there, the cascade on the box of its quartic stage
         out = tmp_path / "curve.csv"
         assert run(["dip", "--engine", engine, "--filter-shape", shape,
                     "--out", str(out)]) == 0
         quad = json.loads((tmp_path / "curve.manifest.json").read_text())["quadrature"]
         assert {"rel_tol", "gl_order", "trunc_sigmas"}.isdisjoint(quad)
-        assert quad["nu_order"] == {"general": 192, "supergaussian": 96}[engine]
+        assert quad["nu_order"] == 96
         assert 0.0 <= quad["error_estimate"] <= quad["abs_tol"]
         # identical arms make every cross weight nonnegative: no cancellation
         assert quad["kappa"] == pytest.approx(1.0, abs=1e-12) and quad["nu_halfwidth"] > 0.0

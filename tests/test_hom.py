@@ -247,18 +247,31 @@ def closed_double_sum(cfg, delays):
     return np.maximum(np.real(num) / np.sum(k).real, 0.0)
 
 
+def oracle_halfwidth(cfg):
+    """Half-width of the oracle's own nu box: 6 times the largest, over both arms, of
+    sigma for a Gaussian stage, sigma_sg / 2.4 for a quartic stage, and sigma_p / 3.  A
+    cascade's box is thus its Gaussian stage's, wider than the engines'."""
+    scales = [cfg.sigma_p_rad_per_ps / 3.0]
+    for spec in (cfg.filter, cfg.filter.idler or cfg.filter):
+        if spec.shape is not FilterShape.SUPERGAUSSIAN4:
+            scales.append(cfg.sigma_for(spec))
+        if spec.shape is not FilterShape.GAUSSIAN:
+            scales.append(cfg.sigma_sg_for(spec) / 2.4)
+    return 6.0 * max(scales)
+
+
 @lru_cache(maxsize=4)
 def gl_cross_weights(cfg, order):
     """Nodes nu, complex cross weights C = F(s,i) F*(i,s) w_s w_i and the baseline
-    sum |F|^2 w_s w_i on a Gauss-Legendre grid of ``order`` nodes per axis over the
-    spectral engines' box: a rule independent of theirs.  Q sums phi_closed times the
-    SPM phase on :func:`fiber_rule` with a floor of 32 nodes (within 5e-14 of 256 or 8
-    per cycle over the property test's domain), not on the engines' z rule; Phi depends on
-    nu_s + nu_i = s only through its factor e^{-s^2 / (4 sigma_p^2)}, so
+    sum |F|^2 w_s w_i on a Gauss-Legendre grid of ``order`` nodes per axis over the box
+    of :func:`oracle_halfwidth`: a rule and a box independent of the engines'.  Q sums
+    phi_closed times the SPM phase on :func:`fiber_rule` with a floor of 32 nodes (within
+    5e-14 of 256 or 8 per cycle over the property test's domain), not on the engines' z
+    rule; Phi depends on nu_s + nu_i = s only through its factor e^{-s^2 / (4 sigma_p^2)}, so
     Q(nu_s, nu_i) = e^{-s^2 / (4 sigma_p^2)} Q(d / 2, -d / 2), d = nu_s - nu_i, and the
     z sum runs once per distinct |d|."""
     signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
-    half = max(hom._nu_halfwidth(signal, cfg), hom._nu_halfwidth(idler, cfg))
+    half = oracle_halfwidth(cfg)
     nu, w = gauss_legendre(order, -half, half)
     arms = [hom.filter_amplitude(spec, nu, cfg) for spec in (signal, idler)]
     d, inverse = np.unique(np.abs(nu[:, None] - nu[None, :]), return_inverse=True)
@@ -417,7 +430,7 @@ class TestBatchedDelays:
 
     def test_raised_order_asymmetric_cascade(self):
         # the dispersion of 15.8 km needs more than the first order: the nested
-        # estimate sizes the rule to 384 intervals
+        # estimate sizes the rule to 192 intervals
         cfg = units.build_config(
             length_m=15770.75, beta2_ps2_per_km=0.96611, gamma_per_W_m=1.8e-3,
             lambda_p1_nm=1555.92, lambda_p2_nm=1545.95, pump_fwhm_nm=0.42202,
@@ -427,7 +440,7 @@ class TestBatchedDelays:
         delays = np.linspace(-40.0, 40.0, 41)
         curve = hom.dip_curve(cfg, "asymmetric", delays_ps=delays,
                               signal_filter=sig, idler_filter=idl)
-        assert curve.quadrature["nu_order"] == 384
+        assert curve.quadrature["nu_order"] == 192
         ref = per_delay_reference("asymmetric", cfg, delays, signal=sig, idler=idl)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
 
@@ -490,12 +503,12 @@ class TestErrorEstimate:
 
     @pytest.mark.parametrize("shape,engine,delays,key,order", [
         ("gaussian", "general", None, "nu_order", 96),
-        ("cascade", "general", FIT_GRID, "nu_order", 192),
+        ("cascade", "general", FIT_GRID, "nu_order", 96),
         ("gaussian", "gaussian", MODEL_AXIS, "lag_orders", [8, 6]),
         ("gaussian", "general", MODEL_AXIS, "nu_order", 96),
         ("supergaussian4", "general", MODEL_AXIS, "nu_order", 96),
         ("supergaussian4", "supergaussian", MODEL_AXIS, "nu_order", 96),
-        ("cascade", "general", MODEL_AXIS, "nu_order", 192)],
+        ("cascade", "general", MODEL_AXIS, "nu_order", 96)],
         ids=["gaussian", "cascade", "model-closed", "model-gaussian", "model-supergaussian4",
              "model-supergaussian", "model-cascade"])
     def test_orders_used(self, shape, engine, delays, key, order):
@@ -596,6 +609,100 @@ class TestConvergedRule:
         general = hom.dip_curve(cfg, "general", delays_ps=delays).rates
         closed = hom.dip_curve(cfg, "gaussian", delays_ps=delays).rates
         assert np.max(np.abs(general - closed)) <= 1e-12
+
+
+def property_draws(seed, count, shape):
+    """``count`` seeded (config, mismatched filter pair) draws from the domain of
+    test_property_over_physical_ranges, inside the arctan-branch guard."""
+    rng, draws = np.random.default_rng(seed), []
+    while len(draws) < count:
+        filter_fwhm = rng.uniform(0.4, 1.6)
+        cfg = units.build_config(
+            length_m=10.0 ** rng.uniform(1.0, math.log10(2.0e4)),
+            beta2_ps2_per_km=rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 0.0),
+            gamma_per_W_m=1.8e-3, lambda_p1_nm=1555.92, lambda_p2_nm=1545.95,
+            pump_fwhm_nm=rng.uniform(0.4, 1.6), peak_power_W=0.36,
+            filter_shape=shape, filter_fwhm_nm=filter_fwhm)
+        mismatch = rng.uniform(0.05, 0.3)
+        if abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m * cfg.sigma_p_rad_per_ps**2 < 1.0:
+            draws.append((cfg, FilterSpec(shape=cfg.filter.shape, fwhm_nm=filter_fwhm),
+                          FilterSpec(shape=cfg.filter.shape, fwhm_nm=filter_fwhm * (1.0 + mismatch))))
+    return draws
+
+
+class TestCascadeBox:
+    # a cascade's nu box is its quartic stage's, 6 sigma_sg / 2.4, not its Gaussian
+    # stage's 6 sigma (more than twice as wide), unless the pump's is wider still
+    @staticmethod
+    def gaussian_stage_box(spec, cfg):
+        return hom._NU_BOX_SIGMAS * max(cfg.sigma_for(spec), cfg.sigma_p_rad_per_ps / 3.0)
+
+    def test_matches_gaussian_stage_box(self, monkeypatch, fresh_tables):
+        draws, tighter = property_draws(2026, 30, "cascade"), 0
+        for cfg, sig, idl in draws:
+            half = max(15.0, 6.0 / cfg.sigma_0_rad_per_ps)
+            delays = np.round(np.arange(-30, 31) * (half / 30.0), 12)
+            runs = [("general", {}), ("asymmetric", {"signal_filter": sig, "idler_filter": idl})]
+            tight = [hom.dip_curve(cfg, engine, delays, **kw) for engine, kw in runs]
+            with monkeypatch.context() as patch:
+                patch.setattr(hom, "_nu_halfwidth", self.gaussian_stage_box)
+                hom._spectral_tables.cache_clear()
+                wide = [hom.dip_curve(cfg, engine, delays, **kw) for engine, kw in runs]
+            hom._spectral_tables.cache_clear()
+            for t, w in zip(tight, wide):
+                assert t.quadrature["nu_halfwidth"] <= w.quadrature["nu_halfwidth"]
+                tighter += t.quadrature["nu_halfwidth"] < w.quadrature["nu_halfwidth"]
+                assert np.max(np.abs(t.rates - w.rates)) <= 1e-13
+            # each arm's amplitude at the edge of its own box
+            for spec in (cfg.filter, sig, idl):
+                edge = hom._nu_half(replace(cfg, filter=spec))
+                assert hom.filter_amplitude(spec, edge, cfg) <= math.exp(-39.0)
+        # the pump's support sets the box of only a few of the two runs per draw
+        assert tighter > len(draws)
+
+
+_FOLD_ENGINES = pytest.mark.parametrize("engine,shape", [
+    ("gaussian", "gaussian"), ("general", "gaussian"), ("supergaussian", "supergaussian4"),
+    ("general", "cascade"), ("asymmetric", "gaussian")])
+
+
+class TestFold:
+    # R is even in the delay: dip_curve runs the engine once per distinct |dt|
+    @staticmethod
+    def curve(engine, shape, delays):
+        filters = {"signal_filter": _SIG, "idler_filter": _IDL} if engine == "asymmetric" else {}
+        return hom.dip_curve(units.default_config(shape), engine, delays, **filters)
+
+    @_FOLD_ENGINES
+    def test_default_axis_exactly_even(self, engine, shape):
+        rates = self.curve(engine, shape, None).rates
+        assert np.array_equal(rates, rates[::-1])
+
+    @_FOLD_ENGINES
+    def test_mixed_axis_is_the_folded_axis(self, engine, shape):
+        delays = np.array([-7.0, -3.0, 0.5, 3.0, 7.0])
+        curve = self.curve(engine, shape, delays)
+        assert np.array_equal(curve.delays_ps, delays)
+        folded = self.curve(engine, shape, [0.5, 3.0, 7.0])
+        assert np.array_equal(curve.rates, folded.rates[[2, 1, 0, 1, 2]])
+        assert curve.quadrature == folded.quadrature
+        # one delay alone sums its BLAS products in another order: within the rounding
+        # floor of the search's tolerance
+        rounding = quadrature._ROUNDING_FACTOR * curve.quadrature["kappa"] * np.finfo(float).eps
+        for dt, rate in zip(delays, curve.rates):
+            assert abs(rate - self.curve(engine, shape, [abs(dt)]).rates[0]) <= rounding
+
+    @_FOLD_ENGINES
+    def test_engine_sees_each_absolute_delay_once(self, engine, shape, monkeypatch):
+        seen = []
+        runner = "_closed_rates" if engine == "gaussian" else "_spectral_rates"
+        original = getattr(hom, runner)
+        monkeypatch.setattr(hom, runner, lambda delays, *args: seen.append(delays)
+                            or original(delays, *args))
+        self.curve(engine, shape, MODEL_AXIS)  # nonnegative: the fold is the identity
+        self.curve(engine, shape, None)  # the default axis: its 151 nonnegative delays
+        assert np.array_equal(seen[0], MODEL_AXIS)
+        assert np.array_equal(seen[1], DELAY_AXES["default"][150:])
 
 
 # the config of test_raised_order_asymmetric_cascade, with a Gaussian filter

@@ -8,8 +8,9 @@ Two fit families:
   (baseline, center, depth scale).  The engine rate is interpolated by a
   spline on a grid symmetric about zero, sized by the scan span and cached per
   (config, engine, half-width); its spacing is halved until a midpoint check
-  meets ``_MODEL_TOL``.  Its derivative gives an analytic Jacobian, and the
-  half-width of its dip, found once per cached spline, the FWHM.
+  meets ``_MODEL_TOL``.  Its derivative gives an analytic Jacobian; the
+  half-width of the engine's dip, solved once per cached spline on the engine's
+  own rule, gives the FWHM.
 
 The optimizer is damped Gauss-Newton with a Levenberg-style schedule:
 damping x10 on a rejected step, /10 on an accepted one, starting at 1e-3,
@@ -42,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hom import DipMetrics, _outermost, dip_curve, metrics_record
+from .hom import DipMetrics, _rule_metrics, dip_curve, metrics_record
 from .quadrature import _CubicSpline, _slope, _value
 from .units import ExperimentConfig
 
@@ -357,7 +358,9 @@ def _model(cfg: ExperimentConfig, engine: str, half: float):
     knots -- is within _MODEL_TOL of the engine, or the next halving would pass the
     cap.  Returns the finer spline, a record whose ``model_error`` is that check's
     largest deviation (a bound on the coarser spline's error) and w, the outermost
-    crossing of (1 + R(0)) / 2 on [0, n h]; R is least at 0 (cosine weights are >= 0).
+    crossing of (1 + R(0)) / 2 on [0, n h] (infinite if none), solved on the finer
+    curve's engine rule by :func:`homsim.hom._rule_metrics`; R is least at 0 (cosine
+    weights are >= 0).
     """
     h = 0.25
     while 4 * math.ceil(half / h) + 1 > _MODEL_MAX_KNOTS:
@@ -375,8 +378,7 @@ def _model(cfg: ExperimentConfig, engine: str, half: float):
         finer, curve = mirrored(n, h)
         error = float(np.max(np.abs(spline(curve.delays_ps[1::2]) - curve.rates[1::2])))
         if error <= _MODEL_TOL or 4 * n + 1 > _MODEL_MAX_KNOTS:
-            i = np.arange(n)
-            width, _ = _outermost(curve, finer, 0.5 * (1.0 + curve.rates[0]), i, i + 1)
+            width = 0.5 * _rule_metrics(curve, 0).fwhm_ps
             return finer, {"half_width_ps": n * h, "knots": 2 * n + 1, "spacing_ps": h,
                            "model_error": error, "model_tol": _MODEL_TOL,
                            "quadrature": curve.quadrature}, width

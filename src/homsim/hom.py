@@ -37,12 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .jsa import _chunks, _g_cycles, _g_function, _h_values, _nodes_per_cycle, _write_csv
 from .quadrature import (_ABS_TOL, _MAX_GL_ORDER, AccuracyError, QuadratureSettings, _brentq,
-                         _CubicSpline, _searched, gauss_legendre)
+                         _searched, gauss_legendre)
 from .units import ExperimentConfig, FilterShape, FilterSpec
 
 __all__ = [
@@ -200,16 +201,18 @@ def _lag_sums(delays: np.ndarray, tables) -> np.ndarray:
     return rates
 
 
-def _clamped(rates: np.ndarray, record: dict, label: str) -> tuple[np.ndarray, dict]:
-    """A search's rates clamped at zero, and its record, once no rate lies below -_ABS_TOL."""
+def _clamped(rates: np.ndarray, record: dict, sums,
+             label: str) -> tuple[np.ndarray, dict, Callable]:
+    """A search's rates clamped at zero, its record and its sums, once no rate lies below
+    -_ABS_TOL."""
     if np.any(rates < -_ABS_TOL):
         raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e} beyond abs_tol "
                             f"{_ABS_TOL:.1e} (kappa = {record['kappa']:.3e})")
-    return np.maximum(rates, 0.0), record
+    return np.maximum(rates, 0.0), record, sums
 
 
 def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
-                    label: str) -> tuple[np.ndarray, dict]:
+                    label: str) -> tuple[np.ndarray, dict, Callable]:
     """Rates of :func:`_searched` on the trapezoid rule and its nested rule on the even nodes.
     The series repeats with period 2 pi / step, where both rules read the dip again and the
     estimate cannot see it, so the search starts at the first of n, 2 n, ... (n made even)
@@ -227,7 +230,7 @@ def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
     return _clamped(*_searched(delays, n, _MAX_NU_ORDER, rule, label), label)
 
 
-def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
+def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict, Callable]:
     def rule(n):
         tables = [_lag_tables(cfg, n), _lag_tables(cfg, 3 * n // 4)]
         _require_normalizable([baseline for _, _, baseline in tables],
@@ -241,17 +244,19 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray
 
 @dataclass(frozen=True)
 class DipCurve:
-    """Sampled coincidence rate versus delay, baseline-normalized, and the quadrature run.
+    """Sampled coincidence rate versus delay, normalized to a baseline of 1, and the
+    quadrature run.
 
-    ``baseline`` is the large-delay rate the curve is normalized to when that is
-    known (1.0 for every :func:`dip_curve`), else None.
+    ``rule`` is the rule the engine's search settled on: an array of delays to the
+    rates of its fine and coarse rule (columns), before the clamp at zero.  R is even,
+    least at 0 and tends to 1, which :func:`dip_metrics` relies on.
     """
 
     delays_ps: np.ndarray
     rates: np.ndarray
     engine: str
+    rule: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     quadrature: dict = field(default_factory=dict)
-    baseline: float | None = None
 
     def __post_init__(self) -> None:
         if not (np.all(np.isfinite(self.delays_ps)) and np.all(np.diff(self.delays_ps) > 0)):
@@ -270,6 +275,9 @@ class DipMetrics:
     # sample pairs bracketing the half level on the (left, right) flank; more than
     # one means the FWHM is the widest of several crossings.  None: not counted
     half_level_crossings: tuple[int, int] | None = None
+    # the FWHM's error estimate, from the engine rule's fine and coarse rates at the
+    # crossing; None: not estimated (a fit)
+    fwhm_error_ps: float | None = None
 
 
 def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
@@ -278,8 +286,10 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
               signal_filter: FilterSpec | None = None,
               idler_filter: FilterSpec | None = None) -> DipCurve:
     """Sample an engine over a delay axis (default 0.1 ps steps on [-15, 15]) and record
-    the quadrature run; the rate at one delay dt is ``dip_curve(cfg, engine, [dt]).rates[0]``.
-    The engine runs once per distinct |dt| of the axis, so the rates are exactly even.
+    the quadrature run; the rate at one delay dt equals ``dip_curve(cfg, engine,
+    [dt]).rates[0]`` to rounding (within 1.1e-16 on the default configs: a one-row BLAS
+    product sums in another order).  The engine runs once per distinct |dt| of the axis,
+    so the rates are exactly even.
 
     Explicit filters, given as a pair, replace the arms of ``cfg`` for every
     engine; ``asymmetric`` is ``general`` with the pair required.  The
@@ -300,89 +310,75 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     folded, inverse = np.unique(np.abs(delays_ps), return_inverse=True)
     if engine == "gaussian":
         _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
-        rates, quadrature = _closed_rates(folded, cfg)
+        rates, quadrature, rule = _closed_rates(folded, cfg)
     elif engine == "supergaussian":
         _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
-        rates, quadrature = _spectral_rates(folded, cfg, gl_order, "super-gaussian engine")
+        rates, quadrature, rule = _spectral_rates(folded, cfg, gl_order, "super-gaussian engine")
     elif engine in ("general", "asymmetric"):
-        rates, quadrature = _spectral_rates(folded, cfg, gl_order, "asymmetric/general engine")
+        rates, quadrature, rule = _spectral_rates(folded, cfg, gl_order,
+                                                  "asymmetric/general engine")
     else:
         raise ValueError(f"unknown engine {engine!r}; choose from "
                          "['asymmetric', 'gaussian', 'general', 'supergaussian']")
-    return DipCurve(delays_ps=delays_ps, rates=rates[inverse], engine=engine,
-                    quadrature=quadrature, baseline=1.0)
+    return DipCurve(delays_ps=delays_ps, rates=rates[inverse], engine=engine, rule=rule,
+                    quadrature=quadrature)
 
 
-def _outermost(curve: DipCurve, spline: _CubicSpline, level: float,
-               i: np.ndarray, j: np.ndarray) -> tuple[float, int]:
-    """The crossing of ``level`` by the last sample pair (i, j) of ``curve`` that
-    brackets it, and the number of pairs that bracket it.  The crossing is sample
-    i if it lies on the level, else Brent's root of ``spline`` between i and j;
-    infinity if no pair brackets the level."""
-    a, b = curve.rates[i] - level, curve.rates[j] - level
-    hits = np.flatnonzero((a == 0.0) | (a * b < 0))
-    if not hits.size:
-        return math.inf, 0
-    k = hits[-1]
-    if a[k] == 0.0:
-        return float(curve.delays_ps[i[k]]), hits.size
-    left, right = sorted((curve.delays_ps[i[k]], curve.delays_ps[j[k]]))
-    return _brentq(lambda x: spline(x) - level, left, right), hits.size
+def _rule_metrics(curve: DipCurve, imin: int) -> DipMetrics:
+    """The metrics of an even curve with baseline 1 that is least at 0, read from its rule:
+    R(0) and w > 0 where R(w) = (1 + R(0)) / 2.  Out from sample ``imin`` each flank counts
+    the sample pairs that bracket that level; the outermost such pair of either flank holds
+    w (a sample on the level is w), which one Brent solve on the rule refines.  The FWHM is
+    2 w, infinite when no pair brackets the level, and its estimate 2 |fine - coarse| / |R'|
+    at w, with R' the slope of that pair."""
+    d, r = curve.delays_ps, curve.rates
+    r0 = max(float(curve.rule(np.zeros(1))[0, 0]), 0.0)  # clamped, as the rates are
+    level = 0.5 * (1.0 + r0)
+    left, right = np.arange(imin, 0, -1), np.arange(imin, r.size - 1)
+    counts, pairs = [], []
+    for i, j in ((left, left - 1), (right, right + 1)):
+        a, b = r[i] - level, r[j] - level
+        hits = np.flatnonzero((a == 0.0) | (a * b < 0))
+        counts.append(int(hits.size))
+        if hits.size:
+            pairs.append((i[hits[-1]], j[hits[-1]]))
+    width = error = math.inf
+    if pairs:
+        i, j = max(pairs, key=lambda p: max(abs(d[p[0]]), abs(d[p[1]])))
+        width = abs(float(d[i])) if r[i] == level else _brentq(
+            lambda x: curve.rule(np.array([x]))[0, 0] - level,
+            *sorted((abs(float(d[i])), abs(float(d[j])))))
+        fine, coarse = curve.rule(np.array([width]))[0]
+        slope = abs(float(r[j] - r[i]) / float(d[j] - d[i]))
+        error = 2.0 * abs(fine - coarse) / slope if slope else math.inf
+    return DipMetrics(visibility=1.0 - r0, fwhm_ps=2.0 * width, center_ps=0.0, baseline=1.0,
+                      engine=curve.engine, half_level_crossings=tuple(counts),
+                      fwhm_error_ps=error)
 
 
 def dip_metrics(curve: DipCurve) -> DipMetrics:
-    """Visibility, FWHM and center of a sampled dip.
+    """Visibility, FWHM and center of an engine curve, from the engine's rule.
 
-    The baseline is the curve's own when it has one (an engine curve's is 1, so
-    a scan narrower than the dip leaves the half level unbracketed), else the
-    mean of the outermost 10% of samples on each side.  The outermost half-depth
-    crossing on each flank is located by :func:`_outermost` on a cubic
-    interpolation of the curve; ``half_level_crossings`` counts the sample pairs
-    that bracket the half level on each flank, so a count above 1 says the flank
-    is not monotone and the FWHM is the widest of its crossings.
+    The curve is even with baseline 1 and least at 0, so its center is 0, its
+    visibility 1 - R(0) and its FWHM 2 w at the half level (1 + R(0)) / 2 (see
+    :func:`_rule_metrics`).  The samples decide whether there is a dip: a sampled
+    minimum within 1e-9 of 1 is none, one inside the outermost 10 % of samples on
+    either side sits in the baseline margin, and a flank on which no sample pair
+    brackets the half level leaves it unbracketed; each raises :class:`AnalysisError`.
+    ``half_level_crossings`` counts the bracketing pairs on each flank, so a count
+    above 1 says the flank is not monotone and the FWHM is the widest of its crossings.
     """
     n = curve.delays_ps.size
     edge = max(int(round(_BASELINE_FRACTION * n / 2)), 1)
-    baseline = curve.baseline
-    if baseline is None:
-        baseline = float(np.mean(np.concatenate([curve.rates[:edge], curve.rates[-edge:]])))
-    if baseline <= 0:
-        raise AnalysisError("baseline is zero; curve cannot be normalized")
-
     imin = int(np.argmin(curve.rates))
-    rmin = float(curve.rates[imin])
-    visibility = 1.0 - rmin / baseline
-    if visibility < 1e-9:
+    if 1.0 - curve.rates[imin] < 1e-9:
         raise AnalysisError("no dip found: curve is flat at the baseline")
     if imin < edge or imin >= n - edge:
         raise AnalysisError("dip minimum lies inside the baseline margin; widen the delay range")
-
-    spline = _CubicSpline(curve.delays_ps, curve.rates)
-    # refine the center on the spline around the sampled minimum
-    lo = curve.delays_ps[max(imin - 1, 0)]
-    hi = curve.delays_ps[min(imin + 1, n - 1)]
-    try:
-        center = _brentq(lambda x: spline(x, 1), lo, hi)
-    except ValueError:
-        center = float(curve.delays_ps[imin])
-    rmin_ref = float(spline(center))
-    half_level = 0.5 * (baseline + rmin_ref)
-
-    # with non-monotone flanks report the widest crossing pair, and how many there are
-    right, left = np.arange(imin, n - 1), np.arange(imin, 0, -1)
-    x_right, n_right = _outermost(curve, spline, half_level, right, right + 1)
-    x_left, n_left = _outermost(curve, spline, half_level, left, left - 1)
-    fwhm = x_right - x_left
-    if not math.isfinite(fwhm):
+    metrics = _rule_metrics(curve, imin)
+    if 0 in metrics.half_level_crossings:
         raise AnalysisError("half-depth level not bracketed on both flanks")
-    return DipMetrics(
-        visibility=visibility,
-        fwhm_ps=fwhm,
-        center_ps=center,
-        baseline=baseline,
-        engine=curve.engine,
-        half_level_crossings=(n_left, n_right),
-    )
+    return metrics
 
 
 def write_curve_csv(curve: DipCurve, path) -> None:
@@ -392,9 +388,10 @@ def write_curve_csv(curve: DipCurve, path) -> None:
 
 
 def metrics_record(metrics: DipMetrics) -> dict:
-    """The metrics as a JSON-ready record of all their fields; a FWHM that is not
-    finite (a fit's unbracketed half level) becomes None."""
+    """The metrics as a JSON-ready record of all their fields; a FWHM or FWHM estimate
+    that is not finite (a fit's unbracketed half level) becomes None."""
     record = asdict(metrics)
-    if not math.isfinite(metrics.fwhm_ps):
-        record["fwhm_ps"] = None
+    for key in ("fwhm_ps", "fwhm_error_ps"):
+        if record[key] is not None and not math.isfinite(record[key]):
+            record[key] = None
     return record

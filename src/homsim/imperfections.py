@@ -19,7 +19,6 @@ from .quadrature import _brentq
 __all__ = [
     "BeamSplitter",
     "SpatialGeometry",
-    "bessel_j1",
     "bs_visibility_factor",
     "spatial_overlap",
     "solve_angle_for_overlap",
@@ -69,16 +68,6 @@ def _nodes(x: float) -> tuple[int, np.ndarray]:
         raise ValueError(f"|x| must be at most 1e6, got {x}")
     n = 32 + 2 * math.ceil(abs(x))
     return n, np.arange(n, dtype=float) * (2.0 * math.pi / n)
-
-
-def bessel_j1(x: float) -> float:
-    """J1(x) = (1/2pi) int_0^2pi cos(t - x sin t) dt (Bessel's integral).
-
-    The integrand's mean over the N nodes at |x|, signed as x (J1 is odd): within
-    1e-14 for |x| <= 20 and 1e-13 up to |x| = 1e6, beyond which it raises.
-    """
-    _, t = _nodes(x)
-    return float(np.sign(x)) * float(np.mean(np.cos(t - abs(x) * np.sin(t))))
 
 
 def bs_visibility_factor(bs: BeamSplitter) -> float:

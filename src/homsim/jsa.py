@@ -26,7 +26,7 @@ import numpy as np
 from .quadrature import _MAX_GL_ORDER, AccuracyError, _embedded_unit_rule, _mapped, _searched
 from .units import ExperimentConfig
 
-__all__ = ["AmplitudeGrid", "phi_closed", "q_amplitude", "jsa_grid", "write_grid_csv"]
+__all__ = ["AmplitudeGrid", "q_amplitude", "jsa_grid", "write_grid_csv"]
 
 # Largest temporary of a chunked evaluation (1 MB of float64), in elements
 _CHUNK_ELEMENTS = 1 << 17
@@ -41,31 +41,6 @@ def _check_arctan_branch(z, cfg: ExperimentConfig) -> None:
         raise FloatingPointError(
             f"arctan branch assumption violated: |beta2 z sigma_p^2| = {arg:.3e} (must be < 1)"
         )
-
-
-def phi_closed(nu_s, nu_i, z, cfg: ExperimentConfig):
-    """Closed-form pump convolution Phi(nu_s, nu_i, z); broadcasts over numpy arrays."""
-    nu_s = np.asarray(nu_s, dtype=float)
-    nu_i = np.asarray(nu_i, dtype=float)
-    z = np.asarray(z, dtype=float)
-    _check_arctan_branch(z, cfg)
-    sp = cfg.sigma_p_rad_per_ps
-    b2 = cfg.fiber.beta2_ps2_per_m
-    delta = cfg.Delta_rad_per_ps
-    s = nu_s + nu_i
-    den = 1.0 + b2**2 * z**2 * sp**4
-    amp = (
-        math.sqrt(math.pi) * sp
-        * np.exp(-s**2 / (4.0 * sp**2))
-        * np.exp(-(b2**2 * z**2 * delta**2 * sp**2) / (4.0 * den))
-        / den**0.25
-    )
-    phase = (
-        0.25 * b2 * z * (delta**2 - (nu_s - nu_i) ** 2)
-        + 0.5 * np.arctan(b2 * z * sp**2)
-        - (b2**3 * z**3 * delta**2 * sp**4) / (4.0 * den)
-    )
-    return amp * np.exp(1j * phase)
 
 
 def _g_function(z, cfg: ExperimentConfig):
@@ -131,7 +106,7 @@ def _h_values(w: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
 
     label = "z rule of H"
     start = _nodes_per_cycle(_g_cycles(cfg, float(np.max(w, initial=0.0))), label)
-    h, record = _searched(w, start, _MAX_GL_ORDER, rule, label)
+    h, record, _ = _searched(w, start, _MAX_GL_ORDER, rule, label)
     return h * length, {"z_order": record["z_order"], "z_error_estimate": record["error_estimate"]}
 
 

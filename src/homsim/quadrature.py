@@ -9,9 +9,9 @@
   coarser rule evaluated with it, checked against _ABS_TOL = 1e-12 plus
   10 kappa eps; a NaN estimate fails.  A start past the cap (_MAX_GL_ORDER for
   the z and lag rules) or a search that reaches it raises :class:`AccuracyError`.
-* a not-a-knot cubic spline and a Brent root finder, numerically the defaults
-  of scipy's ``CubicSpline`` and ``brentq`` (so importing the package needs
-  only numpy).
+* a not-a-knot cubic spline (the engine model of ``fitdata``) and a Brent root
+  finder, numerically the defaults of scipy's ``CubicSpline`` and ``brentq`` (so
+  importing the package needs only numpy).
 
 Results are deterministic: identical arguments give bit-identical output.
 """
@@ -82,13 +82,14 @@ def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarr
     return _mapped(*_unit_rule(order), a, b)
 
 
-def _searched(points: np.ndarray, n: int, cap: int, rule, label: str) -> tuple[np.ndarray, dict]:
+def _searched(points: np.ndarray, n: int, cap: int, rule,
+              label: str) -> tuple[np.ndarray, dict, Callable[[np.ndarray], np.ndarray]]:
     """Values at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
-    _ABS_TOL + c kappa eps at every point; the end and middle points are tried first, a
-    cheap early exit, and the full array decides.  ``rule(n)`` gives the points -> [fine,
-    coarse] sums, kappa and a record.  A NaN estimate fails.  An estimate below
-    _FLOOR_FACTOR c kappa eps that a doubling does not shrink is rounding: raise.  A start
-    order past the cap raises before any rule is evaluated."""
+    _ABS_TOL + c kappa eps at every point, its record and its sums; the end and middle
+    points are tried first, a cheap early exit, and the full array decides.  ``rule(n)``
+    gives the points -> [fine, coarse] sums, kappa and a record.  A NaN estimate fails.
+    An estimate below _FLOOR_FACTOR c kappa eps that a doubling does not shrink is
+    rounding: raise.  A start order past the cap raises before any rule is evaluated."""
     if n > cap:
         raise AccuracyError(f"{label}: start order {n} is past the largest, {cap}")
     stages, last = ([points[[0, points.size // 2, -1]]] if points.size else []) + [points], None
@@ -102,7 +103,7 @@ def _searched(points: np.ndarray, n: int, cap: int, rule, label: str) -> tuple[n
                 break
         else:
             return values[:, 0], {
-                **record, "error_estimate": estimate, "kappa": kappa, "abs_tol": _ABS_TOL}
+                **record, "error_estimate": estimate, "kappa": kappa, "abs_tol": _ABS_TOL}, sums
         failure = f"{label}: error estimate {estimate:.3e} exceeds tolerance (kappa = {kappa:.3e})"
         if last and last[0] == stage and last[1] <= estimate <= _FLOOR_FACTOR * floor:
             raise AccuracyError(f"{failure} and a doubling to {n} did not shrink it: rounding")
@@ -115,7 +116,7 @@ class _CubicSpline:
 
     The knot slopes solve scipy's tridiagonal system; piece i
     is c0 t^3 + c1 t^2 + c2 t + c3 with t = x - x[i].  Outside [x[0], x[-1]]
-    the end pieces extrapolate.  ``spline(xq, 1)`` is the first derivative.
+    the end pieces extrapolate.  ``_slope(*spline._piece(xq))`` is the first derivative.
     """
 
     def __init__(self, x, y):
@@ -140,13 +141,9 @@ class _CubicSpline:
         self._c2 = s[:-1]
         self._c3 = y[:-1]
 
-    def __call__(self, xq, nu: int = 0):
-        """Spline (``nu=0``) or its first derivative (``nu=1``) at a float or array."""
-        if nu == 0:
-            return _value(*self._piece(xq))
-        if nu == 1:
-            return _slope(*self._piece(xq))
-        raise ValueError("nu must be 0 or 1")
+    def __call__(self, xq):
+        """The spline at a float or array."""
+        return _value(*self._piece(xq))
 
     def _piece(self, xq):
         """Offset t of xq from its piece's left knot, and that piece's coefficients:

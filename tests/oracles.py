@@ -2,9 +2,14 @@
 
 * :func:`integrate_1d` -- an adaptive Gauss-Kronrod 7/15 scheme for complex
   integrands over a finite interval, with its own tolerances and subdivision cap.
+* :func:`phi_closed` -- the closed form of the pump convolution Phi, the oracle of
+  ``jsa._g_function`` (G is Phi(0, 0, z) times the SPM phase).
 * :func:`phi_oracle` -- the pump convolution Phi by direct quadrature over the
   pump detuning, with the wavenumber mismatch :func:`delta_k`: the oracle of
-  ``jsa.phi_closed``.
+  :func:`phi_closed`.
+* :func:`bessel_j1` -- J1 by the trapezoid rule on Bessel's integral, on the
+  nodes ``imperfections._nodes`` that the Airy amplitude of the spatial overlap
+  shares; checked against mpmath beside that amplitude.
 * :func:`q_oracle` -- the pair amplitude Q at one point by the adaptive rule over
   the fiber length: the oracle of ``jsa.q_amplitude`` and its searched z rule.
 * ``_Z_ORDER`` -- the order of the fixed 64-node Gauss-Legendre z rule the
@@ -13,13 +18,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from homsim import quadrature
-from homsim.jsa import phi_closed
+from homsim.imperfections import _nodes
+from homsim.jsa import _check_arctan_branch
 from homsim.units import ExperimentConfig
 
 # Gauss-Legendre order of the fixed z rule of the package's earlier H
@@ -144,6 +151,31 @@ def delta_k(nu_p, nu_s, nu_i, cfg: ExperimentConfig):
     return b2 * (d * d + d * (np.asarray(nu_s) + np.asarray(nu_i)) + np.asarray(nu_s) * np.asarray(nu_i))
 
 
+def phi_closed(nu_s, nu_i, z, cfg: ExperimentConfig):
+    """Closed-form pump convolution Phi(nu_s, nu_i, z); broadcasts over numpy arrays."""
+    nu_s = np.asarray(nu_s, dtype=float)
+    nu_i = np.asarray(nu_i, dtype=float)
+    z = np.asarray(z, dtype=float)
+    _check_arctan_branch(z, cfg)
+    sp = cfg.sigma_p_rad_per_ps
+    b2 = cfg.fiber.beta2_ps2_per_m
+    delta = cfg.Delta_rad_per_ps
+    s = nu_s + nu_i
+    den = 1.0 + b2**2 * z**2 * sp**4
+    amp = (
+        math.sqrt(math.pi) * sp
+        * np.exp(-s**2 / (4.0 * sp**2))
+        * np.exp(-(b2**2 * z**2 * delta**2 * sp**2) / (4.0 * den))
+        / den**0.25
+    )
+    phase = (
+        0.25 * b2 * z * (delta**2 - (nu_s - nu_i) ** 2)
+        + 0.5 * np.arctan(b2 * z * sp**2)
+        - (b2**3 * z**3 * delta**2 * sp**4) / (4.0 * den)
+    )
+    return amp * np.exp(1j * phase)
+
+
 def phi_oracle(nu_s: float, nu_i: float, z: float, cfg: ExperimentConfig) -> complex:
     """Pump convolution by direct quadrature over the pump detuning.
 
@@ -171,3 +203,13 @@ def q_oracle(nu_s: float, nu_i: float, cfg: ExperimentConfig) -> complex:
         return phi_closed(float(nu_s), float(nu_i), z, cfg) * np.exp(-1j * spm * z)
 
     return integrate_1d(f, -L, 0.0, **_ORACLE_TOL).value
+
+
+def bessel_j1(x: float) -> float:
+    """J1(x) = (1/2pi) int_0^2pi cos(t - x sin t) dt (Bessel's integral).
+
+    The integrand's mean over the N nodes at |x|, signed as x (J1 is odd): within
+    1e-14 for |x| <= 20 and 1e-13 up to |x| = 1e6, beyond which it raises.
+    """
+    _, t = _nodes(x)
+    return float(np.sign(x)) * float(np.mean(np.cos(t - abs(x) * np.sin(t))))

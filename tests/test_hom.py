@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from homsim import hom, jsa, quadrature, units
 from homsim.quadrature import QuadratureSettings, gauss_legendre
 from homsim.units import FilterShape, FilterSpec
-from oracles import _Z_ORDER
+from oracles import _Z_ORDER, phi_closed
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,11 @@ def cfg_no_dispersion():
         lambda_p1_nm=1555.92, lambda_p2_nm=1545.95,
         pump_fwhm_nm=0.8, peak_power_W=0.36,
     )
+
+
+def even_rule(f):
+    """An analytic even dip f as a DipCurve rule: its fine and coarse columns are both f."""
+    return lambda x: np.column_stack([f(x), f(x)])
 
 
 def _rate(engine, dt, cfg, **filters):
@@ -236,7 +241,7 @@ def closed_double_sum(cfg, delays):
     :func:`fiber_rule`: at 34 cycles a 64 x 64 sum is 1.4e-8 off."""
     z, zw = fiber_rule(cfg)
     spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
-    gz = jsa.phi_closed(0.0, 0.0, z, cfg) * np.exp(-1j * spm * z) * zw
+    gz = phi_closed(0.0, 0.0, z, cfg) * np.exp(-1j * spm * z) * zw
     zdiff = (z[:, None] - z[None, :]).ravel()
     s0, b2 = cfg.sigma_0_rad_per_ps, cfg.fiber.beta2_ps2_per_m
     den4 = 4.0 + b2**2 * zdiff**2 * s0**4
@@ -277,7 +282,7 @@ def gl_cross_weights(cfg, order):
     d, inverse = np.unique(np.abs(nu[:, None] - nu[None, :]), return_inverse=True)
     z, zw = fiber_rule(cfg, (2.0 * half) ** 2, floor=32)
     zw = zw * np.exp(-2j * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W * z)
-    ridge = np.concatenate([jsa.phi_closed(0.5 * d[k:k + 1024, None], -0.5 * d[k:k + 1024, None],
+    ridge = np.concatenate([phi_closed(0.5 * d[k:k + 1024, None], -0.5 * d[k:k + 1024, None],
                                            z, cfg) @ zw for k in range(0, d.size, 1024)])
     pump = np.exp(-(nu[:, None] + nu[None, :]) ** 2 / (4.0 * cfg.sigma_p_rad_per_ps**2))
     f_mat = pump * ridge[inverse].reshape(order, order) * np.outer(*arms)
@@ -414,12 +419,17 @@ class TestBatchedDelays:
                    "cascade": ("general",)}[shape] + ("asymmetric",)
         for engine in engines:
             kw = filters if engine == "asymmetric" else {}
+
+            def reference(x, engine=engine):
+                return per_delay_reference(engine, cfg, x, signal=filters["signal_filter"],
+                                           idler=filters["idler_filter"])
             for delays in axes:
-                rates = hom.dip_curve(cfg, engine, delays_ps=delays, **kw).rates
-                ref = per_delay_reference(engine, cfg, delays, signal=filters["signal_filter"],
-                                          idler=filters["idler_filter"])
+                curve = hom.dip_curve(cfg, engine, delays_ps=delays, **kw)
+                rates, ref = curve.rates, reference(delays)
                 assert np.max(np.abs(rates - ref)) <= 1e-12
                 assert np.max(np.abs(rates - rates[::-1])) <= 1e-12
+                if delays is axes[0]:
+                    assert_metrics_match_reference(curve, reference, ref)
 
     @pytest.mark.parametrize("order", [96, 192])
     def test_cosine_series_of_random_coefficients(self, order):
@@ -443,6 +453,26 @@ class TestBatchedDelays:
         assert curve.quadrature["nu_order"] == 192
         ref = per_delay_reference("asymmetric", cfg, delays, signal=sig, idler=idl)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
+
+
+def assert_metrics_match_reference(curve, reference, ref):
+    """dip_metrics of an engine curve against its per-delay reference, sampled as ``ref``
+    on the curve's axis: the visibility is 1 - ref(0) within 1e-12, no rate lies below
+    R(0) by more than abs_tol, and the FWHM is 2 w within its recorded estimate plus 1e-12
+    relative, w Brent's root (xtol 1e-15) of ref - (1 + ref(0)) / 2 in the last sample
+    pair of the right flank where ref crosses that level."""
+    metrics = hom.dip_metrics(curve)
+    r0 = float(reference(np.zeros(1))[0])
+    assert abs(metrics.visibility - (1.0 - r0)) <= 1e-12
+    assert np.all(curve.rates >= 1.0 - metrics.visibility - curve.quadrature["abs_tol"])
+    level = 0.5 * (1.0 + r0)
+    right = curve.delays_ps >= 0.0
+    x, gap = curve.delays_ps[right], ref[right] - level
+    k = np.flatnonzero(gap[:-1] * gap[1:] <= 0.0)[-1]
+    w = quadrature._brentq(lambda t: float(reference(np.array([t]))[0]) - level,
+                           x[k], x[k + 1], xtol=1e-15)
+    assert metrics.center_ps == 0.0
+    assert abs(metrics.fwhm_ps - 2.0 * w) <= metrics.fwhm_error_ps + 1e-12 * 2.0 * w
 
 
 def assert_cosine_series_exact(order, delays):
@@ -779,33 +809,34 @@ class TestDipMetrics:
         metrics = hom.dip_metrics(hom.dip_curve(cfg, "gaussian"))
         assert metrics.visibility == pytest.approx(1.0, abs=1e-3)
         assert metrics.fwhm_ps == pytest.approx(6.4, abs=0.3)
-        assert abs(metrics.center_ps) < 0.05
+        assert metrics.center_ps == 0.0 and metrics.baseline == 1.0
 
     def test_engine_curve_half_level_from_its_baseline(self, cfg):
         # a +-2 ps scan of the 6.25 ps dip never reaches the baseline: from the
-        # engine's baseline of 1 the half level is unbracketed, while the same
-        # samples without a known baseline fall back to the edge estimate
+        # engine's baseline of 1 the half level is unbracketed
         curve = hom.dip_curve(cfg, "gaussian", delays_ps=np.linspace(-2.0, 2.0, 41))
-        assert curve.baseline == 1.0
         with pytest.raises(hom.AnalysisError, match="not bracketed"):
             hom.dip_metrics(curve)
-        edge = hom.dip_metrics(hom.DipCurve(curve.delays_ps, curve.rates, "test"))
-        assert edge.baseline < 0.9 and edge.fwhm_ps == pytest.approx(2.6638, abs=1e-4)
 
     def test_flat_curve_raises(self):
         delays = np.linspace(-10, 10, 101)
-        curve = hom.DipCurve(delays_ps=delays, rates=np.ones_like(delays), engine="test")
+        curve = hom.DipCurve(delays_ps=delays, rates=np.ones_like(delays), engine="test",
+                             rule=even_rule(np.ones_like))
         with pytest.raises(hom.AnalysisError):
             hom.dip_metrics(curve)
 
     def test_synthetic_gaussian_dip(self):
+        # the analytic dip crosses its half level 0.55 at tau0 sqrt(2 ln 2) exactly
         tau0 = 2.5
+
+        def f(x):
+            return 1.0 - 0.9 * np.exp(-(x**2) / (2 * tau0**2))
         delays = np.linspace(-20, 20, 801)
-        rates = 1.0 - 0.9 * np.exp(-(delays**2) / (2 * tau0**2))
-        curve = hom.DipCurve(delays_ps=delays, rates=rates, engine="test")
+        curve = hom.DipCurve(delays_ps=delays, rates=f(delays), engine="test", rule=even_rule(f))
         metrics = hom.dip_metrics(curve)
-        assert metrics.visibility == pytest.approx(0.9, rel=1e-6)
-        assert metrics.fwhm_ps == pytest.approx(2 * tau0 * math.sqrt(2 * math.log(2)), rel=1e-6)
+        assert metrics.visibility == pytest.approx(0.9, rel=1e-15)
+        assert metrics.fwhm_ps == pytest.approx(2 * tau0 * math.sqrt(2 * math.log(2)), rel=1e-12)
+        assert metrics.center_ps == 0.0 and metrics.fwhm_error_ps == 0.0
 
     @pytest.mark.parametrize("where", ["edge_rate", "inner_rate", "delay"])
     def test_non_finite_curve_rejected(self, where):
@@ -820,47 +851,47 @@ class TestDipMetrics:
         else:
             delays[-1] = np.inf
         with pytest.raises(ValueError, match="must be finite"):
-            hom.DipCurve(delays_ps=delays, rates=rates, engine="test")
+            hom.DipCurve(delays_ps=delays, rates=rates, engine="test", rule=None)
 
     def test_unbracketed_dip_raises(self):
         delays = np.linspace(0, 5, 51)
         rates = 1.0 - 0.9 * np.exp(-((delays - 5.0) ** 2) / 2.0)  # dip at the edge
-        curve = hom.DipCurve(delays_ps=delays, rates=rates, engine="test")
+        curve = hom.DipCurve(delays_ps=delays, rates=rates, engine="test", rule=None)
         with pytest.raises(hom.AnalysisError):
             hom.dip_metrics(curve)
 
     @pytest.mark.parametrize("case", ["three_crossings", "sample_on_level"])
     def test_widest_crossing_pair_matches_scipy(self, case):
-        # the widest pair of half-level crossings, against scipy's spline and
-        # Brent's method at every sign change, plus any sample on the level
-        interpolate = pytest.importorskip("scipy.interpolate")
+        # the widest pair of half-level crossings, against scipy's Brent's method on
+        # the analytic dip at every sign change, plus any sample on the level
         optimize = pytest.importorskip("scipy.optimize")
-        delays = np.round(np.arange(-100, 101) * 0.2, 10)
-        rates = 1.0 - np.exp(-delays**2 / 8.0)
-        if case == "three_crossings":
+
+        def f(x):
+            if case == "sample_on_level":
+                return 1.0 - np.exp(-x**2 / 8.0)
             # a bump on each flank rises above the half level and falls back
-            rates = (1.0 - 0.9 * np.exp(-delays**2 / 8.0) - 0.6 * np.exp(-(delays - 5.0) ** 2 / 0.5)
-                     - 0.7 * np.exp(-(delays + 6.5) ** 2 / 0.8))
-        else:
+            bumps = [(0.6, 5.0, 0.5), (0.7, 6.5, 0.8)]
+            return 1.0 - 0.9 * np.exp(-x**2 / 8.0) - sum(
+                a * (np.exp(-(x - c) ** 2 / s) + np.exp(-(x + c) ** 2 / s)) for a, c, s in bumps)
+        delays = np.round(np.arange(-100, 101) * 0.2, 10)
+        rates = f(delays)
+        if case == "sample_on_level":
             # the minimum sits at 0 ps and the baseline is exactly 1, so the level is 0.5
             rates[[88, 112]] = 0.5
-        curve = hom.DipCurve(delays_ps=delays, rates=rates, engine="test")
+        curve = hom.DipCurve(delays_ps=delays, rates=rates, engine="test", rule=even_rule(f))
         metrics = hom.dip_metrics(curve)
 
-        spline = interpolate.CubicSpline(delays, rates)
-        imin = int(np.argmin(rates))
-        center = optimize.brentq(lambda x: spline(x, 1), delays[imin - 1], delays[imin + 1])
-        level = 0.5 * (metrics.baseline + float(spline(center)))
+        level = 0.5 * (1.0 + f(0.0))
         gap = rates - level
         flips = np.flatnonzero(gap[:-1] * gap[1:] < 0)
-        roots = np.r_[[optimize.brentq(lambda x: spline(x) - level, delays[i], delays[i + 1])
-                       for i in flips], delays[gap == 0.0]]
-        left, right = roots[roots < delays[imin]], roots[roots > delays[imin]]
+        roots = np.r_[[optimize.brentq(lambda x: f(x) - level, delays[i], delays[i + 1],
+                                       xtol=1e-15) for i in flips], delays[gap == 0.0]]
+        left, right = roots[roots < 0.0], roots[roots > 0.0]
         if case == "three_crossings":
             assert left.size == right.size == 3
         else:
             assert level == 0.5 and np.array_equal(np.sort(roots), [-2.4, 2.4])
-        assert metrics.center_ps == pytest.approx(center, abs=1e-11)
+        assert metrics.center_ps == 0.0
         assert metrics.fwhm_ps == pytest.approx(right.max() - left.min(), abs=1e-11)
         assert metrics.half_level_crossings == (left.size, right.size)
 
@@ -889,7 +920,7 @@ class TestCurveIO:
                     writer.writerow([f"{x:.17g}" for x in row])
 
         delays = np.array([-3.0, -1e-300, -0.0, 5e-324, 0.5, 2.0, 7.0, 1e16, 1.5e16])
-        curve = hom.DipCurve(delays_ps=delays, rates=np.array(special), engine="test")
+        curve = hom.DipCurve(delays_ps=delays, rates=np.array(special), engine="test", rule=None)
         hom.write_curve_csv(curve, tmp_path / "curve.csv")
         per_row(tmp_path / "curve_ref.csv", ["delay_ps", "rate_normalized"],
                 zip(curve.delays_ps, curve.rates))
@@ -913,10 +944,12 @@ class TestCurveIO:
         metrics = hom.dip_metrics(hom.dip_curve(cfg, "gaussian"))
         doc = json.loads(json.dumps(hom.metrics_record(metrics), allow_nan=False))
         assert doc == {"visibility": metrics.visibility, "fwhm_ps": metrics.fwhm_ps,
-                       "center_ps": metrics.center_ps, "baseline": 1.0, "engine": "gaussian",
-                       "half_level_crossings": [1, 1]}
-        unbracketed = hom.metrics_record(replace(metrics, fwhm_ps=math.nan))
-        assert unbracketed["fwhm_ps"] is None
+                       "center_ps": 0.0, "baseline": 1.0, "engine": "gaussian",
+                       "half_level_crossings": [1, 1], "fwhm_error_ps": metrics.fwhm_error_ps}
+        assert 0.0 <= metrics.fwhm_error_ps <= 1e-10
+        unbracketed = hom.metrics_record(replace(metrics, fwhm_ps=math.nan,
+                                                 fwhm_error_ps=math.inf))
+        assert unbracketed["fwhm_ps"] is None and unbracketed["fwhm_error_ps"] is None
 
 
 class TestValidation:

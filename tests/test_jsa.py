@@ -6,7 +6,7 @@ import pytest
 
 from homsim import jsa, units
 from homsim.quadrature import QuadratureSettings
-from oracles import delta_k, phi_oracle, q_oracle
+from oracles import delta_k, phi_closed, phi_oracle, q_oracle
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ class TestPhiClosed:
         for s in (0.0, 0.3, -0.7):
             sp = cfg.sigma_p_rad_per_ps
             expected = math.sqrt(math.pi) * sp * math.exp(-(2 * s) ** 2 / (4 * sp**2))
-            got = jsa.phi_closed(s, s, 0.0, cfg)
+            got = phi_closed(s, s, 0.0, cfg)
             assert got == pytest.approx(expected, rel=1e-14)
             assert abs(got.imag) == 0.0
 
@@ -56,10 +56,10 @@ class TestPhiClosed:
         for _ in range(20):
             ns, ni = rng.uniform(-1, 1, 2)
             z = rng.uniform(-300.0, 0.0)
-            assert jsa.phi_closed(ns, ni, z, cfg) == jsa.phi_closed(ni, ns, z, cfg)
+            assert phi_closed(ns, ni, z, cfg) == phi_closed(ni, ns, z, cfg)
 
     def test_matches_oracle_at_reference_point(self, cfg):
-        a = jsa.phi_closed(0.2, -0.1, -150.0, cfg)
+        a = phi_closed(0.2, -0.1, -150.0, cfg)
         b = phi_oracle(0.2, -0.1, -150.0, cfg)
         assert abs(a - b) <= 1e-8 * abs(a)
 
@@ -71,11 +71,11 @@ class TestPhiClosed:
         c1 = units.build_config(gamma_per_W_m=0.0, **base)
         c2 = units.build_config(gamma_per_W_m=5e-3, **base)
         for (ns, ni, z) in [(0.1, 0.2, -50.0), (-0.4, 0.3, -250.0)]:
-            assert jsa.phi_closed(ns, ni, z, c1) == jsa.phi_closed(ns, ni, z, c2)
+            assert phi_closed(ns, ni, z, c1) == phi_closed(ns, ni, z, c2)
 
     def test_branch_guard_triggers_on_unphysical_input(self, cfg):
         with pytest.raises(FloatingPointError):
-            jsa.phi_closed(0.0, 0.0, -1e8, cfg)
+            phi_closed(0.0, 0.0, -1e8, cfg)
 
 
 class TestGFunction:
@@ -88,7 +88,7 @@ class TestGFunction:
         z_max = 1.0 / (abs(cfg.fiber.beta2_ps2_per_m) * cfg.sigma_p_rad_per_ps**2)
         z = np.linspace(-z_max, z_max, 2001)
         spm = 2.0 * cfg.fiber.gamma_per_W_m * cfg.pumps.peak_power_W
-        ref = (jsa.phi_closed(0.0, 0.0, z, cfg) * np.exp(-1j * spm * z)
+        ref = (phi_closed(0.0, 0.0, z, cfg) * np.exp(-1j * spm * z)
                / (math.sqrt(math.pi) * cfg.sigma_p_rad_per_ps))
         assert np.max(np.abs(jsa._g_function(z, cfg) - ref) / np.abs(ref)) <= 1e-12
         with pytest.raises(FloatingPointError):
@@ -104,7 +104,7 @@ class TestPhiOracle:
         for ns in nus:
             for ni in nus:
                 for z in zs:
-                    a = jsa.phi_closed(ns, ni, z, cfg)
+                    a = phi_closed(ns, ni, z, cfg)
                     b = phi_oracle(ns, ni, z, cfg)
                     assert abs(a - b) <= 1e-7 * abs(a)
 

@@ -11,6 +11,7 @@ from homsim.quadrature import (
     gauss_legendre,
     _brentq,
     _CubicSpline,
+    _slope,
 )
 from oracles import AccuracyError, integrate_1d
 
@@ -201,7 +202,7 @@ def test_cubic_spline_matches_scipy(n, kind, data):
     h = (x[-1] - x[0]) / (n - 1)
     # a derivative carries units of y per unit x: the bound is per mean spacing
     assert np.max(np.abs(ours(xq) - ref(xq))) <= 1e-14 * scale
-    assert np.max(np.abs(ours(xq, 1) - ref(xq, 1))) <= 1e-14 * scale / h
+    assert np.max(np.abs(_slope(*ours._piece(xq)) - ref(xq, 1))) <= 1e-14 * scale / h
     assert np.max(np.abs(ours(x) - y)) <= 1e-14 * scale
     # the end pieces extrapolate, as scipy's do
     out = np.array([x[0] - 0.5 * h, x[-1] + 0.5 * h])
@@ -212,7 +213,7 @@ def test_cubic_spline_scalar_and_validation():
     x = np.linspace(0.0, 1.0, 6)
     s = _CubicSpline(x, x**3)
     assert float(s(0.5)) == pytest.approx(0.125, abs=1e-15)   # a cubic is reproduced
-    assert float(s(0.5, 1)) == pytest.approx(0.75, abs=1e-14)
+    assert float(_slope(*s._piece(0.5))) == pytest.approx(0.75, abs=1e-14)
     for bad_x, bad_y in [(np.array([0.0]), np.array([1.0])),
                          (np.array([0.0, 1.0, 1.0]), np.zeros(3)),
                          (np.array([0.0, np.nan, 2.0]), np.zeros(3)),
@@ -220,8 +221,6 @@ def test_cubic_spline_scalar_and_validation():
                          (x, np.zeros(5))]:
         with pytest.raises(ValueError):
             _CubicSpline(bad_x, bad_y)
-    with pytest.raises(ValueError):
-        s(0.5, 2)
 
 
 def test_brentq_matches_scipy_on_general_dip():
@@ -230,7 +229,7 @@ def test_brentq_matches_scipy_on_general_dip():
     d, r = curve.delays_ps, curve.rates
     spline = _CubicSpline(d, r)
     imin = int(np.argmin(r))
-    roots = [(lambda x: float(spline(x, 1)), d[imin - 1], d[imin + 1])]
+    roots = [(lambda x: float(_slope(*spline._piece(x))), d[imin - 1], d[imin + 1])]
     half = 0.5 * (1.0 + r[imin])
     flips = np.nonzero(np.diff(np.sign(r - half)))[0]
     assert flips.size == 2

@@ -5,19 +5,19 @@ Two fit families:
 * :func:`fit_gaussian_dip` -- the phenomenological model :func:`gaussian_dip`,
   c(dt) = B [1 - V exp(-(dt - tc)^2 / (2 w^2))], with an analytic Jacobian.
 * :func:`fit_model` -- a physics engine curve with nuisance parameters
-  (baseline, center, depth scale).  The engine rate is interpolated by a
-  spline on a grid symmetric about zero, sized by the scan span and cached per
-  (config, engine, half-width); its spacing is halved until a midpoint check
-  meets ``_MODEL_TOL``.  Its derivative gives an analytic Jacobian; the
-  half-width of the engine's dip, solved once per cached spline on the engine's
-  own rule, gives the FWHM.
+  (baseline, center, depth scale).  The engine rate is interpolated by a cubic
+  Hermite on uniform knots symmetric about zero (error O(h^4) in the spacing h),
+  sized by the scan span and cached per (config, engine, half-width); h is
+  halved until a midpoint check meets ``_MODEL_TOL``.  Its derivative gives an
+  analytic Jacobian; the half-width of the engine's dip, solved once per cached
+  model on the engine's own rule, gives the FWHM.
 
 The optimizer is damped Gauss-Newton with a Levenberg-style schedule:
 damping x10 on a rejected step, /10 on an accepted one, starting at 1e-3,
 times diag J^T J (1 on a zero column), so the path does not depend on the units.
 Each fit hands it one ``evaluate(p)`` that returns the residual at p and a
 zero-argument callable building the Jacobian at p from the residual's own
-intermediates (the Gaussian's exp, the spline's pieces).  The loop calls
+intermediates (the Gaussian's exp, the model's pieces).  The loop calls
 ``evaluate`` once per trial point and builds the Jacobian only at the start and
 at accepted points; the covariance comes from the last one built.
 
@@ -44,7 +44,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hom import DipMetrics, _rule_metrics, dip_curve, metrics_record
-from .quadrature import _CubicSpline, _slope, _value
 from .units import ExperimentConfig
 
 __all__ = [
@@ -60,8 +59,8 @@ __all__ = [
 ]
 
 _TWO_SQRT_2LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
-_MODEL_TOL = 1e-9         # the model spline's midpoint-check tolerance on R
-_MODEL_MAX_KNOTS = 2**15  # largest model spline
+_MODEL_TOL = 1e-9         # the model's midpoint-check tolerance on R
+_MODEL_MAX_KNOTS = 2**15  # largest model
 _MODEL_HALF_STEP = 5.0    # model half-widths are multiples of this, in ps
 _TAU = 1e-6               # a fit stops at a step shorter than this many standard errors
 
@@ -191,7 +190,7 @@ class FitResult:
     message: str = ""
     dof: int = 1                     # data points minus fitted parameters, at least 1
     std_errors: dict[str, Optional[float]] | None = None  # None where no covariance
-    model: Optional[dict] = None     # engine spline record of fit_model
+    model: Optional[dict] = None     # engine model record of fit_model
 
 
 def _std_errors(names, cov: Optional[np.ndarray]) -> dict[str, Optional[float]]:
@@ -245,8 +244,9 @@ def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], n
                 converged, it = True, it - 1  # no trial ran: not an iteration
                 break
             p_new = p + step
-            r_new, jacobian = evaluate(p_new)
-            cost_new = float(r_new @ r_new)
+            with np.errstate(over="ignore"):  # a trial that overflows costs inf: rejected
+                r_new, jacobian = evaluate(p_new)
+                cost_new = float(r_new @ r_new)
             if cost_new <= cost:
                 if np.abs(step).max() < 1e-12 * (np.abs(p).max() + 1e-12):
                     converged = True
@@ -348,17 +348,51 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
     )
 
 
+def _hermite(h: float, y: np.ndarray):
+    """The cubic Hermite interpolant on the knots k h, |k| <= n, of samples y = f(k h),
+    |k| <= n + 2: the knots and, per piece, (c0, c1, c2, c3) of c0 t^3 + c1 t^2 + c2 t + c3
+    with t the offset from its left knot.  Each knot's slope is the 5-point central
+    difference (y[k-2] - 8 y[k-1] + 8 y[k+1] - y[k+2]) / (12 h), exact for a quartic, so
+    the interpolant reproduces a cubic and its error falls as h^4."""
+    n = (y.size - 5) // 2
+    s = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
+    slope = np.diff(y[2:-2]) / h
+    t = (s[:-1] + s[1:] - 2.0 * slope) / h
+    return np.arange(-n, n + 1) * h, np.array([t / h, (slope - s[:-1]) / h - t, s[:-1], y[2:-3]])
+
+
+def _piece(model, xq):
+    """Offset t of xq from its piece's left knot, and that piece's coefficients: the one
+    knot search that :func:`_value` and :func:`_slope` share.  The end pieces extrapolate."""
+    knots, coef = model
+    i = knots[1:-1].searchsorted(xq, "right")
+    return (xq - knots[i], *coef.take(i, axis=1))
+
+
+def _value(t, c0, c1, c2, c3):
+    """A cubic piece c0 t^3 + c1 t^2 + c2 t + c3 at offset t."""
+    return ((c0 * t + c1) * t + c2) * t + c3
+
+
+def _slope(t, c0, c1, c2, c3):
+    """The first derivative of that piece at offset t."""
+    return (3.0 * c0 * t + 2.0 * c1) * t + c2
+
+
 @lru_cache(maxsize=16)
 def _model(cfg: ExperimentConfig, engine: str, half: float):
-    """Spline of the engine rate R on knots k h, |k h| <= n h, n h >= ``half``, record and w.
+    """Cubic Hermite interpolant (:func:`_hermite`) of the engine rate R on knots k h,
+    |k h| <= n h, n h >= ``half``, its record and w.
 
-    R is even, so the engine runs on [0, n h] and is mirrored.  From h = 1/4 ps
-    (coarser by powers of two when the first halving would pass _MODEL_MAX_KNOTS)
-    h is halved until the previous spline, checked at its midpoints -- the new odd
-    knots -- is within _MODEL_TOL of the engine, or the next halving would pass the
-    cap.  Returns the finer spline, a record whose ``model_error`` is that check's
-    largest deviation (a bound on the coarser spline's error) and w, the outermost
-    crossing of (1 + R(0)) / 2 on [0, n h] (infinite if none), solved on the finer
+    R is even, so the engine runs on [0, (n + 2) h] and is mirrored; the two samples
+    past n h give the end knots' slopes.  From h = 1/4 ps (coarser by powers of two when
+    the first halving would pass _MODEL_MAX_KNOTS) h is halved until the previous
+    interpolant, checked at its midpoints -- the new odd knots of [0, n h] -- is within
+    _MODEL_TOL of the engine, or the next halving would pass the cap.  Its error falls
+    as h^4, so the finer one's is about 1/16 of the check.  Returns the finer
+    interpolant, a record whose ``model_error`` is that check's largest deviation (a
+    bound on the coarser interpolant's error) and w, the outermost crossing of
+    (1 + R(0)) / 2 on the engine's samples (infinite if none), solved on the finer
     curve's engine rule by :func:`homsim.hom._rule_metrics`; R is least at 0 (cosine
     weights are >= 0).
     """
@@ -368,21 +402,22 @@ def _model(cfg: ExperimentConfig, engine: str, half: float):
     n = math.ceil(half / h)
 
     def mirrored(m: int, spacing: float):
-        curve = dip_curve(cfg, engine, np.arange(m + 1) * spacing)
-        x, y = curve.delays_ps, curve.rates
-        return _CubicSpline(np.r_[-x[:0:-1], x], np.r_[y[:0:-1], y]), curve
+        curve = dip_curve(cfg, engine, np.arange(m + 3) * spacing)
+        return _hermite(spacing, np.r_[curve.rates[:0:-1], curve.rates]), curve
 
-    spline, _ = mirrored(n, h)
+    model, _ = mirrored(n, h)
     while True:
         n, h = 2 * n, 0.5 * h
         finer, curve = mirrored(n, h)
-        error = float(np.max(np.abs(spline(curve.delays_ps[1::2]) - curve.rates[1::2])))
+        odd = slice(1, n, 2)
+        error = float(np.max(np.abs(_value(*_piece(model, curve.delays_ps[odd]))
+                                    - curve.rates[odd])))
         if error <= _MODEL_TOL or 4 * n + 1 > _MODEL_MAX_KNOTS:
             width = 0.5 * _rule_metrics(curve, 0).fwhm_ps
             return finer, {"half_width_ps": n * h, "knots": 2 * n + 1, "spacing_ps": h,
                            "model_error": error, "model_tol": _MODEL_TOL,
                            "quadrature": curve.quadrature}, width
-        spline = finer
+        model = finer
 
 
 def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
@@ -390,7 +425,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     """Fit an engine-backed curve c(dt) = B [1 - s (1 - R(dt - tc))].
 
     Physics parameters are fixed by ``cfg``; the baseline B, center tc and
-    depth scale s vary.  R comes from a cached spline of the engine (see
+    depth scale s vary.  R comes from a cached interpolant of the engine (see
     :func:`_model`) over +-half, the scan span plus a pad of a quarter span
     + 2 ps, rounded up to 5 ps, so that every center within the pad of the
     initial guess keeps the data on the grid; its derivative gives an analytic
@@ -398,11 +433,11 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     :func:`_model`) if it dips (B > 0, B (1 - s (1 - R(0))) < B) and the scan
     holds tc +- w, else NaN.  The fit is marked suspicious when it leaves the
     model: the center moves more than the pad (R would be extrapolated), s leaves
-    [0, 1.05], the scan does not bracket the FWHM, or the spline's estimate exceeds
+    [0, 1.05], the scan does not bracket the FWHM, or the model's estimate exceeds
     ``_MODEL_TOL`` at the knot cap (the grid does not resolve the engine dip); and
     when the data carry uncertainties and the reduced chi2 is far from 1 (see
     :func:`_chi2_off`).
-    ``FitResult.model`` records the spline and the engine's quadrature.
+    ``FitResult.model`` records the model and the engine's quadrature.
     """
     d, c = data.delays_ps, data.counts
     wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
@@ -411,13 +446,13 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     span = d[-1] - d[0]
     pad = 0.25 * span + 2.0
     half = _MODEL_HALF_STEP * math.ceil((span + pad) / _MODEL_HALF_STEP)
-    spline, record, width = _model(cfg, engine, half)
+    model, record, width = _model(cfg, engine, half)
 
     p0 = np.array([b0, tc0, min(max(v0, 0.05), 1.0)])
 
     def evaluate(p: np.ndarray):
         b, tc, s = p
-        piece = spline._piece(d - tc)
+        piece = _piece(model, d - tc)
         raw = _value(*piece)
         depth = 1.0 - np.clip(raw, 0.0, None)
         shape = 1.0 - s * depth
@@ -432,7 +467,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     b, tc, s = p
     dof = max(d.size - p.size, 1)
 
-    dips = b > 0.0 and b * (1.0 - s * (1.0 - spline(0.0))) < b
+    dips = b > 0.0 and b * (1.0 - s * (1.0 - _value(*_piece(model, 0.0)))) < b
     bracketed = dips and d[0] < tc - width and tc + width < d[-1]
     fwhm = 2.0 * width if bracketed else math.nan
     # engine dips to zero, so the depth scale is the visibility

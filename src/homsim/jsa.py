@@ -135,8 +135,9 @@ class AmplitudeGrid:
 
     def __post_init__(self) -> None:
         for axis in (self.nu_s_axis, self.nu_i_axis):
-            d = np.diff(axis)
-            if not (np.all(d > 0) and np.allclose(d, d[0], rtol=1e-9)):
+            d = np.diff(axis)  # d[0] is checked finite first: inf - inf would warn
+            uniform = math.isfinite(d[0]) and np.all(np.abs(d - d[0]) <= 1e-8 + 1e-9 * abs(d[0]))
+            if not (np.all(d > 0) and uniform):
                 raise ValueError("grid axes must be strictly increasing and uniform")
         if self.values.shape != (self.nu_s_axis.size, self.nu_i_axis.size):
             raise ValueError("value array shape does not match axes")

@@ -1,4 +1,4 @@
-"""Error-controlled rules and the package's private curve numerics.
+"""Error-controlled rules and the package's root finder.
 
 * :func:`gauss_legendre` -- fixed Gauss-Legendre nodes and weights, the rule of the
   closed engine's lag axis and, with its embedded 3/4-order rule as one cached node
@@ -9,9 +9,8 @@
   coarser rule evaluated with it, checked against _ABS_TOL = 1e-12 plus
   10 kappa eps; a NaN estimate fails.  A start past the cap (_MAX_GL_ORDER for
   the z and lag rules) or a search that reaches it raises :class:`AccuracyError`.
-* a not-a-knot cubic spline (the engine model of ``fitdata``) and a Brent root
-  finder, numerically the defaults of scipy's ``CubicSpline`` and ``brentq`` (so
-  importing the package needs only numpy).
+* :func:`_brentq` -- a Brent root finder, numerically scipy's ``brentq`` with its
+  defaults (so importing the package needs only numpy).
 
 Results are deterministic: identical arguments give bit-identical output.
 """
@@ -109,112 +108,6 @@ def _searched(points: np.ndarray, n: int, cap: int, rule,
             raise AccuracyError(f"{failure} and a doubling to {n} did not shrink it: rounding")
         last, n = (stage, estimate), 2 * n
     raise AccuracyError(f"{failure}; no order up to {cap} passes")
-
-
-class _CubicSpline:
-    """Not-a-knot cubic spline through (x, y), as scipy's default ``CubicSpline``.
-
-    The knot slopes solve scipy's tridiagonal system; piece i
-    is c0 t^3 + c1 t^2 + c2 t + c3 with t = x - x[i].  Outside [x[0], x[-1]]
-    the end pieces extrapolate.  ``_slope(*spline._piece(xq))`` is the first derivative.
-    """
-
-    def __init__(self, x, y):
-        x = np.array(x, dtype=float)
-        y = np.array(y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape:
-            raise ValueError("x and y must be 1-D arrays of equal length")
-        if x.size < 2:
-            raise ValueError("x must contain at least 2 elements")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("x and y must contain only finite values")
-        dx = np.diff(x)
-        if np.any(dx <= 0):
-            raise ValueError("x must be strictly increasing")
-        slope = np.diff(y) / dx
-        s = _knot_slopes(x, dx, slope)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self._x = x
-        self._inner = x[1:-1]
-        self._c0 = t / dx
-        self._c1 = (slope - s[:-1]) / dx - t
-        self._c2 = s[:-1]
-        self._c3 = y[:-1]
-
-    def __call__(self, xq):
-        """The spline at a float or array."""
-        return _value(*self._piece(xq))
-
-    def _piece(self, xq):
-        """Offset t of xq from its piece's left knot, and that piece's coefficients:
-        the one knot search that :func:`_value` and :func:`_slope` share."""
-        i = self._inner.searchsorted(xq, "right")
-        return xq - self._x[i], self._c0[i], self._c1[i], self._c2[i], self._c3[i]
-
-
-def _value(t, c0, c1, c2, c3):
-    """A cubic piece c0 t^3 + c1 t^2 + c2 t + c3 at offset t."""
-    return ((c0 * t + c1) * t + c2) * t + c3
-
-
-def _slope(t, c0, c1, c2, c3):
-    """The first derivative of that piece at offset t."""
-    return (3.0 * c0 * t + 2.0 * c1) * t + c2
-
-
-def _knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """First derivatives of the not-a-knot spline at its knots."""
-    n = x.size
-    if n == 2:      # the straight line
-        return np.array([slope[0], slope[0]])
-    if n == 3:      # the one parabola through three points
-        a = (slope[1] - slope[0]) / (x[2] - x[0])
-        return np.array([slope[0] - a * dx[0], slope[0] + a * dx[0], slope[1] + a * dx[1]])
-    # scipy's system: rows 1..n-2 continue the second derivative, rows 0 and
-    # n-1 the third derivative across x[1] and x[-2].  Row 1 minus row 0 and
-    # row n-2 minus row n-1 drop s[0] and s[-1], leaving a strictly diagonally
-    # dominant system for s[1:-1], padded with identity rows to 2^k - 1.
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    first = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-    last = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    m = n - 2
-    size = (1 << m.bit_length()) - 1
-    lower, diag, upper, rhs = np.zeros(size), np.ones(size), np.zeros(size), np.zeros(size)
-    lower[1:m] = dx[2:]
-    diag[:m] = 2 * (dx[:-1] + dx[1:])
-    upper[:m - 1] = dx[:m - 1]
-    rhs[:m] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    diag[0] = d0
-    rhs[0] -= first
-    diag[m - 1] = d1
-    rhs[m - 1] -= last
-    s = np.empty(n)
-    s[1:-1] = _cyclic_reduction(lower, diag, upper, rhs)[:m]
-    s[0] = (first - d0 * s[1]) / dx[1]
-    s[-1] = (last - d1 * s[-2]) / dx[-2]
-    return s
-
-
-def _cyclic_reduction(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Solve a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i] for 2^k - 1 rows.
-
-    Each level eliminates the even rows from the odd ones, halving the
-    system; the even unknowns then follow from their odd neighbours.
-    """
-    if b.size == 1:
-        return d / b
-    ae, be, ce, de = a[::2], b[::2], c[::2], d[::2]
-    alpha = -a[1::2] / be[:-1]
-    gamma = -c[1::2] / be[1:]
-    odd = np.zeros(b.size // 2 + 2)
-    odd[1:-1] = _cyclic_reduction(alpha * ae[:-1],
-                                  b[1::2] + alpha * ce[:-1] + gamma * ae[1:],
-                                  gamma * ce[1:],
-                                  d[1::2] + alpha * de[:-1] + gamma * de[1:])
-    x = np.empty(b.size)
-    x[1::2] = odd[1:-1]
-    x[::2] = (de - ae * odd[:-1] - ce * odd[1:]) / be
-    return x
 
 
 _BRENTQ_XTOL = 2e-12

@@ -1,10 +1,12 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from homsim import fitdata, hom, quadrature, units
+from homsim import fitdata, hom, units
 from homsim.fitdata import (CoincidenceDataset, InsufficientDataError,
                             ParseError, fit_gaussian_dip, fit_model, ingest_csv)
 from homsim.quadrature import _brentq
@@ -287,6 +289,11 @@ def cfg():
     return units.default_config()
 
 
+@pytest.fixture(scope="module")
+def fit_reference():
+    return json.loads((Path(__file__).parent / "fit_model_reference.json").read_text())
+
+
 FIT_BATCH_PAIRS = [("gaussian", "gaussian"), ("gaussian", "general"),
                    ("supergaussian4", "general"), ("supergaussian4", "supergaussian"),
                    ("cascade", "general")]
@@ -323,7 +330,7 @@ class TestModelFit:
 
     def test_self_consistency_off_center_stage(self, cfg):
         # a dip far from zero delay must still be fitted on sampled engine
-        # values, not on the spline's extrapolation beyond its grid
+        # values, not on the model's extrapolation beyond its grid
         self._check_self_consistency(cfg, 35.0)
 
     def test_analytic_jacobian_matches_central_difference(self, cfg, monkeypatch):
@@ -351,7 +358,7 @@ class TestModelFit:
         # nudging every engine rate by one ulp up or down must barely move the
         # fit: a finite-difference Jacobian turned that rounding into derivative
         # noise (median relative change 3.6e-12 on these datasets); the analytic
-        # one follows the spline (5e-15)
+        # one follows the model (5e-15)
         delays = np.round(np.arange(-150, 151) * 0.1, 10)
         engine_curve = fitdata.dip_curve
         changes = []
@@ -368,7 +375,7 @@ class TestModelFit:
                 up = rng.random(curve.rates.size) < 0.5
                 return replace(curve, rates=np.nextafter(curve.rates, np.where(up, 2.0, 0.0)))
 
-            # the model spline is cached per config: without the clears the nudged
+            # the model is cached per config: without the clears the nudged
             # engine would never be called, and the next reference would be nudged
             monkeypatch.setattr(fitdata, "dip_curve", nudged)
             fitdata._model.cache_clear()
@@ -417,7 +424,7 @@ class TestModelFit:
                                               ("supergaussian4", "supergaussian")])
     def test_fwhm_is_the_engine_half_width(self, shape, engine):
         # on noiseless engine data the fitted FWHM is the width at R = 0.5 found
-        # by root-finding on the engine, to within the model spline's error
+        # by root-finding on the engine, to within the model's error
         cfg = units.default_config(shape)
         delays = np.round(np.arange(-150, 151) * 0.1, 10)
         rates = hom.dip_curve(cfg, engine, delays - 0.3).rates
@@ -467,7 +474,7 @@ class TestModelFit:
 
     def test_unresolved_engine_dip_is_flagged(self, cfg):
         # 21 points over +-10 ns: a model over +-25 ns reaches the knot cap at a
-        # 2 ps spacing, where the midpoint check of the 4 ps spline across the
+        # 2 ps spacing, where the midpoint check of the 4 ps model across the
         # ~6 ps engine dip is far above the model tolerance
         delays = np.linspace(-1e4, 1e4, 21)
         counts = np.full(delays.size, 100.0)
@@ -480,7 +487,7 @@ class TestModelFit:
 
     def test_fit_leaving_the_model_is_flagged(self, cfg):
         # flat data with one low point at the edge: the center runs off the
-        # engine grid, where the spline only extrapolates, and the depth
+        # engine grid, where the model only extrapolates, and the depth
         # scale grows far past 1
         delays = np.linspace(20.0, 50.0, 61)
         counts = np.full(delays.size, 100.0)
@@ -491,17 +498,38 @@ class TestModelFit:
         assert "depth scale outside [0, 1.05]" in res.message
 
     @pytest.mark.parametrize("shape,engine", FIT_BATCH_PAIRS)
-    def test_model_error_bounds_spline_deviation(self, shape, engine):
+    def test_model_error_bounds_model_deviation(self, shape, engine):
         cfg = units.default_config(shape)
         res = fit_model(engine_dataset(cfg, engine, seed=6), cfg, engine=engine)
         record = res.model
         assert record["model_error"] <= record["model_tol"] == fitdata._MODEL_TOL
         half = record["half_width_ps"]
-        spline, cached, _ = fitdata._model(cfg, engine, half)
+        model, cached, _ = fitdata._model(cfg, engine, half)
         assert cached == record
         x = np.sort(np.random.default_rng(7).uniform(-half, half, 2000))
         engine_rates = hom.dip_curve(cfg, engine, x).rates
-        assert np.max(np.abs(spline(x) - engine_rates)) <= record["model_error"]
+        assert np.max(np.abs(fitdata._value(*fitdata._piece(model, x)) - engine_rates)) \
+            <= record["model_error"]
+
+    @pytest.mark.parametrize("shape,engine", FIT_BATCH_PAIRS)
+    def test_model_size_at_40_ps(self, shape, engine):
+        # the knots the halving settles on for a 301-point scan over +-15 ps: they
+        # set the cost of every cold model build
+        record = fitdata._model(units.default_config(shape), engine, 40.0)[1]
+        knots = 5121 if shape == "gaussian" else 2561
+        assert (record["knots"], record["spacing_ps"]) == (knots, 80.0 / (knots - 1))
+
+    @pytest.mark.parametrize("shape,engine", FIT_BATCH_PAIRS)
+    def test_fits_match_the_reference_run(self, shape, engine, fit_reference):
+        # 20 seeded fits agree with the ones recorded with the earlier model, a cubic
+        # spline through the same knots, to 1e-6 standard errors, in as many iterations
+        cfg = units.default_config(shape)
+        for seed, ref in enumerate(fit_reference[f"{shape}/{engine}"]):
+            res = fit_model(engine_dataset(cfg, engine, seed), cfg, engine=engine)
+            assert res.iterations == ref["iterations"], seed
+            for k, x in res.params.items():
+                assert abs(x - ref["params"][k]) <= 1e-6 * ref["std_errors"][k], (seed, k)
+            assert res.derived_metrics.fwhm_ps == pytest.approx(ref["fwhm_ps"], rel=1e-12)
 
     def test_warm_fit_makes_no_engine_call(self, cfg, monkeypatch):
         data = engine_dataset(cfg, "gaussian", seed=8)
@@ -549,20 +577,37 @@ class TestModelFit:
             fit_model(data, cfg, engine="bogus")
 
 
+def test_model_interpolant_reproduces_a_cubic():
+    # the 5-point knot slopes are exact for a quartic, so the Hermite pieces
+    # reproduce a cubic and its slope, also one step past either end knot,
+    # where the end pieces extrapolate; a slope carries units of y per unit x,
+    # so its bound is per knot spacing
+    h, n = 0.3, 12
+    coef = (0.3, -1.2, 0.7, -2.0)
+    model = fitdata._hermite(h, np.polyval(coef, np.arange(-n - 2, n + 3) * h))
+    x = np.concatenate([model[0], np.linspace(-(n + 1) * h, (n + 1) * h, 1001)])
+    piece = fitdata._piece(model, x)
+    y = np.polyval(coef, x)
+    scale = np.max(np.abs(y))
+    assert np.max(np.abs(fitdata._value(*piece) - y)) <= 1e-14 * scale
+    assert np.max(np.abs(fitdata._slope(*piece) - np.polyval(np.polyder(coef), x))) \
+        <= 1e-14 * scale / h
+
+
 @pytest.mark.parametrize("fit", [fit_gaussian_dip, fit_model])
 def test_each_trial_point_is_evaluated_once(cfg, monkeypatch, fit):
     # the fit loop calls evaluate once per trial point and builds the Jacobian
     # only at the start and at each accepted point, the trial whose cost does not
-    # exceed the last accepted one; a warm fit_model searches the spline's knots
+    # exceed the last accepted one; a warm fit_model searches the model's knots
     # once per trial point
     data = engine_dataset(cfg, "gaussian", seed=11)
-    fit_model(data, cfg)  # warm the model spline
+    fit_model(data, cfg)  # warm the model
     levenberg, trials, searches, during_fit = fitdata._levenberg, [], [], {}
-    piece = quadrature._CubicSpline._piece
+    piece = fitdata._piece
 
-    def counting_piece(self, xq):
+    def counting_piece(model, xq):
         searches.append(xq)
-        return piece(self, xq)
+        return piece(model, xq)
 
     def spy(evaluate, p0, **kwargs):
         def counted(p):
@@ -579,7 +624,7 @@ def test_each_trial_point_is_evaluated_once(cfg, monkeypatch, fit):
         during_fit["knot_searches"] = len(searches)
         return out
 
-    monkeypatch.setattr(quadrature._CubicSpline, "_piece", counting_piece)
+    monkeypatch.setattr(fitdata, "_piece", counting_piece)
     monkeypatch.setattr(fitdata, "_levenberg", spy)
     res = fit(data) if fit is fit_gaussian_dip else fit(data, cfg)
     assert res.converged and len(trials) > res.iterations >= 2

@@ -320,9 +320,9 @@ _SIG = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.8)
 _IDL = FilterSpec(shape=FilterShape.GAUSSIAN, fwhm_nm=0.88)
 
 
-# the finest engine axis of fit_model's model spline for a 301-point scan over
-# +-15 ps: the engine runs on [0, 40] ps at 1/64 ps and is mirrored
-MODEL_AXIS = np.arange(2561) / 64.0
+# the finest engine axis of fit_model's model for a 301-point scan over +-15 ps:
+# the engine runs on [0, 40] ps at 1/64 ps, and two steps past it, and is mirrored
+MODEL_AXIS = np.arange(2563) / 64.0
 
 DELAY_AXES = {
     "default": np.round(np.arange(-150, 151) * 0.1, 10),

@@ -196,12 +196,14 @@ class TestGrid:
         assert first[2] == grid.values[0, 0].real
 
     def test_axis_validation(self):
-        with pytest.raises(ValueError):
-            jsa.AmplitudeGrid(
-                nu_s_axis=np.array([0.0, 1.0, 1.5]),  # non-uniform
-                nu_i_axis=np.array([0.0, 1.0, 2.0]),
-                values=np.zeros((3, 3), dtype=complex),
-            )
+        # a non-uniform axis, and an infinite step, which np.allclose took as uniform
+        for axis in (np.array([0.0, 1.0, 1.5]), np.array([-np.inf, 0.0, np.inf])):
+            with pytest.raises(ValueError, match="uniform"):
+                jsa.AmplitudeGrid(
+                    nu_s_axis=axis,
+                    nu_i_axis=np.array([0.0, 1.0, 2.0]),
+                    values=np.zeros((3, 3), dtype=complex),
+                )
 
 
 def _per_row_csv(path, header, rows):

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from homsim import hom, jsa, quadrature, units
+from homsim import fitdata, hom, jsa, quadrature, units
 from homsim.quadrature import (
     QuadratureSettings,
     gauss_legendre,
     _brentq,
-    _CubicSpline,
-    _slope,
 )
 from oracles import AccuracyError, integrate_1d
 
@@ -180,60 +178,22 @@ def test_too_many_phase_cycles_raise_in_the_z_rule(run):
         run(cfg)
 
 
-def _knots(n, kind, rng):
-    """n knots over [-15, 15] ps: uniform, or spacings drawn from U(0.5, 1.5) h."""
-    if kind == "uniform":
-        return np.linspace(-15.0, 15.0, n)
-    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
-    return -15.0 + 30.0 * x / x[-1]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10, 301, 1204])
-@pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
-@pytest.mark.parametrize("data", ["gaussian", "random"])
-def test_cubic_spline_matches_scipy(n, kind, data):
-    interpolate = pytest.importorskip("scipy.interpolate")
-    rng = np.random.default_rng(n)
-    x = _knots(n, kind, rng)
-    y = np.exp(-x**2 / 8.0) if data == "gaussian" else rng.normal(size=n)
-    ours, ref = _CubicSpline(x, y), interpolate.CubicSpline(x, y)
-    xq = np.concatenate([x, np.linspace(x[0], x[-1], 997), rng.uniform(x[0], x[-1], 200)])
-    scale = np.max(np.abs(y))
-    h = (x[-1] - x[0]) / (n - 1)
-    # a derivative carries units of y per unit x: the bound is per mean spacing
-    assert np.max(np.abs(ours(xq) - ref(xq))) <= 1e-14 * scale
-    assert np.max(np.abs(_slope(*ours._piece(xq)) - ref(xq, 1))) <= 1e-14 * scale / h
-    assert np.max(np.abs(ours(x) - y)) <= 1e-14 * scale
-    # the end pieces extrapolate, as scipy's do
-    out = np.array([x[0] - 0.5 * h, x[-1] + 0.5 * h])
-    assert np.max(np.abs(ours(out) - ref(out))) <= 1e-13 * scale
-
-
-def test_cubic_spline_scalar_and_validation():
-    x = np.linspace(0.0, 1.0, 6)
-    s = _CubicSpline(x, x**3)
-    assert float(s(0.5)) == pytest.approx(0.125, abs=1e-15)   # a cubic is reproduced
-    assert float(_slope(*s._piece(0.5))) == pytest.approx(0.75, abs=1e-14)
-    for bad_x, bad_y in [(np.array([0.0]), np.array([1.0])),
-                         (np.array([0.0, 1.0, 1.0]), np.zeros(3)),
-                         (np.array([0.0, np.nan, 2.0]), np.zeros(3)),
-                         (x, np.full(6, np.inf)),
-                         (x, np.zeros(5))]:
-        with pytest.raises(ValueError):
-            _CubicSpline(bad_x, bad_y)
-
-
 def test_brentq_matches_scipy_on_general_dip():
+    # the minimum is the root of the fit model's slope, the half level's crossings
+    # the roots of the engine rule's fine column
     optimize = pytest.importorskip("scipy.optimize")
-    curve = hom.dip_curve(units.default_config(), "general")
+    cfg = units.default_config()
+    curve = hom.dip_curve(cfg, "general")
     d, r = curve.delays_ps, curve.rates
-    spline = _CubicSpline(d, r)
+    model, _, _ = fitdata._model(cfg, "general", 15.0)
     imin = int(np.argmin(r))
-    roots = [(lambda x: float(_slope(*spline._piece(x))), d[imin - 1], d[imin + 1])]
+    roots = [(lambda x: float(fitdata._slope(*fitdata._piece(model, x))),
+              d[imin - 1], d[imin + 1])]
     half = 0.5 * (1.0 + r[imin])
     flips = np.nonzero(np.diff(np.sign(r - half)))[0]
     assert flips.size == 2
-    roots += [(lambda x: float(spline(x)) - half, d[i], d[i + 1]) for i in flips]
+    roots += [(lambda x: float(curve.rule(np.array([x]))[0, 0]) - half, d[i], d[i + 1])
+              for i in flips]
     for f, a, b in roots:
         assert abs(_brentq(f, a, b) - optimize.brentq(f, a, b)) <= 2e-12
         assert _brentq(f, a, b, xtol=1e-15) == optimize.brentq(f, a, b, xtol=1e-15)

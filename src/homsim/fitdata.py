@@ -28,8 +28,9 @@ standard errors in the covariance metric, dT (J^T J) d * dof <= tau^2 * cost;
 such an iteration runs no trial and is not counted in ``iterations``.  Only the
 first trial is tested, since damped steps shrink under rejection.  An accepted
 step below 1e-12 of the largest |p| also converges, which ends zero-residual
-fits.  When no trial of an iteration is accepted, the fit has converged only if
-the residual is orthogonal to every column of J to within tau (MINPACK's gtol).
+fits.  When no trial of an iteration is accepted, the fit stops there; it has converged
+only if the residual is orthogonal to every column of J to within tau (MINPACK's gtol),
+else its message says that no step reduced the residual.
 """
 
 from __future__ import annotations
@@ -270,6 +271,12 @@ def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], n
     return p, cost, it, converged, cov
 
 
+def _stop_message(converged: bool, it: int, max_iter: int) -> str:
+    """How :func:`_levenberg` stopped; before ``max_iter`` only a step-less iteration stops it."""
+    return ("converged" if converged else "max iterations reached" if it >= max_iter
+            else "no step reduced the residual")
+
+
 def _initial_dip_guess(d: np.ndarray, c: np.ndarray):
     n = d.size
     edge = max(int(round(0.2 * n / 2)), 1)
@@ -320,14 +327,15 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
             return j * wgt[:, None]
         return r, jacobian
 
-    p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=200)
+    max_iter = 200
+    p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=max_iter)
     b, v, tc, w = p
     w = abs(w)
     fwhm = _TWO_SQRT_2LN2 * w
     dof = max(d.size - p.size, 1)
     chi2_off = _chi2_off(data, cost, dof)
     suspicious = not (0.0 <= v <= 1.05) or chi2_off
-    msg = "converged" if converged else "max iterations reached"
+    msg = _stop_message(converged, it, max_iter)
     if v < 1e-4:
         msg = "converged-degenerate: no significant dip"
     if chi2_off:
@@ -463,7 +471,8 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
             return np.column_stack((shape, -b * s * slope, -b * depth)) * wgt[:, None]
         return r, jacobian
 
-    p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=100)
+    max_iter = 100
+    p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=max_iter)
     b, tc, s = p
     dof = max(d.size - p.size, 1)
 
@@ -480,7 +489,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
              ("FWHM not bracketed", not bracketed),
              ("engine dip not resolved by the fit grid", record["model_error"] > _MODEL_TOL),
              (_CHI2_NOTE, _chi2_off(data, cost, dof))]
-    msg = "; ".join(["converged" if converged else "max iterations reached"]
+    msg = "; ".join([_stop_message(converged, it, max_iter)]
                     + [note for note, hit in notes if hit])
     return FitResult(
         params={"baseline": float(b), "center": float(tc), "scale": float(s)},

@@ -29,7 +29,9 @@ normalized to a large-delay baseline of 1.  Every engine doubles its order by
 ``quadrature._searched`` until an embedded error estimate meets _ABS_TOL = 1e-12
 plus 10 kappa eps (kappa: the cancellation of its sum), and checks each rate's
 sign against _ABS_TOL before clamping at zero.  The spectral engines' H runs
-its own searched z rule, whose order and estimate their record carries.
+its own searched z rule, whose order and estimate their record carries.  A
+search's rule maps delays to the fine rate, the coarse rate and the fine slope
+dR/ddt (columns), on which :func:`dip_metrics` solves the half level by Newton.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from typing import Callable
 import numpy as np
 
 from .jsa import _chunks, _g_cycles, _g_function, _h_values, _nodes_per_cycle, _write_csv
-from .quadrature import (_ABS_TOL, _MAX_GL_ORDER, AccuracyError, QuadratureSettings, _brentq,
-                         _searched, gauss_legendre)
+from .quadrature import (_ABS_TOL, _BRENTQ_MAXITER, _BRENTQ_RTOL, _BRENTQ_XTOL, _MAX_GL_ORDER,
+                         AccuracyError, QuadratureSettings, _searched, gauss_legendre)
 from .units import ExperimentConfig, FilterShape, FilterSpec
 
 __all__ = [
@@ -115,12 +117,13 @@ def _spectral_tables(cfg: ExperimentConfig, n: int):
     and on its nested rule over the even nodes.  On nu_k = (k - n/2) step the cross
     weights C = F(s,i) F*(i,s) w_s w_i = pump(s + i) |H(((s - i) step)^2)|^2 p_s p_i,
     p = f_s f_i w, are real and symmetric, so R(dt) = 1 - sum_m c_m cos(m step dt),
-    c_m the sum of C over |s - i| = m over the baseline sum |F|^2 w_s w_i.  Returns
-    step, both rules' c_m laid out for _cosine_sums, kappa = sum |c_m| and H's z record."""
+    c_m the sum of C over |s - i| = m over the baseline sum |F|^2 w_s w_i.  Returns step,
+    the series of both rules' c_m and the fine i c_m m step, kappa = sum |c_m|, H's z record."""
     signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
     step = 2.0 * _nu_half(cfg) / n
     k = np.arange(n + 1)
-    fs, fi = (filter_amplitude(spec, (k - n / 2) * step, cfg) for spec in (signal, idler))
+    fs = filter_amplitude(signal, (k - n / 2) * step, cfg)
+    fi = fs if idler is signal else filter_amplitude(idler, (k - n / 2) * step, cfg)
     w = np.where((k == 0) | (k == n), 0.5, 1.0)  # step and pi sigma_p^2 cancel
     # one-sided diagonal sums D[m] = sum_s pump(2s + m) x_s y_(s+m) of (x, y) = (p, p), and of
     # (v_s, v_i), v = f^2 w, for the baseline of different arms; as the filters and grid are
@@ -147,23 +150,30 @@ def _spectral_tables(cfg: ExperimentConfig, n: int):
     sums = diag * np.abs(h) ** 2 * np.where(k == 0, 1.0, 2.0)
     baselines = sums[-1].sum(1)
     _require_normalizable(baselines, f"spectral engine at nu order {n}")
-    coef = sums[0] / baselines[:, None]
+    # both rules' c_m, then i c_m m step of the fine rule, each laid out m = a M + b in one complex
+    # (M, 3 A) block like the phasors e^{i b step dt} and e^{i a M step dt}: no conversion per call
+    big = math.ceil(math.sqrt(n + 1))
+    packed = np.zeros((3, -(-(n + 1) // big) * big), dtype=complex)
+    coef = packed.real[:2, :n + 1]
+    np.divide(sums[0], baselines[:, None], out=coef)
     coef[np.abs(coef) < 1e-300] = 0.0  # subnormal tails only slow BLAS
-    m = math.ceil(math.sqrt(n + 1))  # complex like the phasors: no conversion per call
-    packed = np.pad(coef, ((0, 0), (0, -(n + 1) % m))).astype(complex)
-    return step, packed.reshape(-1, m).T, float(np.sum(np.abs(coef[0]))), z_record
+    packed.imag[2, :n + 1] = coef[0] * (k * step)
+    series = (1j * step * np.arange(big), 1j * (big * step) * np.arange(packed.shape[1] // big),
+              packed.reshape(-1, big).T)
+    return step, series, float(np.sum(np.abs(coef[0]))), z_record
 
 
-def _cosine_sums(delays: np.ndarray, step: float, coef: np.ndarray) -> np.ndarray:
-    """Rates 1 - sum_m c_m cos(m step dt) of both rules (columns) at every delay: with
-    m = a M + b, cos(m step dt) = Re e^{i a M step dt} e^{i b step dt}, M + A phasors."""
-    m, a = coef.shape[0], coef.shape[1] // 2
-    out = np.empty((delays.size, 2))
-    for sl in _chunks(delays.size, 2 * a):
-        inner = (np.exp(1j * np.multiply.outer(delays[sl], np.arange(m) * step))
-                 @ coef).reshape(-1, 2, a)
-        outer = np.exp(1j * np.multiply.outer(delays[sl], np.arange(a) * (m * step)))
-        out[sl] = 1.0 - np.einsum("ik,ijk->ij", outer, inner).real
+def _cosine_sums(delays: np.ndarray, series) -> np.ndarray:
+    """Rates 1 - Re sum_m c_m e^{i m step dt} of both rules and the fine rule's slope
+    -Re sum_m i c_m m step e^{i m step dt} (columns) at every delay: with m = a M + b,
+    e^{i m step dt} = e^{i a M step dt} e^{i b step dt}, M + A phasors."""
+    inner_freq, outer_freq, coef = series
+    out = np.empty((delays.size, 3))
+    for sl in _chunks(delays.size, coef.shape[1]):
+        inner = (np.exp(np.multiply.outer(delays[sl], inner_freq)) @ coef).reshape(
+            -1, 3, outer_freq.size)
+        sums = np.matmul(inner, np.exp(np.multiply.outer(delays[sl], outer_freq))[:, :, None])
+        np.subtract((1.0, 1.0, 0.0), sums[:, :, 0].real, out=out[sl])
     return out
 
 
@@ -187,17 +197,20 @@ def _lag_tables(cfg: ExperimentConfig, order: int):
     return k, (-2.0 * s0**2 + 1j * b2 * lag * s0**4) / den4, 2.0 * float(np.sum(k.real))
 
 
-def _lag_sums(delays: np.ndarray, tables) -> np.ndarray:
-    """Rates 2 Re sum k (1 - e^{dt^2 a}) / baseline of each lag table (columns), per delay."""
-    rates = np.empty((delays.size, len(tables)))
+def _lag_sums(delays: np.ndarray, tables, slope: np.ndarray) -> np.ndarray:
+    """Rates 2 Re sum k (1 - e^{dt^2 a}) / baseline of each of the two lag tables, then the
+    first's slope dt Re sum w e^{dt^2 a}, w = -4 k a / baseline (columns), per delay."""
+    rates = np.empty((delays.size, 3))
     # 8 temporaries of one lag row per delay, each at most 2^14 elements: under glibc's
     # default mmap threshold (128 KB), so they are reused, not mapped and faulted anew
-    for sl in _chunks(delays.size, 8 * tables[0][0].size):
+    for sl in _chunks(delays.size, 8 * slope.size):
         t2 = delays[sl, None] ** 2
         for col, (k, a, baseline) in enumerate(tables):
             decay, phase = np.exp(t2 * a.real), t2 * a.imag
-            rates[sl, col] = 2.0 * ((1.0 - decay * np.cos(phase)) @ k.real
-                                    + (decay * np.sin(phase)) @ k.imag) / baseline
+            c, s = decay * np.cos(phase), decay * np.sin(phase)
+            rates[sl, col] = 2.0 * ((1.0 - c) @ k.real + s @ k.imag) / baseline
+            if col == 0:
+                rates[sl, 2] = delays[sl] * (c @ slope.real - s @ slope.imag)
     return rates
 
 
@@ -224,8 +237,8 @@ def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
         n *= 2
 
     def rule(n):
-        step, coef, kappa, z_record = _spectral_tables(cfg, n)
-        return (lambda points: _cosine_sums(points, step, coef)), kappa, {
+        step, series, kappa, z_record = _spectral_tables(cfg, n)
+        return (lambda points: _cosine_sums(points, series)), kappa, {
             "nu_order": n, "nu_halfwidth": step * n / 2, **z_record}
     return _clamped(*_searched(delays, n, _MAX_NU_ORDER, rule, label), label)
 
@@ -235,8 +248,10 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray
         tables = [_lag_tables(cfg, n), _lag_tables(cfg, 3 * n // 4)]
         _require_normalizable([baseline for _, _, baseline in tables],
                               f"{label} at lag orders {[n, 3 * n // 4]}")
-        kappa = 2.0 * float(np.sum(np.abs(tables[0][0]))) / abs(tables[0][2])
-        return (lambda points: _lag_sums(points, tables)), kappa, {"lag_orders": [n, 3 * n // 4]}
+        k, a, baseline = tables[0]
+        kappa, slope = 2.0 * float(np.sum(np.abs(k))) / abs(baseline), -4.0 * k * a / baseline
+        return (lambda points: _lag_sums(points, tables, slope)), kappa, {
+            "lag_orders": [n, 3 * n // 4]}
     label = "gaussian closed-form engine"
     start = _nodes_per_cycle(_g_cycles(cfg), label)
     return _clamped(*_searched(delays, start, _MAX_GL_ORDER, rule, label), label)
@@ -247,9 +262,9 @@ class DipCurve:
     """Sampled coincidence rate versus delay, normalized to a baseline of 1, and the
     quadrature run.
 
-    ``rule`` is the rule the engine's search settled on: an array of delays to the
-    rates of its fine and coarse rule (columns), before the clamp at zero.  R is even,
-    least at 0 and tends to 1, which :func:`dip_metrics` relies on.
+    ``rule`` is the rule the engine's search settled on: an array of delays to its fine
+    and coarse rates and the fine slope dR/ddt (columns), before the clamp at zero.  R is
+    even, least at 0 and tends to 1, which :func:`dip_metrics` relies on.
     """
 
     delays_ps: np.ndarray
@@ -324,35 +339,53 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
                     quadrature=quadrature)
 
 
+def _half_level(rule: Callable, level: float, x: list, gap: list) -> tuple[float, float]:
+    """w where the rule's fine column meets ``level``, and fine - coarse at the last evaluation,
+    for a sample pair at |delays| ``x`` whose rates lie ``gap`` from the level: the first
+    sample if it is on the level, else Newton's method on the slope column from the pair's
+    linear interpolation.  Each evaluation narrows the pair to its side and a step that leaves
+    it bisects it; the stop, tested first, is _brentq's: |step| <= 2e-12 + 4 eps |w|."""
+    if gap[0] == 0.0:
+        return x[0], float(np.subtract(*rule(np.array(x[:1]))[0, :2]))
+    (lo, g_lo), (hi, g_hi) = sorted(zip(x, gap))
+    w = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    for _ in range(_BRENTQ_MAXITER):
+        fine, coarse, slope = rule(np.array([w]))[0].tolist()
+        step = (level - fine) / slope if slope else math.inf
+        if abs(step) <= _BRENTQ_XTOL + _BRENTQ_RTOL * abs(w):
+            return w + step, fine - coarse
+        lo, hi = (w, hi) if (fine < level) == (g_lo < 0.0) else (lo, w)
+        w = w + step if lo < w + step < hi else 0.5 * (lo + hi)
+    raise AnalysisError(f"half level not resolved in {_BRENTQ_MAXITER} steps")
+
+
 def _rule_metrics(curve: DipCurve, imin: int) -> DipMetrics:
     """The metrics of an even curve with baseline 1 that is least at 0, read from its rule:
     R(0) and w > 0 where R(w) = (1 + R(0)) / 2.  Out from sample ``imin`` each flank counts
     the sample pairs that bracket that level; the outermost such pair of either flank holds
-    w (a sample on the level is w), which one Brent solve on the rule refines.  The FWHM is
-    2 w, infinite when no pair brackets the level, and its estimate 2 |fine - coarse| / |R'|
-    at w, with R' the slope of that pair."""
+    w, which :func:`_half_level` solves on the rule.  The FWHM is 2 w, infinite when no pair
+    brackets the level, and its estimate 2 |fine - coarse| / |R'| at the solve's last
+    evaluation, with R' the slope of that pair."""
     d, r = curve.delays_ps, curve.rates
     r0 = max(float(curve.rule(np.zeros(1))[0, 0]), 0.0)  # clamped, as the rates are
     level = 0.5 * (1.0 + r0)
-    left, right = np.arange(imin, 0, -1), np.arange(imin, r.size - 1)
-    counts, pairs = [], []
-    for i, j in ((left, left - 1), (right, right + 1)):
-        a, b = r[i] - level, r[j] - level
-        hits = np.flatnonzero((a == 0.0) | (a * b < 0))
-        counts.append(int(hits.size))
-        if hits.size:
-            pairs.append((i[hits[-1]], j[hits[-1]]))
+    gap = r - level
+    on, cross = gap == 0.0, gap[:-1] * gap[1:] < 0  # cross[k]: samples k and k + 1 bracket it
+    # the pairs (i, i - 1) of the left flank and (i, i + 1) of the right one, by their i
+    left = np.flatnonzero(on[1:imin + 1] | cross[:imin]) + 1
+    right = np.flatnonzero(on[imin:-1] | cross[imin:]) + imin
+    counts = (left.size, right.size)
+    pairs = [(i, i + side) for outermost, side in ((left[:1], -1), (right[-1:], 1))
+             for i in outermost.tolist()]
     width = error = math.inf
     if pairs:
         i, j = max(pairs, key=lambda p: max(abs(d[p[0]]), abs(d[p[1]])))
-        width = abs(float(d[i])) if r[i] == level else _brentq(
-            lambda x: curve.rule(np.array([x]))[0, 0] - level,
-            *sorted((abs(float(d[i])), abs(float(d[j])))))
-        fine, coarse = curve.rule(np.array([width]))[0]
+        width, spread = _half_level(curve.rule, level, np.abs(d[[i, j]]).tolist(),
+                                    gap[[i, j]].tolist())
         slope = abs(float(r[j] - r[i]) / float(d[j] - d[i]))
-        error = 2.0 * abs(fine - coarse) / slope if slope else math.inf
+        error = 2.0 * abs(spread) / slope if slope else math.inf
     return DipMetrics(visibility=1.0 - r0, fwhm_ps=2.0 * width, center_ps=0.0, baseline=1.0,
-                      engine=curve.engine, half_level_crossings=tuple(counts),
+                      engine=curve.engine, half_level_crossings=counts,
                       fwhm_error_ps=error)
 
 

@@ -86,7 +86,7 @@ def _searched(points: np.ndarray, n: int, cap: int, rule,
     """Values at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
     _ABS_TOL + c kappa eps at every point, its record and its sums; the end and middle
     points are tried first, a cheap early exit, and the full array decides.  ``rule(n)``
-    gives the points -> [fine, coarse] sums, kappa and a record.  A NaN estimate fails.
+    gives the points -> [fine, coarse, ...] sums, kappa and a record.  A NaN estimate fails.
     An estimate below _FLOOR_FACTOR c kappa eps that a doubling does not shrink is
     rounding: raise.  A start order past the cap raises before any rule is evaluated."""
     if n > cap:

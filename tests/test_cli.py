@@ -350,6 +350,17 @@ class TestFitCommand:
         assert doc["converged"]
         assert 0.9 < doc["params"]["scale"] < 1.0
 
+    def test_fit_with_no_reducing_step_says_so(self, tmp_path, dip_data_file):
+        # at a 1e-30 nm filter the engine model is ~1e-122 dt^2 over the grid: no trial of
+        # the first iteration lowers the residual, so the fit stops there, not at max_iter
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--data", str(dip_data_file), "--mode", "model",
+                    "--filter-fwhm-nm=1e-30", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["iterations"] == 1 and not doc["converged"]
+        assert doc["message"].startswith("no step reduced the residual;")
+        assert "max iterations" not in doc["message"]
+
     @pytest.mark.parametrize("mode,engine", [("model", "gaussian"), ("model", "general"),
                                              ("model", None), ("gaussian-dip", None)])
     def test_fit_records_errors_and_model(self, tmp_path, dip_data_file, mode, engine):

@@ -32,9 +32,10 @@ def cfg_no_dispersion():
     )
 
 
-def even_rule(f):
-    """An analytic even dip f as a DipCurve rule: its fine and coarse columns are both f."""
-    return lambda x: np.column_stack([f(x), f(x)])
+def even_rule(f, df):
+    """An analytic even dip f as a DipCurve rule: its fine and coarse columns are both f,
+    its slope column f's derivative df."""
+    return lambda x: np.column_stack([f(x), f(x), df(x)])
 
 
 def _rate(engine, dt, cfg, **filters):
@@ -186,7 +187,7 @@ class TestSuperGaussian:
         order = 24
         spec = FilterSpec(shape=FilterShape.SUPERGAUSSIAN4, fwhm_nm=cfg_sg.filter.fwhm_nm)
         half = hom._nu_halfwidth(spec, cfg_sg)
-        step, coef, _, z_record = hom._spectral_tables(cfg_sg, order)
+        step, series, _, z_record = hom._spectral_tables(cfg_sg, order)
         z, zw = gauss_legendre(z_record["z_order"], -cfg_sg.fiber.length_m, 0.0)
         b2 = cfg_sg.fiber.beta2_ps2_per_m
         ssg = cfg_sg.sigma_sg_for(cfg_sg.filter)
@@ -212,7 +213,7 @@ class TestSuperGaussian:
 
         nu = np.linspace(-half, half, order + 1)
         assert step == pytest.approx(nu[1] - nu[0], rel=1e-14)
-        engine_rates = hom._cosine_sums(np.array([3.0]), step, coef)[0]
+        engine_rates = hom._cosine_sums(np.array([3.0]), series)[0, :2]
         for rate, nodes in zip(engine_rates, (nu, nu[::2])):
             direct_rate = direct(nodes, 3.0, True).real / direct(nodes, 0.0, False).real
             assert rate == pytest.approx(direct_rate, rel=1e-10)
@@ -477,15 +478,20 @@ def assert_metrics_match_reference(curve, reference, ref):
 
 def assert_cosine_series_exact(order, delays):
     """_cosine_sums of random coefficients on the default config's rule of ``order``
-    within a few roundings of the largest angle of the extended-precision series."""
-    step, coef = hom._spectral_tables(units.default_config(), order)[:2]
+    within a few roundings of the largest angle of the extended-precision series: 1 -
+    sum c_m cos(m step dt) for both rules, sum c'_m sin(m step dt) for the slope column,
+    whose coefficients the table holds as i c'_m."""
+    step, (inner, outer, coef) = hom._spectral_tables(units.default_config(), order)[:2]
     rng = np.random.default_rng(order)
-    coef = rng.normal(size=coef.shape).astype(complex)
-    series = coef.T.real.reshape(2, -1).astype(np.longdouble)
+    rows, a = coef.shape[0], outer.size
+    coef = np.concatenate([rng.normal(size=(rows, 2 * a)), 1j * rng.normal(size=(rows, a))],
+                          axis=1)
+    packed = coef.T.reshape(3, -1)
+    series = np.concatenate([packed[:2].real, packed[2:].imag]).astype(np.longdouble)
     angle = np.multiply.outer(delays.astype(np.longdouble),
                               np.arange(series.shape[1]) * np.longdouble(step))
-    exact = 1.0 - np.cos(angle) @ series.T
-    rates = hom._cosine_sums(delays, step, coef)
+    exact = np.column_stack([1.0 - np.cos(angle) @ series[:2].T, np.sin(angle) @ series[2]])
+    rates = hom._cosine_sums(delays, (inner, outer, coef))
     bound = 8.0 * np.finfo(float).eps * np.sum(np.abs(series), axis=1) * (1.0 + np.max(angle))
     assert np.all(np.max(np.abs(rates - exact), axis=0) <= bound)
 
@@ -497,6 +503,21 @@ class TestPhasors:
         # whole series at the engine's start order: within a few roundings of the
         # largest angle, however far along the axis
         assert_cosine_series_exact(QuadratureSettings().gl_order, DELAY_AXES[axis])
+
+    @pytest.mark.parametrize("axis", list(DELAY_AXES))
+    def test_slope_matches_extended_precision_derivative(self, axis):
+        # the slope column against R'(dt) = sum_m c_m m step sin(m step dt) of the fine
+        # c_m of the rule that ran, in extended precision, within the bound of the series
+        cfg, delays = units.default_config(), DELAY_AXES[axis]
+        curve = hom.dip_curve(cfg, "general", delays_ps=delays)
+        step, (_, _, coef) = hom._spectral_tables(cfg, curve.quadrature["nu_order"])[:2]
+        fine = coef.T.real.reshape(3, -1)[0].astype(np.longdouble)
+        m_step = np.arange(fine.size) * np.longdouble(step)
+        angle = np.multiply.outer(delays.astype(np.longdouble), m_step)
+        exact = np.sin(angle) @ (fine * m_step)
+        slope = curve.rule(delays)[:, 2]
+        bound = 8.0 * np.finfo(float).eps * np.sum(np.abs(fine * m_step)) * (1.0 + np.max(angle))
+        assert np.max(np.abs(slope - exact)) <= bound
 
 
 class TestSkewBound:
@@ -556,12 +577,12 @@ class TestErrorEstimate:
         tables = hom._spectral_tables
 
         def perturbed(cfg, n):
-            # the nested rule's c_0 (row 0, column A of the packed table) moves by
-            # 1e-9 of the baseline, a thousand times the tolerance, at every order
-            step, coef, kappa, z_record = tables(cfg, n)
+            # the nested rule's c_0 (row 0, column A of the packed (M, 3 A) block) moves
+            # by 1e-9 of the baseline, a thousand times the tolerance, at every order
+            step, (inner, outer, coef), kappa, z_record = tables(cfg, n)
             coef = coef.copy()
-            coef[0, coef.shape[1] // 2] += 1e-9
-            return step, coef, kappa, z_record
+            coef[0, outer.size] += 1e-9
+            return step, (inner, outer, coef), kappa, z_record
 
         monkeypatch.setattr(hom, "_spectral_tables", perturbed)
         with pytest.raises(hom.AccuracyError, match="error estimate"):
@@ -803,6 +824,81 @@ class TestClosedEngine:
                           delays_ps=_ILL_DELAYS)
         assert max(orders) <= 128
 
+    @pytest.mark.parametrize("params", [units.REFERENCE_PARAMS, _LONG_FIBER],
+                             ids=["default", "15.77km"])
+    def test_slope_matches_central_difference(self, params):
+        # the rule's slope column against the 5-point central difference of its fine
+        # column, h = 1e-3 ps: h^4 truncation and about 1.5 eps kappa / h of rounding
+        curve = hom.dip_curve(units.build_config(**params), "gaussian")
+        x, h = np.array([0.0, 0.3, 1.0, 3.0, 3.13, 5.0, 8.0, 15.0]), 1e-3
+
+        def fine(t):
+            return curve.rule(t)[:, 0]
+        central = (fine(x - 2 * h) - 8 * fine(x - h) + 8 * fine(x + h)
+                   - fine(x + 2 * h)) / (12 * h)
+        assert curve.rule(x)[0, 2] == 0.0  # R is even
+        assert np.max(np.abs(curve.rule(x)[:, 2] - central)) <= 1e-11
+
+
+def metric_curves():
+    """The default gaussian, general, supergaussian4 and cascade curves and a mismatched one."""
+    runs = [("gaussian", "gaussian", {}), ("gaussian", "general", {}),
+            ("supergaussian4", "supergaussian", {}), ("cascade", "general", {}),
+            ("gaussian", "asymmetric", {"signal_filter": _SIG, "idler_filter": _IDL})]
+    return [hom.dip_curve(units.default_config(shape), engine, **kw) for shape, engine, kw in runs]
+
+
+def sweep_curves(seed, per_shape):
+    """Curves of ``per_shape`` property draws of each filter shape, on 301 delays over
+    +-max(15 ps, 6 / sigma_0) rounded like the benchmark's parameter sweep: every engine
+    of the shape, then the mismatched pair on ``asymmetric``."""
+    engines = {"gaussian": ("gaussian", "general"), "supergaussian4": ("general", "supergaussian"),
+               "cascade": ("general",)}
+    curves = []
+    for shape in engines:
+        for cfg, sig, idl in property_draws(seed, per_shape, shape):
+            half = max(15.0, 6.0 / cfg.sigma_0_rad_per_ps)
+            delays = np.round(np.arange(-150, 151) * (half / 150.0), 12)
+            curves += [hom.dip_curve(cfg, engine, delays) for engine in engines[shape]]
+            curves.append(hom.dip_curve(cfg, "asymmetric", delays,
+                                        signal_filter=sig, idler_filter=idl))
+    return curves
+
+
+class TestNewtonHalfLevel:
+    @staticmethod
+    def counted(curve):
+        """dip_metrics of the curve and the number of calls it made of the curve's rule."""
+        calls = []
+
+        def rule(x):
+            calls.append(x.size)
+            return curve.rule(x)
+        return hom.dip_metrics(replace(curve, rule=rule)), len(calls)
+
+    @staticmethod
+    def brent_width(curve):
+        """_brentq's w on the fine rule, in the outermost pair of the right flank that
+        brackets (1 + R(0)) / 2."""
+        level = 0.5 * (1.0 + max(float(curve.rule(np.zeros(1))[0, 0]), 0.0))
+        right = curve.delays_ps >= 0.0
+        x, gap = curve.delays_ps[right], curve.rates[right] - level
+        k = np.flatnonzero(gap[:-1] * gap[1:] <= 0.0)[-1]
+        return quadrature._brentq(lambda t: curve.rule(np.array([t]))[0, 0] - level,
+                                  x[k], x[k + 1])
+
+    def test_default_curves(self):
+        for curve in metric_curves():
+            metrics, calls = self.counted(curve)
+            assert calls <= 4
+            assert abs(0.5 * metrics.fwhm_ps - self.brent_width(curve)) <= 4e-12
+
+    def test_sweep_draws(self):
+        for curve in sweep_curves(2029, 12):  # 36 draws, 96 curves
+            metrics, calls = self.counted(curve)
+            assert calls <= 4
+            assert abs(0.5 * metrics.fwhm_ps - self.brent_width(curve)) <= 4e-12
+
 
 class TestDipMetrics:
     def test_ideal_gaussian_reference(self, cfg):
@@ -821,7 +917,7 @@ class TestDipMetrics:
     def test_flat_curve_raises(self):
         delays = np.linspace(-10, 10, 101)
         curve = hom.DipCurve(delays_ps=delays, rates=np.ones_like(delays), engine="test",
-                             rule=even_rule(np.ones_like))
+                             rule=even_rule(np.ones_like, np.zeros_like))
         with pytest.raises(hom.AnalysisError):
             hom.dip_metrics(curve)
 
@@ -831,8 +927,12 @@ class TestDipMetrics:
 
         def f(x):
             return 1.0 - 0.9 * np.exp(-(x**2) / (2 * tau0**2))
+
+        def df(x):
+            return 0.9 * x / tau0**2 * np.exp(-(x**2) / (2 * tau0**2))
         delays = np.linspace(-20, 20, 801)
-        curve = hom.DipCurve(delays_ps=delays, rates=f(delays), engine="test", rule=even_rule(f))
+        curve = hom.DipCurve(delays_ps=delays, rates=f(delays), engine="test",
+                             rule=even_rule(f, df))
         metrics = hom.dip_metrics(curve)
         assert metrics.visibility == pytest.approx(0.9, rel=1e-15)
         assert metrics.fwhm_ps == pytest.approx(2 * tau0 * math.sqrt(2 * math.log(2)), rel=1e-12)
@@ -866,19 +966,28 @@ class TestDipMetrics:
         # the analytic dip at every sign change, plus any sample on the level
         optimize = pytest.importorskip("scipy.optimize")
 
+        # a bump on each flank rises above the half level and falls back
+        bumps = [(0.6, 5.0, 0.5), (0.7, 6.5, 0.8)]
+
         def f(x):
             if case == "sample_on_level":
                 return 1.0 - np.exp(-x**2 / 8.0)
-            # a bump on each flank rises above the half level and falls back
-            bumps = [(0.6, 5.0, 0.5), (0.7, 6.5, 0.8)]
             return 1.0 - 0.9 * np.exp(-x**2 / 8.0) - sum(
                 a * (np.exp(-(x - c) ** 2 / s) + np.exp(-(x + c) ** 2 / s)) for a, c, s in bumps)
+
+        def df(x):
+            if case == "sample_on_level":
+                return x / 4.0 * np.exp(-x**2 / 8.0)
+            return 0.9 * x / 4.0 * np.exp(-x**2 / 8.0) + sum(
+                2.0 * a / s * ((x - c) * np.exp(-(x - c) ** 2 / s)
+                               + (x + c) * np.exp(-(x + c) ** 2 / s)) for a, c, s in bumps)
         delays = np.round(np.arange(-100, 101) * 0.2, 10)
         rates = f(delays)
         if case == "sample_on_level":
             # the minimum sits at 0 ps and the baseline is exactly 1, so the level is 0.5
             rates[[88, 112]] = 0.5
-        curve = hom.DipCurve(delays_ps=delays, rates=rates, engine="test", rule=even_rule(f))
+        curve = hom.DipCurve(delays_ps=delays, rates=rates, engine="test",
+                             rule=even_rule(f, df))
         metrics = hom.dip_metrics(curve)
 
         level = 0.5 * (1.0 + f(0.0))

@@ -12,14 +12,15 @@ Two fit families:
   analytic Jacobian; the half-width of the engine's dip, solved once per cached
   model on the engine's own rule, gives the FWHM.
 
-The optimizer is damped Gauss-Newton with a Levenberg-style schedule:
-damping x10 on a rejected step, /10 on an accepted one, starting at 1e-3,
-times diag J^T J (1 on a zero column), so the path does not depend on the units.
-Each fit hands it one ``evaluate(p)`` that returns the residual at p and a
-zero-argument callable building the Jacobian at p from the residual's own
-intermediates (the Gaussian's exp, the model's pieces).  The loop calls
-``evaluate`` once per trial point and builds the Jacobian only at the start and
-at accepted points; the covariance comes from the last one built.
+The optimizer is damped Gauss-Newton with a Levenberg-style schedule: a trial
+solves (J^T J + lam D) d = -J^T r, lam D (D = diag J^T J, 1 on a zero column) added
+to a copy's diagonal, so the path does not depend on the units; lam starts at 1e-3,
+x10 on a rejected step, /10 on an accepted one.  Each fit hands it one
+``evaluate(p)`` that returns the residual at p and a zero-argument callable building
+the (n, p) C-ordered Jacobian at p from the residual's own intermediates, both
+weighted by 1/sigma only where the data carry uncertainties.  ``evaluate`` runs once
+per trial point, the Jacobian only at the start and at accepted points; the
+covariance comes from the last one built.
 
 The stop is scale-free (after Moré, "The Levenberg-Marquardt algorithm:
 implementation and theory", 1978).  Before the first trial of each iteration is
@@ -64,6 +65,7 @@ _MODEL_TOL = 1e-9         # the model's midpoint-check tolerance on R
 _MODEL_MAX_KNOTS = 2**15  # largest model
 _MODEL_HALF_STEP = 5.0    # model half-widths are multiples of this, in ps
 _TAU = 1e-6               # a fit stops at a step shorter than this many standard errors
+_BASELINE_TOL = 0.01      # largest 1 - R at the model's outermost knot
 
 
 class ParseError(ValueError):
@@ -93,21 +95,13 @@ class CoincidenceDataset:
             raise InsufficientDataError(
                 f"need at least 8 points, got {self.delays_ps.size}"
             )
-        if not (np.all(np.isfinite(self.delays_ps)) and np.all(np.diff(self.delays_ps) > 0)):
+        if not (np.isfinite(d := self.delays_ps).all() and (d[1:] > d[:-1]).all()):
             raise ValueError("delays must be finite and strictly increasing (ingest_csv sorts)")
-        if not np.all(np.isfinite(self.counts) & (self.counts >= 0)):
+        if not (np.isfinite(self.counts) & (self.counts >= 0)).all():
             raise ValueError("counts must be finite and nonnegative")
-        if self.uncertainties is not None and not np.all(
-                np.isfinite(self.uncertainties) & (self.uncertainties > 0)):
+        if self.uncertainties is not None and not (
+                np.isfinite(self.uncertainties) & (self.uncertainties > 0)).all():
             raise ValueError("uncertainties must be finite and positive")
-
-
-def _floats(text: str) -> Optional[list[float]]:
-    """The comma-separated values of ``text``, or None if one does not parse."""
-    try:
-        return list(map(float, text.split(",")))  # float() skips the whitespace
-    except ValueError:
-        return None
 
 
 def _checked_row(raw: str, lineno: int, ncols: Optional[int]) -> Optional[list[float]]:
@@ -135,11 +129,11 @@ def _checked_row(raw: str, lineno: int, ncols: Optional[int]) -> Optional[list[f
 def ingest_csv(path) -> CoincidenceDataset:
     """Read delay/count (and optional uncertainty) columns from a CSV file.
 
-    Header row optional; duplicate delays are averaged with a warning;
-    output is sorted by delay.  A UTF-8 byte-order mark is skipped, and so are
-    blank lines.  A file whose rows after an optional header all have 2, or all
-    3, cells that parse is converted in one pass; any other is walked row by row
-    by :func:`_checked_row`, which names the first bad row.
+    Header row optional; duplicate delays are averaged with a warning; output is
+    sorted by delay.  A UTF-8 byte-order mark and blank lines are skipped.  The rows
+    after the header go through one ``np.loadtxt`` call, whose cells parse as
+    ``float()`` parses them; on a ValueError, no rows or other than 2 or 3 columns,
+    :func:`_checked_row` walks the file row by row and names the first bad row.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
@@ -147,26 +141,27 @@ def ingest_csv(path) -> CoincidenceDataset:
     # blank lines, which the walk skips, are dropped
     body = lines if lines and _checked_row(lines[0], 1, None) is not None else lines[1:]
     body = [line for line in body if not line.isspace()]
-    commas = {line.count(",") for line in body}
-    values = _floats(",".join(body)) if commas in ({1}, {2}) else None
-    if values is not None:
-        ncols = commas.pop() + 1
-    else:
-        values, ncols = [], None  # the rows, concatenated
+    try:  # an empty body would warn
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body else None
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] not in (2, 3):
+        rows, ncols = [], None
         for lineno, raw in enumerate(lines, start=1):
             row = _checked_row(raw, lineno, ncols)
             if row is not None:
                 ncols = len(row)
-                values.extend(row)
+                rows.append(row)
+        table = np.array(rows)
 
-    nrows = len(values) // ncols if ncols else 0
+    nrows = len(table)
     if nrows < 8:
         raise InsufficientDataError(f"need at least 8 points, got {nrows}")
 
-    columns = np.array(values).reshape(nrows, ncols).T
+    columns = table.T
     order = np.argsort(columns[0], kind="stable")
     d, c = columns[0][order], columns[1][order]
-    s = columns[2][order] if ncols == 3 else None
+    s = columns[2][order] if len(columns) == 3 else None
 
     if np.any(d[1:] == d[:-1]):
         warnings.warn("duplicate delays found; averaging their counts", stacklevel=2)
@@ -202,6 +197,7 @@ def _std_errors(names, cov: Optional[np.ndarray]) -> dict[str, Optional[float]]:
 
 
 _CHI2_NOTE = "reduced chi2 far from 1 for the given uncertainties"
+_BASELINE_NOTE = "engine rate does not reach its baseline within the model grid"
 
 
 def _chi2_off(data: CoincidenceDataset, cost: float, dof: int) -> bool:
@@ -231,12 +227,15 @@ def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], n
     for it in range(1, max_iter + 1):
         g = j.T @ r
         jtj = j.T @ j
-        diag = np.diag(jtj)  # scale-free damping; only a zero column needs a floor
-        damping = np.diag(np.where(diag > 0, diag, 1.0))
+        diag = jtj.diagonal()
+        damping = np.where(diag > 0, diag, 1.0)  # scale-free; only a zero column needs a floor
+        minus_g = -g
         accepted = False
         for trial in range(40):
+            a = jtj.copy()
+            a.flat[::p.size + 1] += lam * damping
             try:
-                step = np.linalg.solve(jtj + lam * damping, -g)
+                step = np.linalg.solve(a, minus_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -249,7 +248,7 @@ def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], n
                 r_new, jacobian = evaluate(p_new)
                 cost_new = float(r_new @ r_new)
             if cost_new <= cost:
-                if np.abs(step).max() < 1e-12 * (np.abs(p).max() + 1e-12):
+                if max(map(abs, step.tolist())) < 1e-12 * (max(map(abs, p.tolist())) + 1e-12):
                     converged = True
                 p, r, cost, j = p_new, r_new, cost_new, jacobian()
                 lam = max(lam / 10.0, 1e-14)
@@ -260,7 +259,7 @@ def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], n
             # no step accepted: converged only where r is orthogonal to J (gtol);
             # a Python bool on every path, so that the result serializes
             converged = converged or bool(np.all(
-                np.abs(g) <= _TAU * math.sqrt(cost) * np.sqrt(np.diag(jtj))))
+                np.abs(g) <= _TAU * math.sqrt(cost) * np.sqrt(diag)))
             break
 
     jtj = j.T @ j  # j is the Jacobian at p, the last accepted point
@@ -280,15 +279,16 @@ def _stop_message(converged: bool, it: int, max_iter: int) -> str:
 def _initial_dip_guess(d: np.ndarray, c: np.ndarray):
     n = d.size
     edge = max(int(round(0.2 * n / 2)), 1)
-    baseline = float(np.mean(np.concatenate([c[:edge], c[-edge:]])))
-    imin = int(np.argmin(c))
+    edges = np.concatenate((c[:edge], c[-edge:]))
+    baseline = float(np.add.reduce(edges)) / edges.size  # np.mean's sum and division
+    imin = int(c.argmin())
     cmin = float(c[imin])
     if baseline <= 0:
         baseline = max(float(np.mean(c)), 1e-12)
     vis = max(1.0 - cmin / baseline, 1e-6)
     center = float(d[imin])
     half_level = baseline - 0.5 * (baseline - cmin)
-    below = np.nonzero(c < half_level)[0]
+    below = (c < half_level).nonzero()[0]
     if below.size >= 2:
         width = (d[below[-1]] - d[below[0]]) / _TWO_SQRT_2LN2
     else:
@@ -297,10 +297,11 @@ def _initial_dip_guess(d: np.ndarray, c: np.ndarray):
 
 
 def gaussian_dip(delays_ps: np.ndarray, baseline, visibility, center_ps, width_ps):
-    """B [1 - V exp(-(t - tc)^2/(2 w^2))] at delays t, and the exp and t - tc for a Jacobian."""
+    """B [1 - V exp(-(t - tc)^2/(2 w^2))] at delays t, and the exp, t - tc and its square."""
     dt = delays_ps - center_ps
-    e = np.exp(-(dt ** 2) / (2.0 * width_ps**2))
-    return baseline * (1.0 - visibility * e), e, dt
+    dt2 = dt ** 2
+    e = np.exp(-dt2 / (2.0 * width_ps**2))
+    return baseline * (1.0 - visibility * e), e, dt, dt2
 
 
 def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
@@ -310,21 +311,26 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
     uncertainties and the reduced chi2 is far from 1 (see :func:`_chi2_off`).
     """
     d, c = data.delays_ps, data.counts
-    wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
+    wgt = None if data.uncertainties is None else 1.0 / data.uncertainties
     p0 = np.array(_initial_dip_guess(d, c))
 
     def evaluate(p: np.ndarray):
-        b, v, tc, w = p
-        model, e, dt = gaussian_dip(d, b, v, tc, w)
-        r = (model - c) * wgt
+        b, v, tc, w = p.tolist()
+        model, e, dt, dt2 = gaussian_dip(d, b, v, tc, w)
+        r = model - c
+        if wgt is not None:
+            r *= wgt
 
         def jacobian() -> np.ndarray:
             j = np.empty((d.size, 4))
             j[:, 0] = 1.0 - v * e
             j[:, 1] = -b * e
-            j[:, 2] = -b * v * e * dt / w**2
-            j[:, 3] = -b * v * e * dt ** 2 / w**3
-            return j * wgt[:, None]
+            bve = -b * v * e
+            j[:, 2] = bve * dt / w**2
+            j[:, 3] = bve * dt2 / w**3
+            if wgt is not None:
+                j *= wgt[:, None]
+            return j
         return r, jacobian
 
     max_iter = 200
@@ -441,14 +447,16 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     :func:`_model`) if it dips (B > 0, B (1 - s (1 - R(0))) < B) and the scan
     holds tc +- w, else NaN.  The fit is marked suspicious when it leaves the
     model: the center moves more than the pad (R would be extrapolated), s leaves
-    [0, 1.05], the scan does not bracket the FWHM, or the model's estimate exceeds
-    ``_MODEL_TOL`` at the knot cap (the grid does not resolve the engine dip); and
+    [0, 1.05], the scan does not bracket the FWHM, the model's estimate exceeds
+    ``_MODEL_TOL`` at the knot cap (the grid does not resolve the engine dip), or
+    1 - R exceeds ``_BASELINE_TOL`` at the model's outermost knot (the engine rate
+    does not reach its baseline, so B is not the baseline); and
     when the data carry uncertainties and the reduced chi2 is far from 1 (see
     :func:`_chi2_off`).
     ``FitResult.model`` records the model and the engine's quadrature.
     """
     d, c = data.delays_ps, data.counts
-    wgt = 1.0 / data.uncertainties if data.uncertainties is not None else np.ones_like(c)
+    wgt = None if data.uncertainties is None else 1.0 / data.uncertainties
 
     b0, v0, tc0, _ = _initial_dip_guess(d, c)
     span = d[-1] - d[0]
@@ -459,16 +467,22 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     p0 = np.array([b0, tc0, min(max(v0, 0.05), 1.0)])
 
     def evaluate(p: np.ndarray):
-        b, tc, s = p
+        b, tc, s = p.tolist()
         piece = _piece(model, d - tc)
         raw = _value(*piece)
         depth = 1.0 - np.clip(raw, 0.0, None)
         shape = 1.0 - s * depth
-        r = (b * shape - c) * wgt
+        r = b * shape - c
+        if wgt is not None:
+            r *= wgt
 
         def jacobian() -> np.ndarray:
-            slope = np.where(raw < 0.0, 0.0, _slope(*piece))  # the clip is flat
-            return np.column_stack((shape, -b * s * slope, -b * depth)) * wgt[:, None]
+            slope = _slope(*piece)
+            slope[raw < 0.0] = 0.0  # the clip is flat
+            j = np.column_stack((shape, -b * s * slope, -b * depth))
+            if wgt is not None:
+                j *= wgt[:, None]
+            return j
         return r, jacobian
 
     max_iter = 100
@@ -488,6 +502,7 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
              ("depth scale outside [0, 1.05]", not 0.0 <= s <= 1.05),
              ("FWHM not bracketed", not bracketed),
              ("engine dip not resolved by the fit grid", record["model_error"] > _MODEL_TOL),
+             (_BASELINE_NOTE, 1.0 - model[1][3, 0] > _BASELINE_TOL),  # coef[3, 0] = R(-n h)
              (_CHI2_NOTE, _chi2_off(data, cost, dof))]
     msg = "; ".join([_stop_message(converged, it, max_iter)]
                     + [note for note, hit in notes if hit])

@@ -360,6 +360,7 @@ class TestFitCommand:
         assert doc["iterations"] == 1 and not doc["converged"]
         assert doc["message"].startswith("no step reduced the residual;")
         assert "max iterations" not in doc["message"]
+        assert doc["suspicious"] and doc["message"].endswith("; " + fitdata._BASELINE_NOTE)
 
     @pytest.mark.parametrize("mode,engine", [("model", "gaussian"), ("model", "general"),
                                              ("model", None), ("gaussian-dip", None)])

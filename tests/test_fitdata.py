@@ -1,10 +1,13 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homsim import fitdata, hom, units
 from homsim.fitdata import (CoincidenceDataset, InsufficientDataError,
@@ -207,6 +210,90 @@ def test_ingest_csv_edge_cases(tmp_path, content, expected):
     assert (ds.delays_ps.tolist(), ds.counts.tolist(), sigmas) == expected
 
 
+def _ingest_outcome(path):
+    """What ingest_csv makes of the file: the bit patterns of its arrays and its
+    warnings, or the type, message and line of what it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = ingest_csv(path)
+        except ValueError as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+    return ([None if a is None else a.tobytes()
+             for a in (ds.delays_ps, ds.counts, ds.uncertainties)],
+            [str(w.message) for w in caught])
+
+
+# cells that float() and np.loadtxt both read, that only float() reads, or neither
+_ODD_CELLS = ["nan", "inf", "-Infinity", "1_0", "\uff11\uff12", "", "n/a", " 7 ", "\t8",
+              "+1e3", "0x10", "1e500", "\xa03", "-0.0", "1e-320", "1#2"]
+_DELAY = st.one_of(st.floats(-1e3, 1e3).map(repr), st.integers(-99, 99).map(str))
+_VALUE = st.one_of(st.floats(1e-3, 1e6).map(repr), st.integers(1, 999).map(lambda k: f" {k}\t"))
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text of an optional BOM and header, then rows of one drawn column count,
+    some blank, some of another count, some with an odd cell, and mixed line ends."""
+    ncols = draw(st.sampled_from([2, 2, 3, 1, 4]))
+    lines = [draw(st.sampled_from(["delay_ps,counts", "delay_ps,counts,sigma", " t , c "]))
+             ] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+            continue
+        n = ncols if kind != 1 else draw(st.integers(1, 4))
+        cells = [draw(_DELAY)] + [draw(_VALUE) for _ in range(n - 1)]
+        if kind == 2:
+            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        lines.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # a last line without a line end
+    return "\ufeff" * draw(st.booleans()) + "".join(map(str.__add__, lines, ends))
+
+
+def _rows(ncols=2, n=10, end="\n"):
+    return "".join(",".join(str(0.5 * i + 0.25 * k) for k in range(ncols)) + end
+                   for i in range(n))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "data.csv"
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(text=_csv_texts())
+@example(text="delay_ps,counts\r\n" + _rows(end="\r\n"))
+@example(text="\ufeff" + _rows(3))
+@example(text="\ufeffdelay_ps,counts\n" + _rows())
+@example(text="\n \n" + _rows().replace("\n", "\n\t\n", 3) + "  \n\n")
+@example(text="delay_ps,counts,sigma\n" + _rows(3))
+@example(text=_rows() + "1_0,5\n")
+@example(text=_rows() + "\uff11\uff12,5\n")
+@example(text=_rows() + "nan,1\ninf,2\nInfinity,3\n")
+@example(text=_rows() + "7.5,8,\n")
+@example(text=_rows() + "7.5,8#9\n")
+@example(text=_rows().replace("\n", ",\n"))
+@example(text=_rows(1))
+@example(text=_rows(4))
+@example(text=_rows(2, 5) + _rows(3, 5))
+@example(text=_rows(3, 5) + _rows(2, 5))
+@example(text="")
+@example(text="delay_ps,counts\n")
+@example(text="delay_ps,counts\n" + _rows().rstrip("\n"))
+def test_ingest_fast_path_matches_the_checked_walk(csv_path, text):
+    # the one np.loadtxt call and the row walk it falls back to give the same arrays,
+    # bit for bit, or raise the same error naming the same line
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    fast = _ingest_outcome(csv_path)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("forced")):
+        walk = _ingest_outcome(csv_path)
+    assert fast == walk
+
+
 class TestGaussianDipFit:
     delays = np.round(np.arange(-150, 151) * 0.1, 10)
 
@@ -292,6 +379,11 @@ def cfg():
 @pytest.fixture(scope="module")
 def fit_reference():
     return json.loads((Path(__file__).parent / "fit_model_reference.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def gaussian_reference():
+    return json.loads((Path(__file__).parent / "fit_gaussian_dip_reference.json").read_text())
 
 
 FIT_BATCH_PAIRS = [("gaussian", "gaussian"), ("gaussian", "general"),
@@ -530,6 +622,18 @@ class TestModelFit:
             for k, x in res.params.items():
                 assert abs(x - ref["params"][k]) <= 1e-6 * ref["std_errors"][k], (seed, k)
             assert res.derived_metrics.fwhm_ps == pytest.approx(ref["fwhm_ps"], rel=1e-12)
+            assert fitdata._BASELINE_NOTE not in res.message, seed
+
+    def test_engine_rate_short_of_its_baseline_is_flagged(self):
+        # at a 1e-30 nm filter R is about 1e-122 dt^2 over the whole +-40 ps model grid,
+        # so B is not a baseline; at the reference filter R reaches 1 within 1e-7
+        delays = np.round(np.arange(-150, 151) * 0.1, 10)
+        counts = gaussian_dip_counts(delays, baseline=250.0)
+        narrow = units.build_config(**{**units.REFERENCE_PARAMS, "filter_fwhm_nm": 1e-30})
+        res = fit_model(CoincidenceDataset(delays, counts), narrow)
+        assert res.suspicious and res.message.endswith("; " + fitdata._BASELINE_NOTE)
+        res = fit_model(CoincidenceDataset(delays, counts), units.default_config())
+        assert not res.suspicious and res.message == "converged"
 
     def test_warm_fit_makes_no_engine_call(self, cfg, monkeypatch):
         data = engine_dataset(cfg, "gaussian", seed=8)
@@ -575,6 +679,35 @@ class TestModelFit:
         data = CoincidenceDataset(delays, np.ones(10))
         with pytest.raises(ValueError):
             fit_model(data, cfg, engine="bogus")
+
+
+@pytest.mark.parametrize("shape,engine", FIT_BATCH_PAIRS)
+def test_gaussian_fits_match_the_reference_run(shape, engine, gaussian_reference):
+    # 20 seeded Gaussian-dip fits agree with the recorded ones to 1e-6 standard errors,
+    # in as many iterations
+    cfg = units.default_config(shape)
+    for seed, ref in enumerate(gaussian_reference[f"{shape}/{engine}"]):
+        res = fit_gaussian_dip(engine_dataset(cfg, engine, seed))
+        assert res.iterations == ref["iterations"], seed
+        for k, x in res.params.items():
+            assert abs(x - ref["params"][k]) <= 1e-6 * ref["std_errors"][k], (seed, k)
+
+
+@pytest.mark.parametrize("fit", [fit_gaussian_dip, fit_model])
+@pytest.mark.parametrize("shape,engine", FIT_BATCH_PAIRS)
+def test_unit_uncertainties_give_the_unweighted_fit(shape, engine, fit):
+    # a fit without uncertainties skips the weighting of r and J; weights of 1 are
+    # exact, so the weighted fit is the same bit for bit
+    cfg = units.default_config(shape)
+    for seed in range(4):
+        data = engine_dataset(cfg, engine, seed)
+        ones = CoincidenceDataset(data.delays_ps, data.counts, np.ones(data.counts.size))
+        plain, weighted = (fit(x) if fit is fit_gaussian_dip else fit(x, cfg, engine=engine)
+                           for x in (data, ones))
+        assert plain.iterations == weighted.iterations, seed
+        assert np.array(list(plain.params.values())).tobytes() \
+            == np.array(list(weighted.params.values())).tobytes(), seed
+        assert plain.covariance.tobytes() == weighted.covariance.tobytes(), seed
 
 
 def test_model_interpolant_reproduces_a_cubic():

@@ -15,8 +15,9 @@ The manifest records the engine, the quadrature that ran, under ``derived`` the
 derived quantities in internal units and, under ``config``, the laboratory-unit
 parameters exactly as the run passed them to ``build_config``, so feeding that
 record back through ``--config`` reproduces byte-identical output.  A ``dip``
-manifest also records the ``metrics`` that the command prints, and every one its
-``wall_clock_s``, from after argument parsing to the outputs being written.
+manifest also records the ``metrics`` that the command prints, an ``overlap --target``
+manifest its ``solver`` (Newton iterations, last step in x and depth residual), and every
+one its ``wall_clock_s``, from after argument parsing to the outputs being written.
 
 Exit codes: 0 success, 1 I/O error, 2 configuration error, 3 numerical error;
 a failing command writes one stderr line and no manifest or stdout.
@@ -38,7 +39,8 @@ import numpy as np
 from . import __version__
 from .fitdata import fit_gaussian_dip, fit_model, fit_result_to_json, gaussian_dip, ingest_csv
 from .hom import AnalysisError, dip_curve, dip_metrics, metrics_record, write_curve_csv
-from .imperfections import SpatialGeometry, solve_angle_for_overlap, spatial_overlap
+from .imperfections import (SpatialGeometry, _solve_angle, solve_angle_for_overlap,
+                            spatial_overlap)
 from .jsa import jsa_grid, write_grid_csv
 from .quadrature import AccuracyError
 from .units import REFERENCE_PARAMS, ExperimentConfig, FilterShape, build_config
@@ -157,18 +159,20 @@ def cmd_overlap(args):
     d, lam = args.d_mm * 1e-3, args.lambda_nm * 1e-9
     if (args.target is None) == (args.theta_urad is None):
         raise ValueError("overlap: provide exactly one of --target and --theta-urad")
+    extra = {"d_mm": args.d_mm, "lambda_nm": args.lambda_nm}
     if args.theta_urad is not None:
         overlap = spatial_overlap(SpatialGeometry(d, lam, args.theta_urad * 1e-6))
         out = {"theta_urad": args.theta_urad, "overlap": overlap}
     else:
         theta = solve_angle_for_overlap(args.target, d, lam)
+        extra["solver"] = dict(_solve_angle(args.target, d, lam)[1])  # that solve, cached
         achieved = spatial_overlap(SpatialGeometry(d, lam, theta))
         out = {"target": args.target, "theta_rad": theta,
                "theta_urad": theta * 1e6, "achieved_overlap": achieved}
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(out, fh, indent=2)
-    extra = {"result": out, "d_mm": args.d_mm, "lambda_nm": args.lambda_nm}
+    extra["result"] = out
     return args.out or "", {}, extra, json.dumps(out, indent=2)
 
 

@@ -31,7 +31,8 @@ plus 10 kappa eps (kappa: the cancellation of its sum), and checks each rate's
 sign against _ABS_TOL before clamping at zero.  The spectral engines' H runs
 its own searched z rule, whose order and estimate their record carries.  A
 search's rule maps delays to the fine rate, the coarse rate and the fine slope
-dR/ddt (columns), on which :func:`dip_metrics` solves the half level by Newton.
+dR/ddt (columns), on which :func:`dip_metrics` solves the half level by
+:func:`homsim.quadrature._newton`.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .jsa import _chunks, _g_cycles, _g_function, _h_values, _nodes_per_cycle, _write_csv
-from .quadrature import (_ABS_TOL, _BRENTQ_MAXITER, _BRENTQ_RTOL, _BRENTQ_XTOL, _MAX_GL_ORDER,
-                         AccuracyError, QuadratureSettings, _searched, gauss_legendre)
+from .quadrature import (_ABS_TOL, _MAX_GL_ORDER, AccuracyError, QuadratureSettings, _newton,
+                         _searched, gauss_legendre)
 from .units import ExperimentConfig, FilterShape, FilterSpec
 
 __all__ = [
@@ -342,21 +343,19 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
 def _half_level(rule: Callable, level: float, x: list, gap: list) -> tuple[float, float]:
     """w where the rule's fine column meets ``level``, and fine - coarse at the last evaluation,
     for a sample pair at |delays| ``x`` whose rates lie ``gap`` from the level: the first
-    sample if it is on the level, else Newton's method on the slope column from the pair's
-    linear interpolation.  Each evaluation narrows the pair to its side and a step that leaves
-    it bisects it; the stop, tested first, is _brentq's: |step| <= 2e-12 + 4 eps |w|."""
+    sample if it is on the level, else :func:`homsim.quadrature._newton` on the slope column
+    from the pair's linear interpolation, inside the pair."""
     if gap[0] == 0.0:
         return x[0], float(np.subtract(*rule(np.array(x[:1]))[0, :2]))
-    (lo, g_lo), (hi, g_hi) = sorted(zip(x, gap))
-    w = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    for _ in range(_BRENTQ_MAXITER):
+
+    def fine_slope_coarse(w: float) -> tuple[float, float, float]:
         fine, coarse, slope = rule(np.array([w]))[0].tolist()
-        step = (level - fine) / slope if slope else math.inf
-        if abs(step) <= _BRENTQ_XTOL + _BRENTQ_RTOL * abs(w):
-            return w + step, fine - coarse
-        lo, hi = (w, hi) if (fine < level) == (g_lo < 0.0) else (lo, w)
-        w = w + step if lo < w + step < hi else 0.5 * (lo + hi)
-    raise AnalysisError(f"half level not resolved in {_BRENTQ_MAXITER} steps")
+        return fine, slope, coarse
+
+    (lo, g_lo), (hi, g_hi) = sorted(zip(x, gap))
+    w, (fine, _, coarse), _, _ = _newton(fine_slope_coarse, level, lo, hi, g_lo < 0.0,
+                                         lo - g_lo * (hi - lo) / (g_hi - g_lo))
+    return w, fine - coarse
 
 
 def _rule_metrics(curve: DipCurve, imin: int) -> DipMetrics:

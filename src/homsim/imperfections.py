@@ -4,17 +4,21 @@ Two mechanisms are modeled: beam-splitter imbalance (corrective factor
 2RT/(R^2+T^2)) and spatial-mode mismatch at the beam splitter (squared Airy
 overlap of the two tilted beams over the coupling-lens apertures).  The
 combined budget multiplies the factors; that treats the mechanisms as
-independent, which is an approximation, not a derivation.
+independent, which is an approximation, not a derivation.  The angle for a
+target overlap inverts the Airy depth 1 - 2 J1(x)/x, a trapezoid sum with its
+slope, by the package's root finder :func:`homsim.quadrature._newton`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .quadrature import _brentq
+from .quadrature import _newton
 
 __all__ = [
     "BeamSplitter",
@@ -93,24 +97,49 @@ def spatial_overlap(geom: SpatialGeometry) -> float:
     return _airy_amplitude(x) ** 2
 
 
+def _airy_depth(x: float) -> tuple[float, float]:
+    """1 - 2 J1(x)/x = (4/N) sum_k sin^2(x cos t_k / 2) sin^2 t_k and its slope
+    (2/N) sum_k cos t_k sin(x cos t_k) sin^2 t_k, on the nodes of :func:`_airy_amplitude`:
+    no term cancels, so the depth keeps its relative accuracy as x -> 0, where it is x^2/8."""
+    n, t = _nodes(x)
+    c, s2 = np.cos(t), np.sin(t) ** 2
+    return (4.0 / n * float(np.dot(np.sin(0.5 * x * c) ** 2, s2)),
+            2.0 / n * float(np.dot(c * np.sin(x * c), s2)))
+
+
+@lru_cache(maxsize=16)
+def _solve_angle(target: float, lens_diameter_m: float,
+                 wavelength_m: float) -> tuple[float, MappingProxyType]:
+    """:func:`solve_angle_for_overlap`'s angle and its solve's record: the Newton iterations,
+    the last step in x and the depth residual at the last evaluation, read-only.  Cached, so
+    that the record is that of the public function's solve."""
+    SpatialGeometry(lens_diameter_m, wavelength_m, 0.0)  # validates d and lambda
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target overlap must be in (0, 1), got {target}")
+    level = (1.0 - target) / (1.0 + math.sqrt(target))  # 1 - sqrt(target), without cancelling
+    # the amplitude is 2.4e-18 at the zero: targets below ~6e-36 keep this x
+    x, iterations, step = J1_FIRST_ZERO, 0, None
+    residual = math.sqrt(target) - _airy_amplitude(x)
+    if residual > 0.0:  # from x^2/8 = level: the depth lies below x^2/8
+        x, (depth, _), iterations, step = _newton(_airy_depth, level, 0.0, J1_FIRST_ZERO, True,
+                                                  math.sqrt(8.0 * level), xtol=1e-15)
+        residual = depth - level
+    s = x * wavelength_m / (math.pi * lens_diameter_m)
+    if s >= 1.0:
+        raise ValueError("target overlap unreachable for this geometry (sin theta >= 1)")
+    return math.asin(s), MappingProxyType(
+        {"iterations": iterations, "last_step": step, "depth_residual": residual})
+
+
 def solve_angle_for_overlap(target: float, lens_diameter_m: float,
                             wavelength_m: float) -> float:
     """Angle theta (rad) at which the spatial overlap equals ``target``.
 
-    Brent's method, to 1e-15 in x (2e-12 left 1.3e-11 of theta at x = 0.04), on
-    2 J1(x)/x = sqrt(target) over [0, first J1 zero], where it falls from 1 to 0.
+    Newton's method, to 1e-15 in x, on the depth 1 - 2 J1(x)/x = 1 - sqrt(target) over
+    [0, first J1 zero], where it rises from 0 to 1: near target 1, where 2 J1(x)/x -
+    sqrt(target) cancels, the depth keeps its relative accuracy.
     """
-    SpatialGeometry(lens_diameter_m, wavelength_m, 0.0)  # validates d and lambda
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target overlap must be in (0, 1), got {target}")
-    amp_target = math.sqrt(target)
-    x = J1_FIRST_ZERO  # the sum reads 2.4e-18 here: targets below ~6e-36 keep this x
-    if _airy_amplitude(x) < amp_target:
-        x = _brentq(lambda x: _airy_amplitude(x) - amp_target, 0.0, J1_FIRST_ZERO, xtol=1e-15)
-    s = x * wavelength_m / (math.pi * lens_diameter_m)
-    if s >= 1.0:
-        raise ValueError("target overlap unreachable for this geometry (sin theta >= 1)")
-    return math.asin(s)
+    return _solve_angle(target, lens_diameter_m, wavelength_m)[0]
 
 
 def visibility_budget(ideal_visibility: float, bs: BeamSplitter | None = None,

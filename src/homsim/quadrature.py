@@ -9,8 +9,10 @@
   coarser rule evaluated with it, checked against _ABS_TOL = 1e-12 plus
   10 kappa eps; a NaN estimate fails.  A start past the cap (_MAX_GL_ORDER for
   the z and lag rules) or a search that reaches it raises :class:`AccuracyError`.
-* :func:`_brentq` -- a Brent root finder, numerically scipy's ``brentq`` with its
-  defaults (so importing the package needs only numpy).
+* :func:`_newton` -- the package's one root finder: Newton's method on a value and its
+  slope, safeguarded by bisection inside a bracket, with scipy ``brentq``'s stop.  It
+  solves the dip's half level on an engine rule (``hom``) and the depth of the Airy
+  overlap for the beam angle (``imperfections``).
 
 Results are deterministic: identical arguments give bit-identical output.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 import math
 
@@ -36,6 +38,8 @@ _ABS_TOL = 1e-12         # the searched rules' fixed absolute tolerance
 _ROUNDING_FACTOR = 10.0  # c of the searched rules' error tolerance _ABS_TOL + c kappa eps
 _FLOOR_FACTOR = 100.0    # an estimate that stalls within this factor of c kappa eps is rounding
 _MAX_GL_ORDER = 1024     # largest order of the searched Gauss-Legendre rules (z and lag)
+_MAX_NEWTON = 100        # evaluations of :func:`_newton` before it gives up
+_NEWTON_RTOL = 4 * np.finfo(float).eps  # relative part of its stop, as scipy brentq's
 
 
 class AccuracyError(RuntimeError):
@@ -110,62 +114,18 @@ def _searched(points: np.ndarray, n: int, cap: int, rule,
     raise AccuracyError(f"{failure}; no order up to {cap} passes")
 
 
-_BRENTQ_XTOL = 2e-12
-_BRENTQ_RTOL = 4 * np.finfo(float).eps
-_BRENTQ_MAXITER = 100
-
-
-def _brentq(f: Callable[[float], float], a: float, b: float,
-            xtol: float = _BRENTQ_XTOL) -> float:
-    """Root of f in [a, b] by Brent's method, as scipy's ``brentq`` with its
-    defaults: it stops once the bracket is below xtol + 4 eps |x|.
-
-    Raises ``ValueError`` if f(a) and f(b) have the same sign or f returns
-    NaN, and ``RuntimeError`` if 100 iterations do not converge.
-    """
-
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENTQ_MAXITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # secant
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:                   # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
-            # a denominator that underflowed to 0 makes scipy's C step infinite: it bisects
-            stry = num / den if den != 0 else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"brentq did not converge after {_BRENTQ_MAXITER} iterations")
+def _newton(f: Callable[[float], Sequence[float]], level: float, lo: float, hi: float, rising: bool,
+            x: float, xtol: float = 2e-12) -> tuple[float, Sequence[float], int, float]:
+    """x where f's value meets ``level`` in [lo, hi], by Newton's method from ``x`` on
+    f(x) = (value, slope, ...): the root, the last evaluation, the evaluation count and the
+    last step.  ``rising`` says the value is below the level at lo.  Each evaluation narrows
+    the bracket to its side, and a step that leaves it bisects it; the stop, tested first,
+    is |step| <= xtol + 4 eps |x|, scipy brentq's, and 100 evaluations raise."""
+    for count in range(1, _MAX_NEWTON + 1):
+        value = f(x)
+        step = (level - value[0]) / value[1] if value[1] else math.inf
+        if abs(step) <= xtol + _NEWTON_RTOL * abs(x):
+            return x + step, value, count, step
+        lo, hi = (x, hi) if (value[0] < level) == rising else (lo, x)
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+    raise AccuracyError(f"root not resolved in {_MAX_NEWTON} steps")

@@ -12,6 +12,9 @@
   shares; checked against mpmath beside that amplitude.
 * :func:`q_oracle` -- the pair amplitude Q at one point by the adaptive rule over
   the fiber length: the oracle of ``jsa.q_amplitude`` and its searched z rule.
+* :func:`_brentq` -- a Brent root finder, numerically scipy's ``brentq`` with its
+  defaults (so the oracles need only numpy): the oracle of the half level that
+  ``hom.dip_metrics`` solves by ``quadrature._newton``.
 * ``_Z_ORDER`` -- the order of the fixed 64-node Gauss-Legendre z rule the
   package once used, kept as the floor of the closed engine's reference sum.
 """
@@ -213,3 +216,64 @@ def bessel_j1(x: float) -> float:
     """
     _, t = _nodes(x)
     return float(np.sign(x)) * float(np.mean(np.cos(t - abs(x) * np.sin(t))))
+
+
+_BRENTQ_XTOL = 2e-12
+_BRENTQ_RTOL = 4 * np.finfo(float).eps
+_BRENTQ_MAXITER = 100
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float,
+            xtol: float = _BRENTQ_XTOL) -> float:
+    """Root of f in [a, b] by Brent's method, as scipy's ``brentq`` with its
+    defaults: it stops once the bracket is below xtol + 4 eps |x|.
+
+    Raises ``ValueError`` if f(a) and f(b) have the same sign or f returns
+    NaN, and ``RuntimeError`` if 100 iterations do not converge.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # a denominator that underflowed to 0 makes scipy's C step infinite: it bisects
+            stry = num / den if den != 0 else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq did not converge after {_BRENTQ_MAXITER} iterations")

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from homsim import cli, fitdata, jsa, units
+from homsim import cli, fitdata, imperfections, jsa, units
 
 
 def run(args):
@@ -293,6 +293,23 @@ class TestManifestRoundTrip:
         assert run(options + ["--config", str(cfgfile), "--out", str(replay)]) == 0
         assert first.read_bytes() == replay.read_bytes()
 
+    @pytest.mark.parametrize("target", ["0.943", "0.999999", "1e-300"])
+    def test_overlap_manifest_reproduces_its_solve(self, tmp_path, target):
+        # the recorded target, d and lambda replay the solve from scratch: the same bytes
+        # and the same manifest, its solver record included
+        first, replay = tmp_path / "first.json", tmp_path / "replay.json"
+        assert run(["overlap", "--target", target, "--d-mm", "4", "--out", str(first)]) == 0
+        man = json.loads((tmp_path / "first.manifest.json").read_text())
+        imperfections._solve_angle.cache_clear()
+        assert run(["overlap", "--target", repr(man["result"]["target"]), "--d-mm",
+                    repr(man["d_mm"]), "--lambda-nm", repr(man["lambda_nm"]),
+                    "--out", str(replay)]) == 0
+        again = json.loads((tmp_path / "replay.manifest.json").read_text())
+        assert first.read_bytes() == replay.read_bytes()
+        for record in (man, again):
+            del record["wall_clock_s"], record["outputs"]
+        assert again == man and "solver" in man
+
 
 class TestFitCommand:
     def test_gaussian_dip_fit(self, tmp_path, dip_data_file, capsys):
@@ -434,6 +451,15 @@ class TestOverlapCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["theta_urad"] == pytest.approx(47.69, abs=0.05)
         assert doc["achieved_overlap"] == pytest.approx(0.943, abs=1e-9)
+
+    def test_manifest_records_the_solver(self, tmp_path, capsys):
+        assert run(["overlap", "--target", "0.9"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["target", "theta_rad", "theta_urad",
+                                                             "achieved_overlap"]
+        solver = json.loads((tmp_path / "overlap.manifest.json").read_text())["solver"]
+        assert solver == dict(imperfections._solve_angle(0.9, 5.0 * 1e-3, 1550.0 * 1e-9)[1])
+        assert run(["overlap", "--theta-urad", "10"]) == 0
+        assert "solver" not in json.loads((tmp_path / "overlap.manifest.json").read_text())
 
     def test_forward_evaluation(self, capsys):
         assert run(["overlap", "--theta-urad", "0",

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from homsim import fitdata, hom, units
 from homsim.fitdata import (CoincidenceDataset, InsufficientDataError,
                             ParseError, fit_gaussian_dip, fit_model, ingest_csv)
-from homsim.quadrature import _brentq
+from oracles import _brentq
 
 _TWO_SQRT_2LN2 = 2 * math.sqrt(2 * math.log(2))
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from homsim import hom, jsa, quadrature, units
 from homsim.quadrature import QuadratureSettings, gauss_legendre
 from homsim.units import FilterShape, FilterSpec
-from oracles import _Z_ORDER, phi_closed
+from oracles import _Z_ORDER, _brentq, phi_closed
 
 
 @pytest.fixture(scope="module")
@@ -399,6 +399,12 @@ class TestBatchedDelays:
     # the long-fiber corner: G's phase turns 53 cycles over 20 km
     @example(log_length=math.log10(2.0e4), log_beta2=0.0, sign=-1.0, pump_fwhm=0.4,
              filter_fwhm=0.8, shape="gaussian", mismatch=0.1)
+    # the narrow corner, short fiber: the widest dip and its slowest quartic tail
+    @example(log_length=1.0, log_beta2=-2.0, sign=1.0, pump_fwhm=0.4, filter_fwhm=0.4,
+             shape="supergaussian4", mismatch=0.3)
+    # the wide corner, long fiber: the narrowest cascade dip
+    @example(log_length=math.log10(2.0e4), log_beta2=-2.0, sign=1.0, pump_fwhm=1.6,
+             filter_fwhm=1.6, shape="cascade", mismatch=0.05)
     def test_property_over_physical_ranges(self, log_length, log_beta2, sign,
                                            pump_fwhm, filter_fwhm, shape, mismatch):
         cfg = units.build_config(
@@ -412,6 +418,9 @@ class TestBatchedDelays:
         half = max(15.0, 6.0 / cfg.sigma_0_rad_per_ps)
         # a plain axis, and one rounded like the benchmark's parameter sweep
         axes = (np.linspace(-half, half, 21), np.round(np.arange(-30, 31) * (half / 30.0), 12))
+        # past the dip, offset from 0 and sparse: from 5 half every shape's tail is below 1e-15
+        beyond = (np.round(np.arange(0, 31) * (half / 15.0) + 5.0 * half, 12),
+                  np.array([-11.0, -6.0, 8.0]) * half)
         filters = {"signal_filter": FilterSpec(shape=cfg.filter.shape, fwhm_nm=filter_fwhm),
                    "idler_filter": FilterSpec(shape=cfg.filter.shape,
                                               fwhm_nm=filter_fwhm * (1.0 + mismatch))}
@@ -431,6 +440,13 @@ class TestBatchedDelays:
                 assert np.max(np.abs(rates - rates[::-1])) <= 1e-12
                 if delays is axes[0]:
                     assert_metrics_match_reference(curve, reference, ref)
+            for delays in beyond:  # R -> 1 within the rule's record
+                curve = hom.dip_curve(cfg, engine, delays_ps=delays, **kw)
+                assert np.max(np.abs(curve.rates - 1.0)) <= (curve.quadrature["error_estimate"]
+                                                             + curve.quadrature["abs_tol"])
+        # exchange symmetry: the pump and H factors are symmetric sums, so it is exact
+        grid = jsa.jsa_grid(cfg, n_points=33)
+        assert np.array_equal(grid.values, grid.values.T)
 
     @pytest.mark.parametrize("order", [96, 192])
     def test_cosine_series_of_random_coefficients(self, order):
@@ -470,8 +486,8 @@ def assert_metrics_match_reference(curve, reference, ref):
     right = curve.delays_ps >= 0.0
     x, gap = curve.delays_ps[right], ref[right] - level
     k = np.flatnonzero(gap[:-1] * gap[1:] <= 0.0)[-1]
-    w = quadrature._brentq(lambda t: float(reference(np.array([t]))[0]) - level,
-                           x[k], x[k + 1], xtol=1e-15)
+    w = _brentq(lambda t: float(reference(np.array([t]))[0]) - level, x[k], x[k + 1],
+                xtol=1e-15)
     assert metrics.center_ps == 0.0
     assert abs(metrics.fwhm_ps - 2.0 * w) <= metrics.fwhm_error_ps + 1e-12 * 2.0 * w
 
@@ -884,8 +900,7 @@ class TestNewtonHalfLevel:
         right = curve.delays_ps >= 0.0
         x, gap = curve.delays_ps[right], curve.rates[right] - level
         k = np.flatnonzero(gap[:-1] * gap[1:] <= 0.0)[-1]
-        return quadrature._brentq(lambda t: curve.rule(np.array([t]))[0, 0] - level,
-                                  x[k], x[k + 1])
+        return _brentq(lambda t: curve.rule(np.array([t]))[0, 0] - level, x[k], x[k + 1])
 
     def test_default_curves(self):
         for curve in metric_curves():

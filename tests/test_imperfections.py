@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homsim import cli
 from homsim import imperfections as imp
@@ -153,15 +154,52 @@ class TestAngleInversion:
             assert theta == pytest.approx(first_zero, rel=1e-12)
 
     def test_against_mpmath_root(self):
-        # the amplitude's ~5e-16 rounding over its slope x/4 allows ~5e-12 at 0.9999
+        # the depth keeps its relative accuracy as x -> 0, so the angle does too; the
+        # amplitude's rounding over its slope x/4 once left 9.7e-11 at 0.999999.  The
+        # worst measured over 106 targets in [0.01, 0.9999997] is 3.6e-16
         import mpmath
         mpmath.mp.dps = 40
         d, lam = 5e-3, 1.55e-6
-        for target in (0.05, 0.5, 0.943, 0.9999):
+        for target in (0.05, 0.5, 0.943, 0.9999, 0.99999, 0.999999):
             x = mpmath.findroot(lambda x: 2 * mpmath.besselj(1, x) / x - mpmath.sqrt(target),
                                 (mpmath.mpf("1e-3"), imp.J1_FIRST_ZERO), solver="anderson")
             exact = float(mpmath.asin(x * lam / (mpmath.pi * d)))
-            assert imp.solve_angle_for_overlap(target, d, lam) == pytest.approx(exact, rel=1e-11)
+            assert imp.solve_angle_for_overlap(target, d, lam) == pytest.approx(exact, rel=4e-16)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(target=st.floats(0.01, 0.99))
+    @example(target=0.01)
+    @example(target=0.99)
+    def test_matches_scipy_brentq(self, target):
+        # Brent on the same Airy sum as depth - (1 - sqrt(target)); on the amplitude
+        # 2 J1(x)/x - sqrt(target), which cancels, Brent itself strays by up to 1.5e-14
+        optimize = pytest.importorskip("scipy.optimize")
+        d, lam = 5e-3, 1.55e-6
+        level = (1.0 - target) / (1.0 + math.sqrt(target))
+        x = optimize.brentq(lambda x: imp._airy_depth(x)[0] - level, 0.0, imp.J1_FIRST_ZERO,
+                            xtol=1e-15)
+        exact = math.asin(x * lam / (math.pi * d))
+        assert imp.solve_angle_for_overlap(target, d, lam) == pytest.approx(exact, rel=1e-14)
+
+    def test_depth_and_slope_against_mpmath(self):
+        # 1 - 2 J1(x)/x and its slope 2 J2(x)/x, to 1e-15 relative down to x = 1e-6
+        import mpmath
+        mpmath.mp.dps = 40
+        for x in (1e-6, 1e-3, 0.05, 0.7, 2.0, imp.J1_FIRST_ZERO):
+            depth, slope = imp._airy_depth(x)
+            xm = mpmath.mpf(x)
+            assert depth == pytest.approx(float(1 - 2 * mpmath.besselj(1, xm) / xm), rel=1e-15)
+            assert slope == pytest.approx(float(2 * mpmath.besselj(2, xm) / xm), rel=1e-15)
+
+    def test_solve_record(self):
+        # Newton's last step meets its stop, 1e-15 + 4 eps x; the shortcut takes none
+        for target in (0.05, 0.943, 0.999999, 1e-30):
+            theta, record = imp._solve_angle(target, 5e-3, 1.55e-6)
+            assert 1 <= record["iterations"] <= 8
+            assert abs(record["last_step"]) <= 1e-15 + 4 * np.finfo(float).eps * 3.9
+            assert abs(record["depth_residual"]) <= 4e-16
+        _, record = imp._solve_angle(1e-300, 5e-3, 1.55e-6)
+        assert record["iterations"] == 0 and record["last_step"] is None
 
     def test_rejects_bad_target(self):
         for target in (0.0, 1.0, -0.2, 1.5):

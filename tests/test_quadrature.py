@@ -6,12 +6,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from homsim import fitdata, hom, jsa, quadrature, units
-from homsim.quadrature import (
-    QuadratureSettings,
-    gauss_legendre,
-    _brentq,
-)
-from oracles import AccuracyError, integrate_1d
+from homsim.quadrature import QuadratureSettings, gauss_legendre
+from oracles import AccuracyError, _brentq, integrate_1d
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():

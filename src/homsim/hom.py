@@ -27,8 +27,8 @@ first.  R is even in dt, so every engine runs once per distinct |dt| of the axis
 and the rates are exactly even; delays run in chunks of bounded size.  Rates are
 normalized to a large-delay baseline of 1.  Every engine doubles its order by
 ``quadrature._searched`` until an embedded error estimate meets _ABS_TOL = 1e-12
-plus 10 kappa eps (kappa: the cancellation of its sum), and checks each rate's
-sign against _ABS_TOL before clamping at zero.  The spectral engines' H runs
+plus 10 kappa eps (kappa: the cancellation of its sum); :func:`dip_curve` checks
+every rate's sign against _ABS_TOL and clamps at zero.  The spectral engines' H runs
 its own searched z rule, whose order and estimate their record carries.  A
 search's rule maps delays to the fine rate, the coarse rate and the fine slope
 dR/ddt (columns), on which :func:`dip_metrics` solves the half level by
@@ -118,8 +118,9 @@ def _spectral_tables(cfg: ExperimentConfig, n: int):
     and on its nested rule over the even nodes.  On nu_k = (k - n/2) step the cross
     weights C = F(s,i) F*(i,s) w_s w_i = pump(s + i) |H(((s - i) step)^2)|^2 p_s p_i,
     p = f_s f_i w, are real and symmetric, so R(dt) = 1 - sum_m c_m cos(m step dt),
-    c_m the sum of C over |s - i| = m over the baseline sum |F|^2 w_s w_i.  Returns step,
-    the series of both rules' c_m and the fine i c_m m step, kappa = sum |c_m|, H's z record."""
+    c_m the sum of C over |s - i| = m over the baseline sum |F|^2 w_s w_i, of each rule
+    one contraction that builds no temporary.  Returns step, the series of both rules' c_m
+    and the fine i c_m m step, kappa = sum |c_m|, H's z record."""
     signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
     step = 2.0 * _nu_half(cfg) / n
     k = np.arange(n + 1)
@@ -130,23 +131,20 @@ def _spectral_tables(cfg: ExperimentConfig, n: int):
     # (v_s, v_i), v = f^2 w, for the baseline of different arms; as the filters and grid are
     # even in nu, the sums below the diagonal equal those above
     p = fs * fi * w
-    pairs = [(p, p)] if np.array_equal(fs, fi) else [(p, p), (fs**2 * w, fi**2 * w)]
+    x, y = ([p], [p]) if np.array_equal(fs, fi) else ([p, fs**2 * w], [p, fi**2 * w])
     # windows [row, s, m] = buffer[row, s + m], 0 past the end, of one zero-padded buffer:
     # row 0 the pump at the 2 n + 1 sums s + i, then each pair's y
-    buffer = np.zeros((1 + len(pairs), 3 * n + 1))
+    buffer = np.zeros((1 + len(y), 3 * n + 1))
     buffer[0, :2 * n + 1] = np.exp(-((np.arange(2 * n + 1) - n) * step) ** 2
                                    / (2.0 * cfg.sigma_p_rad_per_ps**2))
-    buffer[1:, :n + 1] = [y for _, y in pairs]
+    buffer[1:, :n + 1] = y
     windows = np.lib.stride_tricks.as_strided(buffer, (buffer.shape[0], 2 * n + 1, n + 1),
                                               (buffer.strides[0],) + 2 * buffer.strides[1:])
     pump, y_windows = windows[0, ::2], windows[1:, :n + 1]  # pump [s, m]: at s + i = 2s + m
-    diag = np.zeros((len(pairs), 2, n + 1))  # both rules
-    for sl in _chunks(n + 1, 4 * (n + 1)):
-        even = slice(sl.start % 2, None, 2)  # the nested rule's rows; its weights are
-        for d, (x, _), y in zip(diag, pairs, y_windows):  # 2 w, a factor 4 that cancels
-            prod = y[sl] * pump[sl]
-            d[0] += x[sl] @ prod
-            d[1, ::2] += x[sl][even] @ prod[even, ::2]
+    # the nested rule reads the even rows and columns; its weights 2 w, a factor 4 that cancels
+    x, diag = np.array(x), np.zeros((len(y), 2, n + 1))
+    diag[:, 0] = np.einsum("ps,psm,sm->pm", x, y_windows, pump)
+    diag[:, 1, ::2] = np.einsum("ps,psm,sm->pm", x[:, ::2], y_windows[:, ::2, ::2], pump[::2, ::2])
     h, z_record = _h_values((k * step) ** 2, cfg)
     sums = diag * np.abs(h) ** 2 * np.where(k == 0, 1.0, 2.0)
     baselines = sums[-1].sum(1)
@@ -198,31 +196,19 @@ def _lag_tables(cfg: ExperimentConfig, order: int):
     return k, (-2.0 * s0**2 + 1j * b2 * lag * s0**4) / den4, 2.0 * float(np.sum(k.real))
 
 
-def _lag_sums(delays: np.ndarray, tables, slope: np.ndarray) -> np.ndarray:
-    """Rates 2 Re sum k (1 - e^{dt^2 a}) / baseline of each of the two lag tables, then the
-    first's slope dt Re sum w e^{dt^2 a}, w = -4 k a / baseline (columns), per delay."""
-    rates = np.empty((delays.size, 3))
+def _lag_sums(delays: np.ndarray, exponents: np.ndarray, wr, wi) -> np.ndarray:
+    """(1 - c) @ wr + s @ wi, c + i s = e^{dt^2 a}, per delay in one pass over the stacked lag
+    tables: exponents a and real weight columns 2 k / baseline of the fine and of the coarse
+    table, then the fine slope's -4 k a / baseline, whose column becomes dt (sum - column)."""
+    out = np.empty((delays.size, 3))
     # 8 temporaries of one lag row per delay, each at most 2^14 elements: under glibc's
     # default mmap threshold (128 KB), so they are reused, not mapped and faulted anew
-    for sl in _chunks(delays.size, 8 * slope.size):
+    for sl in _chunks(delays.size, 8 * exponents.size):
         t2 = delays[sl, None] ** 2
-        for col, (k, a, baseline) in enumerate(tables):
-            decay, phase = np.exp(t2 * a.real), t2 * a.imag
-            c, s = decay * np.cos(phase), decay * np.sin(phase)
-            rates[sl, col] = 2.0 * ((1.0 - c) @ k.real + s @ k.imag) / baseline
-            if col == 0:
-                rates[sl, 2] = delays[sl] * (c @ slope.real - s @ slope.imag)
-    return rates
-
-
-def _clamped(rates: np.ndarray, record: dict, sums,
-             label: str) -> tuple[np.ndarray, dict, Callable]:
-    """A search's rates clamped at zero, its record and its sums, once no rate lies below
-    -_ABS_TOL."""
-    if np.any(rates < -_ABS_TOL):
-        raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e} beyond abs_tol "
-                            f"{_ABS_TOL:.1e} (kappa = {record['kappa']:.3e})")
-    return np.maximum(rates, 0.0), record, sums
+        decay, phase = np.exp(t2 * exponents.real), t2 * exponents.imag
+        out[sl] = (1.0 - decay * np.cos(phase)) @ wr + (decay * np.sin(phase)) @ wi
+    out[:, 2] = delays * (wr[:, 2].sum() - out[:, 2])
+    return out
 
 
 def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
@@ -241,21 +227,27 @@ def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
         step, series, kappa, z_record = _spectral_tables(cfg, n)
         return (lambda points: _cosine_sums(points, series)), kappa, {
             "nu_order": n, "nu_halfwidth": step * n / 2, **z_record}
-    return _clamped(*_searched(delays, n, _MAX_NU_ORDER, rule, label), label)
+    return _searched(delays, n, _MAX_NU_ORDER, rule, label)
 
 
 def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict, Callable]:
+    """Rates of :func:`_searched` on the lag rules of n and 3 n / 4 nodes, stacked for
+    :func:`_lag_sums`; too many cycles of beta2 D sigma_0^2 over D in [0, L] raise first."""
     def rule(n):
-        tables = [_lag_tables(cfg, n), _lag_tables(cfg, 3 * n // 4)]
-        _require_normalizable([baseline for _, _, baseline in tables],
-                              f"{label} at lag orders {[n, 3 * n // 4]}")
-        k, a, baseline = tables[0]
-        kappa, slope = 2.0 * float(np.sum(np.abs(k))) / abs(baseline), -4.0 * k * a / baseline
-        return (lambda points: _lag_sums(points, tables, slope)), kappa, {
-            "lag_orders": [n, 3 * n // 4]}
+        orders = [n, 3 * n // 4]
+        (k, a, baseline), (kc, ac, baseline_c) = [_lag_tables(cfg, order) for order in orders]
+        _require_normalizable([baseline, baseline_c], f"{label} at lag orders {orders}")
+        weights = np.zeros((n + kc.size, 3), dtype=complex)
+        weights[:n, 0], weights[n:, 1] = 2.0 * k / baseline, 2.0 * kc / baseline_c
+        weights[:n, 2] = -4.0 * k * a / baseline
+        stacked = np.concatenate([a, ac]), weights.real.copy(), weights.imag.copy()
+        kappa = 2.0 * float(np.sum(np.abs(k))) / abs(baseline)
+        return (lambda points: _lag_sums(points, *stacked)), kappa, {"lag_orders": orders}
     label = "gaussian closed-form engine"
+    _nodes_per_cycle(abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m
+                     * cfg.sigma_0_rad_per_ps**2 / (2.0 * math.pi), label)
     start = _nodes_per_cycle(_g_cycles(cfg), label)
-    return _clamped(*_searched(delays, start, _MAX_GL_ORDER, rule, label), label)
+    return _searched(delays, start, _MAX_GL_ORDER, rule, label)
 
 
 @dataclass(frozen=True)
@@ -336,8 +328,11 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     else:
         raise ValueError(f"unknown engine {engine!r}; choose from "
                          "['asymmetric', 'gaussian', 'general', 'supergaussian']")
-    return DipCurve(delays_ps=delays_ps, rates=rates[inverse], engine=engine, rule=rule,
-                    quadrature=quadrature)
+    if np.any(rates < -_ABS_TOL):
+        raise AccuracyError(f"{engine} engine: negative rate {np.min(rates):.3e} beyond abs_tol "
+                            f"{_ABS_TOL:.1e} (kappa = {quadrature['kappa']:.3e})")
+    return DipCurve(delays_ps=delays_ps, rates=np.maximum(rates, 0.0)[inverse], engine=engine,
+                    rule=rule, quadrature=quadrature)
 
 
 def _half_level(rule: Callable, level: float, x: list, gap: list) -> tuple[float, float]:

@@ -53,8 +53,10 @@ class QuadratureSettings:
                         # passes at the default config; the tolerance is fixed (_ABS_TOL)
 
     def __post_init__(self) -> None:
-        if self.gl_order < 2:
-            raise ValueError("gl_order must be >= 2")
+        order = self.gl_order
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 2:
+            raise ValueError(f"gl_order must be an integer >= 2, got {order!r}")
+        object.__setattr__(self, "gl_order", int(order))  # a numpy integer becomes an int
 
 
 @lru_cache(maxsize=128)
@@ -88,29 +90,26 @@ def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarr
 def _searched(points: np.ndarray, n: int, cap: int, rule,
               label: str) -> tuple[np.ndarray, dict, Callable[[np.ndarray], np.ndarray]]:
     """Values at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
-    _ABS_TOL + c kappa eps at every point, its record and its sums; the end and middle
-    points are tried first, a cheap early exit, and the full array decides.  ``rule(n)``
-    gives the points -> [fine, coarse, ...] sums, kappa and a record.  A NaN estimate fails.
-    An estimate below _FLOOR_FACTOR c kappa eps that a doubling does not shrink is
-    rounding: raise.  A start order past the cap raises before any rule is evaluated."""
+    _ABS_TOL + c kappa eps at every point, its record and its sums.  ``rule(n)`` gives the
+    points -> [fine, coarse, ...] sums, kappa and a record; each order's sums run once, on
+    the whole array.  A NaN estimate fails.  An estimate below _FLOOR_FACTOR c kappa eps
+    that a doubling does not shrink is rounding: raise.  A start order past the cap raises
+    before any rule is evaluated."""
     if n > cap:
         raise AccuracyError(f"{label}: start order {n} is past the largest, {cap}")
-    stages, last = ([points[[0, points.size // 2, -1]]] if points.size else []) + [points], None
+    last = math.inf
     while n <= cap:
         sums, kappa, record = rule(n)
         floor = _ROUNDING_FACTOR * kappa * np.finfo(float).eps
-        for stage, subset in enumerate(stages):
-            values = sums(subset)
-            estimate = float(np.max(np.abs(values[:, 0] - values[:, 1]), initial=0.0))
-            if not estimate <= _ABS_TOL + floor:  # NaN fails
-                break
-        else:
+        values = sums(points)
+        estimate = float(np.max(np.abs(values[:, 0] - values[:, 1]), initial=0.0))
+        if estimate <= _ABS_TOL + floor:  # NaN fails
             return values[:, 0], {
                 **record, "error_estimate": estimate, "kappa": kappa, "abs_tol": _ABS_TOL}, sums
         failure = f"{label}: error estimate {estimate:.3e} exceeds tolerance (kappa = {kappa:.3e})"
-        if last and last[0] == stage and last[1] <= estimate <= _FLOOR_FACTOR * floor:
+        if last <= estimate <= _FLOOR_FACTOR * floor:
             raise AccuracyError(f"{failure} and a doubling to {n} did not shrink it: rounding")
-        last, n = (stage, estimate), 2 * n
+        last, n = estimate, 2 * n
     raise AccuracyError(f"{failure}; no order up to {cap} passes")
 
 

@@ -604,6 +604,24 @@ class TestErrorEstimate:
         with pytest.raises(hom.AccuracyError, match="error estimate"):
             hom.dip_curve(units.default_config(), "general")
 
+    @pytest.mark.parametrize("engine,sums", [("gaussian", "_lag_sums"),
+                                             ("general", "_cosine_sums")])
+    def test_negative_rate_beyond_abs_tol_raises(self, monkeypatch, engine, sums):
+        # fine and coarse rates 3 abs_tol low at every delay: the search passes, and
+        # dip_curve refuses R(0) = -3e-12, naming it and kappa
+        original = getattr(hom, sums)
+        monkeypatch.setattr(hom, sums, lambda *args: original(*args) - [3e-12, 3e-12, 0.0])
+        with pytest.raises(hom.AccuracyError, match=rf"^{engine} engine: negative rate "
+                           r"-3\.000e-12 beyond abs_tol 1\.0e-12 \(kappa = 1\.\d{3}e\+00\)$"):
+            hom.dip_curve(units.default_config(), engine)
+
+    def test_negative_rate_within_abs_tol_is_clamped(self, monkeypatch):
+        lag_sums = hom._lag_sums
+        monkeypatch.setattr(hom, "_lag_sums", lambda *args: lag_sums(*args) - [5e-13, 5e-13, 0.0])
+        curve = hom.dip_curve(units.default_config(), "gaussian")
+        assert curve.rule(np.zeros(1))[0, 0] == -5e-13  # the rule is not clamped
+        assert curve.rates[curve.delays_ps == 0.0].tolist() == [0.0]
+
     def test_order_independent_of_call_history(self, fresh_tables):
         cfg = units.default_config()
         first = hom.dip_curve(cfg, "general", delays_ps=self.FIT_GRID)
@@ -818,6 +836,19 @@ class TestClosedEngine:
         with pytest.raises(hom.AccuracyError, match="cycles over the fiber"):
             hom.dip_curve(cfg, "gaussian")
 
+    def test_unresolvable_filter_raises_before_any_lag_table(self, monkeypatch):
+        # a 1e30 nm filter turns beta2 D sigma_0^2 through ~1e57 cycles over the fiber:
+        # refused at the start order, not after a search up to 1,024 lags
+        orders = []
+        lag_tables = hom._lag_tables.__wrapped__
+        monkeypatch.setattr(hom, "_lag_tables",
+                            lambda cfg, order: orders.append(order) or lag_tables(cfg, order))
+        cfg = units.build_config(**{**units.REFERENCE_PARAMS, "filter_fwhm_nm": 1e30})
+        with pytest.raises(hom.AccuracyError, match="gaussian closed-form engine: .* cycles "
+                           "over the fiber need more than 1024 nodes"):
+            hom.dip_curve(cfg, "gaussian")
+        assert orders == []
+
     def test_under_resolved_start_doubles_to_converged(self, monkeypatch):
         # 8 lags at 34 cycles of G's phase: the search must double its way to the answer
         monkeypatch.setattr(hom, "_nodes_per_cycle", lambda cycles, label: 8)
@@ -852,7 +883,7 @@ class TestClosedEngine:
             return curve.rule(t)[:, 0]
         central = (fine(x - 2 * h) - 8 * fine(x - h) + 8 * fine(x + h)
                    - fine(x + 2 * h)) / (12 * h)
-        assert curve.rule(x)[0, 2] == 0.0  # R is even
+        assert curve.rule(x)[0].tolist() == [0.0, 0.0, 0.0]  # R(0) of both rules, R' as R is even
         assert np.max(np.abs(curve.rule(x)[:, 2] - central)) <= 1e-11
 
 

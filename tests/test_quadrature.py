@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -114,6 +115,22 @@ def test_settings_validation():
     assert {fld.name for fld in dataclasses.fields(QuadratureSettings)} == {"gl_order"}
 
 
+@pytest.mark.parametrize("order", [96.0, 96.5, True, np.float64(96.0), "96", None],
+                         ids=["float", "fraction", "bool", "numpy-float", "str", "none"])
+def test_settings_reject_an_order_that_is_not_an_integer(order):
+    # refused at construction, not by a TypeError inside the spectral tables
+    with pytest.raises(ValueError, match="gl_order must be an integer >= 2"):
+        QuadratureSettings(gl_order=order)
+
+
+def test_settings_take_a_numpy_integer_as_an_int():
+    # the order reaches the JSON record of the rule that ran
+    settings = QuadratureSettings(gl_order=np.int64(48))
+    assert type(settings.gl_order) is int and settings == QuadratureSettings(gl_order=48)
+    curve = hom.dip_curve(units.default_config(), "general", settings=settings)
+    assert json.loads(json.dumps(curve.quadrature))["nu_order"] == 96
+
+
 def test_search_start_past_the_cap_raises_before_any_rule():
     # a start order past the cap raises before the rule runs: no lower order stands
     # for it (for nu, the axis is wider than the largest rule's alias-free period)
@@ -128,10 +145,27 @@ def test_search_start_past_the_cap_raises_before_any_rule():
     assert orders == []
 
 
+def test_search_evaluates_each_order_once_on_every_point():
+    # the estimate fails at 12 and 24 only at a point that is neither an end nor the
+    # middle: each tried order's sums run once, on the whole array
+    calls = []
+
+    def rule(n):
+        def sums(points):
+            calls.append((n, points.size))
+            values = np.zeros((points.size, 2))
+            values[1, 1] = float(n < 48)
+            return values
+        return sums, 1.0, {"order": n}
+    values, record, _ = quadrature._searched(np.linspace(-1.0, 1.0, 5), 12, 100, rule, "toy rule")
+    assert calls == [(12, 5), (24, 5), (48, 5)]
+    assert record["order"] == 48 and record["error_estimate"] == 0.0 and values.size == 5
+
+
 @pytest.mark.parametrize("nan_at", [slice(None), 1], ids=["everywhere", "off-probe"])
 def test_search_fails_on_a_nan_estimate(nan_at):
-    # NaN sums fail at every order, also where only a point between the probe's end
-    # and middle points is NaN
+    # NaN sums fail at every order, also where only one point, neither an end nor the
+    # middle, is NaN
     orders = []
 
     def rule(n):

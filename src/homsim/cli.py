@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except (AccuracyError, AnalysisError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: an axis too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -24,7 +24,7 @@ configuration and maps a whole array of delays to rates in one call:
 Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` is folded into the configuration
 first.  R is even in dt, so every engine runs once per distinct |dt| of the axis
-and the rates are exactly even; delays run in chunks of bounded size.  Rates are
+and the rates are exactly even; every rule runs through ``quadrature._blocked``.  Rates are
 normalized to a large-delay baseline of 1.  Every engine doubles its order by
 ``quadrature._searched`` until an embedded error estimate meets _ABS_TOL = 1e-12
 plus 10 kappa eps (kappa: the cancellation of its sum); :func:`dip_curve` checks
@@ -44,9 +44,9 @@ from typing import Callable
 
 import numpy as np
 
-from .jsa import _chunks, _g_cycles, _g_function, _h_values, _nodes_per_cycle, _write_csv
-from .quadrature import (_ABS_TOL, _MAX_GL_ORDER, AccuracyError, QuadratureSettings, _newton,
-                         _searched, gauss_legendre)
+from .jsa import _g_cycles, _g_function, _h_values, _nodes_per_cycle, _write_csv
+from .quadrature import (_ABS_TOL, _MAX_GL_ORDER, AccuracyError, QuadratureSettings, _blocked,
+                         _newton, _searched, gauss_legendre)
 from .units import ExperimentConfig, FilterShape, FilterSpec
 
 __all__ = [
@@ -102,6 +102,11 @@ def _nu_half(cfg: ExperimentConfig) -> float:
 def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> None:
     if cfg.filter.shape is not shape or cfg.filter.idler is not None:
         raise ValueError(f"{label} requires identical {shape.value} filters on both arms")
+
+
+def _require_axis(delays: np.ndarray) -> None:
+    if not (delays.ndim == 1 and np.isfinite(delays).all() and (delays[1:] > delays[:-1]).all()):
+        raise ValueError("delays must be finite and strictly increasing, on one axis")
 
 
 def _require_normalizable(baselines, label: str) -> None:
@@ -167,13 +172,9 @@ def _cosine_sums(delays: np.ndarray, series) -> np.ndarray:
     -Re sum_m i c_m m step e^{i m step dt} (columns) at every delay: with m = a M + b,
     e^{i m step dt} = e^{i a M step dt} e^{i b step dt}, M + A phasors."""
     inner_freq, outer_freq, coef = series
-    out = np.empty((delays.size, 3))
-    for sl in _chunks(delays.size, coef.shape[1]):
-        inner = (np.exp(np.multiply.outer(delays[sl], inner_freq)) @ coef).reshape(
-            -1, 3, outer_freq.size)
-        sums = np.matmul(inner, np.exp(np.multiply.outer(delays[sl], outer_freq))[:, :, None])
-        np.subtract((1.0, 1.0, 0.0), sums[:, :, 0].real, out=out[sl])
-    return out
+    inner = (np.exp(np.multiply.outer(delays, inner_freq)) @ coef).reshape(-1, 3, outer_freq.size)
+    sums = np.matmul(inner, np.exp(np.multiply.outer(delays, outer_freq))[:, :, None])
+    return np.subtract((1.0, 1.0, 0.0), sums[:, :, 0].real)
 
 
 @lru_cache(maxsize=32)
@@ -184,15 +185,15 @@ def _lag_tables(cfg: ExperimentConfig, order: int):
     length = cfg.fiber.length_m
     lag, lw = gauss_legendre(order, 0.0, length)
     t, tw = gauss_legendre(order, 0.0, 1.0)
-    span = length - lag
-    area = np.empty(order, dtype=complex)
-    for sl in _chunks(order, 4 * order):  # row blocks of the (lag, inner node) grid
-        z = np.outer(span[sl], t) - length
-        pairs = _g_function(z + lag[sl, None], cfg) * np.conj(_g_function(z, cfg))
-        area[sl] = pairs @ tw * span[sl]
+
+    def area(lags):  # A(D) on rows of the (lag, inner node) grid
+        span = length - lags
+        z = np.outer(span, t) - length
+        return _g_function(z + lags[:, None], cfg) * np.conj(_g_function(z, cfg)) @ tw * span
     s0, b2 = cfg.sigma_0_rad_per_ps, cfg.fiber.beta2_ps2_per_m
     den4 = 4.0 + b2**2 * lag**2 * s0**4
-    k = lw * area * np.exp(0.5j * np.arctan(-0.5 * b2 * lag * s0**2)) / den4**0.25
+    k = (lw * _blocked(area, lag, 4 * order) * np.exp(0.5j * np.arctan(-0.5 * b2 * lag * s0**2))
+         / den4**0.25)
     return k, (-2.0 * s0**2 + 1j * b2 * lag * s0**4) / den4, 2.0 * float(np.sum(k.real))
 
 
@@ -200,13 +201,9 @@ def _lag_sums(delays: np.ndarray, exponents: np.ndarray, wr, wi) -> np.ndarray:
     """(1 - c) @ wr + s @ wi, c + i s = e^{dt^2 a}, per delay in one pass over the stacked lag
     tables: exponents a and real weight columns 2 k / baseline of the fine and of the coarse
     table, then the fine slope's -4 k a / baseline, whose column becomes dt (sum - column)."""
-    out = np.empty((delays.size, 3))
-    # 8 temporaries of one lag row per delay, each at most 2^14 elements: under glibc's
-    # default mmap threshold (128 KB), so they are reused, not mapped and faulted anew
-    for sl in _chunks(delays.size, 8 * exponents.size):
-        t2 = delays[sl, None] ** 2
-        decay, phase = np.exp(t2 * exponents.real), t2 * exponents.imag
-        out[sl] = (1.0 - decay * np.cos(phase)) @ wr + (decay * np.sin(phase)) @ wi
+    t2 = delays[:, None] ** 2
+    decay, phase = np.exp(t2 * exponents.real), t2 * exponents.imag
+    out = (1.0 - decay * np.cos(phase)) @ wr + (decay * np.sin(phase)) @ wi
     out[:, 2] = delays * (wr[:, 2].sum() - out[:, 2])
     return out
 
@@ -225,7 +222,7 @@ def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
 
     def rule(n):
         step, series, kappa, z_record = _spectral_tables(cfg, n)
-        return (lambda points: _cosine_sums(points, series)), kappa, {
+        return (lambda points: _cosine_sums(points, series)), series[2].shape[1], kappa, {
             "nu_order": n, "nu_halfwidth": step * n / 2, **z_record}
     return _searched(delays, n, _MAX_NU_ORDER, rule, label)
 
@@ -242,7 +239,9 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray
         weights[:n, 2] = -4.0 * k * a / baseline
         stacked = np.concatenate([a, ac]), weights.real.copy(), weights.imag.copy()
         kappa = 2.0 * float(np.sum(np.abs(k))) / abs(baseline)
-        return (lambda points: _lag_sums(points, *stacked)), kappa, {"lag_orders": orders}
+        # 8 temporaries of one lag row per delay, each at most 2^14 elements per block: under
+        # glibc's default mmap threshold (128 KB), so they are reused, not mapped and faulted anew
+        return (lambda d: _lag_sums(d, *stacked)), 8 * len(weights), kappa, {"lag_orders": orders}
     label = "gaussian closed-form engine"
     _nodes_per_cycle(abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m
                      * cfg.sigma_0_rad_per_ps**2 / (2.0 * math.pi), label)
@@ -267,8 +266,7 @@ class DipCurve:
     quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (np.all(np.isfinite(self.delays_ps)) and np.all(np.diff(self.delays_ps) > 0)):
-            raise ValueError("delays must be finite and strictly increasing")
+        _require_axis(self.delays_ps)
         if not np.all(np.isfinite(self.rates) & (self.rates >= 0)):
             raise ValueError("rates must be finite and nonnegative")
 
@@ -309,6 +307,7 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     if delays_ps is None:
         delays_ps = np.round(np.arange(-150, 151) * 0.1, 10)
     delays_ps = np.asarray(delays_ps, dtype=float)
+    _require_axis(delays_ps)  # before any engine: a NaN or infinite delay fails every search
     if signal_filter is not None or idler_filter is not None or engine == "asymmetric":
         if signal_filter is None or idler_filter is None:
             raise ValueError(f"{engine} engine needs both explicit signal and idler filters")

@@ -23,13 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _MAX_GL_ORDER, AccuracyError, _embedded_unit_rule, _mapped, _searched
+from .quadrature import _MAX_GL_ORDER, AccuracyError, _chunks, _searched, gauss_legendre
 from .units import ExperimentConfig
 
 __all__ = ["AmplitudeGrid", "q_amplitude", "jsa_grid", "write_grid_csv"]
-
-# Largest temporary of a chunked evaluation (1 MB of float64), in elements
-_CHUNK_ELEMENTS = 1 << 17
 
 
 def _check_arctan_branch(z, cfg: ExperimentConfig) -> None:
@@ -74,32 +71,24 @@ def _nodes_per_cycle(cycles: float, label: str) -> int:
     return 4 * max(2, math.ceil(cycles))
 
 
-def _chunks(n: int, per_item: int):
-    """Slices of range(n) whose temporaries hold about _CHUNK_ELEMENTS elements."""
-    step = max(1, _CHUNK_ELEMENTS // per_item)
-    return [slice(k, k + step) for k in range(0, n, step)]
-
-
 def _h_values(w: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
-    """H(w) = sum_z zw G(z) e^{-i beta2 w z / 4} at each w of a 1-D array, in chunks, and
-    the record of its z rule.  :func:`_searched` sizes the rule from 4 nodes per cycle of
-    the integrand's phase; one node set holds the rule and its 3/4-order rule, so one
-    pass gives both, and the estimate is taken on H / L, where |G| <= 1."""
+    """H(w) = sum_z zw G(z) e^{-i beta2 w z / 4} at each w of a 1-D array and the record
+    of its z rule.  :func:`_searched` sizes the rule from 4 nodes per cycle of the
+    integrand's phase; one node set holds the rule and its 3/4-order rule end to end, so
+    one pass gives both, and the estimate is taken on H / L, where |G| <= 1."""
     length = cfg.fiber.length_m
 
     def rule(n):
-        z, zw = _mapped(*_embedded_unit_rule(n), -length, 0.0)
+        rules = [gauss_legendre(order, -length, 0.0) for order in (n, 3 * n // 4)]
+        z, zw = map(np.concatenate, zip(*rules))
         gz = _g_function(z, cfg) * zw / length
         weights = np.zeros((z.size, 2), dtype=complex)  # the rule's weights, then the 3/4 rule's
         weights[:n, 0], weights[n:, 1] = gz[:n], gz[n:]
         kz = -0.25j * cfg.fiber.beta2_ps2_per_m * z
 
         def sums(points):
-            h = np.empty((points.size, 2), dtype=complex)
-            for sl in _chunks(points.size, z.size):
-                h[sl] = np.exp(np.multiply.outer(points[sl], kz)) @ weights
-            return h
-        return sums, float(np.sum(np.abs(gz[:n]))), {"z_order": n}
+            return np.exp(np.multiply.outer(points, kz)) @ weights
+        return sums, z.size, float(np.sum(np.abs(gz[:n]))), {"z_order": n}
 
     label = "z rule of H"
     start = _nodes_per_cycle(_g_cycles(cfg, float(np.max(w, initial=0.0))), label)
@@ -174,7 +163,7 @@ def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     ``%.17g`` depends only on a float's bits, so each column formats each of its
     distinct bit patterns once (-0.0 stays apart from 0.0, every NaN prints
     ``nan``); rows are then gathered from those strings and written in blocks
-    of about _CHUNK_ELEMENTS cells.
+    of about ``quadrature._CHUNK_ELEMENTS`` cells.
     """
     cells = []
     for k, column in enumerate(columns):

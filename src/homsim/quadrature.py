@@ -1,8 +1,10 @@
 """Error-controlled rules and the package's root finder.
 
 * :func:`gauss_legendre` -- fixed Gauss-Legendre nodes and weights, the rule of the
-  closed engine's lag axis and, with its embedded 3/4-order rule as one cached node
-  set, of the z axis of ``jsa``'s H (not of any nu axis).
+  closed engine's lag axis and, joined end to end with its embedded 3/4-order rule,
+  of the z axis of ``jsa``'s H (not of any nu axis).
+* :func:`_blocked` -- the one memory bound: a kernel over row blocks of points whose
+  temporaries hold about _CHUNK_ELEMENTS elements; every rule and the lag table use it.
 * :func:`_searched` -- the one doubling search that sizes every rule of the
   package: the spectral engines' nu order, the closed engine's lag order and the
   z order of H.  Each rule carries an embedded estimate, |fine - coarse| on a
@@ -20,7 +22,7 @@ Results are deterministic: identical arguments give bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence, Tuple
 
 import math
@@ -40,6 +42,7 @@ _FLOOR_FACTOR = 100.0    # an estimate that stalls within this factor of c kappa
 _MAX_GL_ORDER = 1024     # largest order of the searched Gauss-Legendre rules (z and lag)
 _MAX_NEWTON = 100        # evaluations of :func:`_newton` before it gives up
 _NEWTON_RTOL = 4 * np.finfo(float).eps  # relative part of its stop, as scipy brentq's
+_CHUNK_ELEMENTS = 1 << 17  # largest temporary of a blocked evaluation (1 MB of float64)
 
 
 class AccuracyError(RuntimeError):
@@ -67,39 +70,41 @@ def _unit_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=64)
-def _embedded_unit_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The unit rules of ``order`` and ``3 * order // 4`` nodes end to end, read-only: one
-    node set holds a rule and its embedded 3/4-order rule."""
-    x, w = (np.concatenate(pair) for pair in zip(_unit_rule(order), _unit_rule(3 * order // 4)))
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _mapped(x: np.ndarray, w: np.ndarray, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit-rule nodes and weights mapped to [a, b], as new arrays."""
+def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to [a, b] (new arrays on every call)."""
+    x, w = _unit_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
 
-def gauss_legendre(order: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [a, b] (new arrays on every call)."""
-    return _mapped(*_unit_rule(order), a, b)
+def _chunks(n: int, per_item: int) -> list[slice]:
+    """Slices of range(n) whose temporaries hold about _CHUNK_ELEMENTS elements."""
+    step = max(1, _CHUNK_ELEMENTS // per_item)
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
+def _blocked(kernel: Callable, points: np.ndarray, per_item: int) -> np.ndarray:
+    """``kernel`` over row blocks of ``points`` (``per_item`` temporary elements each) by
+    :func:`_chunks`, stacked in order; points that fit one block, or none, run whole."""
+    if points.size * per_item <= _CHUNK_ELEMENTS:
+        return kernel(points)
+    return np.concatenate([kernel(points[sl]) for sl in _chunks(points.size, per_item)])
 
 
 def _searched(points: np.ndarray, n: int, cap: int, rule,
               label: str) -> tuple[np.ndarray, dict, Callable[[np.ndarray], np.ndarray]]:
     """Values at the first order n, 2 n, ... <= cap whose estimate |fine - coarse| meets
     _ABS_TOL + c kappa eps at every point, its record and its sums.  ``rule(n)`` gives the
-    points -> [fine, coarse, ...] sums, kappa and a record; each order's sums run once, on
-    the whole array.  A NaN estimate fails.  An estimate below _FLOOR_FACTOR c kappa eps
-    that a doubling does not shrink is rounding: raise.  A start order past the cap raises
-    before any rule is evaluated."""
+    block kernel points -> [fine, coarse, ...], its temporary elements per point, kappa and
+    a record; the sums are :func:`_blocked` on the kernel, run once per order on the whole
+    array.  A NaN estimate fails.  An estimate below _FLOOR_FACTOR c kappa eps that a
+    doubling does not shrink is rounding: raise.  A start order past the cap raises first."""
     if n > cap:
         raise AccuracyError(f"{label}: start order {n} is past the largest, {cap}")
     last = math.inf
     while n <= cap:
-        sums, kappa, record = rule(n)
+        kernel, per_item, kappa, record = rule(n)
+        sums = partial(_blocked, kernel, per_item=per_item)
         floor = _ROUNDING_FACTOR * kappa * np.finfo(float).eps
         values = sums(points)
         estimate = float(np.max(np.abs(values[:, 0] - values[:, 1]), initial=0.0))

@@ -223,6 +223,14 @@ class TestDipCommand:
     def test_nonfinite_delay_axis_exits_2(self, tmp_path, capsys, flags):
         self._bad_delay_axis(tmp_path, capsys, flags)
 
+    def test_axis_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 3e13 delays: the 218 TiB request passes the 128 TiB user address space, so it
+        # fails at once and allocates nothing; one stderr line, no output, no manifest
+        assert run(["dip", "--delay-step", "1e-12", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 FLOAT_CONFIG_FLAGS = pytest.mark.parametrize(
     "flag", [cli._flag(k) for k in units.REFERENCE_PARAMS if k != "filter_shape"])

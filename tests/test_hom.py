@@ -348,11 +348,14 @@ def fresh_tables():
     hom._spectral_tables.cache_clear()
 
 
+ENGINE_SHAPES = pytest.mark.parametrize("engine,shape", [
+    ("gaussian", "gaussian"), ("general", "gaussian"), ("general", "supergaussian4"),
+    ("general", "cascade"), ("supergaussian", "supergaussian4"), ("asymmetric", "gaussian"),
+])
+
+
 class TestBatchedDelays:
-    @pytest.mark.parametrize("engine,shape", [
-        ("gaussian", "gaussian"), ("general", "gaussian"), ("general", "supergaussian4"),
-        ("general", "cascade"), ("supergaussian", "supergaussian4"), ("asymmetric", "gaussian"),
-    ])
+    @ENGINE_SHAPES
     @pytest.mark.parametrize("axis", ["default", "nonuniform", "single", "multichunk"])
     def test_matches_per_delay_sum(self, engine, shape, axis):
         cfg = units.default_config(shape)
@@ -362,7 +365,7 @@ class TestBatchedDelays:
             "nonuniform": np.cumsum(np.random.default_rng(5).uniform(0.01, 1.5, 40)) - 18.0,
             "single": np.array([2.5]),
             # every engine's per-delay row has at least 48 elements
-            "multichunk": np.linspace(-20.0, 20.0, jsa._CHUNK_ELEMENTS // 48 + 3),
+            "multichunk": np.linspace(-20.0, 20.0, quadrature._CHUNK_ELEMENTS // 48 + 3),
         }[axis]
         curve = hom.dip_curve(cfg, engine, delays_ps=delays, **filters)
         # the long axis is checked on a subsample spread over every chunk
@@ -372,12 +375,21 @@ class TestBatchedDelays:
                                   signal=_SIG, idler=_IDL)
         assert np.max(np.abs(curve.rates[idx] - ref)) <= 1e-12
 
+    @ENGINE_SHAPES
+    def test_empty_axis_gives_an_empty_curve_and_its_record(self, engine, shape):
+        cfg = units.default_config(shape)
+        filters = {"signal_filter": _SIG, "idler_filter": _IDL} if engine == "asymmetric" else {}
+        curve = hom.dip_curve(cfg, engine, delays_ps=[], **filters)
+        assert curve.delays_ps.shape == curve.rates.shape == (0,)
+        assert curve.quadrature.keys() == hom.dip_curve(cfg, engine, **filters).quadrature.keys()
+        assert curve.quadrature["error_estimate"] == 0.0
+
     @pytest.mark.parametrize("axis", ["default", "multichunk"])
     def test_odd_order_matches_per_delay_sum(self, axis):
         # an odd start order of 47 rounds up to the even 48 the nested rule needs
         cfg = units.default_config("supergaussian4")
         delays = None if axis == "default" else np.linspace(-20.0, 20.0,
-                                                            jsa._CHUNK_ELEMENTS // 48 + 3)
+                                                            quadrature._CHUNK_ELEMENTS // 48 + 3)
         curve = hom.dip_curve(cfg, "supergaussian", delays_ps=delays,
                               settings=QuadratureSettings(gl_order=47))
         even = hom.dip_curve(cfg, "supergaussian", delays_ps=delays,
@@ -1126,6 +1138,26 @@ class TestValidation:
     def test_unknown_engine(self, cfg):
         with pytest.raises(ValueError):
             hom.dip_curve(cfg, "montecarlo")
+
+    @ENGINE_SHAPES
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_raises_before_any_table(self, engine, shape, bad):
+        # a NaN delay fails every order of a search and an infinite one pushes the spectral
+        # start order past its cap: both are refused before a table is built, on a config
+        # (a 271 m fiber) no other test runs, so any engine call would miss the caches
+        cfg = units.build_config(**{**units.REFERENCE_PARAMS, "length_m": 271.0,
+                                    "filter_shape": shape})
+        filters = {"signal_filter": _SIG, "idler_filter": _IDL} if engine == "asymmetric" else {}
+        caches = (hom._lag_tables, hom._spectral_tables)
+        misses = [cache.cache_info().misses for cache in caches]
+        with pytest.raises(ValueError, match="^delays must be finite and strictly increasing"):
+            hom.dip_curve(cfg, engine, delays_ps=np.sort([0.0, 1.0, bad]), **filters)
+        assert [cache.cache_info().misses for cache in caches] == misses
+
+    @pytest.mark.parametrize("delays", [2.5, [[-1.0, 0.0], [1.0, 2.0]]], ids=["scalar", "2-D"])
+    def test_axis_of_other_dimension_raises(self, cfg, delays):
+        with pytest.raises(ValueError, match="strictly increasing, on one axis$"):
+            hom.dip_curve(cfg, "gaussian", delays_ps=delays)
 
     def test_cascade_supported_by_general(self):
         cfg = units.default_config("cascade")

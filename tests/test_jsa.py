@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from homsim import jsa, units
+from homsim import jsa, quadrature, units
 from homsim.quadrature import QuadratureSettings
 from oracles import delta_k, phi_closed, phi_oracle, q_oracle
 
@@ -143,6 +143,9 @@ class TestQAmplitude:
             scalar = q_oracle(float(ns[k]), float(ni[k]), cfg)
             assert abs(vec[k] - scalar) <= 1e-9 * abs(scalar)
 
+    def test_no_points_give_an_empty_array(self, cfg):
+        q = jsa.q_amplitude([], [], cfg)
+        assert isinstance(q, np.ndarray) and q.shape == (0,) and q.dtype == complex
 
     @pytest.mark.parametrize("beta2", [-0.5, -0.7, -1.0])
     def test_long_fiber_corner_matches_adaptive(self, beta2):
@@ -262,8 +265,8 @@ class TestCsvWriter:
     def test_rows_across_several_blocks(self, tmp_path, monkeypatch):
         # 16 elements per block of 5 columns is 3 rows, so 10 rows make four
         # blocks, the last one short
-        monkeypatch.setattr(jsa, "_CHUNK_ELEMENTS", 16)
-        assert len(jsa._chunks(10, 5)) == 4
+        monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", 16)
+        assert len(quadrature._chunks(10, 5)) == 4
         rng = np.random.default_rng(5)
         self._assert_table(tmp_path, [rng.choice([0.5, -0.0, 0.0, 2.0 / 3.0], 10)
                                       for _ in range(5)])
@@ -271,7 +274,7 @@ class TestCsvWriter:
     def test_reference_grid_file(self, cfg, tmp_path):
         # the 257^2 grid spans three default row blocks
         grid = jsa.jsa_grid(cfg, 257)
-        assert len(jsa._chunks(grid.values.size, 5)) == 3
+        assert len(quadrature._chunks(grid.values.size, 5)) == 3
         jsa.write_grid_csv(grid, tmp_path / "grid.csv")
         _per_row_csv(tmp_path / "ref.csv", ["nu_s", "nu_i", "re_q", "im_q", "abs2_q"],
                      _grid_rows(grid))

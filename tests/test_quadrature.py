@@ -138,7 +138,7 @@ def test_search_start_past_the_cap_raises_before_any_rule():
 
     def rule(n):
         orders.append(n)
-        return (lambda points: np.zeros((points.size, 2))), 1.0, {}
+        return (lambda points: np.zeros((points.size, 2))), 2, 1.0, {}
     with pytest.raises(quadrature.AccuracyError,
                        match="toy rule: start order 192 is past the largest, 100$"):
         quadrature._searched(np.linspace(-1.0, 1.0, 5), 192, 100, rule, "toy rule")
@@ -156,7 +156,7 @@ def test_search_evaluates_each_order_once_on_every_point():
             values = np.zeros((points.size, 2))
             values[1, 1] = float(n < 48)
             return values
-        return sums, 1.0, {"order": n}
+        return sums, 2, 1.0, {"order": n}
     values, record, _ = quadrature._searched(np.linspace(-1.0, 1.0, 5), 12, 100, rule, "toy rule")
     assert calls == [(12, 5), (24, 5), (48, 5)]
     assert record["order"] == 48 and record["error_estimate"] == 0.0 and values.size == 5
@@ -176,11 +176,53 @@ def test_search_fails_on_a_nan_estimate(nan_at):
             if points.size == 5:
                 values[nan_at] = np.nan
             return values
-        return sums, 1.0, {}
+        return sums, 2, 1.0, {}
     with pytest.raises(quadrature.AccuracyError,
                        match="toy rule: error estimate nan .*; no order up to 100 passes"):
         quadrature._searched(np.linspace(-1.0, 1.0, 5), 12, 100, rule, "toy rule")
     assert orders == [12, 24, 48, 96]
+
+
+def test_blocked_stacks_row_blocks_in_order(monkeypatch):
+    # 16 elements per block at 3 per point is 5 points, so 12 points make three blocks,
+    # the last one short; a point whose temporaries exceed a block runs alone
+    monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", 16)
+    blocks = []
+
+    def kernel(points):
+        blocks.append(points.tolist())
+        return np.stack([points, -points], axis=1)
+    points = np.arange(12.0)
+    values = quadrature._blocked(kernel, points, 3)
+    assert blocks == [[0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0, 9.0], [10.0, 11.0]]
+    assert np.array_equal(values, np.stack([points, -points], axis=1))
+    blocks.clear()
+    assert quadrature._blocked(kernel, points[:3], 17).shape == (3, 2)
+    assert blocks == [[0.0], [1.0], [2.0]]
+
+
+def test_blocked_on_zero_points_gives_the_kernels_empty_result():
+    sizes = []
+
+    def kernel(points):
+        sizes.append(points.size)
+        return np.zeros((points.size, 3), dtype=complex)
+    values = quadrature._blocked(kernel, np.empty(0), 7)
+    assert sizes == [0] and values.shape == (0, 3) and values.dtype == complex
+
+
+def test_search_returns_its_blocked_sums(monkeypatch):
+    # the returned sums run through _blocked like the search's own evaluation
+    monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", 8)
+    sizes = []
+
+    def rule(n):
+        def sums(points):
+            sizes.append(points.size)
+            return np.zeros((points.size, 2))
+        return sums, 4, 1.0, {}
+    _, _, sums = quadrature._searched(np.arange(5.0), 12, 100, rule, "toy rule")
+    assert sums(np.arange(3.0)).shape == (3, 2) and sizes == [2, 2, 1, 2, 1]
 
 
 @pytest.mark.parametrize("cycles", [256.5, math.inf, math.nan])

@@ -112,9 +112,12 @@ def cmd_jsa(args):
 
 def cmd_dip(args):
     span, step = args.delay_max - args.delay_min, args.delay_step
-    # a finite count of finite steps over a positive span; rejects infinite or NaN bounds
-    if not (span > 0 and step > 0 and math.isfinite(step) and math.isfinite(span / step)):
-        raise ValueError("need finite delays, --delay-step > 0 and --delay-max > --delay-min")
+    # a finite count of finite steps over a positive span (no infinite or NaN bound), with
+    # ends within 1e100 ps, so that the rounding to 1e-12 ps below cannot overflow
+    if not (span > 0 and step > 0 and math.isfinite(step) and math.isfinite(span / step)
+            and abs(args.delay_min) <= 1e100 and abs(args.delay_max) <= 1e100):
+        raise ValueError("need finite delays within +-1e100 ps, --delay-step > 0 and "
+                         "--delay-max > --delay-min")
     cfg, record = _load_config(args, args.filter_mismatch)
     delays = np.round(np.arange(0, int(round(span / step)) + 1) * step + args.delay_min, 12)
     curve = dip_curve(cfg, engine=args.engine, delays_ps=delays)

@@ -12,15 +12,16 @@ Two fit families:
   analytic Jacobian; the half-width of the engine's dip, solved once per cached
   model on the engine's own rule, gives the FWHM.
 
+Both run through one :func:`_fit`, given a fit's initial guess, model (values and a
+Jacobian builder), notes and derived metrics; it weights the residual and the Jacobian
+by 1/sigma only where the data carry uncertainties and builds the :class:`FitResult`.
+
 The optimizer is damped Gauss-Newton with a Levenberg-style schedule: a trial
 solves (J^T J + lam D) d = -J^T r, lam D (D = diag J^T J, 1 on a zero column) added
 to a copy's diagonal, so the path does not depend on the units; lam starts at 1e-3,
-x10 on a rejected step, /10 on an accepted one.  Each fit hands it one
-``evaluate(p)`` that returns the residual at p and a zero-argument callable building
-the (n, p) C-ordered Jacobian at p from the residual's own intermediates, both
-weighted by 1/sigma only where the data carry uncertainties.  ``evaluate`` runs once
-per trial point, the Jacobian only at the start and at accepted points; the
-covariance comes from the last one built.
+x10 on a rejected step, /10 on an accepted one.  ``evaluate(p)`` runs once per trial
+point, the Jacobian only at the start and at accepted points; the covariance comes
+from the last one built.
 
 The stop is scale-free (after Moré, "The Levenberg-Marquardt algorithm:
 implementation and theory", 1978).  Before the first trial of each iteration is
@@ -102,6 +103,15 @@ class CoincidenceDataset:
         if self.uncertainties is not None and not (
                 np.isfinite(self.uncertainties) & (self.uncertainties > 0)).all():
             raise ValueError("uncertainties must be finite and positive")
+        largest = float(self.counts.max())
+        if largest == 0.0:
+            raise InsufficientDataError("need at least one positive count")
+        # the residual and the Jacobian's columns scale as the largest count and as 1, each
+        # over sigma: their sums of squares must neither overflow nor underflow
+        weight = 1.0 if self.uncertainties is None else 1.0 / float(self.uncertainties.min())
+        if not (1e-100 <= largest * weight <= 1e100 and 1e-100 <= weight <= 1e100):
+            over = "" if weight == 1.0 else " and 1, each over the smallest uncertainty,"
+            raise ValueError(f"the largest count{over} must lie within [1e-100, 1e100]")
 
 
 def _checked_row(raw: str, lineno: int, ncols: Optional[int]) -> Optional[list[float]]:
@@ -163,15 +173,18 @@ def ingest_csv(path) -> CoincidenceDataset:
     d, c = columns[0][order], columns[1][order]
     s = columns[2][order] if len(columns) == 3 else None
 
-    if np.any(d[1:] == d[:-1]):
-        warnings.warn("duplicate delays found; averaging their counts", stacklevel=2)
+    duplicates = np.any(d[1:] == d[:-1])
+    if duplicates:
         uniq, inverse, count = np.unique(d, return_inverse=True, return_counts=True)
         c_avg = np.bincount(inverse, weights=c) / count
         if s is not None:
             # average uncertainties in quadrature over the duplicates
             s = np.sqrt(np.bincount(inverse, weights=s**2)) / count
         d, c = uniq, c_avg
-    return CoincidenceDataset(delays_ps=d, counts=c, uncertainties=s)
+    data = CoincidenceDataset(delays_ps=d, counts=c, uncertainties=s)
+    if duplicates:  # only once the averaged rows are accepted: a failure stays one line
+        warnings.warn("duplicate delays found; averaging their counts", stacklevel=2)
+    return data
 
 
 @dataclass(frozen=True)
@@ -189,22 +202,8 @@ class FitResult:
     model: Optional[dict] = None     # engine model record of fit_model
 
 
-def _std_errors(names, cov: Optional[np.ndarray]) -> dict[str, Optional[float]]:
-    """sqrt(diag(cov)) for each name in the fitted order; None without a usable covariance."""
-    var = np.full(len(names), np.nan) if cov is None else np.diag(cov)
-    return {name: float(math.sqrt(v)) if math.isfinite(v) and v >= 0.0 else None
-            for name, v in zip(names, var)}
-
-
 _CHI2_NOTE = "reduced chi2 far from 1 for the given uncertainties"
 _BASELINE_NOTE = "engine rate does not reach its baseline within the model grid"
-
-
-def _chi2_off(data: CoincidenceDataset, cost: float, dof: int) -> bool:
-    """Whether the data carry uncertainties and the reduced chi2 lies more than 5 of
-    its standard deviations, sqrt(2 / dof), from 1: the uncertainties or the model
-    do not describe the data, and the covariance, scaled by it, hides that."""
-    return data.uncertainties is not None and abs(cost / dof - 1.0) > 5.0 * math.sqrt(2.0 / dof)
 
 
 def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
@@ -270,10 +269,43 @@ def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], n
     return p, cost, it, converged, cov
 
 
-def _stop_message(converged: bool, it: int, max_iter: int) -> str:
-    """How :func:`_levenberg` stopped; before ``max_iter`` only a step-less iteration stops it."""
-    return ("converged" if converged else "max iterations reached" if it >= max_iter
-            else "no step reduced the residual")
+def _fit(data: CoincidenceDataset, model, p0: np.ndarray, names: tuple[str, ...],
+         max_iter: int, finish) -> FitResult:
+    """Fit ``model`` to the counts by :func:`_levenberg` and build the :class:`FitResult`.
+
+    ``model(p)`` gives the unweighted model at the delays and a callable building its (n, p)
+    Jacobian.  ``finish(params, errors)`` may add derived entries to the fitted values and
+    standard errors (None without a usable covariance) keyed by ``names``, and gives the
+    fit's (note, hit) pairs and further result fields.  The message is the stop and each
+    note that hit, the last one a reduced chi2 more than 5 sqrt(2 / dof) from 1 with
+    uncertainties, which the covariance, scaled by it, hides; any hit marks it suspicious.
+    """
+    c = data.counts
+    wgt = None if data.uncertainties is None else 1.0 / data.uncertainties
+
+    def evaluate(p: np.ndarray):
+        m, jacobian = model(p)
+        r = m - c
+        if wgt is None:
+            return r, jacobian
+        r *= wgt
+        return r, lambda: np.multiply(j := jacobian(), wgt[:, None], out=j)
+
+    p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=max_iter)
+    dof = max(c.size - p.size, 1)
+    var = [math.nan] * p.size if cov is None else np.diag(cov).tolist()
+    errors = {name: math.sqrt(v) if math.isfinite(v) and v >= 0.0 else None
+              for name, v in zip(names, var)}
+    params = dict(zip(names, p.tolist()))
+    notes, fields = finish(params, errors)
+    notes.append((_CHI2_NOTE, wgt is not None
+                  and abs(cost / dof - 1.0) > 5.0 * math.sqrt(2.0 / dof)))
+    stop = ("converged" if converged else "max iterations reached" if it >= max_iter
+            else "no step reduced the residual")  # short of max_iter: a step-less iteration
+    return FitResult(params=params, residual_norm=cost, iterations=it, converged=converged,
+                     covariance=cov, suspicious=any(hit for _, hit in notes),
+                     message="; ".join([stop] + [note for note, hit in notes if hit]),
+                     dof=dof, std_errors=errors, **fields)
 
 
 def _initial_dip_guess(d: np.ndarray, c: np.ndarray):
@@ -307,19 +339,15 @@ def gaussian_dip(delays_ps: np.ndarray, baseline, visibility, center_ps, width_p
 def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
     """Fit c(dt) = B [1 - V exp(-(dt - tc)^2/(2 w^2))] by damped least squares.
 
-    The fit is marked suspicious when V leaves [0, 1.05], or when the data carry
-    uncertainties and the reduced chi2 is far from 1 (see :func:`_chi2_off`).
+    The fit notes, and is marked suspicious, when |V| < 1e-4 (no significant dip) or V
+    leaves [0, 1.05], and when the data carry uncertainties and the reduced chi2 is far
+    from 1 (see :func:`_fit`).
     """
-    d, c = data.delays_ps, data.counts
-    wgt = None if data.uncertainties is None else 1.0 / data.uncertainties
-    p0 = np.array(_initial_dip_guess(d, c))
+    d = data.delays_ps
 
-    def evaluate(p: np.ndarray):
+    def model(p: np.ndarray):
         b, v, tc, w = p.tolist()
-        model, e, dt, dt2 = gaussian_dip(d, b, v, tc, w)
-        r = model - c
-        if wgt is not None:
-            r *= wgt
+        m, e, dt, dt2 = gaussian_dip(d, b, v, tc, w)
 
         def jacobian() -> np.ndarray:
             j = np.empty((d.size, 4))
@@ -328,38 +356,23 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
             bve = -b * v * e
             j[:, 2] = bve * dt / w**2
             j[:, 3] = bve * dt2 / w**3
-            if wgt is not None:
-                j *= wgt[:, None]
             return j
-        return r, jacobian
+        return m, jacobian
 
-    max_iter = 200
-    p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=max_iter)
-    b, v, tc, w = p
-    w = abs(w)
-    fwhm = _TWO_SQRT_2LN2 * w
-    dof = max(d.size - p.size, 1)
-    chi2_off = _chi2_off(data, cost, dof)
-    suspicious = not (0.0 <= v <= 1.05) or chi2_off
-    msg = _stop_message(converged, it, max_iter)
-    if v < 1e-4:
-        msg = "converged-degenerate: no significant dip"
-    if chi2_off:
-        msg += "; " + _CHI2_NOTE
-    metrics = DipMetrics(
-        visibility=float(v), fwhm_ps=float(fwhm), center_ps=float(tc),
-        baseline=float(b), engine="GaussianDipFit",
-    )
-    errors = _std_errors(("baseline", "visibility", "center_ps", "width_ps"), cov)
-    width_error = errors["width_ps"]
-    errors["fwhm_ps"] = None if width_error is None else _TWO_SQRT_2LN2 * width_error
-    return FitResult(
-        params={"baseline": float(b), "visibility": float(v),
-                "center_ps": float(tc), "width_ps": float(w), "fwhm_ps": float(fwhm)},
-        residual_norm=cost, iterations=it, converged=converged,
-        derived_metrics=metrics, covariance=cov, suspicious=suspicious, message=msg,
-        dof=dof, std_errors=errors,
-    )
+    def finish(params: dict, errors: dict):
+        b, v, tc, w = params.values()
+        params["width_ps"] = w = abs(w)
+        params["fwhm_ps"] = fwhm = _TWO_SQRT_2LN2 * w
+        width_error = errors["width_ps"]
+        errors["fwhm_ps"] = None if width_error is None else _TWO_SQRT_2LN2 * width_error
+        metrics = DipMetrics(visibility=v, fwhm_ps=fwhm, center_ps=tc, baseline=b,
+                             engine="GaussianDipFit")
+        notes = [("degenerate: no significant dip", abs(v) < 1e-4),
+                 ("visibility outside [0, 1.05]", not 0.0 <= v <= 1.05)]
+        return notes, {"derived_metrics": metrics}
+
+    return _fit(data, model, np.array(_initial_dip_guess(d, data.counts)),
+                ("baseline", "visibility", "center_ps", "width_ps"), 200, finish)
 
 
 def _hermite(h: float, y: np.ndarray):
@@ -452,68 +465,46 @@ def fit_model(data: CoincidenceDataset, cfg: ExperimentConfig,
     1 - R exceeds ``_BASELINE_TOL`` at the model's outermost knot (the engine rate
     does not reach its baseline, so B is not the baseline); and
     when the data carry uncertainties and the reduced chi2 is far from 1 (see
-    :func:`_chi2_off`).
+    :func:`_fit`).
     ``FitResult.model`` records the model and the engine's quadrature.
     """
-    d, c = data.delays_ps, data.counts
-    wgt = None if data.uncertainties is None else 1.0 / data.uncertainties
-
-    b0, v0, tc0, _ = _initial_dip_guess(d, c)
+    d = data.delays_ps
+    b0, v0, tc0, _ = _initial_dip_guess(d, data.counts)
     span = d[-1] - d[0]
     pad = 0.25 * span + 2.0
     half = _MODEL_HALF_STEP * math.ceil((span + pad) / _MODEL_HALF_STEP)
     model, record, width = _model(cfg, engine, half)
 
-    p0 = np.array([b0, tc0, min(max(v0, 0.05), 1.0)])
-
-    def evaluate(p: np.ndarray):
+    def curve(p: np.ndarray):
         b, tc, s = p.tolist()
         piece = _piece(model, d - tc)
         raw = _value(*piece)
         depth = 1.0 - np.clip(raw, 0.0, None)
         shape = 1.0 - s * depth
-        r = b * shape - c
-        if wgt is not None:
-            r *= wgt
 
         def jacobian() -> np.ndarray:
             slope = _slope(*piece)
             slope[raw < 0.0] = 0.0  # the clip is flat
-            j = np.column_stack((shape, -b * s * slope, -b * depth))
-            if wgt is not None:
-                j *= wgt[:, None]
-            return j
-        return r, jacobian
+            return np.column_stack((shape, -b * s * slope, -b * depth))
+        return b * shape, jacobian
 
-    max_iter = 100
-    p, cost, it, converged, cov = _levenberg(evaluate, p0, max_iter=max_iter)
-    b, tc, s = p
-    dof = max(d.size - p.size, 1)
+    def finish(params: dict, errors: dict):
+        b, tc, s = params.values()
+        dips = b > 0.0 and b * (1.0 - s * (1.0 - _value(*_piece(model, 0.0)))) < b
+        bracketed = dips and d[0] < tc - width and tc + width < d[-1]
+        # engine dips to zero, so the depth scale is the visibility
+        metrics = DipMetrics(visibility=s, fwhm_ps=2.0 * width if bracketed else math.nan,
+                             center_ps=tc, baseline=b, engine=engine)
+        notes = [("center left the engine grid", abs(tc - tc0) > pad),
+                 ("depth scale outside [0, 1.05]", not 0.0 <= s <= 1.05),
+                 ("FWHM not bracketed", not bracketed),
+                 ("engine dip not resolved by the fit grid", record["model_error"] > _MODEL_TOL),
+                 (_BASELINE_NOTE, 1.0 - model[1][3, 0] > _BASELINE_TOL)]  # coef[3, 0] = R(-n h)
+        return notes, {"derived_metrics": metrics,
+                       "model": {**record, "quadrature": dict(record["quadrature"])}}
 
-    dips = b > 0.0 and b * (1.0 - s * (1.0 - _value(*_piece(model, 0.0)))) < b
-    bracketed = dips and d[0] < tc - width and tc + width < d[-1]
-    fwhm = 2.0 * width if bracketed else math.nan
-    # engine dips to zero, so the depth scale is the visibility
-    metrics = DipMetrics(
-        visibility=float(s), fwhm_ps=fwhm, center_ps=float(tc),
-        baseline=float(b), engine=engine,
-    )
-    notes = [("center left the engine grid", abs(tc - tc0) > pad),
-             ("depth scale outside [0, 1.05]", not 0.0 <= s <= 1.05),
-             ("FWHM not bracketed", not bracketed),
-             ("engine dip not resolved by the fit grid", record["model_error"] > _MODEL_TOL),
-             (_BASELINE_NOTE, 1.0 - model[1][3, 0] > _BASELINE_TOL),  # coef[3, 0] = R(-n h)
-             (_CHI2_NOTE, _chi2_off(data, cost, dof))]
-    msg = "; ".join([_stop_message(converged, it, max_iter)]
-                    + [note for note, hit in notes if hit])
-    return FitResult(
-        params={"baseline": float(b), "center": float(tc), "scale": float(s)},
-        residual_norm=cost, iterations=it, converged=converged,
-        derived_metrics=metrics, covariance=cov,
-        suspicious=any(hit for _, hit in notes), message=msg,
-        dof=dof, std_errors=_std_errors(("baseline", "center", "scale"), cov),
-        model={**record, "quadrature": dict(record["quadrature"])},
-    )
+    return _fit(data, curve, np.array([b0, tc0, min(max(v0, 0.05), 1.0)]),
+                ("baseline", "center", "scale"), 100, finish)
 
 
 def fit_result_to_json(result: FitResult,

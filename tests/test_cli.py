@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -203,7 +204,8 @@ class TestDipCommand:
 
     def _bad_delay_axis(self, tmp_path, capsys, flags):
         assert run(["dip", *flags, "--out", str(tmp_path / "x.csv")]) == 2
-        assert "--delay" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--delay" in err and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
     def test_zero_delay_step_exits_2(self, tmp_path, capsys):
@@ -219,7 +221,10 @@ class TestDipCommand:
                                        ["--delay-step", "inf"], ["--delay-step", "nan"],
                                        ["--delay-min", "nan"],
                                        ["--delay-min=-1e308", "--delay-max", "1e308"],
-                                       ["--delay-step", "1e-320"]])
+                                       ["--delay-step", "1e-320"],
+                                       # finite, but its rounding to 1e-12 ps overflowed
+                                       ["--delay-min=-1e300", "--delay-max", "1e300",
+                                        "--delay-step", "1e299"]])
     def test_nonfinite_delay_axis_exits_2(self, tmp_path, capsys, flags):
         self._bad_delay_axis(tmp_path, capsys, flags)
 
@@ -355,6 +360,27 @@ class TestFitCommand:
         out = tmp_path / "f.json"
         assert run(["fit", "--data", str(data), "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["gaussian-dip", "model"])
+    @pytest.mark.parametrize("rows,message", [
+        ([f"{k - 20},0" for k in range(41)], "need at least one positive count"),
+        ([f"{k - 20},{0 if k == 20 else 1e160}" for k in range(41)],
+         "the largest count must lie within [1e-100, 1e100]"),
+        ([f"0.5,{10 + k}" for k in range(10)], "need at least 8 points, got 1"),
+    ], ids=["all-zero", "overflowing", "one-distinct-delay"])
+    def test_rejected_data_writes_one_stderr_line(self, tmp_path, capsys, mode, rows, message):
+        # no fit runs: all-zero counts once "converged", counts of 1e160 printed five
+        # overflow warnings before failing, and ten rows at one delay printed the
+        # two-line duplicate-delay warning before the too-few-points error
+        data = tmp_path / "counts.csv"
+        data.write_text("\n".join(rows))
+        out = tmp_path / "f.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["fit", "--data", str(data), "--mode", mode, "--out", str(out)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_output_not_opened_before_serialization(self, tmp_path, dip_data_file,

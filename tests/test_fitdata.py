@@ -79,6 +79,44 @@ class TestIngest:
         with pytest.raises(ValueError, match="must be finite"):
             CoincidenceDataset(*arrays.values())
 
+    @pytest.mark.parametrize("sigma", [None, 1.0])
+    def test_dataset_rejects_all_zero_counts(self, sigma):
+        # 41 zeros once gave a "converged" Gaussian fit of visibility 1.003, not suspicious
+        sigmas = None if sigma is None else np.full(41, sigma)
+        with pytest.raises(InsufficientDataError, match="^need at least one positive count$"):
+            CoincidenceDataset(np.arange(41.0), np.zeros(41), sigmas)
+
+    @pytest.mark.parametrize("count,sigma", [(1e160, None), (1e200, None), (1e300, None),
+                                             (1e-200, None), (1e90, 1e-11), (1.0, 1e-101),
+                                             (1e-200, 1e-202), (1e150, 1e200)])
+    def test_dataset_rejects_counts_whose_sums_of_squares_leave_the_range(self, count, sigma):
+        # counts of 1e160 and up once overflowed the fit's sums of squares: five
+        # RuntimeWarnings, then an inf that the JSON writer refused; so did counts of 1e-200
+        # with uncertainties of 1e-202, through the baseline's column of J, 1 / sigma.
+        # Counts of 1e-200 made the cost 0, and both fits "converged" at their initial guess
+        counts = np.full(41, count)
+        counts[20] = 0.0
+        sigmas = None if sigma is None else np.full(41, sigma)
+        with pytest.raises(ValueError, match=r"must lie within \[1e-100, 1e100\]$"):
+            CoincidenceDataset(np.arange(41.0), counts, sigmas)
+
+    @pytest.mark.parametrize("fit", [fit_gaussian_dip, fit_model])
+    @pytest.mark.parametrize("scale,sigma", [(1e100, None), (1.01e-100, None), (1e90, 1e-9),
+                                             (1e-90, 1e-99), (1e90, 1e95)])
+    def test_counts_at_the_ends_of_the_range_fit_as_at_1(self, cfg, fit, scale, sigma):
+        # the baseline scales and the rest is the fit at 1, whose uniform weights do not
+        # move it; warnings are errors in this suite, so an overflow in the sums fails here
+        delays = np.round(np.arange(-150, 151) * 0.1, 10)
+        counts = gaussian_dip_counts(delays)
+        sigmas = None if sigma is None else np.full(delays.size, sigma)
+        ref, res = (fit(x) if fit is fit_gaussian_dip else fit(x, cfg)
+                    for x in (CoincidenceDataset(delays, counts),
+                              CoincidenceDataset(delays, scale * counts, sigmas)))
+        assert res.converged
+        for k, x in ref.params.items():
+            unit = scale if k == "baseline" else 1.0
+            assert res.params[k] / unit == pytest.approx(x, rel=1e-9, abs=1e-12), k
+
     def test_bad_column_count(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("1,2,3,4\n" * 10)
@@ -321,6 +359,27 @@ class TestGaussianDipFit:
         res = fit_gaussian_dip(CoincidenceDataset(self.delays, counts))
         assert res.params["visibility"] == pytest.approx(0.0, abs=1e-6)
         assert "degenerate" in res.message
+
+    @pytest.mark.parametrize("level", [5.0, 3.3, 9.9, 7.0, 42.0, 100.0])
+    def test_flat_data_is_flagged_whatever_the_sign_of_its_rounding(self, level):
+        # on flat data V is about +-1e-17; its sign once decided whether the fit was
+        # suspicious (True at 5.0, 3.3 and 9.9, False at 7.0, 42.0 and 100.0)
+        delays = np.linspace(-20.0, 20.0, 81)
+        res = fit_gaussian_dip(CoincidenceDataset(delays, np.full(delays.size, level)))
+        assert abs(res.params["visibility"]) < 1e-15
+        assert res.suspicious
+        assert res.message.startswith("converged; degenerate: no significant dip")
+        assert ("visibility outside [0, 1.05]" in res.message) == (res.params["visibility"] < 0)
+
+    def test_visibility_out_of_range_is_noted(self):
+        # noisy flat counts: the fit runs off to V ~ 1e13, once with the bare message
+        # "converged"
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            counts = 100.0 + rng.normal(0.0, 1.0, 81)
+        res = fit_gaussian_dip(CoincidenceDataset(np.linspace(-20.0, 20.0, 81), counts))
+        assert res.params["visibility"] > 1e12
+        assert res.suspicious and res.message == "converged; visibility outside [0, 1.05]"
 
     def test_objective_never_increases(self):
         # damping contract: rerun with a callback-free check via monotone cost
@@ -815,7 +874,7 @@ def test_fit_result_json_round_trip():
     assert len(doc["curve"]["delay_ps"]) == delays.size
 
 
-def test_fit_json_writes_standard_errors_and_reduced_chi2(cfg):
+def test_fit_json_writes_standard_errors_and_reduced_chi2(cfg, monkeypatch):
     import json
     delays = np.round(np.arange(-150, 151) * 0.1, 10)
     rng = np.random.default_rng(12)
@@ -834,7 +893,12 @@ def test_fit_json_writes_standard_errors_and_reduced_chi2(cfg):
     bare = fitdata.FitResult(params={"baseline": 1.0}, residual_norm=0.0, iterations=1,
                              converged=True)
     assert json.loads(fitdata.fit_result_to_json(bare))["std_errors"] == {"baseline": None}
-    assert fitdata._std_errors(("a", "b"), None) == {"a": None, "b": None}
+    # without a covariance every standard error, the derived FWHM's included, is None
+    monkeypatch.setattr(fitdata, "_levenberg",
+                        lambda evaluate, p0, **kwargs: (p0, 1.0, 1, True, None))
+    for res in (fit_gaussian_dip(data), fit_model(data, cfg)):
+        assert res.covariance is None
+        assert res.std_errors == dict.fromkeys(res.params)
 
 
 @pytest.mark.parametrize("fit", [fit_gaussian_dip, fit_model])

@@ -339,7 +339,7 @@ def gaussian_dip(delays_ps: np.ndarray, baseline, visibility, center_ps, width_p
 def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
     """Fit c(dt) = B [1 - V exp(-(dt - tc)^2/(2 w^2))] by damped least squares.
 
-    The fit notes, and is marked suspicious, when |V| < 1e-4 (no significant dip) or V
+    The fit notes, and is marked suspicious, when |V| < 1e-4 (no significant dip) or else V
     leaves [0, 1.05], and when the data carry uncertainties and the reduced chi2 is far
     from 1 (see :func:`_fit`).
     """
@@ -368,7 +368,7 @@ def fit_gaussian_dip(data: CoincidenceDataset) -> FitResult:
         metrics = DipMetrics(visibility=v, fwhm_ps=fwhm, center_ps=tc, baseline=b,
                              engine="GaussianDipFit")
         notes = [("degenerate: no significant dip", abs(v) < 1e-4),
-                 ("visibility outside [0, 1.05]", not 0.0 <= v <= 1.05)]
+                 ("visibility outside [0, 1.05]", abs(v) >= 1e-4 and not 0.0 <= v <= 1.05)]
         return notes, {"derived_metrics": metrics}
 
     return _fit(data, model, np.array(_initial_dip_guess(d, data.counts)),

@@ -18,8 +18,8 @@ configuration and maps a whole array of delays to rates in one call:
 * ``supergaussian`` -- ``general``, for identical quartic filters on both arms only.
 * ``gaussian``      -- the closed form for identical Gaussian filters, as a 1-D
                        integral over the lag D = z1 - z2 of I(D; dt) A(D), with
-                       A the autocorrelation of G(z) over the fiber, its
-                       Gauss-Legendre lags doubled from 4 per cycle of G's phase.
+                       A the autocorrelation of G(z) over the fiber, its Gauss-
+                       Legendre lags doubled from jsa._nodes_per_cycle of G's phase.
 
 Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
 a filter pair passed to :func:`dip_curve` is folded into the configuration
@@ -282,8 +282,9 @@ class DipMetrics:
     # one means the FWHM is the widest of several crossings.  None: not counted
     half_level_crossings: tuple[int, int] | None = None
     # the FWHM's error estimate, from the engine rule's fine and coarse rates at the
-    # crossing; None: not estimated (a fit)
+    # crossing, and the visibility's, |fine - coarse| at 0; None: not estimated (a fit)
     fwhm_error_ps: float | None = None
+    visibility_error: float | None = None
 
 
 def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
@@ -358,9 +359,10 @@ def _rule_metrics(curve: DipCurve, imin: int) -> DipMetrics:
     the sample pairs that bracket that level; the outermost such pair of either flank holds
     w, which :func:`_half_level` solves on the rule.  The FWHM is 2 w, infinite when no pair
     brackets the level, and its estimate 2 |fine - coarse| / |R'| at the solve's last
-    evaluation, with R' the slope of that pair."""
+    evaluation, with R' the slope of that pair; the visibility's is |fine - coarse| at 0."""
     d, r = curve.delays_ps, curve.rates
-    r0 = max(float(curve.rule(np.zeros(1))[0, 0]), 0.0)  # clamped, as the rates are
+    fine0, coarse0 = curve.rule(np.zeros(1))[0, :2].tolist()
+    r0 = max(fine0, 0.0)  # clamped, as the rates are
     level = 0.5 * (1.0 + r0)
     gap = r - level
     on, cross = gap == 0.0, gap[:-1] * gap[1:] < 0  # cross[k]: samples k and k + 1 bracket it
@@ -379,7 +381,7 @@ def _rule_metrics(curve: DipCurve, imin: int) -> DipMetrics:
         error = 2.0 * abs(spread) / slope if slope else math.inf
     return DipMetrics(visibility=1.0 - r0, fwhm_ps=2.0 * width, center_ps=0.0, baseline=1.0,
                       engine=curve.engine, half_level_crossings=counts,
-                      fwhm_error_ps=error)
+                      fwhm_error_ps=error, visibility_error=abs(fine0 - coarse0))
 
 
 def dip_metrics(curve: DipCurve) -> DipMetrics:

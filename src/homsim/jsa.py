@@ -5,9 +5,9 @@ convolution Phi(nu_s, nu_i, z) times the pump self-phase-modulation factor
 exp(-2i gamma Pp z).  Phi has an exact closed form (a Gaussian integral with
 complex argument) that factors: Q = sqrt(pi) sigma_p e^{-s^2 / (4 sigma_p^2)} H(w),
 s = nu_s + nu_i, w = (nu_s - nu_i)^2, with H one z integral per w.  Its
-Gauss-Legendre rule is sized by ``quadrature._searched``: it starts at 4 nodes
-per cycle of the integrand's phase (at least 8), takes its error estimate from
-the 3/4-order rule evaluated in the same pass, and doubles up to 1,024 nodes
+Gauss-Legendre rule, cached per (fiber, pumps, order), is sized by ``quadrature._searched``
+from :func:`_nodes_per_cycle` of the integrand's phase, takes its error estimate from the
+3/4-order rule evaluated in the same pass, and doubles up to 1,024 nodes
 (``quadrature._MAX_GL_ORDER``); a start past that raises before any rule runs.
 The overall pump amplitude squared is set to 1: every downstream quantity is
 normalized, so absolute prefactors are unobservable.
@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .quadrature import _MAX_GL_ORDER, AccuracyError, _chunks, _searched, gauss_legendre
-from .units import ExperimentConfig
+from .units import ExperimentConfig, FiberParams, FilterSpec, PumpParams
 
 __all__ = ["AmplitudeGrid", "q_amplitude", "jsa_grid", "write_grid_csv"]
 
@@ -62,38 +63,49 @@ def _g_cycles(cfg: ExperimentConfig, w_max: float = 0.0) -> float:
 
 
 def _nodes_per_cycle(cycles: float, label: str) -> int:
-    """Start order of the z and lag rules: 4 nodes per cycle of their phase, at least 8;
-    their embedded 3/4-order rules have 3 per cycle.  A phase that needs more than
-    _MAX_GL_ORDER nodes, or whose cycle count is not finite (NaN included), raises."""
+    """Start order of the z and lag rules: 4 nodes per cycle of their phase, at least 8, twice
+    that past 0.5 and up to 8 cycles, where 4 per cycle failed 97 % of sweep searches and twice
+    it passed 94 %; their 3/4-order rules have 3 per cycle.  A phase that needs more than
+    _MAX_GL_ORDER nodes at 4 per cycle, or a cycle count that is not finite, raises."""
     if not 4.0 * cycles <= _MAX_GL_ORDER:
         raise AccuracyError(f"{label}: {cycles:.4g} cycles over the fiber need more than "
                             f"{_MAX_GL_ORDER} nodes at 4 per cycle")
-    return 4 * max(2, math.ceil(cycles))
+    return 4 * max(2, math.ceil(cycles)) * (2 if 0.5 < cycles <= 8.0 else 1)
+
+
+@lru_cache(maxsize=8)  # a config's z searches try a few orders
+def _z_rule(fiber: FiberParams, pumps: PumpParams, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """H's z rule of n nodes and its 3/4-order rule end to end: their weights G(z) zw / L
+    (columns), the exponents -i beta2 z / 4 (read-only arrays) and kappa.  G reads no filter
+    (here one as wide as the pump, valid with it), so a config's tables share each order."""
+    cfg = ExperimentConfig(fiber, pumps, FilterSpec(fwhm_nm=pumps.fwhm_nm))
+    rules = [gauss_legendre(order, -fiber.length_m, 0.0) for order in (n, 3 * n // 4)]
+    z, zw = map(np.concatenate, zip(*rules))
+    gz = _g_function(z, cfg) * zw / fiber.length_m
+    weights = np.zeros((z.size, 2), dtype=complex)  # the rule's weights, then the 3/4 rule's
+    weights[:n, 0], weights[n:, 1] = gz[:n], gz[n:]
+    kz = -0.25j * fiber.beta2_ps2_per_m * z
+    weights.flags.writeable = kz.flags.writeable = False
+    return weights, kz, float(np.sum(np.abs(gz[:n])))
 
 
 def _h_values(w: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     """H(w) = sum_z zw G(z) e^{-i beta2 w z / 4} at each w of a 1-D array and the record
-    of its z rule.  :func:`_searched` sizes the rule from 4 nodes per cycle of the
+    of its z rule.  :func:`_searched` sizes the rule from :func:`_nodes_per_cycle` of the
     integrand's phase; one node set holds the rule and its 3/4-order rule end to end, so
     one pass gives both, and the estimate is taken on H / L, where |G| <= 1."""
-    length = cfg.fiber.length_m
-
     def rule(n):
-        rules = [gauss_legendre(order, -length, 0.0) for order in (n, 3 * n // 4)]
-        z, zw = map(np.concatenate, zip(*rules))
-        gz = _g_function(z, cfg) * zw / length
-        weights = np.zeros((z.size, 2), dtype=complex)  # the rule's weights, then the 3/4 rule's
-        weights[:n, 0], weights[n:, 1] = gz[:n], gz[n:]
-        kz = -0.25j * cfg.fiber.beta2_ps2_per_m * z
+        weights, kz, kappa = _z_rule(cfg.fiber, cfg.pumps, n)
 
         def sums(points):
             return np.exp(np.multiply.outer(points, kz)) @ weights
-        return sums, z.size, float(np.sum(np.abs(gz[:n]))), {"z_order": n}
+        return sums, kz.size, kappa, {"z_order": n}
 
     label = "z rule of H"
     start = _nodes_per_cycle(_g_cycles(cfg, float(np.max(w, initial=0.0))), label)
     h, record, _ = _searched(w, start, _MAX_GL_ORDER, rule, label)
-    return h * length, {"z_order": record["z_order"], "z_error_estimate": record["error_estimate"]}
+    return h * cfg.fiber.length_m, {"z_order": record["z_order"],
+                                    "z_error_estimate": record["error_estimate"]}
 
 
 def q_amplitude(nu_s, nu_i, cfg: ExperimentConfig) -> complex | np.ndarray:
@@ -134,7 +146,9 @@ class AmplitudeGrid:
 
 
 def jsa_grid(cfg: ExperimentConfig, n_points: int = 65, span: float = 3.0) -> AmplitudeGrid:
-    """Sample Q on an (n_points x n_points) grid over +-span*sigma_0 per axis."""
+    """Sample Q on an (n_points x n_points) grid over +-span*sigma_0 per axis, max |Q| = 1: as
+    nu_s + nu_i = (i + j - n + 1) step and nu_s - nu_i = (i - j) step, it is one product of a
+    Hankel view of the pump at 2 n - 1 sums, scaled by the O(n) peak, and a Toeplitz one of H."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     half, sp = span * cfg.sigma_0_rad_per_ps, cfg.sigma_p_rad_per_ps
@@ -142,17 +156,15 @@ def jsa_grid(cfg: ExperimentConfig, n_points: int = 65, span: float = 3.0) -> Am
     scale = 0.25 * max(sp**-2, abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m)
     if not (half > 0.0 and 4.0 * half * half * scale < math.inf):
         raise ValueError(f"span must be > 0 and keep the squared detuning finite, got {span!r}")
-    axis = np.linspace(-half, half, n_points)
-    # on the uniform axis nu_s - nu_i = (i - j) * step, so H takes n_points values, and
-    # [i, j] = h[|i - j|] is a Toeplitz view of h[n - 1], ..., h[1], h[0], ..., h[n - 1]
-    h, record = _h_values((np.arange(n_points) * (2.0 * half / (n_points - 1))) ** 2, cfg)
-    toeplitz = np.lib.stride_tricks.sliding_window_view(np.concatenate([h[:0:-1], h]),
-                                                        n_points)[::-1]
-    q = (math.sqrt(math.pi) * sp * np.exp(-(axis[:, None] + axis) ** 2 / (4.0 * sp**2))
-         * toeplitz)
-    peak = np.max(np.abs(q))
+    axis, step = np.linspace(-half, half, n_points), 2.0 * half / (n_points - 1)
+    h, record = _h_values((np.arange(n_points) * step) ** 2, cfg)
+    pump = np.exp(-((np.arange(2 * n_points - 1) - (n_points - 1)) * step) ** 2 / (4.0 * sp**2))
+    # at lag |i - j| = d the pump peaks on the sum nearest 0 of d's parity, (n - 1) or n
+    peak = np.max(np.abs(h) * pump[n_points - 1 + (np.arange(n_points) + n_points - 1) % 2])
     if peak > 0:
-        q = q / peak
+        pump /= peak
+    windows = np.lib.stride_tricks.sliding_window_view
+    q = windows(pump, n_points) * windows(np.concatenate([h[:0:-1], h]), n_points)[::-1]
     return AmplitudeGrid(nu_s_axis=axis, nu_i_axis=axis.copy(), values=q, quadrature=record)
 
 

@@ -12,6 +12,9 @@
   shares; checked against mpmath beside that amplitude.
 * :func:`q_oracle` -- the pair amplitude Q at one point by the adaptive rule over
   the fiber length: the oracle of ``jsa.q_amplitude`` and its searched z rule.
+* :func:`jsa_grid_values` -- the normalized pair amplitude on ``jsa.jsa_grid``'s axes
+  by the grid's earlier n^2 construction, the pump evaluated at every cell: the oracle
+  of the factored grid.
 * :func:`_brentq` -- a Brent root finder, numerically scipy's ``brentq`` with its
   defaults (so the oracles need only numpy): the oracle of the half level that
   ``hom.dip_metrics`` solves by ``quadrature._newton``.
@@ -29,7 +32,7 @@ import numpy as np
 
 from homsim import quadrature
 from homsim.imperfections import _nodes
-from homsim.jsa import _check_arctan_branch
+from homsim.jsa import _check_arctan_branch, _h_values
 from homsim.units import ExperimentConfig
 
 # Gauss-Legendre order of the fixed z rule of the package's earlier H
@@ -206,6 +209,26 @@ def q_oracle(nu_s: float, nu_i: float, cfg: ExperimentConfig) -> complex:
         return phi_closed(float(nu_s), float(nu_i), z, cfg) * np.exp(-1j * spm * z)
 
     return integrate_1d(f, -L, 0.0, **_ORACLE_TOL).value
+
+
+def jsa_grid_values(cfg: ExperimentConfig, n_points: int, span: float = 3.0) -> np.ndarray:
+    """Q on the axes of ``jsa.jsa_grid(cfg, n_points, span)``, normalized to max |Q| = 1 by
+    its n^2 construction: the pump envelope at every cell's nu_s + nu_i times a Toeplitz view
+    of the package's H, then the peak over all cells.  It shares H, so it checks the
+    factoring, the pump and the normalization."""
+    half, sp = span * cfg.sigma_0_rad_per_ps, cfg.sigma_p_rad_per_ps
+    axis = np.linspace(-half, half, n_points)
+    # on the uniform axis nu_s - nu_i = (i - j) * step, so H takes n_points values, and
+    # [i, j] = h[|i - j|] is a Toeplitz view of h[n - 1], ..., h[1], h[0], ..., h[n - 1]
+    h, record = _h_values((np.arange(n_points) * (2.0 * half / (n_points - 1))) ** 2, cfg)
+    toeplitz = np.lib.stride_tricks.sliding_window_view(np.concatenate([h[:0:-1], h]),
+                                                        n_points)[::-1]
+    q = (math.sqrt(math.pi) * sp * np.exp(-(axis[:, None] + axis) ** 2 / (4.0 * sp**2))
+         * toeplitz)
+    peak = np.max(np.abs(q))
+    if peak > 0:
+        q = q / peak
+    return q
 
 
 def bessel_j1(x: float) -> float:

@@ -116,6 +116,8 @@ class TestDipCommand:
         assert man["metrics"]["baseline"] == 1.0 and man["metrics"]["center_ps"] == 0.0
         # the FWHM's error estimate, from the lag rule that ran
         assert 0.0 <= man["metrics"]["fwhm_error_ps"] <= 1e-12 * man["metrics"]["fwhm_ps"]
+        # and the visibility's: the lag rule's fine and coarse rates are both exactly 0 at 0
+        assert man["metrics"]["visibility_error"] == 0.0
         assert "derived" not in man["config"]
         assert man["derived"]["Omega_rad_per_ps"] == units.default_config().Omega_rad_per_ps
         assert man["supergaussian_calibration"] == "half-power-at-configured-fwhm"
@@ -425,12 +427,13 @@ class TestFitCommand:
         assert doc["dof"] == 301 - (3 if mode == "model" else 4)
         assert doc["reduced_chi2"] == doc["residual_norm"] / doc["dof"]
         # the DipMetrics record the dip command prints; a fit counts no crossings and
-        # estimates no FWHM error
+        # estimates no FWHM or visibility error
         assert list(doc["derived_metrics"]) == ["visibility", "fwhm_ps", "center_ps",
                                                 "baseline", "engine", "half_level_crossings",
-                                                "fwhm_error_ps"]
+                                                "fwhm_error_ps", "visibility_error"]
         assert doc["derived_metrics"]["half_level_crossings"] is None
         assert doc["derived_metrics"]["fwhm_error_ps"] is None
+        assert doc["derived_metrics"]["visibility_error"] is None
         if mode == "gaussian-dip":
             # no engine runs in this mode, so the manifest names none
             assert "model" not in doc and "model" not in man and "engine" not in man

@@ -959,6 +959,21 @@ class TestNewtonHalfLevel:
 
 
 class TestDipMetrics:
+    @pytest.mark.parametrize("engine,shape", [
+        ("gaussian", "gaussian"), ("general", "gaussian"), ("general", "supergaussian4"),
+        ("supergaussian", "supergaussian4"), ("general", "cascade")])
+    def test_visibility_error_within_the_curve_estimate(self, monkeypatch, engine, shape):
+        # |fine - coarse| of the rule at 0, from the R(0) call the metrics already make: one
+        # of the curve's delays, so within its estimate, and no extra rule call
+        curve = hom.dip_curve(units.default_config(shape), engine)
+        calls, rule = [], curve.rule
+        counted = replace(curve, rule=lambda d: calls.append(d.size) or rule(d))
+        metrics = hom.dip_metrics(counted)
+        fine, coarse = rule(np.zeros(1))[0, :2]
+        assert metrics.visibility_error == abs(fine - coarse)
+        assert 0.0 <= metrics.visibility_error <= curve.quadrature["error_estimate"]
+        assert len(calls) == 4  # R(0) and three Newton steps, as before
+
     def test_ideal_gaussian_reference(self, cfg):
         metrics = hom.dip_metrics(hom.dip_curve(cfg, "gaussian"))
         assert metrics.visibility == pytest.approx(1.0, abs=1e-3)
@@ -1112,7 +1127,8 @@ class TestCurveIO:
         doc = json.loads(json.dumps(hom.metrics_record(metrics), allow_nan=False))
         assert doc == {"visibility": metrics.visibility, "fwhm_ps": metrics.fwhm_ps,
                        "center_ps": 0.0, "baseline": 1.0, "engine": "gaussian",
-                       "half_level_crossings": [1, 1], "fwhm_error_ps": metrics.fwhm_error_ps}
+                       "half_level_crossings": [1, 1], "fwhm_error_ps": metrics.fwhm_error_ps,
+                       "visibility_error": 0.0}
         assert 0.0 <= metrics.fwhm_error_ps <= 1e-10
         unbracketed = hom.metrics_record(replace(metrics, fwhm_ps=math.nan,
                                                  fwhm_error_ps=math.inf))

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from homsim import jsa, quadrature, units
+from homsim import hom, jsa, quadrature, units
 from homsim.quadrature import QuadratureSettings
-from oracles import delta_k, phi_closed, phi_oracle, q_oracle
+from homsim.units import FilterSpec
+from oracles import delta_k, jsa_grid_values, phi_closed, phi_oracle, q_oracle
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,57 @@ class TestGrid:
                     nu_i_axis=np.array([0.0, 1.0, 2.0]),
                     values=np.zeros((3, 3), dtype=complex),
                 )
+
+
+def _sweep_configs(count: int, seed: int = 35) -> list:
+    """Configs drawn over the parameter sweep's domain: fiber 10 m to 20 km, |beta2| 0.01 to
+    1 ps^2/km of either sign, pump and filter FWHM 0.4 to 1.6 nm, inside the arctan branch."""
+    rng, out = np.random.default_rng(seed), []
+    while len(out) < count:
+        c = units.build_config(
+            length_m=10.0 ** rng.uniform(1.0, math.log10(2.0e4)),
+            beta2_ps2_per_km=float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-2.0, 0.0),
+            gamma_per_W_m=1.8e-3, lambda_p1_nm=1555.92, lambda_p2_nm=1545.95,
+            pump_fwhm_nm=rng.uniform(0.4, 1.6), peak_power_W=0.36,
+            filter_fwhm_nm=rng.uniform(0.4, 1.6))
+        if abs(c.fiber.beta2_ps2_per_m) * c.fiber.length_m * c.sigma_p_rad_per_ps**2 < 1.0:
+            out.append(c)
+    return out
+
+
+class TestFactoredGrid:
+    """jsa_grid builds Q from a Hankel view of the pump at 2 n - 1 sums and a Toeplitz
+    view of H, scaled by an O(n) peak; the n^2 construction is its oracle."""
+
+    @pytest.mark.parametrize("n_points", [2, 3, 65, 129, 257])
+    def test_matches_the_n2_construction(self, n_points):
+        for c in [units.default_config()] + _sweep_configs(30):
+            q = jsa.jsa_grid(c, n_points).values
+            assert np.max(np.abs(q - jsa_grid_values(c, n_points))) <= 2e-15
+            assert np.array_equal(q, q.T)
+            assert abs(np.max(np.abs(q)) - 1.0) <= 1e-14
+
+    def test_z_rule_of_h_built_once_per_order(self, monkeypatch):
+        # jsa_grid, a general curve whose nu search doubles, and a mismatched-filter curve
+        # on one config share H's z rule: G reads no filter, so each order is built once
+        c = units.build_config(**{**units.REFERENCE_PARAMS, "length_m": 6000.0})
+        built, g_function = [], jsa._g_function
+        monkeypatch.setattr(jsa, "_g_function", lambda z, cfg: built.append(z.size)
+                            or g_function(z, cfg))
+        jsa._z_rule.cache_clear()
+        hom._spectral_tables.cache_clear()
+        records = [jsa.jsa_grid(c, 129).quadrature]
+        delays = np.linspace(-3.0, 3.0, 61)
+        for kw in ({"settings": QuadratureSettings(gl_order=8)},
+                   {"signal_filter": FilterSpec(), "idler_filter": FilterSpec(fwhm_nm=1.0)}):
+            engine = "general" if "settings" in kw else "asymmetric"
+            records.append(hom.dip_curve(c, engine, delays_ps=delays, **kw).quadrature)
+        assert records[1]["nu_order"] > 8  # the nu search doubled, table after table
+        assert hom._spectral_tables.cache_info().misses >= 3
+        # one build per order n, of n + 3 n / 4 nodes, and every settled order among them
+        assert built and len(built) == len(set(built))
+        assert {r["z_order"] * 7 // 4 for r in records} <= set(built)
+        assert jsa._z_rule.cache_info().hits >= 2
 
 
 def _per_row_csv(path, header, rows):

@@ -233,6 +233,39 @@ def test_start_past_the_gauss_legendre_cap_raises(cycles):
     assert jsa._nodes_per_cycle(256.0, "toy rule") == quadrature._MAX_GL_ORDER
 
 
+@pytest.mark.parametrize("cycles, start", [
+    (0.5, 8), (0.51, 16), (1.0, 16), (2.0, 16), (2.5, 24), (8.0, 64), (8.01, 36)])
+def test_start_doubles_from_half_a_cycle_to_eight(cycles, start):
+    # 4 per cycle (at least 8) failed first in most sweep searches from 0.5 to 8 cycles
+    assert jsa._nodes_per_cycle(cycles, "toy rule") == start
+
+
+@pytest.mark.parametrize("length_m, cycles, z_order, lag_order", [
+    (2000.0, 0.98, 16, 16), (6000.0, 2.93, 32, 24), (12000.0, 5.86, 56, 48)])
+def test_z_and_lag_searches_settle_on_their_start(monkeypatch, length_m, cycles, z_order,
+                                                  lag_order):
+    # near 1, 3 and 6 cycles of G's phase: the z rule of H (jsa_grid, general) and the lag
+    # rule each try one order, the one their search settled on from 4 per cycle
+    cfg = units.build_config(**{**units.REFERENCE_PARAMS, "length_m": length_m})
+    assert jsa._g_cycles(cfg) == pytest.approx(cycles, abs=0.01)
+    tried, searched = [], quadrature._searched
+
+    def spy(points, n, cap, rule, label):
+        out = searched(points, n, cap, rule, label)
+        tried.append((label, n, out[1].get("z_order", out[1].get("lag_orders", [None])[0])))
+        return out
+    for module in (jsa, hom):
+        monkeypatch.setattr(module, "_searched", spy)
+    hom._spectral_tables.cache_clear()
+    hom._lag_tables.cache_clear()
+    records = [jsa.jsa_grid(cfg, 65).quadrature, hom.dip_curve(cfg, "general").quadrature,
+               hom.dip_curve(cfg, "gaussian").quadrature]
+    assert [r["z_order"] for r in records[:2]] == [z_order, z_order]
+    assert records[2]["lag_orders"] == [lag_order, 3 * lag_order // 4]
+    rules = [(n, settled) for label, n, settled in tried if not label.startswith("asym")]
+    assert len(rules) == 3 and all(n == settled for n, settled in rules)
+
+
 def test_z_rule_past_its_cap_raises():
     # +-1,000 sigma_0 puts H's phase past 1,024 nodes at 4 per cycle: the jsa grid
     # raises rather than return an unresolved H

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import __version__
 from .fitdata import fit_gaussian_dip, fit_model, fit_result_to_json, gaussian_dip, ingest_csv
-from .hom import AnalysisError, dip_curve, dip_metrics, metrics_record, write_curve_csv
+from .hom import (AnalysisError, _dip_sigma, dip_curve, dip_metrics, metrics_record,
+                  write_curve_csv)
 from .imperfections import (SpatialGeometry, _solve_angle, solve_angle_for_overlap,
                             spatial_overlap)
 from .jsa import jsa_grid, write_grid_csv
@@ -121,7 +122,17 @@ def cmd_dip(args):
     cfg, record = _load_config(args, args.filter_mismatch)
     delays = np.round(np.arange(0, int(round(span / step)) + 1) * step + args.delay_min, 12)
     curve = dip_curve(cfg, engine=args.engine, delays_ps=delays)
-    metrics = metrics_record(dip_metrics(curve))
+    try:
+        metrics = metrics_record(dip_metrics(curve))
+    except (AccuracyError, AnalysisError) as exc:
+        width = 2.0 * math.sqrt(2.0 * math.log(2.0)) / _dip_sigma(cfg)
+        if step <= width:
+            raise
+        # a step far wider than the dip: its samples miss the dip, or the half-level solve
+        # runs out of evaluations halving the step down to the dip
+        raise AnalysisError(f"--delay-step {step:g} ps is {step / width:.3g} times the dip's "
+                            f"width of about {width:.3g} ps, too coarse to resolve it ({exc})"
+                            ) from None
     write_curve_csv(curve, args.out)
     extra = {"engine": args.engine, "filter_mismatch": args.filter_mismatch,
              "delay_range_ps": [args.delay_min, args.delay_max, args.delay_step],

@@ -11,8 +11,12 @@ configuration and maps a whole array of delays to rates in one call:
                        cascade (at least 2 sigma_p), any filter shape, Q from the kernel of
                        :mod:`homsim.jsa`: one cosine series in (ni - ns) dt, its
                        order doubled from ``settings.gl_order`` (default 96) until
-                       the series' period covers twice the largest |dt|, then
-                       until the nested rule on the even nodes agrees.
+                       the series' period covers twice the largest |dt|, on up to
+                       2,048 while the nested rule on the even nodes leaves its
+                       half-period image or its image of the dip undamped (Gaussian
+                       model of the arms and pump, within _ABS_TOL / 2) or puts fewer
+                       than 6.6 nodes on sigma_sg of a quartic stage (:func:`_nu_start`,
+                       set on sweep seeds 11-30), then until the nested rule agrees.
 * ``asymmetric``    -- ``general`` with the signal and idler filters given
                        explicitly (required here, accepted by every engine).
 * ``supergaussian`` -- ``general``, for identical quartic filters on both arms only.
@@ -62,6 +66,11 @@ __all__ = [
 
 _NU_BOX_SIGMAS = 6.0     # half-width of the spectral engines' nu box, in filter sigmas
 _MAX_NU_ORDER = 2048     # largest order the spectral engines' search tries
+# the nu search's start (_nu_start): Gaussian widths from the axis at which an alias image is
+# damped within _ABS_TOL / 2, and nested-rule nodes per sigma_sg of a quartic stage (set on the
+# 7,200 param_sweep curves of seeds 11-30, checked on seeds 31-40)
+_ALIAS_SIGMAS = math.sqrt(2.0 * math.log(2.0 / _ABS_TOL))
+_QUARTIC_NODES = 6.6
 _BASELINE_FRACTION = 0.1
 
 
@@ -208,17 +217,52 @@ def _lag_sums(delays: np.ndarray, exponents: np.ndarray, wr, wi) -> np.ndarray:
     return out
 
 
-def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
-                    label: str) -> tuple[np.ndarray, dict, Callable]:
-    """Rates of :func:`_searched` on the trapezoid rule and its nested rule on the even nodes.
-    The series repeats with period 2 pi / step, where both rules read the dip again and the
-    estimate cannot see it, so the search starts at the first of n, 2 n, ... (n made even)
-    whose nested rule's period pi / step exceeds every |delay|; past _MAX_NU_ORDER the axis
-    is wider than the largest rule's period and the search raises."""
-    half, reach = _nu_half(cfg), float(np.max(np.abs(delays), initial=0.0))
+def _dip_sigma(cfg: ExperimentConfig) -> float:
+    """The dip's width s_d in nu_s - nu_i: 1 / s_d^2 is the mean of the arms' 1 / sigma^2, each
+    arm's Gaussian sigma.  With Gaussian arms R = 1 - V e^{-(s_d dt)^2 / 2} up to H, so the dip
+    is about 2 sqrt(2 ln 2) / s_d wide."""
+    arms = (cfg.filter, cfg.filter.idler or cfg.filter)
+    return (0.5 * sum(cfg.sigma_for(arm) ** -2 for arm in arms)) ** -0.5
+
+
+def _nu_start(cfg: ExperimentConfig, n: int, reach: float) -> int:
+    """Start order of the nu search from ``n``: the first of n, 2 n, ... (n made even) whose
+    nested rule's period P = pi n / (2 half) in dt exceeds ``reach`` (past _MAX_NU_ORDER if none
+    does), then doubled, while 2 n is within the cap, until the nested rule (step 4 half / n)
+    (1) damps its half-period image, at P / 2 conjugate to nu_s + nu_i and (P / 2 - reach)+
+        beyond the axis in dt,
+    (2) puts _QUARTIC_NODES nodes on sigma_sg of every quartic stage, and
+    (3) damps its image of the dip, at P - reach beyond the axis.
+    On Gaussian arms and pump an image at (u, v) is damped by e^{-((u s_sum)^2 + (v s_d)^2) / 2},
+    s_d of :func:`_dip_sigma` and 1 / s_sum^2 = 1 / sigma_p^2 + 1 / s_d^2 (Trefethen & Weideman,
+    SIAM Rev. 56, 2014); damped means within _ABS_TOL / 2: hypot(u s_sum, v s_d) >= _ALIAS_SIGMAS."""
+    half, arms, s_d = _nu_half(cfg), (cfg.filter, cfg.filter.idler or cfg.filter), _dip_sigma(cfg)
+    s_sum = (cfg.sigma_p_rad_per_ps ** -2 + s_d ** -2) ** -0.5
+    s_q = min((cfg.sigma_sg_for(arm) for arm in arms if arm.shape is not FilterShape.GAUSSIAN),
+              default=math.inf)
+
+    def passes(n):
+        p = math.pi * n / (2.0 * half)
+        return (min((p - reach) * s_d, math.hypot(0.5 * p * s_sum, max(0.5 * p - reach, 0.0) * s_d))
+                >= _ALIAS_SIGMAS and s_q * n >= 4.0 * half * _QUARTIC_NODES)
     n += n % 2
     while n <= _MAX_NU_ORDER and math.pi * n <= 2.0 * half * reach:
         n *= 2
+    while 2 * n <= _MAX_NU_ORDER and not passes(n):
+        n *= 2
+    return n
+
+
+def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
+                    label: str) -> tuple[np.ndarray, dict, Callable]:
+    """Rates of :func:`_searched` on the trapezoid rule and its nested rule on the even nodes,
+    from :func:`_nu_start` of ``n``.  The series repeats with period 2 pi / step, where both
+    rules read the dip again and the estimate cannot see it, so the start's nested period
+    pi / step exceeds every |delay|; past _MAX_NU_ORDER the axis is wider than the largest
+    rule's period and the search raises.  The start's other conditions only skip orders whose
+    estimate would fail, so where it does not pass the order a search from the reach alone
+    settles on, the result is that search's, bit for bit."""
+    n = _nu_start(cfg, n, float(np.max(np.abs(delays), initial=0.0)))
 
     def rule(n):
         step, series, kappa, z_record = _spectral_tables(cfg, n)

@@ -18,6 +18,9 @@
 * :func:`_brentq` -- a Brent root finder, numerically scipy's ``brentq`` with its
   defaults (so the oracles need only numpy): the oracle of the half level that
   ``hom.dip_metrics`` solves by ``quadrature._newton``.
+* :func:`reach_start` -- the spectral engines' nu start from the axis's reach alone, so
+  that a search from it is a plain doubling from ``gl_order``: the oracle of
+  ``hom._nu_start``, which may skip only orders that this search fails.
 * ``_Z_ORDER`` -- the order of the fixed 64-node Gauss-Legendre z rule the
   package once used, kept as the floor of the closed engine's reference sum.
 """
@@ -30,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from homsim import quadrature
+from homsim import hom, quadrature
 from homsim.imperfections import _nodes
 from homsim.jsa import _check_arctan_branch, _h_values
 from homsim.units import ExperimentConfig
@@ -300,3 +303,14 @@ def _brentq(f: Callable[[float], float], a: float, b: float,
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
     raise RuntimeError(f"brentq did not converge after {_BRENTQ_MAXITER} iterations")
+
+
+def reach_start(cfg: ExperimentConfig, n: int, reach: float) -> int:
+    """n made even, then doubled until the nested rule's period pi n / (2 half) in the delay
+    exceeds ``reach`` (past ``hom._MAX_NU_ORDER`` if none does): the nu start from the reach
+    alone, the spectral engines' start before ``hom._nu_start``."""
+    half = hom._nu_half(cfg)
+    n += n % 2
+    while n <= hom._MAX_NU_ORDER and math.pi * n <= 2.0 * half * reach:
+        n *= 2
+    return n

@@ -198,6 +198,23 @@ class TestDipCommand:
                     "--out", str(tmp_path / "x.csv")]) == 3
         assert "not bracketed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound,step,cause", [
+        ("1e80", "1e79", "root not resolved"),  # the half-level solve halves 1e79 ps
+        ("1e50", "1e49", "flat at the baseline")])  # no sample lands on 0
+    def test_step_far_wider_than_the_dip_exits_3(self, tmp_path, capsys, bound, step, cause):
+        assert run(["dip", "--engine", "gaussian", f"--delay-min=-{bound}", "--delay-max", bound,
+                    "--delay-step", step, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical error: --delay-step {float(step):g} ps is 1.6e+")
+        assert "times the dip's width of about 6.25 ps" in err and cause in err
+        assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
+
+    def test_coarse_step_that_resolves_the_dip_exits_0(self, tmp_path, capsys):
+        # one sample on the dip at 0: the half level is solved on the engine's rule
+        assert run(["dip", "--engine", "gaussian", "--delay-min=-1e6", "--delay-max", "1e6",
+                    "--delay-step", "1e5", "--out", str(tmp_path / "x.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["fwhm_ps"] == pytest.approx(6.2532, abs=1e-4)
+
     def test_supergaussian_engine_with_gaussian_filter_exits_2(self, tmp_path):
         # the quartic engine must not silently replace the configured filter
         rc = run(["dip", "--engine", "supergaussian", "--out", str(tmp_path / "x.csv")])

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from homsim import hom, jsa, quadrature, units
+from homsim import fitdata, hom, jsa, quadrature, units
 from homsim.quadrature import QuadratureSettings, gauss_legendre
 from homsim.units import FilterShape, FilterSpec
-from oracles import _Z_ORDER, _brentq, phi_closed
+from oracles import _Z_ORDER, _brentq, phi_closed, reach_start
 
 
 @pytest.fixture(scope="module")
@@ -668,6 +668,79 @@ class TestAliasFreeOrder:
         assert np.max(np.abs(general.rates - closed)) <= 1e-12
         with pytest.raises(hom.AnalysisError, match="no dip found"):
             hom.dip_metrics(general)
+
+
+class TestNuStart:
+    """The nu search's start (hom._nu_start) against a plain doubling from gl_order, whose start
+    is the reach alone (oracles.reach_start): a search that settles on the same order gives the
+    same curve bit for bit, and a start past that order (an overshoot) a finer one."""
+    CLI_AXIS = np.round(np.arange(0, 301) * 0.1 - 15.0, 12)  # homsim dip's default axis
+
+    @staticmethod
+    def both(monkeypatch, run):
+        """run() on empty table caches under the start, then under the reach-only start."""
+        out, start = [], hom._nu_start
+        for candidate in (start, reach_start):
+            monkeypatch.setattr(hom, "_nu_start", candidate)
+            hom._spectral_tables.cache_clear()
+            out.append(run())
+        monkeypatch.setattr(hom, "_nu_start", start)
+        hom._spectral_tables.cache_clear()
+        return out
+
+    @staticmethod
+    def assert_same_curve(new, ref):
+        assert np.array_equal(new.rates, ref.rates) and new.quadrature == ref.quadrature
+        assert hom.dip_metrics(new) == hom.dip_metrics(ref)
+
+    @pytest.mark.parametrize("axis", [None, CLI_AXIS], ids=["library", "cli"])
+    @pytest.mark.parametrize("shape,engine,mismatch", [
+        ("gaussian", "general", None), ("supergaussian4", "general", None),
+        ("supergaussian4", "supergaussian", None), ("cascade", "general", None),
+        ("gaussian", "general", 0.1), ("cascade", "general", 0.1)])
+    def test_default_configs_settle_where_they_did(self, monkeypatch, shape, engine, mismatch,
+                                                   axis):
+        cfg = units.default_config(shape)
+        if mismatch is not None:  # as homsim dip --filter-mismatch
+            cfg = replace(cfg, filter=replace(cfg.filter, idler=FilterSpec(
+                shape=cfg.filter.shape, fwhm_nm=cfg.filter.fwhm_nm * (1.0 + mismatch))))
+        new, ref = self.both(monkeypatch, lambda: hom.dip_curve(cfg, engine, delays_ps=axis))
+        reach = float(np.max(np.abs(new.delays_ps)))
+        assert hom._nu_start(cfg, 96, reach) <= ref.quadrature["nu_order"]  # no overshoot
+        self.assert_same_curve(new, ref)
+
+    @pytest.mark.parametrize("shape,engine", [("gaussian", "general"), ("cascade", "general"),
+                                              ("supergaussian4", "supergaussian")])
+    def test_fit_model_axes_settle_where_they_did(self, monkeypatch, shape, engine):
+        # fit --mode model on a 301-point scan over +-15 ps: a model over +-40 ps, whose
+        # engine runs on [0, 40] ps at 1/4 ps and each halving
+        cfg = units.default_config(shape)
+        new, ref = self.both(monkeypatch, lambda: fitdata._model.__wrapped__(cfg, engine, 40.0))
+        assert new[1] == ref[1] and new[2] == ref[2]
+        assert all(np.array_equal(a, b) for a, b in zip(new[0], ref[0]))
+
+    def test_held_out_sweep_curves(self, monkeypatch):
+        # 300 curves of the sweep's domain, none among the draws the start's constants were
+        # set on: the general and the mismatched curve of 50 draws of each shape
+        overshoots, skipped = [], 0
+        for shape in ("gaussian", "supergaussian4", "cascade"):
+            for cfg, sig, idl in property_draws(3636, 50, shape):
+                delays = np.round(np.arange(-150, 151) * (max(15.0, 6.0 / cfg.sigma_0_rad_per_ps)
+                                                          / 150.0), 12)
+                reach = float(delays[-1])
+                for engine, kw in (("general", {}),
+                                   ("asymmetric", {"signal_filter": sig, "idler_filter": idl})):
+                    new, ref = self.both(monkeypatch,
+                                         lambda: hom.dip_curve(cfg, engine, delays, **kw))
+                    folded = replace(cfg, filter=replace(sig, idler=idl)) if kw else cfg
+                    skipped += hom._nu_start(folded, 96, reach) > reach_start(folded, 96, reach)
+                    if new.quadrature["nu_order"] == ref.quadrature["nu_order"]:
+                        self.assert_same_curve(new, ref)
+                        continue
+                    assert new.quadrature["nu_order"] > ref.quadrature["nu_order"]
+                    overshoots.append(float(np.max(np.abs(new.rates - ref.rates))))
+                    assert overshoots[-1] <= ref.quadrature["error_estimate"]
+        assert skipped >= 30 and len(overshoots) <= 3  # orders skipped; at most 1 % overshoots
 
 
 class TestConvergedRule:

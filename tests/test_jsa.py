@@ -240,20 +240,23 @@ class TestFactoredGrid:
 
     def test_z_rule_of_h_built_once_per_order(self, monkeypatch):
         # jsa_grid, a general curve whose nu search doubles, and a mismatched-filter curve
-        # on one config share H's z rule: G reads no filter, so each order is built once
-        c = units.build_config(**{**units.REFERENCE_PARAMS, "length_m": 6000.0})
+        # on one config share H's z rule: G reads no filter, so each order is built once.
+        # A quartic filter under a broad pump fails the nu search's start at 96 on +-16 ps
+        c = units.build_config(**{**units.REFERENCE_PARAMS, "length_m": 6000.0, "pump_fwhm_nm": 1.5,
+                                  "filter_shape": "supergaussian4"})
         built, g_function = [], jsa._g_function
         monkeypatch.setattr(jsa, "_g_function", lambda z, cfg: built.append(z.size)
                             or g_function(z, cfg))
         jsa._z_rule.cache_clear()
         hom._spectral_tables.cache_clear()
         records = [jsa.jsa_grid(c, 129).quadrature]
-        delays = np.linspace(-3.0, 3.0, 61)
-        for kw in ({"settings": QuadratureSettings(gl_order=8)},
-                   {"signal_filter": FilterSpec(), "idler_filter": FilterSpec(fwhm_nm=1.0)}):
-            engine = "general" if "settings" in kw else "asymmetric"
+        delays = np.linspace(-16.0, 16.0, 65)
+        quartic = FilterSpec(shape=units.FilterShape.SUPERGAUSSIAN4)
+        for engine, kw in (("general", {}), ("asymmetric", {
+                "signal_filter": quartic, "idler_filter": FilterSpec(quartic.shape, 1.0)})):
             records.append(hom.dip_curve(c, engine, delays_ps=delays, **kw).quadrature)
-        assert records[1]["nu_order"] > 8  # the nu search doubled, table after table
+        # the nu search doubled past its start, table after table
+        assert records[1]["nu_order"] > hom._nu_start(c, QuadratureSettings().gl_order, 16.0)
         assert hom._spectral_tables.cache_info().misses >= 3
         # one build per order n, of n + 3 n / 4 nodes, and every settled order among them
         assert built and len(built) == len(set(built))

@@ -38,8 +38,7 @@ import numpy as np
 
 from . import __version__
 from .fitdata import fit_gaussian_dip, fit_model, fit_result_to_json, gaussian_dip, ingest_csv
-from .hom import (AnalysisError, _dip_sigma, dip_curve, dip_metrics, metrics_record,
-                  write_curve_csv)
+from .hom import AnalysisError, dip_curve, dip_metrics, metrics_record, write_curve_csv
 from .imperfections import (SpatialGeometry, _solve_angle, solve_angle_for_overlap,
                             spatial_overlap)
 from .jsa import jsa_grid, write_grid_csv
@@ -50,6 +49,8 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+_ENGINES = ("gaussian", "supergaussian", "general")  # asymmetric: general with a config idler
 
 # the reference parameters have command-line flags; the rest are config-only
 _CONFIG_FIELDS = set(REFERENCE_PARAMS) | {"idler_filter_fwhm_nm", "idler_filter_shape"}
@@ -122,17 +123,7 @@ def cmd_dip(args):
     cfg, record = _load_config(args, args.filter_mismatch)
     delays = np.round(np.arange(0, int(round(span / step)) + 1) * step + args.delay_min, 12)
     curve = dip_curve(cfg, engine=args.engine, delays_ps=delays)
-    try:
-        metrics = metrics_record(dip_metrics(curve))
-    except (AccuracyError, AnalysisError) as exc:
-        width = 2.0 * math.sqrt(2.0 * math.log(2.0)) / _dip_sigma(cfg)
-        if step <= width:
-            raise
-        # a step far wider than the dip: its samples miss the dip, or the half-level solve
-        # runs out of evaluations halving the step down to the dip
-        raise AnalysisError(f"--delay-step {step:g} ps is {step / width:.3g} times the dip's "
-                            f"width of about {width:.3g} ps, too coarse to resolve it ({exc})"
-                            ) from None
+    metrics = metrics_record(dip_metrics(curve))
     write_curve_csv(curve, args.out)
     extra = {"engine": args.engine, "filter_mismatch": args.filter_mismatch,
              "delay_range_ps": [args.delay_min, args.delay_max, args.delay_step],
@@ -163,7 +154,7 @@ def cmd_fit(args):
     text = fit_result_to_json(result, dense_curve=dense_curve)  # before the file is opened
     with open(args.out, "w") as fh:
         fh.write(text)
-    m = json.loads(text)["derived_metrics"]  # as written: an unbracketed FWHM is null
+    m = metrics_record(result.derived_metrics)  # as written: an unbracketed FWHM is null
     return args.out, record, extra, json.dumps(
         {"visibility": m["visibility"], "fwhm_ps": m["fwhm_ps"], "converged": result.converged},
         indent=2, allow_nan=False)
@@ -223,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dip", help="compute a coincidence-dip curve and its metrics")
     _add_config_flags(p)
-    p.add_argument("--engine", default="gaussian",
-                   choices=["gaussian", "supergaussian", "general"])
+    p.add_argument("--engine", default="gaussian", choices=_ENGINES)
     p.add_argument("--filter-mismatch", type=float, default=0.0,
                    help="fractional idler-filter FWHM mismatch m: the idler filter "
                         "gets FWHM filter_fwhm_nm * (1 + m)")
@@ -238,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--data", required=True, help="CSV with delay_ps,counts[,uncertainty]")
     p.add_argument("--mode", default="gaussian-dip", choices=["gaussian-dip", "model"])
-    p.add_argument("--engine", choices=["gaussian", "supergaussian", "general"],
-                   help="model mode only (default gaussian)")
+    p.add_argument("--engine", choices=_ENGINES, help="model mode only (default gaussian)")
     p.add_argument("--out", default="fit_result.json")
     p.set_defaults(func=cmd_fit)
 

@@ -25,18 +25,19 @@ configuration and maps a whole array of delays to rates in one call:
                        A the autocorrelation of G(z) over the fiber, its Gauss-
                        Legendre lags doubled from jsa._nodes_per_cycle of G's phase.
 
-Every engine reads both arms from ``cfg.filter`` and its ``idler`` override;
-a filter pair passed to :func:`dip_curve` is folded into the configuration
-first.  R is even in dt, so every engine runs once per distinct |dt| of the axis
-and the rates are exactly even; every rule runs through ``quadrature._blocked``.  Rates are
-normalized to a large-delay baseline of 1.  Every engine doubles its order by
-``quadrature._searched`` until an embedded error estimate meets _ABS_TOL = 1e-12
-plus 10 kappa eps (kappa: the cancellation of its sum); :func:`dip_curve` checks
-every rate's sign against _ABS_TOL and clamps at zero.  The spectral engines' H runs
-its own searched z rule, whose order and estimate their record carries.  A
-search's rule maps delays to the fine rate, the coarse rate and the fine slope
-dR/ddt (columns), on which :func:`dip_metrics` solves the half level by
-:func:`homsim.quadrature._newton`.
+Every engine reads both arms from ``cfg.filter`` and its ``idler`` override, which
+:class:`~homsim.units.FilterSpec` drops when it equals the signal filter (matched arms have no
+idler); a filter pair passed to :func:`dip_curve` is folded into the configuration first, and
+``_ENGINE_SHAPES`` holds the filter shape an engine requires on both arms.  R is even in dt, so
+every engine runs once per distinct |dt| of the axis and the rates are exactly even; every rule
+runs through ``quadrature._blocked``.  Rates are normalized to a large-delay baseline of 1.
+Every engine doubles its order by ``quadrature._searched`` until an embedded error estimate
+meets _ABS_TOL = 1e-12 plus 10 kappa eps (kappa: the cancellation of its sum); :func:`dip_curve`
+checks every rate's sign against _ABS_TOL and clamps at zero.  The spectral engines' H runs its
+own searched z rule, whose order and estimate their record carries.  A search's rule maps delays
+to the fine rate, the coarse rate and the fine slope dR/ddt (columns), on which
+:func:`dip_metrics` solves the half level by :func:`homsim.quadrature._newton`, or names a
+delay step wider than the dip that defeats it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ _MAX_NU_ORDER = 2048     # largest order the spectral engines' search tries
 _ALIAS_SIGMAS = math.sqrt(2.0 * math.log(2.0 / _ABS_TOL))
 _QUARTIC_NODES = 6.6
 _BASELINE_FRACTION = 0.1
+# each engine's filter shape, required identical on both arms (None: any arms)
+_ENGINE_SHAPES = {"asymmetric": None, "gaussian": FilterShape.GAUSSIAN, "general": None,
+                  "supergaussian": FilterShape.SUPERGAUSSIAN4}
 
 
 class AnalysisError(RuntimeError):
@@ -108,11 +112,6 @@ def _nu_half(cfg: ExperimentConfig) -> float:
     return max(_nu_halfwidth(cfg.filter, cfg), _nu_halfwidth(cfg.filter.idler or cfg.filter, cfg))
 
 
-def _require_matched(cfg: ExperimentConfig, shape: FilterShape, label: str) -> None:
-    if cfg.filter.shape is not shape or cfg.filter.idler is not None:
-        raise ValueError(f"{label} requires identical {shape.value} filters on both arms")
-
-
 def _require_axis(delays: np.ndarray) -> None:
     if not (delays.ndim == 1 and np.isfinite(delays).all() and (delays[1:] > delays[:-1]).all()):
         raise ValueError("delays must be finite and strictly increasing, on one axis")
@@ -135,17 +134,17 @@ def _spectral_tables(cfg: ExperimentConfig, n: int):
     c_m the sum of C over |s - i| = m over the baseline sum |F|^2 w_s w_i, of each rule
     one contraction that builds no temporary.  Returns step, the series of both rules' c_m
     and the fine i c_m m step, kappa = sum |c_m|, H's z record."""
-    signal, idler = cfg.filter, cfg.filter.idler or cfg.filter
+    idler = cfg.filter.idler
     step = 2.0 * _nu_half(cfg) / n
     k = np.arange(n + 1)
-    fs = filter_amplitude(signal, (k - n / 2) * step, cfg)
-    fi = fs if idler is signal else filter_amplitude(idler, (k - n / 2) * step, cfg)
+    fs = filter_amplitude(cfg.filter, (k - n / 2) * step, cfg)
+    fi = fs if idler is None else filter_amplitude(idler, (k - n / 2) * step, cfg)
     w = np.where((k == 0) | (k == n), 0.5, 1.0)  # step and pi sigma_p^2 cancel
     # one-sided diagonal sums D[m] = sum_s pump(2s + m) x_s y_(s+m) of (x, y) = (p, p), and of
     # (v_s, v_i), v = f^2 w, for the baseline of different arms; as the filters and grid are
     # even in nu, the sums below the diagonal equal those above
     p = fs * fi * w
-    x, y = ([p], [p]) if np.array_equal(fs, fi) else ([p, fs**2 * w], [p, fi**2 * w])
+    x, y = ([p], [p]) if idler is None else ([p, fs**2 * w], [p, fi**2 * w])
     # windows [row, s, m] = buffer[row, s + m], 0 past the end, of one zero-padded buffer:
     # row 0 the pump at the 2 n + 1 sums s + i, then each pair's y
     buffer = np.zeros((1 + len(y), 3 * n + 1))
@@ -271,7 +270,8 @@ def _spectral_rates(delays: np.ndarray, cfg: ExperimentConfig, n: int,
     return _searched(delays, n, _MAX_NU_ORDER, rule, label)
 
 
-def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray, dict, Callable]:
+def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig,
+                  label: str) -> tuple[np.ndarray, dict, Callable]:
     """Rates of :func:`_searched` on the lag rules of n and 3 n / 4 nodes, stacked for
     :func:`_lag_sums`; too many cycles of beta2 D sigma_0^2 over D in [0, L] raise first."""
     def rule(n):
@@ -286,7 +286,6 @@ def _closed_rates(delays: np.ndarray, cfg: ExperimentConfig) -> tuple[np.ndarray
         # 8 temporaries of one lag row per delay, each at most 2^14 elements per block: under
         # glibc's default mmap threshold (128 KB), so they are reused, not mapped and faulted anew
         return (lambda d: _lag_sums(d, *stacked)), 8 * len(weights), kappa, {"lag_orders": orders}
-    label = "gaussian closed-form engine"
     _nodes_per_cycle(abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m
                      * cfg.sigma_0_rad_per_ps**2 / (2.0 * math.pi), label)
     start = _nodes_per_cycle(_g_cycles(cfg), label)
@@ -300,7 +299,8 @@ class DipCurve:
 
     ``rule`` is the rule the engine's search settled on: an array of delays to its fine
     and coarse rates and the fine slope dR/ddt (columns), before the clamp at zero.  R is
-    even, least at 0 and tends to 1, which :func:`dip_metrics` relies on.
+    even, least at 0 and tends to 1, which :func:`dip_metrics` relies on.  ``config`` is the
+    configuration the engine ran on, which gives the dip's width (None: a curve built by hand).
     """
 
     delays_ps: np.ndarray
@@ -308,6 +308,7 @@ class DipCurve:
     engine: str
     rule: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     quadrature: dict = field(default_factory=dict)
+    config: ExperimentConfig | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_axis(self.delays_ps)
@@ -345,8 +346,8 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     Explicit filters, given as a pair, replace the arms of ``cfg`` for every
     engine; ``asymmetric`` is ``general`` with the pair required.  The
     ``gaussian`` and ``supergaussian`` engines reject any arms other than
-    identical Gaussian or quartic filters; past that guard ``supergaussian``
-    is ``general``.
+    identical Gaussian or quartic filters (``_ENGINE_SHAPES``); past that guard
+    ``supergaussian`` is ``general``.
     """
     gl_order = (settings or QuadratureSettings()).gl_order
     if delays_ps is None:
@@ -356,27 +357,20 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
     if signal_filter is not None or idler_filter is not None or engine == "asymmetric":
         if signal_filter is None or idler_filter is None:
             raise ValueError(f"{engine} engine needs both explicit signal and idler filters")
-        signal = replace(signal_filter, idler=None)
-        cfg = replace(cfg, filter=replace(signal, idler=None if idler_filter == signal
-                                          else idler_filter))
+        cfg = replace(cfg, filter=replace(signal_filter, idler=idler_filter))
+    if engine not in _ENGINE_SHAPES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {sorted(_ENGINE_SHAPES)}")
+    label, shape = f"{engine} engine", _ENGINE_SHAPES[engine]
+    if shape is not None and (cfg.filter.shape is not shape or cfg.filter.idler is not None):
+        raise ValueError(f"{label} requires identical {shape.value} filters on both arms")
     folded, inverse = np.unique(np.abs(delays_ps), return_inverse=True)
-    if engine == "gaussian":
-        _require_matched(cfg, FilterShape.GAUSSIAN, "closed-form engine")
-        rates, quadrature, rule = _closed_rates(folded, cfg)
-    elif engine == "supergaussian":
-        _require_matched(cfg, FilterShape.SUPERGAUSSIAN4, "super-gaussian engine")
-        rates, quadrature, rule = _spectral_rates(folded, cfg, gl_order, "super-gaussian engine")
-    elif engine in ("general", "asymmetric"):
-        rates, quadrature, rule = _spectral_rates(folded, cfg, gl_order,
-                                                  "asymmetric/general engine")
-    else:
-        raise ValueError(f"unknown engine {engine!r}; choose from "
-                         "['asymmetric', 'gaussian', 'general', 'supergaussian']")
+    rates, quadrature, rule = (_closed_rates(folded, cfg, label) if engine == "gaussian"
+                               else _spectral_rates(folded, cfg, gl_order, label))
     if np.any(rates < -_ABS_TOL):
-        raise AccuracyError(f"{engine} engine: negative rate {np.min(rates):.3e} beyond abs_tol "
+        raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e} beyond abs_tol "
                             f"{_ABS_TOL:.1e} (kappa = {quadrature['kappa']:.3e})")
     return DipCurve(delays_ps=delays_ps, rates=np.maximum(rates, 0.0)[inverse], engine=engine,
-                    rule=rule, quadrature=quadrature)
+                    rule=rule, quadrature=quadrature, config=cfg)
 
 
 def _half_level(rule: Callable, level: float, x: list, gap: list) -> tuple[float, float]:
@@ -439,18 +433,31 @@ def dip_metrics(curve: DipCurve) -> DipMetrics:
     brackets the half level leaves it unbracketed; each raises :class:`AnalysisError`.
     ``half_level_crossings`` counts the bracketing pairs on each flank, so a count
     above 1 says the flank is not monotone and the FWHM is the widest of its crossings.
+    When these or the solve fail and the curve's widest delay step exceeds the width
+    2 sqrt(2 ln 2) / s_d of its ``config``'s dip (:func:`_dip_sigma`), the error names both.
     """
-    n = curve.delays_ps.size
-    edge = max(int(round(_BASELINE_FRACTION * n / 2)), 1)
-    imin = int(np.argmin(curve.rates))
-    if 1.0 - curve.rates[imin] < 1e-9:
-        raise AnalysisError("no dip found: curve is flat at the baseline")
-    if imin < edge or imin >= n - edge:
-        raise AnalysisError("dip minimum lies inside the baseline margin; widen the delay range")
-    metrics = _rule_metrics(curve, imin)
-    if 0 in metrics.half_level_crossings:
-        raise AnalysisError("half-depth level not bracketed on both flanks")
-    return metrics
+    try:
+        n = curve.delays_ps.size
+        edge = max(int(round(_BASELINE_FRACTION * n / 2)), 1)
+        imin = int(np.argmin(curve.rates))
+        if 1.0 - curve.rates[imin] < 1e-9:
+            raise AnalysisError("no dip found: curve is flat at the baseline")
+        if imin < edge or imin >= n - edge:
+            raise AnalysisError("dip minimum lies inside the baseline margin; "
+                                "widen the delay range")
+        metrics = _rule_metrics(curve, imin)
+        if 0 in metrics.half_level_crossings:
+            raise AnalysisError("half-depth level not bracketed on both flanks")
+        return metrics
+    except (AccuracyError, AnalysisError) as exc:
+        if curve.config is None:
+            raise
+        width = 2.0 * math.sqrt(2.0 * math.log(2.0)) / _dip_sigma(curve.config)
+        step = float(np.max(np.diff(curve.delays_ps), initial=0.0))
+        if step <= width:
+            raise
+        raise AnalysisError(f"delay step {step:g} ps is {step / width:.3g} times the dip's width "
+                            f"of about {width:.3g} ps, too coarse to resolve it ({exc})") from exc
 
 
 def write_curve_csv(curve: DipCurve, path) -> None:

@@ -121,9 +121,11 @@ class PumpParams:
 class FilterSpec:
     """Optical bandpass filter in front of a detector.
 
-    ``fwhm_nm`` is the power-transmission FWHM.  For ``CASCADE`` it is the
-    FWHM of each stage individually.  ``idler`` optionally gives a different
-    filter for the idler arm (asymmetric configuration).
+    ``shape`` may be given by its value (``"gaussian"``), which is converted to the member the
+    engines compare by identity.  ``fwhm_nm`` is the power-transmission FWHM.  For ``CASCADE``
+    it is the FWHM of each stage individually.  ``idler`` optionally gives a different filter for
+    the idler arm (asymmetric configuration); an idler of the same shape and FWHM is dropped, so
+    matched arms always read ``idler is None``.
     """
 
     shape: FilterShape = FilterShape.GAUSSIAN
@@ -131,11 +133,14 @@ class FilterSpec:
     idler: Optional["FilterSpec"] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "shape", FilterShape(self.shape))
         _require_finite(self)
         if not self.fwhm_nm > 0:
             raise ValueError(f"filter FWHM must be positive, got {self.fwhm_nm} nm")
         if self.idler is not None and self.idler.idler is not None:
             raise ValueError("idler filter cannot itself carry an idler override")
+        if self.idler is not None and self.idler == FilterSpec(self.shape, self.fwhm_nm):
+            object.__setattr__(self, "idler", None)
 
 
 def _representable(name: str, rate: float) -> float:
@@ -208,10 +213,8 @@ def build_config(
     """
     idler = None
     if idler_filter_fwhm_nm is not None or idler_filter_shape is not None:
-        idler = FilterSpec(
-            shape=FilterShape(idler_filter_shape or filter_shape),
-            fwhm_nm=idler_filter_fwhm_nm if idler_filter_fwhm_nm is not None else filter_fwhm_nm,
-        )
+        idler = FilterSpec(idler_filter_shape or filter_shape,
+                           filter_fwhm_nm if idler_filter_fwhm_nm is None else idler_filter_fwhm_nm)
     return ExperimentConfig(
         fiber=FiberParams(
             length_m=length_m,
@@ -224,7 +227,7 @@ def build_config(
             fwhm_nm=pump_fwhm_nm,
             peak_power_W=peak_power_W,
         ),
-        filter=FilterSpec(shape=FilterShape(filter_shape), fwhm_nm=filter_fwhm_nm, idler=idler),
+        filter=FilterSpec(shape=filter_shape, fwhm_nm=filter_fwhm_nm, idler=idler),
     )
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from homsim import cli, fitdata, imperfections, jsa, units
+from homsim import cli, fitdata, hom, imperfections, jsa, units
 
 
 def run(args):
@@ -159,6 +159,23 @@ class TestDipCommand:
         assert run(["dip", "--engine", "gaussian", "--filter-mismatch", "0.2",
                     "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("engine,shape", [("gaussian", "gaussian"),
+                                              ("supergaussian", "supergaussian4")])
+    @pytest.mark.parametrize("how", ["mismatch", "config"])
+    def test_idler_equal_to_the_signal_is_the_default_run(self, tmp_path, capsys, engine,
+                                                          shape, how):
+        # a mismatch that rounds away, or a config idler equal to the signal, is matched
+        flags = ["dip", "--engine", engine, "--filter-shape", shape]
+        assert run([*flags, "--out", str(tmp_path / "default.csv")]) == 0
+        default = capsys.readouterr().out
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"idler_filter_fwhm_nm": 0.8}))
+        idler = (["--filter-mismatch", "1e-17"] if how == "mismatch"
+                 else ["--config", str(cfgfile)])
+        assert run([*flags, *idler, "--out", str(tmp_path / "idler.csv")]) == 0
+        assert capsys.readouterr().out == default
+        assert (tmp_path / "idler.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
     def test_asymmetric_is_not_an_engine_choice(self, tmp_path):
         # the mismatched case is `--engine general --filter-mismatch`
         with pytest.raises(SystemExit) as exc:
@@ -205,7 +222,7 @@ class TestDipCommand:
         assert run(["dip", "--engine", "gaussian", f"--delay-min=-{bound}", "--delay-max", bound,
                     "--delay-step", step, "--out", str(tmp_path / "x.csv")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"numerical error: --delay-step {float(step):g} ps is 1.6e+")
+        assert err.startswith(f"numerical error: delay step {float(step):g} ps is 1.6e+")
         assert "times the dip's width of about 6.25 ps" in err and cause in err
         assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
 
@@ -420,6 +437,17 @@ class TestFitCommand:
         assert doc["converged"]
         assert 0.9 < doc["params"]["scale"] < 1.0
 
+    def test_model_mode_with_an_idler_equal_to_the_signal(self, tmp_path, dip_data_file, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"idler_filter_fwhm_nm": 0.8}))
+        results = []
+        for name, extra in (("default", []), ("idler", ["--config", str(cfgfile)])):
+            out = tmp_path / f"{name}.json"
+            assert run(["fit", "--data", str(dip_data_file), "--mode", "model", "--engine",
+                        "gaussian", *extra, "--out", str(out)]) == 0
+            results.append((out.read_bytes(), capsys.readouterr().out))
+        assert results[0] == results[1]
+
     def test_fit_with_no_reducing_step_says_so(self, tmp_path, dip_data_file):
         # at a 1e-30 nm filter the engine model is ~1e-122 dt^2 over the grid: no trial of
         # the first iteration lowers the residual, so the fit stops there, not at max_iter
@@ -533,6 +561,13 @@ class TestOverlapCommand:
         doc = json.loads(out.read_text())
         assert 0 < doc["theta_rad"] < 1e-3
         assert (tmp_path / "overlap.manifest.json").exists()
+
+
+def test_dip_and_fit_offer_the_same_engines():
+    parsers = cli.build_parser()._subparsers._group_actions[0].choices
+    offered = [next(a.choices for a in parsers[command]._actions if a.dest == "engine")
+               for command in ("dip", "fit")]
+    assert offered[0] == offered[1] and set(offered[0]) <= set(hom._ENGINE_SHAPES)
 
 
 def test_cli_import_loads_no_scipy():

@@ -162,6 +162,56 @@ class TestAsymmetric:
             hom.dip_curve(cfg, "general", signal_filter=wide)
 
 
+class TestMatchedArms:
+    """An idler equal to the signal filter is the matched config, however it is given."""
+
+    @staticmethod
+    def equal_idler_configs(shape):
+        base, params = units.default_config(shape), {**units.REFERENCE_PARAMS,
+                                                     "filter_shape": shape}
+        spec = base.filter
+        return base, {
+            "spec": replace(base, filter=FilterSpec(spec.shape, spec.fwhm_nm, idler=spec)),
+            "fwhm": units.build_config(**params, idler_filter_fwhm_nm=params["filter_fwhm_nm"]),
+            "shape": units.build_config(**params, idler_filter_shape=shape)}
+
+    @pytest.mark.parametrize("way", ["spec", "fwhm", "shape", "pair"])
+    @pytest.mark.parametrize("shape,engine", [
+        ("gaussian", "gaussian"), ("gaussian", "general"), ("supergaussian4", "general"),
+        ("supergaussian4", "supergaussian"), ("cascade", "general")])
+    def test_equal_idler_runs_the_matched_config(self, shape, engine, way):
+        base, configs = self.equal_idler_configs(shape)
+        ref = hom.dip_curve(base, engine)
+        if way == "pair":
+            curve = hom.dip_curve(base, engine, signal_filter=base.filter,
+                                  idler_filter=replace(base.filter))
+        else:
+            assert configs[way] == base and configs[way].filter.idler is None
+            curve = hom.dip_curve(configs[way], engine)
+        assert curve.rates.tobytes() == ref.rates.tobytes()
+        assert curve.quadrature == ref.quadrature and curve.config == base
+        assert hom.dip_metrics(curve) == hom.dip_metrics(ref)
+
+    def test_equal_configs_share_one_table(self):
+        base, configs = self.equal_idler_configs("cascade")
+        hom._spectral_tables.cache_clear()
+        for cfg in (base, *configs.values()):
+            hom._spectral_tables(cfg, 96)
+        assert hom._spectral_tables.cache_info().misses == 1
+
+    def test_engine_guards_come_from_one_table(self, cfg):
+        for engine, shape in hom._ENGINE_SHAPES.items():
+            if shape is None:
+                continue
+            other = units.default_config("cascade")
+            with pytest.raises(ValueError, match=f"^{engine} engine requires identical "
+                               f"{shape.value} filters on both arms$"):
+                hom.dip_curve(other, engine)
+        with pytest.raises(ValueError, match=r"choose from \['asymmetric', 'gaussian', "
+                           r"'general', 'supergaussian'\]$"):
+            hom.dip_curve(cfg, "closed")
+
+
 class TestSuperGaussian:
     def test_wider_than_gaussian(self, cfg, cfg_sg):
         g = hom.dip_metrics(hom.dip_curve(cfg, "gaussian"))
@@ -929,7 +979,7 @@ class TestClosedEngine:
         monkeypatch.setattr(hom, "_lag_tables",
                             lambda cfg, order: orders.append(order) or lag_tables(cfg, order))
         cfg = units.build_config(**{**units.REFERENCE_PARAMS, "filter_fwhm_nm": 1e30})
-        with pytest.raises(hom.AccuracyError, match="gaussian closed-form engine: .* cycles "
+        with pytest.raises(hom.AccuracyError, match="gaussian engine: .* cycles "
                            "over the fiber need more than 1024 nodes"):
             hom.dip_curve(cfg, "gaussian")
         assert orders == []
@@ -1059,6 +1109,25 @@ class TestDipMetrics:
         curve = hom.dip_curve(cfg, "gaussian", delays_ps=np.linspace(-2.0, 2.0, 41))
         with pytest.raises(hom.AnalysisError, match="not bracketed"):
             hom.dip_metrics(curve)
+
+    @pytest.mark.parametrize("delays,step,cause", [
+        (np.arange(-10, 11) * 1e30, r"1e\+30", "root not resolved"),
+        # homsim dip's axis over +-1e50 ps in steps of 1e49: no sample lands on 0
+        (np.round(np.arange(0, 21) * 1e49 - 1e50, 12), r"1e\+49", "flat at the baseline")],
+        ids=["1e30", "1e49"])
+    def test_step_far_wider_than_the_dip_is_named(self, cfg, delays, step, cause):
+        curve = hom.dip_curve(cfg, "gaussian", delays)
+        with pytest.raises(hom.AnalysisError, match=rf"^delay step {step} ps is 1.6e\+\d+ times "
+                           rf"the dip's width of about 6.25 ps, too coarse .*{cause}"):
+            hom.dip_metrics(curve)
+        # a curve that does not know its config keeps the plain diagnosis
+        with pytest.raises((hom.AnalysisError, hom.AccuracyError), match=cause):
+            hom.dip_metrics(replace(curve, config=None))
+
+    def test_coarse_step_that_samples_the_dip_solves(self, cfg):
+        # one sample on the dip at 0: the half level is solved on the engine's rule
+        curve = hom.dip_curve(cfg, "gaussian", np.arange(-10, 11) * 1e5)
+        assert hom.dip_metrics(curve).fwhm_ps == pytest.approx(6.2532, abs=1e-4)
 
     def test_flat_curve_raises(self):
         delays = np.linspace(-10, 10, 101)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from homsim import units
+from homsim import hom, units
 
 
 C = units.C_NM_PER_PS
@@ -105,6 +105,32 @@ class TestExperimentConfig:
                              fwhm_nm=0.8, peak_power_W=0.1)
         with pytest.raises(ValueError):
             units.FilterSpec(fwhm_nm=0.0)
+
+
+def test_idler_equal_to_the_signal_filter_is_dropped():
+    # one representation of matched arms: an idler of the signal's shape and FWHM is no idler
+    cascade = units.FilterShape.CASCADE
+    assert units.FilterSpec(cascade, 1.2, idler=units.FilterSpec(cascade, 1.2)).idler is None
+    assert units.FilterSpec(cascade, 1.2, idler=units.FilterSpec(cascade, 1.2)) == \
+        units.FilterSpec(cascade, 1.2)
+    for idler in (units.FilterSpec(cascade, 1.3), units.FilterSpec(fwhm_nm=1.2)):
+        assert units.FilterSpec(cascade, 1.2, idler=idler).idler == idler
+    with pytest.raises(ValueError, match="cannot itself carry"):
+        units.FilterSpec(idler=units.FilterSpec(idler=units.FilterSpec(fwhm_nm=0.9)))
+
+
+def test_filter_shape_given_by_value_is_the_member():
+    # a value compares and hashes equal to its member, so a config holding it shares the engines'
+    # cached tables: it must run the same filter, not fall through filter_amplitude's identity
+    # tests to the cascade (whose table a default gaussian curve then read)
+    spec = units.FilterSpec(shape="gaussian", idler=units.FilterSpec(shape="cascade"))
+    assert spec.shape is units.FilterShape.GAUSSIAN
+    assert spec.idler.shape is units.FilterShape.CASCADE
+    cfg, nu = units.default_config(), np.linspace(-3.0, 3.0, 7)
+    assert np.array_equal(hom.filter_amplitude(units.FilterSpec("gaussian"), nu, cfg),
+                          hom.filter_amplitude(cfg.filter, nu, cfg))
+    with pytest.raises(ValueError, match="not a valid FilterShape"):
+        units.FilterSpec(shape="quartic")
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -9,8 +9,8 @@ Two fit families:
   Hermite on uniform knots symmetric about zero (error O(h^4) in the spacing h),
   sized by the scan span and cached per (config, engine, half-width); h is
   halved until a midpoint check meets ``_MODEL_TOL``.  Its derivative gives an
-  analytic Jacobian; the half-width of the engine's dip, solved once per cached
-  model on the engine's own rule, gives the FWHM.
+  analytic Jacobian; the half-width of the engine's dip, read once per cached
+  model by :func:`homsim.hom.dip_metrics` from the model's finest engine curve, gives the FWHM.
 
 Both run through one :func:`_fit`, given a fit's initial guess, model (values and a
 Jacobian builder), notes and derived metrics; it weights the residual and the Jacobian
@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hom import DipMetrics, _rule_metrics, dip_curve, metrics_record
+from .hom import AnalysisError, DipMetrics, dip_curve, dip_metrics, metrics_record
 from .units import ExperimentConfig
 
 __all__ = [
@@ -411,36 +411,38 @@ def _model(cfg: ExperimentConfig, engine: str, half: float):
     """Cubic Hermite interpolant (:func:`_hermite`) of the engine rate R on knots k h,
     |k h| <= n h, n h >= ``half``, its record and w.
 
-    R is even, so the engine runs on [0, (n + 2) h] and is mirrored; the two samples
-    past n h give the end knots' slopes.  From h = 1/4 ps (coarser by powers of two when
-    the first halving would pass _MODEL_MAX_KNOTS) h is halved until the previous
-    interpolant, checked at its midpoints -- the new odd knots of [0, n h] -- is within
-    _MODEL_TOL of the engine, or the next halving would pass the cap.  Its error falls
-    as h^4, so the finer one's is about 1/16 of the check.  Returns the finer
-    interpolant, a record whose ``model_error`` is that check's largest deviation (a
-    bound on the coarser interpolant's error) and w, the outermost crossing of
-    (1 + R(0)) / 2 on the engine's samples (infinite if none), solved on the finer
-    curve's engine rule by :func:`homsim.hom._rule_metrics`; R is least at 0 (cosine
-    weights are >= 0).
+    The engine runs by :func:`homsim.hom.dip_curve` on the knots k h, |k| <= n + 2, which
+    runs it once per |k h|; the two samples past n h give the end knots' slopes.  From
+    h = 1/4 ps (coarser by powers of two when the first halving would pass
+    _MODEL_MAX_KNOTS) h is halved until the previous interpolant, checked at its midpoints
+    -- the new odd knots of [0, n h] -- is within _MODEL_TOL of the engine, or the next
+    halving would pass the cap.  Its error falls as h^4, so the finer one's is about 1/16
+    of the check.  Returns the finer interpolant, a record whose ``model_error`` is that
+    check's largest deviation (a bound on the coarser interpolant's error) and w, half the
+    FWHM that :func:`homsim.hom.dip_metrics` reads from the finer engine curve (infinite
+    where it finds no dip).
     """
     h = 0.25
     while 4 * math.ceil(half / h) + 1 > _MODEL_MAX_KNOTS:
         h *= 2.0
     n = math.ceil(half / h)
 
-    def mirrored(m: int, spacing: float):
-        curve = dip_curve(cfg, engine, np.arange(m + 3) * spacing)
-        return _hermite(spacing, np.r_[curve.rates[:0:-1], curve.rates]), curve
+    def sampled(m: int, spacing: float):
+        curve = dip_curve(cfg, engine, np.arange(-m - 2, m + 3) * spacing)
+        return _hermite(spacing, curve.rates), curve
 
-    model, _ = mirrored(n, h)
+    model, _ = sampled(n, h)
     while True:
         n, h = 2 * n, 0.5 * h
-        finer, curve = mirrored(n, h)
-        odd = slice(1, n, 2)
+        finer, curve = sampled(n, h)
+        odd = slice(n + 3, 2 * n + 2, 2)  # k = 1, 3, ..., n - 1
         error = float(np.max(np.abs(_value(*_piece(model, curve.delays_ps[odd]))
                                     - curve.rates[odd])))
         if error <= _MODEL_TOL or 4 * n + 1 > _MODEL_MAX_KNOTS:
-            width = 0.5 * _rule_metrics(curve, 0).fwhm_ps
+            try:
+                width = 0.5 * dip_metrics(curve).fwhm_ps
+            except AnalysisError:
+                width = math.inf
             return finer, {"half_width_ps": n * h, "knots": 2 * n + 1, "spacing_ps": h,
                            "model_error": error, "model_tol": _MODEL_TOL,
                            "quadrature": curve.quadrature}, width

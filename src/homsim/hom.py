@@ -36,8 +36,9 @@ meets _ABS_TOL = 1e-12 plus 10 kappa eps (kappa: the cancellation of its sum); :
 checks every rate's sign against _ABS_TOL and clamps at zero.  The spectral engines' H runs its
 own searched z rule, whose order and estimate their record carries.  A search's rule maps delays
 to the fine rate, the coarse rate and the fine slope dR/ddt (columns), on which
-:func:`dip_metrics` solves the half level by :func:`homsim.quadrature._newton`, or names a
-delay step wider than the dip that defeats it.
+:func:`dip_metrics` solves the half level by :func:`homsim.quadrature._newton`, reading
+nothing but the curve's samples and rule; when it fails and the rule at half the widest
+delay step has reached the half level, it names that step as wider than the dip.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ def _nu_half(cfg: ExperimentConfig) -> float:
 
 
 def _require_axis(delays: np.ndarray) -> None:
+    if not delays.size:
+        raise ValueError("delays must hold at least one delay")
     if not (delays.ndim == 1 and np.isfinite(delays).all() and (delays[1:] > delays[:-1]).all()):
         raise ValueError("delays must be finite and strictly increasing, on one axis")
 
@@ -216,14 +219,6 @@ def _lag_sums(delays: np.ndarray, exponents: np.ndarray, wr, wi) -> np.ndarray:
     return out
 
 
-def _dip_sigma(cfg: ExperimentConfig) -> float:
-    """The dip's width s_d in nu_s - nu_i: 1 / s_d^2 is the mean of the arms' 1 / sigma^2, each
-    arm's Gaussian sigma.  With Gaussian arms R = 1 - V e^{-(s_d dt)^2 / 2} up to H, so the dip
-    is about 2 sqrt(2 ln 2) / s_d wide."""
-    arms = (cfg.filter, cfg.filter.idler or cfg.filter)
-    return (0.5 * sum(cfg.sigma_for(arm) ** -2 for arm in arms)) ** -0.5
-
-
 def _nu_start(cfg: ExperimentConfig, n: int, reach: float) -> int:
     """Start order of the nu search from ``n``: the first of n, 2 n, ... (n made even) whose
     nested rule's period P = pi n / (2 half) in dt exceeds ``reach`` (past _MAX_NU_ORDER if none
@@ -232,10 +227,14 @@ def _nu_start(cfg: ExperimentConfig, n: int, reach: float) -> int:
         beyond the axis in dt,
     (2) puts _QUARTIC_NODES nodes on sigma_sg of every quartic stage, and
     (3) damps its image of the dip, at P - reach beyond the axis.
-    On Gaussian arms and pump an image at (u, v) is damped by e^{-((u s_sum)^2 + (v s_d)^2) / 2},
-    s_d of :func:`_dip_sigma` and 1 / s_sum^2 = 1 / sigma_p^2 + 1 / s_d^2 (Trefethen & Weideman,
-    SIAM Rev. 56, 2014); damped means within _ABS_TOL / 2: hypot(u s_sum, v s_d) >= _ALIAS_SIGMAS."""
-    half, arms, s_d = _nu_half(cfg), (cfg.filter, cfg.filter.idler or cfg.filter), _dip_sigma(cfg)
+    The start is calibrated on a model of Gaussian arms and pump, where
+    R = 1 - V e^{-(s_d dt)^2 / 2} up to H, 1 / s_d^2 the mean of the arms' 1 / sigma^2 (a dip
+    narrower than a quartic or cascade one), and an image at (u, v) is damped by
+    e^{-((u s_sum)^2 + (v s_d)^2) / 2}, 1 / s_sum^2 = 1 / sigma_p^2 + 1 / s_d^2 (Trefethen &
+    Weideman, SIAM Rev. 56, 2014); damped means within _ABS_TOL / 2:
+    hypot(u s_sum, v s_d) >= _ALIAS_SIGMAS."""
+    half, arms = _nu_half(cfg), (cfg.filter, cfg.filter.idler or cfg.filter)
+    s_d = (0.5 * sum(cfg.sigma_for(arm) ** -2 for arm in arms)) ** -0.5
     s_sum = (cfg.sigma_p_rad_per_ps ** -2 + s_d ** -2) ** -0.5
     s_q = min((cfg.sigma_sg_for(arm) for arm in arms if arm.shape is not FilterShape.GAUSSIAN),
               default=math.inf)
@@ -299,8 +298,8 @@ class DipCurve:
 
     ``rule`` is the rule the engine's search settled on: an array of delays to its fine
     and coarse rates and the fine slope dR/ddt (columns), before the clamp at zero.  R is
-    even, least at 0 and tends to 1, which :func:`dip_metrics` relies on.  ``config`` is the
-    configuration the engine ran on, which gives the dip's width (None: a curve built by hand).
+    even, least at 0 and tends to 1, which :func:`dip_metrics` relies on.  The axis holds at
+    least one delay.
     """
 
     delays_ps: np.ndarray
@@ -308,7 +307,6 @@ class DipCurve:
     engine: str
     rule: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     quadrature: dict = field(default_factory=dict)
-    config: ExperimentConfig | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_axis(self.delays_ps)
@@ -370,7 +368,7 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
         raise AccuracyError(f"{label}: negative rate {np.min(rates):.3e} beyond abs_tol "
                             f"{_ABS_TOL:.1e} (kappa = {quadrature['kappa']:.3e})")
     return DipCurve(delays_ps=delays_ps, rates=np.maximum(rates, 0.0)[inverse], engine=engine,
-                    rule=rule, quadrature=quadrature, config=cfg)
+                    rule=rule, quadrature=quadrature)
 
 
 def _half_level(rule: Callable, level: float, x: list, gap: list) -> tuple[float, float]:
@@ -391,73 +389,59 @@ def _half_level(rule: Callable, level: float, x: list, gap: list) -> tuple[float
     return w, fine - coarse
 
 
-def _rule_metrics(curve: DipCurve, imin: int) -> DipMetrics:
-    """The metrics of an even curve with baseline 1 that is least at 0, read from its rule:
-    R(0) and w > 0 where R(w) = (1 + R(0)) / 2.  Out from sample ``imin`` each flank counts
-    the sample pairs that bracket that level; the outermost such pair of either flank holds
-    w, which :func:`_half_level` solves on the rule.  The FWHM is 2 w, infinite when no pair
-    brackets the level, and its estimate 2 |fine - coarse| / |R'| at the solve's last
-    evaluation, with R' the slope of that pair; the visibility's is |fine - coarse| at 0."""
-    d, r = curve.delays_ps, curve.rates
-    fine0, coarse0 = curve.rule(np.zeros(1))[0, :2].tolist()
-    r0 = max(fine0, 0.0)  # clamped, as the rates are
-    level = 0.5 * (1.0 + r0)
-    gap = r - level
-    on, cross = gap == 0.0, gap[:-1] * gap[1:] < 0  # cross[k]: samples k and k + 1 bracket it
-    # the pairs (i, i - 1) of the left flank and (i, i + 1) of the right one, by their i
-    left = np.flatnonzero(on[1:imin + 1] | cross[:imin]) + 1
-    right = np.flatnonzero(on[imin:-1] | cross[imin:]) + imin
-    counts = (left.size, right.size)
-    pairs = [(i, i + side) for outermost, side in ((left[:1], -1), (right[-1:], 1))
-             for i in outermost.tolist()]
-    width = error = math.inf
-    if pairs:
-        i, j = max(pairs, key=lambda p: max(abs(d[p[0]]), abs(d[p[1]])))
-        width, spread = _half_level(curve.rule, level, np.abs(d[[i, j]]).tolist(),
-                                    gap[[i, j]].tolist())
-        slope = abs(float(r[j] - r[i]) / float(d[j] - d[i]))
-        error = 2.0 * abs(spread) / slope if slope else math.inf
-    return DipMetrics(visibility=1.0 - r0, fwhm_ps=2.0 * width, center_ps=0.0, baseline=1.0,
-                      engine=curve.engine, half_level_crossings=counts,
-                      fwhm_error_ps=error, visibility_error=abs(fine0 - coarse0))
-
-
 def dip_metrics(curve: DipCurve) -> DipMetrics:
-    """Visibility, FWHM and center of an engine curve, from the engine's rule.
+    """Visibility, FWHM and center of an engine curve, read from its samples and its rule.
 
-    The curve is even with baseline 1 and least at 0, so its center is 0, its
-    visibility 1 - R(0) and its FWHM 2 w at the half level (1 + R(0)) / 2 (see
-    :func:`_rule_metrics`).  The samples decide whether there is a dip: a sampled
-    minimum within 1e-9 of 1 is none, one inside the outermost 10 % of samples on
-    either side sits in the baseline margin, and a flank on which no sample pair
-    brackets the half level leaves it unbracketed; each raises :class:`AnalysisError`.
-    ``half_level_crossings`` counts the bracketing pairs on each flank, so a count
-    above 1 says the flank is not monotone and the FWHM is the widest of its crossings.
-    When these or the solve fail and the curve's widest delay step exceeds the width
-    2 sqrt(2 ln 2) / s_d of its ``config``'s dip (:func:`_dip_sigma`), the error names both.
+    The curve is even with baseline 1 and least at 0, so its center is 0, its visibility
+    1 - R(0) and its FWHM 2 w, R(w) = (1 + R(0)) / 2.  The samples decide whether there is a
+    dip: a sampled minimum within 1e-9 of 1 is none, one inside the outermost 10 % of samples
+    on either side sits in the baseline margin, and a flank on which no sample pair brackets
+    the half level leaves it unbracketed; each raises :class:`AnalysisError`.  Out from the
+    sampled minimum each flank counts the pairs that bracket the level
+    (``half_level_crossings``: above 1, the flank is not monotone and the FWHM is the widest
+    crossing); the outermost pair of either flank holds w, which :func:`_half_level` solves on
+    the rule.  The FWHM's estimate is 2 |fine - coarse| / |R'| at the solve's last evaluation,
+    R' the slope of that pair, and the visibility's |fine - coarse| at 0.  When these or the
+    solve fail and the rule at half the widest delay step has already reached the half level,
+    the error names that step as wider than the dip.
     """
+    d, r = curve.delays_ps, curve.rates
     try:
-        n = curve.delays_ps.size
+        n = d.size
         edge = max(int(round(_BASELINE_FRACTION * n / 2)), 1)
-        imin = int(np.argmin(curve.rates))
-        if 1.0 - curve.rates[imin] < 1e-9:
+        imin = int(np.argmin(r))
+        if 1.0 - r[imin] < 1e-9:
             raise AnalysisError("no dip found: curve is flat at the baseline")
         if imin < edge or imin >= n - edge:
             raise AnalysisError("dip minimum lies inside the baseline margin; "
                                 "widen the delay range")
-        metrics = _rule_metrics(curve, imin)
-        if 0 in metrics.half_level_crossings:
+        fine0, coarse0 = curve.rule(np.zeros(1))[0, :2].tolist()
+        r0 = max(fine0, 0.0)  # clamped, as the rates are
+        level = 0.5 * (1.0 + r0)
+        gap = r - level
+        on, cross = gap == 0.0, gap[:-1] * gap[1:] < 0  # cross[k]: samples k and k + 1 bracket it
+        # the pairs (i, i - 1) of the left flank and (i, i + 1) of the right one, by their i
+        left = np.flatnonzero(on[1:imin + 1] | cross[:imin]) + 1
+        right = np.flatnonzero(on[imin:-1] | cross[imin:]) + imin
+        if not (left.size and right.size):
             raise AnalysisError("half-depth level not bracketed on both flanks")
-        return metrics
+        i, j = max((left[0], left[0] - 1), (right[-1], right[-1] + 1),
+                   key=lambda p: max(abs(d[p[0]]), abs(d[p[1]])))
+        width, spread = _half_level(curve.rule, level, np.abs(d[[i, j]]).tolist(),
+                                    gap[[i, j]].tolist())
     except (AccuracyError, AnalysisError) as exc:
-        if curve.config is None:
+        step = float(np.max(np.diff(d), initial=0.0))
+        fine0, fine_half = curve.rule(np.array([0.0, 0.5 * step]))[:, 0].tolist()
+        level = 0.5 * (1.0 + max(fine0, 0.0))
+        if not fine0 < level <= fine_half:  # no dip, or one that half a step does not pass
             raise
-        width = 2.0 * math.sqrt(2.0 * math.log(2.0)) / _dip_sigma(curve.config)
-        step = float(np.max(np.diff(curve.delays_ps), initial=0.0))
-        if step <= width:
-            raise
-        raise AnalysisError(f"delay step {step:g} ps is {step / width:.3g} times the dip's width "
-                            f"of about {width:.3g} ps, too coarse to resolve it ({exc})") from exc
+        raise AnalysisError(f"delay step {step:g} ps is wider than the dip, too coarse to "
+                            f"resolve it ({exc})") from exc
+    slope = abs(float(r[j] - r[i]) / float(d[j] - d[i]))
+    return DipMetrics(visibility=1.0 - r0, fwhm_ps=2.0 * width, center_ps=0.0, baseline=1.0,
+                      engine=curve.engine, half_level_crossings=(left.size, right.size),
+                      fwhm_error_ps=2.0 * abs(spread) / slope if slope else math.inf,
+                      visibility_error=abs(fine0 - coarse0))
 
 
 def write_curve_csv(curve: DipCurve, path) -> None:

@@ -222,8 +222,9 @@ class TestDipCommand:
         assert run(["dip", "--engine", "gaussian", f"--delay-min=-{bound}", "--delay-max", bound,
                     "--delay-step", step, "--out", str(tmp_path / "x.csv")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"numerical error: delay step {float(step):g} ps is 1.6e+")
-        assert "times the dip's width of about 6.25 ps" in err and cause in err
+        assert err.startswith(f"numerical error: delay step {float(step):g} ps is wider than "
+                              "the dip, too coarse")
+        assert cause in err
         assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
 
     def test_coarse_step_that_resolves_the_dip_exits_0(self, tmp_path, capsys):

@@ -83,28 +83,28 @@ class AnalysisError(RuntimeError):
     """Curve analysis failed (no dip bracketed, flat data, ...)."""
 
 
+def _stages(spec: FilterSpec, cfg: ExperimentConfig) -> tuple[float | None, float | None]:
+    """sigma of a filter's Gaussian stage and sigma_sg of its quartic stage, None for a stage it
+    lacks: gaussian has only the first, supergaussian4 only the second and cascade both."""
+    return (None if spec.shape is FilterShape.SUPERGAUSSIAN4 else cfg.sigma_for(spec),
+            None if spec.shape is FilterShape.GAUSSIAN else cfg.sigma_sg_for(spec))
+
+
 def filter_amplitude(spec: FilterSpec, nu, cfg: ExperimentConfig):
-    """Amplitude transmission of a filter at detuning nu (rad/ps)."""
-    nu = np.asarray(nu, dtype=float)
-    if spec.shape is FilterShape.SUPERGAUSSIAN4:
-        return np.exp(-(nu**4) / cfg.sigma_sg_for(spec)**4)
-    gauss = np.exp(-(nu**2) / (2.0 * cfg.sigma_for(spec)**2))
-    if spec.shape is FilterShape.GAUSSIAN:
-        return gauss
-    # cascade: Gaussian stage times quartic stage, each at its own FWHM
-    return gauss * np.exp(-(nu**4) / cfg.sigma_sg_for(spec)**4)
+    """Amplitude transmission of a filter at detuning nu (rad/ps): the product of its stages
+    (:func:`_stages`), e^{-nu^2 / (2 sigma^2)} and e^{-nu^4 / sigma_sg^4}."""
+    nu, (sigma, sigma_sg) = np.asarray(nu, dtype=float), _stages(spec, cfg)
+    gauss = 1.0 if sigma is None else np.exp(-(nu**2) / (2.0 * sigma**2))
+    return gauss * (1.0 if sigma_sg is None else np.exp(-(nu**4) / sigma_sg**4))
 
 
 def _nu_halfwidth(spec: FilterSpec, cfg: ExperimentConfig) -> float:
-    """Truncation half-width covering both the filter and pump supports: at its edge a
-    Gaussian amplitude is e^-18 (6 sigma) and a quartic one e^-39 (6 sigma_sg / 2.4).  A
-    cascade's amplitude is at most either stage's, so the tighter stage sets its box."""
-    if spec.shape is FilterShape.GAUSSIAN:
-        scale = cfg.sigma_for(spec)
-    elif spec.shape is FilterShape.SUPERGAUSSIAN4:
-        scale = cfg.sigma_sg_for(spec) / 2.4
-    else:  # cascade
-        scale = min(cfg.sigma_for(spec), cfg.sigma_sg_for(spec) / 2.4)
+    """Truncation half-width covering both the filter and pump supports: at its edge a Gaussian
+    stage is e^-18 (6 sigma) and a quartic one e^-39 (6 sigma_sg / 2.4); the amplitude is at
+    most each stage's, so the tighter of the filter's stages (:func:`_stages`) sets its box."""
+    sigma, sigma_sg = _stages(spec, cfg)
+    scale = min(math.inf if sigma is None else sigma,
+                math.inf if sigma_sg is None else sigma_sg / 2.4)
     return _NU_BOX_SIGMAS * max(scale, cfg.sigma_p_rad_per_ps / 3.0)
 
 
@@ -225,18 +225,18 @@ def _nu_start(cfg: ExperimentConfig, n: int, reach: float) -> int:
     does), then doubled, while 2 n is within the cap, until the nested rule (step 4 half / n)
     (1) damps its half-period image, at P / 2 conjugate to nu_s + nu_i and (P / 2 - reach)+
         beyond the axis in dt,
-    (2) puts _QUARTIC_NODES nodes on sigma_sg of every quartic stage, and
+    (2) puts _QUARTIC_NODES nodes on sigma_sg of every quartic stage (:func:`_stages`), and
     (3) damps its image of the dip, at P - reach beyond the axis.
     The start is calibrated on a model of Gaussian arms and pump, where
-    R = 1 - V e^{-(s_d dt)^2 / 2} up to H, 1 / s_d^2 the mean of the arms' 1 / sigma^2 (a dip
-    narrower than a quartic or cascade one), and an image at (u, v) is damped by
-    e^{-((u s_sum)^2 + (v s_d)^2) / 2}, 1 / s_sum^2 = 1 / sigma_p^2 + 1 / s_d^2 (Trefethen &
-    Weideman, SIAM Rev. 56, 2014); damped means within _ABS_TOL / 2:
-    hypot(u s_sum, v s_d) >= _ALIAS_SIGMAS."""
+    R = 1 - V e^{-(s_d dt)^2 / 2} up to H, 1 / s_d^2 the mean of the arms' 1 / sigma^2, also
+    of an arm with no Gaussian stage (a dip narrower than a quartic or cascade one), and an
+    image at (u, v) is damped by e^{-((u s_sum)^2 + (v s_d)^2) / 2}, 1 / s_sum^2 =
+    1 / sigma_p^2 + 1 / s_d^2 (Trefethen & Weideman, SIAM Rev. 56, 2014); damped means within
+    _ABS_TOL / 2: hypot(u s_sum, v s_d) >= _ALIAS_SIGMAS."""
     half, arms = _nu_half(cfg), (cfg.filter, cfg.filter.idler or cfg.filter)
     s_d = (0.5 * sum(cfg.sigma_for(arm) ** -2 for arm in arms)) ** -0.5
     s_sum = (cfg.sigma_p_rad_per_ps ** -2 + s_d ** -2) ** -0.5
-    s_q = min((cfg.sigma_sg_for(arm) for arm in arms if arm.shape is not FilterShape.GAUSSIAN),
+    s_q = min((q for q in (_stages(arm, cfg)[1] for arm in arms) if q is not None),
               default=math.inf)
 
     def passes(n):
@@ -373,19 +373,14 @@ def dip_curve(cfg: ExperimentConfig, engine: str = "gaussian",
 
 def _half_level(rule: Callable, level: float, x: list, gap: list) -> tuple[float, float]:
     """w where the rule's fine column meets ``level``, and fine - coarse at the last evaluation,
-    for a sample pair at |delays| ``x`` whose rates lie ``gap`` from the level: the first
-    sample if it is on the level, else :func:`homsim.quadrature._newton` on the slope column
-    from the pair's linear interpolation, inside the pair."""
+    for a sample pair at |delays| ``x`` whose rates lie ``gap`` from the level: the first sample
+    if on the level (two would start Newton at 0 / 0), else :func:`homsim.quadrature._newton` on
+    the rule's rows (fine, coarse, slope) unchanged, inside the pair from its interpolation."""
     if gap[0] == 0.0:
         return x[0], float(np.subtract(*rule(np.array(x[:1]))[0, :2]))
-
-    def fine_slope_coarse(w: float) -> tuple[float, float, float]:
-        fine, coarse, slope = rule(np.array([w]))[0].tolist()
-        return fine, slope, coarse
-
     (lo, g_lo), (hi, g_hi) = sorted(zip(x, gap))
-    w, (fine, _, coarse), _, _ = _newton(fine_slope_coarse, level, lo, hi, g_lo < 0.0,
-                                         lo - g_lo * (hi - lo) / (g_hi - g_lo))
+    w, (fine, coarse, _), _, _ = _newton(lambda w: rule(np.array([w]))[0].tolist(), level, lo,
+                                         hi, g_lo < 0.0, lo - g_lo * (hi - lo) / (g_hi - g_lo))
     return w, fine - coarse
 
 

@@ -149,8 +149,8 @@ def jsa_grid(cfg: ExperimentConfig, n_points: int = 65, span: float = 3.0) -> Am
     """Sample Q on an (n_points x n_points) grid over +-span*sigma_0 per axis, max |Q| = 1: as
     nu_s + nu_i = (i + j - n + 1) step and nu_s - nu_i = (i - j) step, it is one product of a
     Hankel view of the pump at 2 n - 1 sums, scaled by the O(n) peak, and a Toeplitz one of H."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)) or n_points < 2:
+        raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
     half, sp = span * cfg.sigma_0_rad_per_ps, cfg.sigma_p_rad_per_ps
     # the largest squared detuning (2 half)^2 must stay finite, in the pump and in H's phase
     scale = 0.25 * max(sp**-2, abs(cfg.fiber.beta2_ps2_per_m) * cfg.fiber.length_m)

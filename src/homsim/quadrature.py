@@ -11,10 +11,10 @@
   coarser rule evaluated with it, checked against _ABS_TOL = 1e-12 plus
   10 kappa eps; a NaN estimate fails.  A start past the cap (_MAX_GL_ORDER for
   the z and lag rules) or a search that reaches it raises :class:`AccuracyError`.
-* :func:`_newton` -- the package's one root finder: Newton's method on a value and its
-  slope, safeguarded by bisection inside a bracket, with scipy ``brentq``'s stop.  It
-  solves the dip's half level on an engine rule (``hom``) and the depth of the Airy
-  overlap for the beam angle (``imperfections``).
+* :func:`_newton` -- the package's one root finder: Newton's method on f(x) = (value, ...,
+  slope), safeguarded by bisection inside a bracket, with scipy ``brentq``'s stop.  It solves
+  the dip's half level on an engine rule's rows (fine, coarse, slope) (``hom``) and the Airy
+  overlap's depth (depth, slope) for the beam angle (``imperfections``), each as it is.
 
 Results are deterministic: identical arguments give bit-identical output.
 """
@@ -121,13 +121,13 @@ def _searched(points: np.ndarray, n: int, cap: int, rule,
 def _newton(f: Callable[[float], Sequence[float]], level: float, lo: float, hi: float, rising: bool,
             x: float, xtol: float = 2e-12) -> tuple[float, Sequence[float], int, float]:
     """x where f's value meets ``level`` in [lo, hi], by Newton's method from ``x`` on
-    f(x) = (value, slope, ...): the root, the last evaluation, the evaluation count and the
-    last step.  ``rising`` says the value is below the level at lo.  Each evaluation narrows
-    the bracket to its side, and a step that leaves it bisects it; the stop, tested first,
-    is |step| <= xtol + 4 eps |x|, scipy brentq's, and 100 evaluations raise."""
+    f(x) = (value, ..., slope), the slope last: the root, the last evaluation, the evaluation
+    count and the last step.  ``rising`` says the value is below the level at lo.  Each
+    evaluation narrows the bracket to its side, and a step that leaves it bisects it; the stop,
+    tested first, is |step| <= xtol + 4 eps |x|, scipy brentq's, and 100 evaluations raise."""
     for count in range(1, _MAX_NEWTON + 1):
         value = f(x)
-        step = (level - value[0]) / value[1] if value[1] else math.inf
+        step = (level - value[0]) / value[-1] if value[-1] else math.inf
         if abs(step) <= xtol + _NEWTON_RTOL * abs(x):
             return x + step, value, count, step
         lo, hi = (x, hi) if (value[0] < level) == rising else (lo, x)

@@ -890,6 +890,21 @@ class TestCascadeBox:
         # the pump's support sets the box of only a few of the two runs per draw
         assert tighter > len(draws)
 
+    @pytest.mark.parametrize("idler_scale", [None, 0.9, 1.1], ids=["matched", "narrower", "wider"])
+    @pytest.mark.parametrize("shape", list(FilterShape), ids=lambda shape: shape.value)
+    def test_every_arm_is_damped_at_its_box_edge(self, shape, idler_scale):
+        # an arm alone sets a box at whose edge its amplitude is at most e^-18 with only a
+        # Gaussian stage (6 sigma: 17.999999999999996 is rounding) and e^-39 with a quartic one
+        cfg = units.default_config(shape)
+        if idler_scale is not None:
+            idler = FilterSpec(shape=shape, fwhm_nm=cfg.filter.fwhm_nm * idler_scale)
+            cfg = replace(cfg, filter=replace(cfg.filter, idler=idler))
+        bound = 18.0 - 1e-12 if shape is FilterShape.GAUSSIAN else 39.0
+        for arm in (cfg.filter, cfg.filter.idler or cfg.filter):
+            edge = hom._nu_half(replace(cfg, filter=replace(arm, idler=None)))
+            amplitude = hom.filter_amplitude(arm, np.array([-edge, edge]), cfg)
+            assert np.all(-np.log(amplitude) >= bound)
+
 
 _FOLD_ENGINES = pytest.mark.parametrize("engine,shape", [
     ("gaussian", "gaussian"), ("general", "gaussian"), ("supergaussian", "supergaussian4"),

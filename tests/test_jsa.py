@@ -182,6 +182,20 @@ class TestGrid:
         with pytest.raises(ValueError):
             jsa.jsa_grid(cfg, n_points=1)
 
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, np.float64(65.0), True, "65", None],
+                             ids=["fraction", "float", "numpy-float", "bool", "str", "none"])
+    def test_rejects_a_count_that_is_not_an_integer_before_any_work(self, cfg, monkeypatch,
+                                                                     n_points):
+        # refused at the boundary, not by numpy's TypeError in np.linspace (floats) or as
+        # a grid of 1 (True)
+        monkeypatch.setattr(jsa, "_h_values", lambda w, cfg: pytest.fail("H evaluated"))
+        with pytest.raises(ValueError, match="n_points must be an integer >= 2"):
+            jsa.jsa_grid(cfg, n_points=n_points)
+
+    def test_takes_a_numpy_integer_count(self, cfg):
+        grid, again = jsa.jsa_grid(cfg, n_points=np.int64(9)), jsa.jsa_grid(cfg, n_points=9)
+        assert np.array_equal(grid.values, again.values) and grid.values.shape == (9, 9)
+
     @pytest.mark.parametrize("span", [math.inf, 0.0, -1.0, math.nan, 1e200])
     def test_rejects_bad_span_before_any_work(self, cfg, monkeypatch, span):
         monkeypatch.setattr(jsa, "_h_values", lambda w, cfg: pytest.fail("H evaluated"))

@@ -322,3 +322,50 @@ def test_brentq_rejects_unbracketed_and_nan():
         _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         _brentq(lambda x: float("nan"), 0.0, 1.0)
+
+
+class TestNewton:
+    # quadrature._newton, on f(x) = (value, ..., slope): the slope is f's last entry
+    @staticmethod
+    def logged(f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g, calls
+
+    def test_slope_is_the_last_entry(self):
+        # read as the slope, the middle entry would stop the solve at once, at its start
+        f, calls = self.logged(lambda x: (x * x, 1e300, 2.0 * x))
+        root, value, count, step = quadrature._newton(f, 2.0, 1.0, 2.0, True, 1.5)
+        assert root == pytest.approx(math.sqrt(2.0), abs=4e-16)
+        assert value == (calls[-1] ** 2, 1e300, 2.0 * calls[-1]) and count == len(calls) > 2
+        assert abs(step) <= 2e-12 + 4 * np.finfo(float).eps * calls[-1]
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01], ids=["zero-slope", "step-leaves-bracket"])
+    def test_bisects_the_bracket(self, slope):
+        # at 0.9 the value lies above the level of a rising f, so the bracket becomes [0, 0.9];
+        # a zero slope gives no step and -0.6 / 0.01 leaves the bracket: both bisect it
+        f, calls = self.logged(lambda x: (x - 0.3, slope if x == 0.9 else 1.0))
+        root = quadrature._newton(f, 0.0, 0.0, 1.0, True, 0.9)[0]
+        assert calls[:2] == [0.9, 0.45] and root == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("x,xtol", [(0.3, 2e-12), (1e6, 0.0)], ids=["xtol", "relative"])
+    def test_stop_returns_x_plus_the_step(self, x, xtol):
+        # |step| <= xtol + 4 eps |x| stops with x + step; twice that bound takes another step
+        bound = xtol + 4 * np.finfo(float).eps * x
+        for s, evaluations in ((bound, 1), (-bound, 1), (2.0 * bound, 2)):
+            f, calls = self.logged(lambda w: (w - x - s, 1.0))
+            root, value, count, step = quadrature._newton(f, 0.0, x - 1.0, x + 1.0, True, x,
+                                                          xtol=xtol)
+            assert count == len(calls) == evaluations
+            if evaluations == 1:
+                assert (root, value, step) == (x + s, (-s, 1.0), s)
+
+    def test_gives_up_after_100_evaluations(self):
+        # a jump across the level: every step is 1, and bisection never stops the solve
+        f, calls = self.logged(lambda x: (1.0 if x > 1.0 / 3.0 else -1.0, 1.0))
+        with pytest.raises(quadrature.AccuracyError, match="root not resolved in 100 steps"):
+            quadrature._newton(f, 0.0, 0.0, 1.0, True, 0.5)
+        assert len(calls) == quadrature._MAX_NEWTON == 100
